@@ -463,7 +463,7 @@ func benchFSC(rep *Report, compiled *arch.Compiled, prep *core.Prepared, episode
 }
 
 // benchBatch measures the batched leaf evaluation (Set.ValueBatch over the
-// packed plane slab) and the full batched Max-Avg expansion
+// state-major plane columns) and the full batched Max-Avg expansion
 // (Bounded.DecideBatch). Both run with preallocated output buffers — the
 // campaign's steady state — so allocs/op should be zero.
 func benchBatch(rep *Report, prep *core.Prepared) error {

@@ -28,7 +28,7 @@ func (s *Set) MarshalJSON() ([]byte, error) {
 		Planes:   make([][]float64, s.Size()),
 	}
 	for i := range out.Planes {
-		out.Planes[i] = append([]float64(nil), s.row(i)...)
+		out.Planes[i] = s.Plane(i)
 	}
 	return json.Marshal(out)
 }
@@ -110,7 +110,6 @@ func (s *Set) UnmarshalJSON(data []byte) error {
 	if in.States <= 0 {
 		return fmt.Errorf("bounds: decode set: non-positive state count %d", in.States)
 	}
-	slab := make([]float64, 0, len(in.Planes)*in.States)
 	for i, p := range in.Planes {
 		if len(p) != in.States {
 			return fmt.Errorf("bounds: decode set: plane %d has length %d, want %d", i, len(p), in.States)
@@ -118,11 +117,17 @@ func (s *Set) UnmarshalJSON(data []byte) error {
 		if !linalg.Vector(p).IsFinite() {
 			return fmt.Errorf("bounds: decode set: plane %d is not finite", i)
 		}
-		slab = append(slab, p...)
+	}
+	np := len(in.Planes)
+	cols := make([]float64, np*in.States)
+	for i, p := range in.Planes {
+		for k, v := range p {
+			cols[k*np+i] = v
+		}
 	}
 	s.n = in.States
 	s.maxLen = in.Capacity
-	s.slab = slab
-	s.uses = make([]uint64, len(in.Planes))
+	s.cols = cols
+	s.uses = make([]uint64, np)
 	return nil
 }

@@ -47,24 +47,38 @@ var ErrEmptySet = errors.New("bounds: empty hyperplane set")
 // pruning, and an optional capacity with least-used eviction (the finite-
 // storage strategy sketched in Section 4.3 of the paper).
 //
-// The planes are stored structure-of-arrays style in one contiguous
-// []float64 slab (plane i occupies slab[i·n : (i+1)·n]), so the
-// max-of-hyperplanes scan streams a single allocation linearly and
-// ValueBatch can amortize one pass over the slab across many beliefs.
+// The planes are stored state-major in one contiguous []float64: with P
+// planes, entry k of plane i sits at cols[k·P+i], so column k holds every
+// plane's coefficient for state k. The max-of-hyperplanes scan (scan) reads
+// only the columns of a belief's nonzero states and feeds P independent
+// per-plane sums from each, which skips the zero entries of sparse recovery
+// beliefs and lets the CPU pipeline the P accumulation chains.
 //
 // A Set is not safe for concurrent mutation (Add vs anything else), but
-// Value/ValueArg/ValueBatch are safe to call from several goroutines at once
-// on a set nobody is mutating — the usage counters behind least-used
-// eviction are updated atomically — so read-only controllers may share one
-// set (e.g. a pool of campaign workers evaluating the same bootstrapped
-// bound).
+// Value/ValueArg/Peek/ValueBatch are safe to call from several goroutines at
+// once on a set nobody is mutating — the scan scratch comes from a package
+// pool and the usage counters behind least-used eviction are updated
+// atomically — so read-only controllers may share one set (e.g. a pool of
+// campaign workers evaluating the same bootstrapped bound).
 type Set struct {
-	slab      []float64 // plane i is slab[i*n : (i+1)*n]
+	cols      []float64 // entry k of plane i is cols[k*Size()+i]
 	uses      []uint64  // accessed atomically in ValueArg/ValueBatch; plainly under mutation
 	maxLen    int       // 0 = unlimited
 	n         int       // state count
-	argPool   sync.Pool // *[]int argmax scratch for ValueBatch
 	evictions uint64    // capacity evictions performed; read atomically by Evictions
+}
+
+// accPool holds scan's per-plane accumulator scratch. It lives at package
+// level, not in the Set, so goroutines sharing one set never share scratch.
+var accPool = sync.Pool{New: func() any { return new([]float64) }}
+
+// getAcc returns pooled accumulator scratch with capacity for p planes.
+func getAcc(p int) *[]float64 {
+	acc := accPool.Get().(*[]float64)
+	if cap(*acc) < p {
+		*acc = make([]float64, p)
+	}
+	return acc
 }
 
 // NewSet creates a hyperplane set over an n-state belief space, seeded with
@@ -81,8 +95,7 @@ func NewSet(n int, base ...linalg.Vector) (*Set, error) {
 		if !b.IsFinite() {
 			return nil, fmt.Errorf("bounds: base hyperplane %d is not finite", i)
 		}
-		s.slab = append(s.slab, b...)
-		s.uses = append(s.uses, 0)
+		s.appendPlane(b)
 	}
 	return s, nil
 }
@@ -98,14 +111,43 @@ func (s *Set) Size() int { return len(s.uses) }
 // NumStates returns the dimension of the underlying belief space.
 func (s *Set) NumStates() int { return s.n }
 
-// row returns plane i as a view into the slab (capped so appends cannot
-// clobber the neighbouring plane).
-func (s *Set) row(i int) []float64 {
-	return s.slab[i*s.n : (i+1)*s.n : (i+1)*s.n]
-}
+// at returns entry k of plane i.
+func (s *Set) at(i, k int) float64 { return s.cols[k*len(s.uses)+i] }
 
-// at returns entry j of plane i.
-func (s *Set) at(i, j int) float64 { return s.slab[i*s.n+j] }
+// scan is the set's one max-of-hyperplanes loop. It returns max_i π·plane_i
+// and the first maximizing plane (-Inf and -1 for an empty set), using acc
+// (capacity at least Size()) for the per-plane sums.
+//
+// Every value is bit-identical to linalg.DotUnrolled(pi, plane): each plane
+// is summed by its own accumulator in ascending state order with the same
+// s += x*y shape. Skipping the states with pi[k] == 0 is exact because the
+// planes are finite (NewSet, Add and UnmarshalJSON refuse anything else), so
+// a skipped term is ±0; adding ±0 leaves a nonzero sum unchanged, and a sum
+// that starts at +0 never becomes −0, so adding ±0 to a zero sum leaves +0.
+func (s *Set) scan(pi []float64, acc []float64) (float64, int) {
+	if len(pi) != s.n {
+		panic(fmt.Sprintf("bounds: belief length %d, want %d", len(pi), s.n))
+	}
+	p := len(s.uses)
+	acc = acc[:p]
+	clear(acc)
+	for k, x := range pi {
+		if x == 0 {
+			continue
+		}
+		col := s.cols[k*p:][:len(acc)]
+		for i := range acc {
+			acc[i] += x * col[i]
+		}
+	}
+	best, arg := math.Inf(-1), -1
+	for i, v := range acc {
+		if v > best {
+			best, arg = v, i
+		}
+	}
+	return best, arg
+}
 
 // Value evaluates V_B⁻(π) = max_b π·b and records a use of the maximizing
 // plane. It panics on dimension mismatch (beliefs are validated upstream)
@@ -115,69 +157,52 @@ func (s *Set) Value(pi pomdp.Belief) float64 {
 	return v
 }
 
+// scanOne runs scan for a single belief. Its scratch lives on the stack
+// when the set is small enough, since a pool round trip would cost a
+// noticeable share of a small scan, and comes from accPool otherwise.
+func (s *Set) scanOne(pi []float64) (float64, int) {
+	var buf [64]float64
+	if len(s.uses) <= len(buf) {
+		return s.scan(pi, buf[:])
+	}
+	acc := getAcc(len(s.uses))
+	best, arg := s.scan(pi, *acc)
+	accPool.Put(acc)
+	return best, arg
+}
+
 // ValueArg is Value plus the index of the maximizing hyperplane (-1 when
 // the set is empty).
 func (s *Set) ValueArg(pi pomdp.Belief) (float64, int) {
-	best, arg := math.Inf(-1), -1
-	for i := 0; i < len(s.uses); i++ {
-		if v := linalg.DotUnrolled(pi, s.row(i)); v > best {
-			best, arg = v, i
-		}
-	}
+	best, arg := s.scanOne(pi)
 	if arg >= 0 {
 		atomic.AddUint64(&s.uses[arg], 1)
 	}
 	return best, arg
 }
 
-// ValueBatch evaluates V_B⁻ at every belief in pis with one linear pass over
-// the plane slab (plane-outer, belief-inner), writing the values into out
-// (grown if its capacity is insufficient) and returning it. Each result is
-// bit-identical to Value on the same belief — the per-plane dot products use
-// the same kernel and the same first-maximizer comparison — and the usage
-// counter of each belief's maximizing plane is bumped exactly as ValueArg
-// would, so eviction behaviour is unchanged. With a preallocated out the
-// call performs no allocations in steady state.
+// ValueBatch evaluates V_B⁻ at every belief in pis, writing the values into
+// out (grown if its capacity is insufficient) and returning it. Each value
+// and usage-counter bump is exactly ValueArg's on the same belief, so
+// eviction behaviour is unchanged. The batch shares one accumulator scratch,
+// and with a preallocated out the call performs no allocations in steady
+// state.
 func (s *Set) ValueBatch(pis []pomdp.Belief, out []float64) []float64 {
 	m := len(pis)
 	if cap(out) < m {
 		out = make([]float64, m)
 	}
 	out = out[:m]
-	argp := s.getArgs(m)
-	args := *argp
-	for j := range out {
-		out[j] = math.Inf(-1)
-		args[j] = -1
-	}
-	for i := 0; i < len(s.uses); i++ {
-		plane := s.row(i)
-		for j, pi := range pis {
-			if v := linalg.DotUnrolled(pi, plane); v > out[j] {
-				out[j], args[j] = v, i
-			}
+	acc := getAcc(len(s.uses))
+	for j, pi := range pis {
+		var arg int
+		out[j], arg = s.scan(pi, *acc)
+		if arg >= 0 {
+			atomic.AddUint64(&s.uses[arg], 1)
 		}
 	}
-	for _, a := range args {
-		if a >= 0 {
-			atomic.AddUint64(&s.uses[a], 1)
-		}
-	}
-	s.argPool.Put(argp)
+	accPool.Put(acc)
 	return out
-}
-
-// getArgs returns a pooled argmax scratch slice of length m.
-func (s *Set) getArgs(m int) *[]int {
-	p, _ := s.argPool.Get().(*[]int)
-	if p == nil {
-		p = new([]int)
-	}
-	if cap(*p) < m {
-		*p = make([]int, m)
-	}
-	*p = (*p)[:m]
-	return p
 }
 
 // Peek evaluates V_B⁻(π) without recording a use of the maximizing plane.
@@ -185,12 +210,7 @@ func (s *Set) getArgs(m int) *[]int {
 // inspecting the bound cannot perturb least-used eviction and thereby change
 // which planes a capacity-limited set keeps.
 func (s *Set) Peek(pi pomdp.Belief) float64 {
-	best := math.Inf(-1)
-	for i := 0; i < len(s.uses); i++ {
-		if v := linalg.DotUnrolled(pi, s.row(i)); v > best {
-			best = v
-		}
-	}
+	best, _ := s.scanOne(pi)
 	return best
 }
 
@@ -200,7 +220,12 @@ func (s *Set) Evictions() uint64 { return atomic.LoadUint64(&s.evictions) }
 
 // Plane returns (a copy of) hyperplane i.
 func (s *Set) Plane(i int) linalg.Vector {
-	return append(linalg.Vector(nil), s.row(i)...)
+	_ = s.uses[i] // an out-of-range i must panic, not read a neighbouring plane
+	out := make(linalg.Vector, s.n)
+	for k := range out {
+		out[k] = s.at(i, k)
+	}
+	return out
 }
 
 // Add inserts a new hyperplane unless it is pointwise dominated by an
@@ -220,48 +245,72 @@ func (s *Set) Add(b linalg.Vector) (bool, error) {
 	}
 	const tol = 1e-12
 	for i := 0; i < s.Size(); i++ {
-		if dominates(s.row(i), b, tol) {
+		if above, _ := s.dominance(i, b, tol); above {
 			return false, nil
 		}
 	}
 	// Prune planes the newcomer dominates (never the base plane at index 0,
-	// which callers rely on for the Property 1(b) guarantee).
-	w := 1
-	for i := 1; i < s.Size(); i++ {
-		if dominates(b, s.row(i), tol) {
-			continue
+	// which callers rely on for the Property 1(b) guarantee). Walking down
+	// leaves the planes still to be visited at their indices.
+	for i := s.Size() - 1; i >= 1; i-- {
+		if _, below := s.dominance(i, b, tol); below {
+			s.removeAt(i)
 		}
-		if w != i {
-			copy(s.slab[w*s.n:(w+1)*s.n], s.slab[i*s.n:(i+1)*s.n])
-			s.uses[w] = s.uses[i]
-		}
-		w++
 	}
-	s.slab = s.slab[:w*s.n]
-	s.uses = s.uses[:w]
-
 	if s.maxLen > 0 && s.Size() >= s.maxLen {
 		s.evictLeastUsed()
 	}
-	s.slab = append(s.slab, b...)
-	s.uses = append(s.uses, 0)
+	s.appendPlane(b)
 	return true, nil
 }
 
-// dominates reports a ≥ b pointwise (within tol).
-func dominates(a, b []float64, tol float64) bool {
-	for i := range a {
-		if a[i] < b[i]-tol {
-			return false
+// dominance reports whether plane i ≥ b pointwise (above) and whether
+// b ≥ plane i pointwise (below), both within tol.
+func (s *Set) dominance(i int, b []float64, tol float64) (above, below bool) {
+	above, below = true, true
+	for k, bk := range b {
+		v := s.at(i, k)
+		if v < bk-tol {
+			above = false
+		}
+		if bk < v-tol {
+			below = false
 		}
 	}
-	return true
+	return above, below
 }
 
-// removeAt deletes plane i from the slab and the usage counters.
+// appendPlane adds b as the last plane, restriding every column from P to
+// P+1 entries. The move runs back to front, so in place no entry is
+// overwritten before it has moved; a full buffer is replaced by one of
+// doubled capacity, so growth is amortised.
+func (s *Set) appendPlane(b []float64) {
+	p := len(s.uses)
+	need := (p + 1) * s.n
+	src, dst := s.cols, s.cols
+	if cap(dst) < need {
+		dst = make([]float64, need, 2*need)
+	}
+	dst = dst[:need]
+	for k := s.n - 1; k >= 0; k-- {
+		copy(dst[k*(p+1):], src[k*p:(k+1)*p])
+		dst[k*(p+1)+p] = b[k]
+	}
+	s.cols = dst
+	s.uses = append(s.uses, 0)
+}
+
+// removeAt deletes plane i, restriding every column from P to P−1 entries
+// in place (front to back: every entry moves to a lower index).
 func (s *Set) removeAt(i int) {
-	copy(s.slab[i*s.n:], s.slab[(i+1)*s.n:])
-	s.slab = s.slab[:len(s.slab)-s.n]
+	p := len(s.uses)
+	w := 0
+	for k := 0; k < s.n; k++ {
+		col := s.cols[k*p : (k+1)*p]
+		w += copy(s.cols[w:], col[:i])
+		w += copy(s.cols[w:], col[i+1:])
+	}
+	s.cols = s.cols[:w]
 	s.uses = append(s.uses[:i], s.uses[i+1:]...)
 }
 
@@ -286,15 +335,15 @@ func (s *Set) evictLeastUsed() {
 // kept so the Property 1(b) guarantee anchored to it survives. V_B⁻ is
 // unchanged at every belief. It returns the number of planes removed.
 func (s *Set) CompactLP() (int, error) {
+	planes := make([]linalg.Vector, s.Size())
+	for i := range planes {
+		planes[i] = s.Plane(i)
+	}
 	removed := 0
-	for i := 1; i < s.Size(); {
-		others := make([]linalg.Vector, 0, s.Size()-1)
-		for k := 0; k < s.Size(); k++ {
-			if k != i {
-				others = append(others, linalg.Vector(s.row(k)))
-			}
-		}
-		useful, err := linalg.PlaneUseful(linalg.Vector(s.row(i)), others, 1e-9)
+	for i := 1; i < len(planes); {
+		others := make([]linalg.Vector, 0, len(planes)-1)
+		others = append(append(others, planes[:i]...), planes[i+1:]...)
+		useful, err := linalg.PlaneUseful(planes[i], others, 1e-9)
 		if err != nil {
 			return removed, fmt.Errorf("bounds: compact: %w", err)
 		}
@@ -303,6 +352,7 @@ func (s *Set) CompactLP() (int, error) {
 			continue
 		}
 		s.removeAt(i)
+		planes = append(planes[:i], planes[i+1:]...)
 		removed++
 	}
 	return removed, nil

@@ -111,8 +111,7 @@ func TestChaosEpisodesMatchBaseline(t *testing.T) {
 	}
 	remote, err := runner.RunCampaignOpts(nil, nil, faults, episodes, rng.New(campaignSeed), sim.CampaignOptions{
 		// Workers is pinned to 1: the exact-equality comparison against the
-		// sequential baseline needs the sequential fold order, and Workers: 0
-		// would auto-tune to GOMAXPROCS because an EpisodeFactory is set.
+		// sequential baseline needs the sequential fold order.
 		Workers:         1,
 		ContinueOnError: true,
 		EpisodeFactory: func(int) (controller.Controller, func(error), error) {

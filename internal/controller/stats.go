@@ -30,7 +30,7 @@ type EngineCounters struct {
 	Nodes uint64
 	// LeafEvals counts leaf-bound evaluations at the tree frontier.
 	LeafEvals uint64
-	// SlabPasses counts batched ValueBatch passes over the hyperplane slab.
+	// SlabPasses counts batched ValueBatch calls, one per evaluated frontier.
 	SlabPasses uint64
 }
 

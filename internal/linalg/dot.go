@@ -1,7 +1,7 @@
 package linalg
 
-// dotKernel is the shared inner-product kernel behind Vector.Dot and the
-// hyperplane-slab scans in package bounds: a 4-wide unrolled loop feeding a
+// dotKernel is the shared inner-product kernel behind Vector.Dot and
+// DotUnrolled: a 4-wide unrolled loop feeding a
 // SINGLE accumulator. Unrolling with one accumulator keeps the floating-point
 // addition sequence identical to the naive loop — term i is always added
 // after term i-1 — so results are bit-for-bit the same as before, while the
@@ -27,9 +27,9 @@ func dotKernel(x, y []float64) float64 {
 }
 
 // DotUnrolled computes the inner product of two equal-length slices with the
-// unrolled single-accumulator kernel. It is exported for the packed
-// structure-of-arrays scans (bounds.Set) that hold their planes as raw
-// []float64 rows rather than Vectors. It panics on length mismatch, like
+// unrolled single-accumulator kernel. It is exported for packed storage
+// that holds its vectors as raw []float64 rows rather than Vectors (the
+// bounds.UpperBound sawtooth points). It panics on length mismatch, like
 // Vector.Dot.
 func DotUnrolled(x, y []float64) float64 {
 	if len(x) != len(y) {

@@ -50,7 +50,7 @@ type DecisionRecord struct {
 
 	// TreeNodes counts belief nodes expanded (Backup applications) for this
 	// decision, LeafEvals the leaf-bound evaluations at the frontier, and
-	// SlabPasses the batched ValueBatch passes over the hyperplane slab. For
+	// SlabPasses the batched ValueBatch calls, one per frontier. For
 	// a batched decision these cover the whole batch, attributed evenly
 	// across its expanded members.
 	TreeNodes  uint64 `json:"treeNodes"`

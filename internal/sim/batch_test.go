@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -215,6 +216,25 @@ func TestAutoWorkersOnlyWithFactory(t *testing.T) {
 	auto, pinned := run(CampaignOptions{}), run(CampaignOptions{Workers: 1})
 	if !reflect.DeepEqual(auto, pinned) {
 		t.Errorf("Workers=0 without a factory is not the sequential campaign:\nauto:   %+v\npinned: %+v", auto, pinned)
+	}
+
+	// An EpisodeFactory alone must not auto-parallelize either, whatever the
+	// core count: it need be concurrency-safe only when Workers > 1 is asked
+	// for. Raising GOMAXPROCS makes the check independent of the host.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	factoryRun := func(opts CampaignOptions) CampaignResult {
+		ctrl, initial := preparedBounded(t, rm)
+		opts.EpisodeFactory = func(int) (controller.Controller, func(error), error) { return ctrl, nil, nil }
+		res, err := runner.RunCampaignOpts(nil, initial, []int{1, 2}, 40, rng.New(5), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.AlgoTimeMs = statsAcc{}
+		return res
+	}
+	auto, pinned = factoryRun(CampaignOptions{}), factoryRun(CampaignOptions{Workers: 1})
+	if !reflect.DeepEqual(auto, pinned) {
+		t.Errorf("Workers=0 with an EpisodeFactory is not the sequential campaign:\nauto:   %+v\npinned: %+v", auto, pinned)
 	}
 }
 

@@ -115,13 +115,14 @@ type CampaignOptions struct {
 	// reproducible; the merged statistics with Workers == 1 are bit-for-bit
 	// the sequential result.
 	//
-	// Workers == 0 auto-tunes: when a WorkerFactory or EpisodeFactory makes
-	// parallel execution possible, the count is picked from the episode
-	// count and GOMAXPROCS (never more than one worker per four episodes,
-	// never more than GOMAXPROCS); with only a shared controller it stays
-	// sequential. Auto-tuned campaigns are reproducible only on a fixed
-	// GOMAXPROCS — pass an explicit count when determinism across machines
-	// matters.
+	// Workers == 0 auto-tunes only with a WorkerFactory and no
+	// EpisodeFactory: the count is then picked from the episode count and
+	// GOMAXPROCS (never more than one worker per four episodes, never more
+	// than GOMAXPROCS). With a shared controller or an EpisodeFactory it
+	// stays sequential, so an EpisodeFactory need be concurrency-safe only
+	// when the caller asks for Workers > 1. Auto-tuned campaigns are
+	// reproducible only on a fixed GOMAXPROCS — pass an explicit count when
+	// determinism across machines matters.
 	Workers int
 	// WorkerFactory supplies each worker's private controller and initial
 	// belief. Required when Workers > 1 and no EpisodeFactory is set: a
@@ -188,7 +189,7 @@ func (r *Runner) RunCampaignOpts(ctrl controller.Controller, initial pomdp.Belie
 		return out, fmt.Errorf("sim: BatchDecider set without a positive BatchSize")
 	}
 	workers := opts.Workers
-	if workers == 0 && (opts.WorkerFactory != nil || opts.EpisodeFactory != nil) {
+	if workers == 0 && opts.WorkerFactory != nil && opts.EpisodeFactory == nil {
 		workers = autoWorkers(episodes, runtime.GOMAXPROCS(0))
 	}
 	if workers < 1 {
