@@ -97,9 +97,11 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("episode %d (%s): recovered=%v cost=%.1f actions=%d monitorCalls=%d httpRoundTrips≈%d\n",
+		// One start, then one observation per monitor output, each answered
+		// with the next action.
+		fmt.Printf("episode %d (%s): recovered=%v cost=%.1f actions=%d monitorCalls=%d httpRoundTrips=%d\n",
 			ep.ID(), faultName, res.Recovered, res.Cost, res.Actions, res.MonitorCalls,
-			2*res.MonitorCalls+1)
+			res.MonitorCalls+1)
 	}
 	return nil
 }

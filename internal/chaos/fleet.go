@@ -1,6 +1,8 @@
 package chaos
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -206,27 +208,32 @@ func (f *Fleet) liveLocked(except string) []*FleetNode {
 	return out
 }
 
-// DecisionBytes fetches an episode's decision straight from one member, no
-// redirects followed, and returns the raw status and body bytes. Chaos tests
-// use it to pin down byte-identical replay of a terminal decision across an
-// owner kill — the FleetClient would decode and re-encode, hiding encoding
-// drift.
-func (f *Fleet) DecisionBytes(memberID string, episodeID uint64, key string) (int, []byte, error) {
+// ObserveBytes posts one observation straight to one member, no redirects
+// followed, and returns the raw status and body bytes. With req.Decide set
+// the body is the decision the member answered with. Chaos tests use it to
+// pin down byte-identical replay of a terminal decision across an owner
+// kill — the FleetClient would decode and re-encode, hiding encoding drift.
+func (f *Fleet) ObserveBytes(memberID string, episodeID uint64, key string, req server.ObservationRequest) (int, []byte, error) {
 	n := f.Node(memberID)
 	if n == nil {
 		return 0, nil, fmt.Errorf("chaos: unknown member %q", memberID)
 	}
-	c := &http.Client{
-		CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse },
-	}
-	req, err := http.NewRequest(http.MethodGet, fmt.Sprintf("%s/v1/episodes/%d/decision", n.HS.URL, episodeID), nil)
+	payload, err := json.Marshal(req)
 	if err != nil {
 		return 0, nil, err
 	}
-	if key != "" {
-		req.Header.Set(server.HeaderEpisodeKey, key)
+	c := &http.Client{
+		CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse },
 	}
-	resp, err := c.Do(req)
+	hr, err := http.NewRequest(http.MethodPost, fmt.Sprintf("%s/v1/episodes/%d/observations", n.HS.URL, episodeID), bytes.NewReader(payload))
+	if err != nil {
+		return 0, nil, err
+	}
+	hr.Header.Set("Content-Type", "application/json")
+	if key != "" {
+		hr.Header.Set(server.HeaderEpisodeKey, key)
+	}
+	resp, err := c.Do(hr)
 	if err != nil {
 		return 0, nil, err
 	}

@@ -3,8 +3,11 @@ package chaos_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"math"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -21,8 +24,11 @@ import (
 
 // killerEpisode wraps a FleetEpisode and, on the armed episode after a few
 // applied observations, SIGKILLs whichever fleet member is serving it. The
-// controller interface is otherwise passed through untouched, so the
-// campaign engine cannot tell a handoff happened.
+// kill waits for a non-terminal decision — the one the last observation's
+// answer carried — so the episode is still live on the member and its next
+// observation has to fail over. The controller interface is otherwise
+// passed through untouched, so the campaign engine cannot tell a handoff
+// happened.
 type killerEpisode struct {
 	*client.FleetEpisode
 	f          *chaos.Fleet
@@ -38,15 +44,23 @@ func (k *killerEpisode) Observe(action, obs int) error {
 		return err
 	}
 	k.steps++
+	return nil
+}
+
+func (k *killerEpisode) Decide() (controller.Decision, error) {
+	d, err := k.FleetEpisode.Decide()
+	if err != nil || d.Terminate {
+		return d, err
+	}
 	if k.armed && !*k.fired && k.steps >= k.afterSteps {
 		*k.fired = true
 		n, err := k.f.Kill(k.FleetEpisode.Owner())
 		if err != nil {
-			return err
+			return d, err
 		}
 		*k.adopted = n
 	}
-	return nil
+	return d, nil
 }
 
 // twoServerFleetPrep builds the shared two-server recovery model for the
@@ -154,7 +168,7 @@ func TestFleetChaosZeroAbandonedEpisodes(t *testing.T) {
 				fired:        &killFired,
 				adopted:      &adopted,
 				armed:        episode == killDuringEpisode,
-				afterSteps:   2,
+				afterSteps:   1,
 			}
 			cleanup := func(err error) {
 				if err != nil {
@@ -201,70 +215,88 @@ func TestFleetChaosZeroAbandonedEpisodes(t *testing.T) {
 }
 
 // lostFinalEpisode wraps a FleetEpisode to stage the lost-final-decision
-// window: on the armed episode it peeks at each decision over a raw,
-// redirect-free GET — exactly what the owner sends on the wire — and the
-// moment that decision is terminal (so the owner has already tombstoned the
-// episode and deleted its checkpoint) it SIGKILLs the owner before the
-// wrapped client ever sees the response. The client's own Decide then has to
-// recover the decision from the survivors.
+// window: on the armed episode it first posts each observation over a raw,
+// redirect-free request that asks for the decision — exactly what the
+// client sends on the wire — and the moment the answer is terminal (so the
+// owner has already tombstoned the episode and deleted its checkpoint) it
+// SIGKILLs the owner before the wrapped client ever sees the response. The
+// client's own Observe is then a retransmit of the final observation and
+// has to recover the decision from the survivors.
 type lostFinalEpisode struct {
 	*client.FleetEpisode
-	t     *testing.T
 	f     *chaos.Fleet
 	armed bool
 	fired *bool
-	// lost is the terminal decision as served by the original owner; replay
-	// is the same decision re-fetched raw from the new owner after failover.
-	lost, replay *[]byte
+	// lost is the terminal decision as served by the original owner.
+	lost *[]byte
 }
 
-func (l *lostFinalEpisode) Decide() (controller.Decision, error) {
+func (l *lostFinalEpisode) Observe(action, obs int) error {
 	if l.armed && !*l.fired {
-		status, body, err := l.f.DecisionBytes(l.Owner(), l.ID(), l.Key())
+		step := l.Steps()
+		req := server.ObservationRequest{Action: action, Observation: obs, StepIndex: &step, Decide: true}
+		status, body, err := l.f.ObserveBytes(l.Owner(), l.ID(), l.Key(), req)
 		if err != nil {
-			return controller.Decision{}, err
-		}
-		if status == http.StatusOK {
-			var d server.DecisionResponse
-			if err := json.Unmarshal(body, &d); err != nil {
-				return controller.Decision{}, err
-			}
-			if d.Terminate {
-				// The owner just checkpointed the tombstone and deleted the
-				// episode; this response is now "lost in transit".
-				*l.fired = true
-				*l.lost = body
-				if _, err := l.f.Kill(l.Owner()); err != nil {
-					return controller.Decision{}, err
-				}
-			}
-		}
-	}
-	d, err := l.FleetEpisode.Decide()
-	if err == nil && l.armed && *l.fired && *l.replay == nil {
-		// The client recovered a decision from the fleet; pin down what the
-		// new owner actually serves for the same episode id.
-		status, body, rerr := l.f.DecisionBytes(l.Owner(), l.ID(), l.Key())
-		if rerr != nil {
-			return d, rerr
+			return err
 		}
 		if status != http.StatusOK {
-			l.t.Errorf("retried final GET on new owner %q: status %d (body %s), want 200", l.Owner(), status, body)
+			return fmt.Errorf("raw observation on owner %q: status %d (body %s), want 200", l.Owner(), status, body)
 		}
-		*l.replay = body
+		var d server.DecisionResponse
+		if err := json.Unmarshal(body, &d); err != nil {
+			return err
+		}
+		if d.Terminate {
+			// The owner just checkpointed the tombstone and deleted the
+			// episode; this response is now "lost in transit".
+			*l.fired = true
+			*l.lost = body
+			if _, err := l.f.Kill(l.Owner()); err != nil {
+				return err
+			}
+		}
 	}
-	return d, err
+	// A retransmit when the raw post went through: the member dedupes it by
+	// step index and answers with the decision it already made.
+	return l.FleetEpisode.Observe(action, obs)
+}
+
+// observationRecorder is the fleet client's transport. Once the kill has
+// fired it keeps the body of every 200 answer to an observation of the
+// armed episode exactly as the client received it.
+type observationRecorder struct {
+	key   string
+	fired *bool
+	got   [][]byte
+}
+
+func (r *observationRecorder) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err != nil || !*r.fired || resp.StatusCode != http.StatusOK || req.Method != http.MethodPost ||
+		!strings.HasSuffix(req.URL.Path, "/observations") || req.Header.Get(server.HeaderEpisodeKey) != r.key {
+		return resp, err
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	r.got = append(r.got, body)
+	resp.Body = io.NopCloser(bytes.NewReader(body))
+	return resp, nil
 }
 
 // TestFleetChaosTerminalDecisionSurvivesOwnerKill closes the loop on the
 // lost-final-decision window: a 3-member fleet runs a campaign, and on one
 // episode the serving member is SIGKILLed at the worst possible instant —
-// after the terminal decision was computed, tombstoned, and the episode
-// deleted, but before the client received the response. The client's retried
-// GET must fail over and replay the original terminal decision from the
-// replicated/adopted tombstone — byte-identical, same episode id, not a 409
-// and not a fresh episode — and the campaign must still finish with zero
-// abandoned episodes and exact mean-cost parity against the local baseline.
+// after the final observation was applied and the terminal decision that
+// answers it computed, tombstoned, and the episode deleted, but before the
+// client received the response. The client's retransmitted observation must
+// fail over and get the original terminal decision back from the successor's
+// replicated (or adopted) tombstone — byte-identical, same episode id, not
+// a 404 and not a fresh episode — and the campaign must still finish with
+// zero abandoned episodes and exact mean-cost parity against the local
+// baseline.
 func TestFleetChaosTerminalDecisionSurvivesOwnerKill(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet chaos campaign is slow; skipped with -short")
@@ -294,7 +326,9 @@ func TestFleetChaosTerminalDecisionSurvivesOwnerKill(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	fc, err := client.NewFleetClient(f.Members(), 16, nil, client.WithRetryPolicy(client.RetryPolicy{
+	killFired := false
+	rec := &observationRecorder{fired: &killFired}
+	fc, err := client.NewFleetClient(f.Members(), 16, &http.Client{Transport: rec}, client.WithRetryPolicy(client.RetryPolicy{
 		MaxAttempts: 3,
 		BaseDelay:   time.Millisecond,
 		MaxDelay:    5 * time.Millisecond,
@@ -304,8 +338,7 @@ func TestFleetChaosTerminalDecisionSurvivesOwnerKill(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	killFired := false
-	var lost, replay []byte
+	var lost []byte
 	var lostID uint64
 	remote, err := runner.RunCampaignOpts(nil, nil, faults, episodes, rng.New(campaignSeed), sim.CampaignOptions{
 		Workers:         1,
@@ -317,15 +350,14 @@ func TestFleetChaosTerminalDecisionSurvivesOwnerKill(t *testing.T) {
 			}
 			if episode == killDuringEpisode {
 				lostID = ep.ID()
+				rec.key = ep.Key()
 			}
 			l := &lostFinalEpisode{
 				FleetEpisode: ep,
-				t:            t,
 				f:            f,
 				armed:        episode == killDuringEpisode,
 				fired:        &killFired,
 				lost:         &lost,
-				replay:       &replay,
 			}
 			cleanup := func(err error) {
 				if err != nil {
@@ -345,10 +377,12 @@ func TestFleetChaosTerminalDecisionSurvivesOwnerKill(t *testing.T) {
 	if lost == nil {
 		t.Fatal("no terminal decision was captured before the kill")
 	}
-	if replay == nil {
-		t.Fatal("no replayed decision was captured after failover")
+	// The client's one successful retransmit is the only observation answer
+	// after the kill: the decision it carries ends the episode.
+	if len(rec.got) != 1 {
+		t.Fatalf("client received %d observation answers after the kill, want 1 (the retransmit)", len(rec.got))
 	}
-	if !bytes.Equal(lost, replay) {
+	if replay := rec.got[0]; !bytes.Equal(lost, replay) {
 		t.Errorf("terminal decision changed across the owner kill:\n lost:   %s\n replay: %s", lost, replay)
 	}
 	if remote.Abandoned != 0 {

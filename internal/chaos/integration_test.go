@@ -67,7 +67,9 @@ func TestChaosEpisodesMatchBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	faults := []int{1, 2}
-	const episodes = 20
+	// A served step is one round trip, so 40 episodes are needed to push at
+	// least 100 requests through the chaos transport.
+	const episodes = 40
 	const campaignSeed = 97
 
 	// Baseline: the same campaign seeds against a local controller.

@@ -86,7 +86,7 @@ func TestFleetChaosSpanStreamIntegrity(t *testing.T) {
 				fired:        &killFired,
 				adopted:      &adopted,
 				armed:        episode == killDuringEpisode,
-				afterSteps:   2,
+				afterSteps:   1,
 			}
 			cleanup := func(err error) {
 				if err != nil {

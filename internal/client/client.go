@@ -171,6 +171,9 @@ type Episode struct {
 	hdr   http.Header // episode-key header sent with every request, nil if keyless
 	steps int
 	open  bool
+	// next is the decision the last Observe's answer carried, consumed by
+	// the following Decide; nil when there is none to use.
+	next *server.DecisionResponse
 }
 
 var _ controller.Controller = (*Episode)(nil)
@@ -198,11 +201,17 @@ func (e *Episode) Reset(pomdp.Belief) error {
 	return nil
 }
 
-// Decide implements controller.Controller. The server caches the decision
-// for the current step, so a retried call returns the identical decision.
+// Decide implements controller.Controller. After Observe it returns the
+// decision that came back with the observation, with no round trip;
+// otherwise (first step, ObserveNamed, Resume, a server that answered the
+// observation with 204) it fetches the decision with GET. The server caches
+// the decision for the current step, so a retried call returns the
+// identical decision.
 func (e *Episode) Decide() (controller.Decision, error) {
 	var out server.DecisionResponse
-	if err := e.c.do(http.MethodGet, fmt.Sprintf("/v1/episodes/%d/decision", e.id), e.hdr, nil, &out, idemSafe); err != nil {
+	if e.next != nil {
+		out, e.next = *e.next, nil
+	} else if err := e.c.do(http.MethodGet, fmt.Sprintf("/v1/episodes/%d/decision", e.id), e.hdr, nil, &out, idemSafe); err != nil {
 		return controller.Decision{}, err
 	}
 	if out.Terminate {
@@ -213,18 +222,24 @@ func (e *Episode) Decide() (controller.Decision, error) {
 
 // Observe implements controller.Controller. The request carries the
 // client's step index as a dedupe key, so a retransmit after a lost
-// response is acknowledged without being applied twice.
+// response is acknowledged without being applied twice. It also asks for
+// the next decision, which the following Decide returns: a served step is
+// one round trip. A retransmit gets the same decision, including the
+// terminal one of an episode that ended while the first answer was lost.
 func (e *Episode) Observe(action, obs int) error {
 	step := e.steps
-	req := server.ObservationRequest{Action: action, Observation: obs, StepIndex: &step}
-	if err := e.c.do(http.MethodPost, fmt.Sprintf("/v1/episodes/%d/observations", e.id), e.hdr, &req, nil, idemSafe); err != nil {
+	req := server.ObservationRequest{Action: action, Observation: obs, StepIndex: &step, Decide: true}
+	var next *server.DecisionResponse // stays nil on a 204 from a server without decide
+	if err := e.c.do(http.MethodPost, fmt.Sprintf("/v1/episodes/%d/observations", e.id), e.hdr, &req, &next, idemSafe); err != nil {
 		return err
 	}
 	e.steps++
+	e.next = next
 	return nil
 }
 
-// ObserveNamed reports an observation by name.
+// ObserveNamed reports an observation by name. It does not ask for the next
+// decision; the following Decide fetches it.
 func (e *Episode) ObserveNamed(action, obs string) error {
 	step := e.steps
 	req := server.ObservationRequest{ActionName: action, ObservationName: obs, StepIndex: &step}
@@ -232,6 +247,7 @@ func (e *Episode) ObserveNamed(action, obs string) error {
 		return err
 	}
 	e.steps++
+	e.next = nil
 	return nil
 }
 
@@ -246,7 +262,7 @@ func (e *Episode) Belief() pomdp.Belief {
 
 // Abandon deletes the episode on the server.
 func (e *Episode) Abandon() error {
-	e.open = false
+	e.open, e.next = false, nil
 	return e.c.do(http.MethodDelete, fmt.Sprintf("/v1/episodes/%d", e.id), e.hdr, nil, nil, idemSafe)
 }
 
@@ -398,7 +414,7 @@ func (c *Client) doOnce(method, path string, hdr http.Header, payload []byte, ou
 		}
 		return se
 	}
-	if out != nil {
+	if out != nil && resp.StatusCode != http.StatusNoContent {
 		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
 			return fmt.Errorf("client: decode %s %s: %w", method, path, err)
 		}

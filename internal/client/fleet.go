@@ -229,6 +229,7 @@ func (e *FleetEpisode) rebind() error {
 			}
 			fresh.steps = e.ep.steps
 			fresh.open = e.ep.open
+			fresh.next = e.ep.next
 			e.ownerID = owner.ID
 			e.ep = fresh
 			return nil
@@ -259,9 +260,10 @@ func (e *FleetEpisode) withFailover(op func() error) error {
 	return err
 }
 
-// Decide implements controller.Controller with owner failover. Decisions are
-// cached per step server-side, so a decision retried across a handoff is
-// byte-identical.
+// Decide implements controller.Controller with owner failover. A decision
+// that came back with the last observation is returned locally, as by
+// Episode.Decide. Decisions are cached per step server-side, so a decision
+// retried across a handoff is byte-identical.
 func (e *FleetEpisode) Decide() (controller.Decision, error) {
 	var d controller.Decision
 	err := e.withFailover(func() error {
@@ -273,7 +275,10 @@ func (e *FleetEpisode) Decide() (controller.Decision, error) {
 }
 
 // Observe implements controller.Controller with owner failover. The step
-// index makes retransmits across the handoff idempotent.
+// index makes retransmits across the handoff idempotent, and the new owner
+// answers a retransmit with the decision for the step — the terminal one
+// from the replicated tombstone if the old owner ended the episode before
+// it died.
 func (e *FleetEpisode) Observe(action, obs int) error {
 	return e.withFailover(func() error { return e.ep.Observe(action, obs) })
 }

@@ -247,15 +247,26 @@ func TestFleetClientReportsLostEpisode(t *testing.T) {
 	if !stepOnce(t, prep, sc, ep) {
 		t.Fatal("episode terminated before the kill point")
 	}
+	// The decision for the next step came back with the observation, so
+	// Decide is local; pick the next observation while the owner lives.
+	d, err := ep.Decide()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Terminate {
+		t.Fatal("episode terminated before the kill point")
+	}
+	succs := prep.Model.Successors(sc, ep.Belief(), d.Action)
 	id, firstOwner, steps := ep.ID(), ep.Owner(), ep.Steps()
 
 	dead := nodes[firstOwner]
 	dead.hs.CloseClientConnections()
 	dead.hs.Close()
 
-	_, err = ep.Decide()
+	// The next networked call finds the episode gone.
+	err = ep.Observe(d.Action, succs[0].Obs)
 	if err == nil {
-		t.Fatal("Decide succeeded against an unrecoverable episode")
+		t.Fatal("Observe succeeded against an unrecoverable episode")
 	}
 	var lost *EpisodeLostError
 	if !errors.As(err, &lost) {

@@ -515,7 +515,7 @@ var fleetHTTPClient = &http.Client{Timeout: 2 * time.Second}
 // replicateTombstone asynchronously copies a terminal tombstone to the ring
 // successor of its key. The successor is exactly the member that will own
 // the key if this member dies — so when a still-retrying client fails over,
-// its final GET lands on a node already holding the decision, no adoption
+// its final request lands on a node already holding the decision, no adoption
 // round-trip needed. Fire-and-forget with bounded retries; Close aborts
 // in-flight backoff sleeps.
 func (s *Server) replicateTombstone(ts TombstoneState) {

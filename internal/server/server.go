@@ -11,7 +11,10 @@
 //	POST   /v1/episodes                    start an episode  -> {"episodeId": ...}
 //	GET    /v1/episodes/{id}               episode status (steps, open)
 //	GET    /v1/episodes/{id}/decision      next action       -> Decision
-//	POST   /v1/episodes/{id}/observations  report an observation
+//	POST   /v1/episodes/{id}/observations  report an observation; with
+//	                                       "decide": true the answer is the
+//	                                       next Decision (one round trip
+//	                                       per step)
 //	GET    /v1/episodes/{id}/belief        current belief
 //	DELETE /v1/episodes/{id}               abandon an episode
 //	POST   /v1/decide/batch                decide for many beliefs at once
@@ -38,12 +41,13 @@
 //     restarted server replays each history through a fresh controller from
 //     the factory and resumes all open episodes under their original ids.
 //   - Retried requests: decisions are cached per step, so a retried
-//     GET .../decision returns the identical bytes without re-running the
-//     controller; observation POSTs carry a client-generated stepIndex and
-//     duplicates are acknowledged without being applied twice; episode
-//     starts carry a client-generated clientKey and duplicates return the
-//     already-created episode. Terminal decisions survive as tombstones so
-//     a client whose final response was lost can still learn the outcome.
+//     GET .../decision (or a retried observation POST with decide set)
+//     returns the identical bytes without re-running the controller;
+//     observation POSTs carry a client-generated stepIndex and duplicates
+//     are acknowledged without being applied twice; episode starts carry a
+//     client-generated clientKey and duplicates return the already-created
+//     episode. Terminal decisions survive as tombstones so a client whose
+//     final response was lost can still learn the outcome.
 //   - Abandoned monitors: episodes idle longer than EpisodeTTL are evicted
 //     (counted in recoverd_episodes_evicted_total) so a hung monitor cannot
 //     leak controllers forever.
@@ -96,7 +100,7 @@ type Config struct {
 	// ClientRetryBudget is the longest retry budget clients of this server
 	// are configured with (client.RetryPolicy.Budget). When set, New rejects
 	// an effective tombstone TTL below it: evicting a terminal decision
-	// while a client may still be retrying its final GET re-opens the
+	// while a client may still be retrying its final request re-opens the
 	// lost-final-decision window the tombstones exist to close.
 	ClientRetryBudget time.Duration
 	// MaxBodyBytes caps request body size (0 means 1 MiB).
@@ -166,6 +170,13 @@ type Server struct {
 	byKey      map[string]uint64 // clientKey -> open episode id
 	tombstones map[uint64]*tombstone
 	tombByKey  map[string]uint64 // clientKey -> terminated episode id
+	// tombOrder is the tombstone cache's eviction queue, oldest insertion
+	// first. A reference is live while its cache entry still carries the
+	// reference's seq; entries deleted by Sweep or reconcileOwnership, or
+	// re-inserted under a new seq, leave dead references behind that
+	// eviction skips and compaction drops.
+	tombOrder []tombRef
+	tombSeq   uint64
 	// tombOverflow is set when the in-memory tombstone cache evicted past its
 	// cap; it tells Sweep that the store may hold expired tombstones the
 	// cache no longer sees.
@@ -226,8 +237,9 @@ type episode struct {
 }
 
 // tombstone remembers a terminated episode's final decision so a client
-// whose response was lost by the network can retry the GET and still learn
-// the episode is over. The in-memory table is a write-through cache over the
+// whose response was lost by the network can retry its request — the
+// decision GET, or the final observation POST that asked for the decision —
+// and still learn the episode is over. The in-memory table is a write-through cache over the
 // checkpoint store's durable TombstoneState records: termination persists
 // the record before the episode state is deleted, so the final decision
 // survives a crash, a restart, and (via replication and adoption) the death
@@ -237,12 +249,18 @@ type tombstone struct {
 	key   string
 	steps int
 	at    time.Time
+	seq   uint64 // insertion number; matches its live tombOrder reference
 }
 
-// maxTombstones caps the in-memory tombstone cache; the oldest entry is
-// evicted past the cap. Cache eviction is memory-only — the durable store
-// record stays until its TTL expires, and a request for an evicted id falls
-// back to a store lookup.
+// tombRef is one tombOrder entry: the cached tombstone of episode id as
+// inserted with sequence number seq.
+type tombRef struct{ id, seq uint64 }
+
+// maxTombstones caps the in-memory tombstone cache; past the cap the entry
+// inserted longest ago is evicted. Cache eviction is memory-only — the
+// durable store record stays until its TTL expires, and a request for an
+// evicted id falls back to a store lookup — so evicting in insertion order
+// rather than termination-time order loses nothing.
 const maxTombstones = 4096
 
 // RestoreFailure describes one checkpoint that could not be resumed.
@@ -259,7 +277,7 @@ type RestoreReport struct {
 	// Resumed counts episodes successfully rebuilt by history replay.
 	Resumed int
 	// Tombstones counts terminal tombstones restored from the store, so
-	// clients retrying a final GET across the restart still get their
+	// clients retrying a final request across the restart still get their
 	// terminal decision.
 	Tombstones int
 	// Failed lists episodes whose replay failed; their checkpoint files are
@@ -392,7 +410,7 @@ func New(cfg Config) (*Server, error) {
 
 // restore rebuilds episodes from checkpoints by replaying each recorded
 // history through a fresh controller from the factory, and reloads stored
-// terminal tombstones so clients retrying a final GET across the restart
+// terminal tombstones so clients retrying a final request across the restart
 // still get their terminal decision.
 func (s *Server) restore() {
 	states, corrupt, err := s.cfg.Checkpointer.LoadAll()
@@ -448,18 +466,56 @@ func (s *Server) restore() {
 	}
 }
 
-// insertTombstoneLocked registers one tombstone in the in-memory cache.
-// Caller holds s.mu.
-func (s *Server) insertTombstoneLocked(ts TombstoneState) {
+// insertTombstoneLocked registers one tombstone in the in-memory cache as
+// its newest entry and returns it. The returned tombstone stays valid even
+// if the cap evicts it from the cache. Caller holds s.mu.
+func (s *Server) insertTombstoneLocked(ts TombstoneState) *tombstone {
 	at := s.cfg.now()
 	if ts.TerminatedAtUnixNano > 0 {
 		at = time.Unix(0, ts.TerminatedAtUnixNano)
 	}
-	s.tombstones[ts.EpisodeID] = &tombstone{final: ts.Final, key: ts.ClientKey, steps: ts.Steps, at: at}
+	s.tombSeq++
+	tb := &tombstone{final: ts.Final, key: ts.ClientKey, steps: ts.Steps, at: at, seq: s.tombSeq}
+	s.tombstones[ts.EpisodeID] = tb
+	s.tombOrder = append(s.tombOrder, tombRef{id: ts.EpisodeID, seq: tb.seq})
 	if ts.ClientKey != "" {
 		s.tombByKey[ts.ClientKey] = ts.EpisodeID
 	}
 	s.trimTombstonesLocked()
+	return tb
+}
+
+// trimTombstonesLocked evicts the earliest-inserted tombstones past the cap —
+// from memory only; the durable records stay until their TTL, and reads fall
+// back to the store. Setting tombOverflow tells Sweep that store-only
+// tombstones may exist and need a store scan to expire. Each live cache
+// entry has exactly one live reference in tombOrder, so the queue holds
+// len(tombstones) live references plus dead ones; it is rebuilt from the
+// live ones once the dead outnumber them, which keeps it within twice the
+// cache size and costs O(1) amortized per insertion. Caller holds s.mu.
+func (s *Server) trimTombstonesLocked() {
+	for len(s.tombstones) > maxTombstones {
+		ref := s.tombOrder[0]
+		s.tombOrder = s.tombOrder[1:]
+		tb := s.tombstones[ref.id]
+		if tb == nil || tb.seq != ref.seq {
+			continue
+		}
+		if tb.key != "" {
+			delete(s.tombByKey, tb.key)
+		}
+		delete(s.tombstones, ref.id)
+		s.tombOverflow = true
+	}
+	if live := len(s.tombstones); len(s.tombOrder)-live > live {
+		kept := make([]tombRef, 0, 2*live)
+		for _, ref := range s.tombOrder {
+			if tb := s.tombstones[ref.id]; tb != nil && tb.seq == ref.seq {
+				kept = append(kept, ref)
+			}
+		}
+		s.tombOrder = kept
+	}
 }
 
 // tombstoneStateOf rebuilds the durable record from a cached tombstone.
@@ -727,7 +783,8 @@ type (
 		Steps     int    `json:"steps"`
 		Open      bool   `json:"open"`
 	}
-	// DecisionResponse is returned by GET .../decision.
+	// DecisionResponse is returned by GET .../decision and by
+	// POST .../observations with decide set.
 	DecisionResponse struct {
 		Action     int     `json:"action"`
 		ActionName string  `json:"actionName"`
@@ -745,6 +802,13 @@ type (
 		ActionName      string `json:"actionName,omitempty"`
 		ObservationName string `json:"observationName,omitempty"`
 		StepIndex       *int   `json:"stepIndex,omitempty"`
+		// Decide asks for the next decision in the same exchange: the
+		// server answers 200 with the DecisionResponse that GET .../decision
+		// would return for the new step, instead of 204. A retransmit gets
+		// the decision cached for the current step, and a retransmit of an
+		// episode's final observation gets its terminal decision from the
+		// tombstone.
+		Decide bool `json:"decide,omitempty"`
 	}
 	// BeliefResponse is returned by GET .../belief.
 	BeliefResponse struct {
@@ -843,9 +907,9 @@ func (s *Server) handleStart(w http.ResponseWriter, r *http.Request) {
 		}
 		if id, ok := s.tombByKey[req.ClientKey]; ok {
 			// The key's episode already terminated. Answering with the original
-			// id (not a fresh episode) routes the client's retried final GET to
-			// the tombstone, so the terminal decision is replayed rather than
-			// recomputed.
+			// id (not a fresh episode) routes the client's retried final
+			// request to the tombstone, so the terminal decision is replayed
+			// rather than recomputed.
 			s.mu.Unlock()
 			s.m.dedupedStarts.Inc()
 			writeJSON(w, http.StatusOK, StartResponse{EpisodeID: id})
@@ -898,71 +962,75 @@ func (s *Server) handleStart(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, StartResponse{EpisodeID: id})
 }
 
-func (s *Server) episode(w http.ResponseWriter, r *http.Request) (uint64, *episode, bool) {
+// lookup resolves an episode-scoped request's {id} to the live episode or,
+// once the episode has terminated, its tombstone. A miss in memory takes the
+// fleet path (redirect to the owner, or adopt from a down member and look
+// again) and then falls back to the checkpoint store, which outlives the
+// tombstone cache's cap. When ok is false the response has been written: 400
+// for a malformed id, 307 to the owner, or 404 when neither exists. When ok
+// is true exactly one of ep and tb is non-nil.
+func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (id uint64, ep *episode, tb *tombstone, ok bool) {
 	id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad episode id: %w", err))
-		return 0, nil, false
+		return 0, nil, nil, false
 	}
-	s.mu.Lock()
-	ep := s.episodes[id]
-	s.mu.Unlock()
-	if ep == nil {
+	ep, tb = s.cached(id)
+	if ep == nil && tb == nil {
 		retry, handled := s.fleetEpisodeMiss(w, r)
 		if handled {
-			return 0, nil, false
+			return 0, nil, nil, false
 		}
 		if retry {
+			ep, tb = s.cached(id)
+		}
+	}
+	if ep == nil && tb == nil {
+		// The cache may have evicted the tombstone past its cap; the store is
+		// the source of truth. Serve the loaded record itself rather than
+		// re-reading the cache, which guarantees nothing about keeping it.
+		if ts, found := s.loadStoredTombstone(id); found {
 			s.mu.Lock()
-			ep = s.episodes[id]
+			tb = s.insertTombstoneLocked(ts)
 			s.mu.Unlock()
 		}
 	}
-	if ep == nil {
+	if ep == nil && tb == nil {
+		writeError(w, http.StatusNotFound, fmt.Errorf("episode %d not found", id))
+		return 0, nil, nil, false
+	}
+	return id, ep, tb, true
+}
+
+// cached reads the episode and tombstone tables for id. A live episode wins:
+// the two never coexist once termination or adoption has finished.
+func (s *Server) cached(id uint64) (*episode, *tombstone) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if ep := s.episodes[id]; ep != nil {
+		return ep, nil
+	}
+	return nil, s.tombstones[id]
+}
+
+// episode is lookup for handlers that only serve live episodes: a
+// tombstoned id answers 404.
+func (s *Server) episode(w http.ResponseWriter, r *http.Request) (uint64, *episode, bool) {
+	id, ep, _, ok := s.lookup(w, r)
+	if ok && ep == nil {
 		writeError(w, http.StatusNotFound, fmt.Errorf("episode %d not found", id))
 		return 0, nil, false
 	}
-	return id, ep, true
+	return id, ep, ok
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad episode id: %w", err))
+	id, ep, _, ok := s.lookup(w, r)
+	if !ok {
 		return
 	}
-	s.mu.Lock()
-	ep := s.episodes[id]
-	_, dead := s.tombstones[id]
-	s.mu.Unlock()
-	if ep == nil && !dead {
-		retry, handled := s.fleetEpisodeMiss(w, r)
-		if handled {
-			return
-		}
-		if retry {
-			s.mu.Lock()
-			ep = s.episodes[id]
-			_, dead = s.tombstones[id]
-			s.mu.Unlock()
-		}
-	}
 	if ep == nil {
-		if !dead {
-			// The cache may have evicted the tombstone past its cap; the store
-			// is the source of truth.
-			if ts, ok := s.loadStoredTombstone(id); ok {
-				s.mu.Lock()
-				s.insertTombstoneLocked(ts)
-				s.mu.Unlock()
-				dead = true
-			}
-		}
-		if dead {
-			writeJSON(w, http.StatusOK, StatusResponse{EpisodeID: id, Open: false})
-			return
-		}
-		writeError(w, http.StatusNotFound, fmt.Errorf("episode %d not found", id))
+		writeJSON(w, http.StatusOK, StatusResponse{EpisodeID: id, Open: false})
 		return
 	}
 	ep.mu.Lock()
@@ -972,48 +1040,27 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDecision(w http.ResponseWriter, r *http.Request) {
-	id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad episode id: %w", err))
+	id, ep, tb, ok := s.lookup(w, r)
+	if !ok {
 		return
-	}
-	s.mu.Lock()
-	ep := s.episodes[id]
-	tb := s.tombstones[id]
-	s.mu.Unlock()
-	if ep == nil && tb == nil {
-		retry, handled := s.fleetEpisodeMiss(w, r)
-		if handled {
-			return
-		}
-		if retry {
-			s.mu.Lock()
-			ep = s.episodes[id]
-			tb = s.tombstones[id]
-			s.mu.Unlock()
-		}
 	}
 	if ep == nil {
-		if tb == nil {
-			// The cache may have evicted the tombstone past its cap; fall back
-			// to the durable record before declaring the episode unknown.
-			if ts, ok := s.loadStoredTombstone(id); ok {
-				s.mu.Lock()
-				s.insertTombstoneLocked(ts)
-				tb = s.tombstones[id]
-				s.mu.Unlock()
-			}
-		}
-		if tb != nil {
-			// The terminal decision was already computed; the client's copy
-			// was lost in transit. Re-serve it.
-			writeJSON(w, http.StatusOK, tb.final)
-			return
-		}
-		writeError(w, http.StatusNotFound, fmt.Errorf("episode %d not found", id))
+		// The terminal decision was already computed; the client's copy was
+		// lost in transit. Re-serve it.
+		writeJSON(w, http.StatusOK, tb.final)
 		return
 	}
+	s.serveDecision(w, id, ep)
+}
 
+// serveDecision answers with the decision for ep's current step: the cached
+// one when this step was already decided, else a fresh one from the
+// controller, recorded in the per-tier latency histogram and the decision
+// trace. A terminal decision retires the episode: the tombstone is persisted
+// write-ahead, the episode deleted, and the tombstone replicated. Both
+// GET .../decision and a POST .../observations with decide set answer
+// through here.
+func (s *Server) serveDecision(w http.ResponseWriter, id uint64, ep *episode) {
 	ep.mu.Lock()
 	if ep.lastDecision != nil {
 		resp := *ep.lastDecision
@@ -1098,20 +1145,7 @@ func (s *Server) handleDecision(w http.ResponseWriter, r *http.Request) {
 		// order would open a window where the final decision exists nowhere
 		// durable.
 		if s.cfg.Checkpointer != nil {
-			ct0 := s.spanStart()
-			serr := s.cfg.Checkpointer.SaveTombstone(ts)
-			if serr != nil {
-				s.m.checkpointErrors.Inc()
-			}
-			if !ct0.IsZero() {
-				rec := &obs.SpanRecord{TraceID: ep.clientKey, Kind: obs.SpanServerCheckpoint,
-					Op: obs.SpanOpTombstone, Episode: id,
-					Start: ct0.UnixNano(), Duration: time.Since(ct0).Nanoseconds()}
-				if serr != nil {
-					rec.Err = serr.Error()
-				}
-				s.emitSpan(rec)
-			}
+			s.storeWrite(ep.clientKey, obs.SpanOpTombstone, id, func() error { return s.cfg.Checkpointer.SaveTombstone(ts) })
 		}
 		s.mu.Lock()
 		delete(s.episodes, id)
@@ -1121,52 +1155,15 @@ func (s *Server) handleDecision(w http.ResponseWriter, r *http.Request) {
 		s.insertTombstoneLocked(ts)
 		s.mu.Unlock()
 		if s.cfg.Checkpointer != nil {
-			ct0 := s.spanStart()
-			delErr := s.cfg.Checkpointer.Delete(id)
-			if delErr != nil {
-				s.m.checkpointErrors.Inc()
-			}
-			if !ct0.IsZero() {
-				rec := &obs.SpanRecord{TraceID: ep.clientKey, Kind: obs.SpanServerCheckpoint,
-					Op: obs.SpanOpDelete, Episode: id,
-					Start: ct0.UnixNano(), Duration: time.Since(ct0).Nanoseconds()}
-				if delErr != nil {
-					rec.Err = delErr.Error()
-				}
-				s.emitSpan(rec)
-			}
+			s.storeWrite(ep.clientKey, obs.SpanOpDelete, id, func() error { return s.cfg.Checkpointer.Delete(id) })
 		}
 		s.replicateTombstone(ts)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// trimTombstonesLocked evicts the oldest tombstones past the cap — from
-// memory only; the durable records stay until their TTL, and reads fall back
-// to the store. Setting tombOverflow tells Sweep that store-only tombstones
-// may exist and need a store scan to expire. Caller holds s.mu.
-func (s *Server) trimTombstonesLocked() {
-	for len(s.tombstones) > maxTombstones {
-		var (
-			oldestID uint64
-			oldestAt time.Time
-			first    = true
-		)
-		for id, tb := range s.tombstones {
-			if first || tb.at.Before(oldestAt) {
-				oldestID, oldestAt, first = id, tb.at, false
-			}
-		}
-		if tb := s.tombstones[oldestID]; tb != nil && tb.key != "" {
-			delete(s.tombByKey, tb.key)
-		}
-		delete(s.tombstones, oldestID)
-		s.tombOverflow = true
-	}
-}
-
 func (s *Server) handleObservation(w http.ResponseWriter, r *http.Request) {
-	_, ep, ok := s.episode(w, r)
+	id, ep, tb, ok := s.lookup(w, r)
 	if !ok {
 		return
 	}
@@ -1179,6 +1176,17 @@ func (s *Server) handleObservation(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decode observation: %w", err))
+		return
+	}
+	if ep == nil {
+		// The episode is over. A retransmit of its final observation whose
+		// first answer — the terminal decision — was lost gets that decision
+		// again; any other observation is for an episode that is gone.
+		if req.Decide && (req.StepIndex == nil || *req.StepIndex < tb.steps) {
+			writeJSON(w, http.StatusOK, tb.final)
+			return
+		}
+		writeError(w, http.StatusNotFound, fmt.Errorf("episode %d not found", id))
 		return
 	}
 	action, obs := req.Action, req.Observation
@@ -1208,7 +1216,7 @@ func (s *Server) handleObservation(w http.ResponseWriter, r *http.Request) {
 			ep.lastActive = s.cfg.now()
 			ep.mu.Unlock()
 			s.m.dedupedObs.Inc()
-			w.WriteHeader(http.StatusNoContent)
+			s.acknowledge(w, id, ep, req.Decide)
 			return
 		case *req.StepIndex > ep.steps:
 			have := ep.steps
@@ -1236,6 +1244,16 @@ func (s *Server) handleObservation(w http.ResponseWriter, r *http.Request) {
 
 	s.m.observed.Inc()
 	s.checkpointState(st)
+	s.acknowledge(w, id, ep, req.Decide)
+}
+
+// acknowledge answers an applied or deduplicated observation: 204, or with
+// decide set, 200 and the decision for the episode's new step.
+func (s *Server) acknowledge(w http.ResponseWriter, id uint64, ep *episode, decide bool) {
+	if decide {
+		s.serveDecision(w, id, ep)
+		return
+	}
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -1298,14 +1316,20 @@ func (s *Server) checkpointState(st EpisodeState) {
 	if s.cfg.Checkpointer == nil {
 		return
 	}
+	s.storeWrite(st.ClientKey, obs.SpanOpSave, st.EpisodeID, func() error { return s.cfg.Checkpointer.Save(st) })
+}
+
+// storeWrite runs one checkpoint-store write for an episode: a failure is
+// counted, not fatal to the request, and with spans on the write is recorded
+// as a server.checkpoint span under the episode's trace id.
+func (s *Server) storeWrite(trace, op string, id uint64, write func() error) {
 	t0 := s.spanStart()
-	err := s.cfg.Checkpointer.Save(st)
+	err := write()
 	if err != nil {
 		s.m.checkpointErrors.Inc()
 	}
-	if !t0.IsZero() && st.ClientKey != "" {
-		rec := &obs.SpanRecord{TraceID: st.ClientKey, Kind: obs.SpanServerCheckpoint,
-			Op: obs.SpanOpSave, Episode: st.EpisodeID,
+	if !t0.IsZero() {
+		rec := &obs.SpanRecord{TraceID: trace, Kind: obs.SpanServerCheckpoint, Op: op, Episode: id,
 			Start: t0.UnixNano(), Duration: time.Since(t0).Nanoseconds()}
 		if err != nil {
 			rec.Err = err.Error()
