@@ -51,12 +51,12 @@ test-fsc:
 	$(GO) test -race -run 'FSC' ./internal/controller/ ./internal/sim/
 
 # Fuzz smoke: a few seconds per fuzz target over the trust boundaries —
-# checkpoint EpisodeState JSON decode, log-record framing, and the compiled
-# FSC artifact decoder. Corpus additions land under the packages'
-# testdata/fuzz/ directories.
+# checkpoint EpisodeState JSON decode, TombstoneState JSON decode (store files
+# and the fleet tombstone endpoint), and the compiled FSC artifact decoder.
+# Corpus additions land under the packages' testdata/fuzz/ directories.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzEpisodeStateDecode -fuzztime=10s ./internal/server
-	$(GO) test -run='^$$' -fuzz=FuzzLogRecordDecode -fuzztime=10s ./internal/server
+	$(GO) test -run='^$$' -fuzz=FuzzTombstoneStateDecode -fuzztime=10s ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzFSCDecode -fuzztime=10s ./internal/controller
 
 # The full gate: formatting, vet, the docs gate, the complete test suite

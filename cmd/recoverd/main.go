@@ -76,12 +76,11 @@ func run(ctx context.Context, args []string) error {
 		refineGap   = fs.Float64("refine-gap", 1e-6, "with -refine-bounds, the root bound gap refinement converges to")
 		maxEpisodes = fs.Int("max-episodes", 0, "cap on concurrently open episodes (0 = default)")
 
-		checkpointDir   = fs.String("checkpoint-dir", "", "persist per-episode checkpoints here; a restarted daemon resumes all open episodes")
-		checkpointStore = fs.String("checkpoint-store", "dir", `checkpoint store layout: "dir" (one JSON file per episode) or "log" (append-only log with compaction)`)
-		episodeTTL      = fs.Duration("episode-ttl", 30*time.Minute, "evict episodes idle longer than this (0 disables abandoned-monitor GC)")
-		tombstoneTTL    = fs.Duration("tombstone-ttl", 10*time.Minute, "keep terminal-decision tombstones at least this long (0 = -episode-ttl); must be >= -client-retry-budget")
-		retryBudget     = fs.Duration("client-retry-budget", client.DefaultRetryBudget, "longest cumulative retry backoff clients are configured with; tombstones must outlive it")
-		maxBodyBytes    = fs.Int64("max-body-bytes", 1<<20, "cap on request body size")
+		checkpointDir = fs.String("checkpoint-dir", "", "persist per-episode checkpoints here, one fsynced JSON file per episode; a restarted daemon resumes all open episodes")
+		episodeTTL    = fs.Duration("episode-ttl", 30*time.Minute, "evict episodes idle longer than this (0 disables abandoned-monitor GC)")
+		tombstoneTTL  = fs.Duration("tombstone-ttl", 10*time.Minute, "keep terminal-decision tombstones at least this long (0 = -episode-ttl); must be >= -client-retry-budget")
+		retryBudget   = fs.Duration("client-retry-budget", client.DefaultRetryBudget, "longest cumulative retry backoff clients are configured with; tombstones must outlive it")
+		maxBodyBytes  = fs.Int64("max-body-bytes", 1<<20, "cap on request body size")
 
 		fleetSelf   = fs.String("fleet-self", "", "this member's id within -fleet-peers; enables fleet mode")
 		fleetPeers  = fs.String("fleet-peers", "", `static fleet membership as comma-separated id=addr pairs, e.g. "n1=http://10.0.0.1:7947,n2=http://10.0.0.2:7947"`)
@@ -264,7 +263,7 @@ func run(ctx context.Context, args []string) error {
 			// member's store at <root>/<memberID> to adopt its episodes.
 			dir = filepath.Join(dir, *fleetSelf)
 		}
-		cp, err := server.OpenCheckpointStore(*checkpointStore, dir)
+		cp, err := server.NewDirCheckpointer(dir)
 		if err != nil {
 			return err
 		}
@@ -281,12 +280,12 @@ func run(ctx context.Context, args []string) error {
 		if err != nil {
 			return err
 		}
-		root, store := *checkpointDir, *checkpointStore
+		root := *checkpointDir
 		fleetCfg = &server.FleetConfig{
 			Self:       *fleetSelf,
 			Membership: view,
 			StoreFor: func(memberID string) (server.Checkpointer, error) {
-				return server.OpenCheckpointStore(store, filepath.Join(root, memberID))
+				return server.NewDirCheckpointer(filepath.Join(root, memberID))
 			},
 		}
 		log.Printf("fleet mode: member %q of %d peers", *fleetSelf, len(members))

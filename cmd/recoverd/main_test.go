@@ -121,32 +121,37 @@ func TestRunWithCheckpointDir(t *testing.T) {
 	}
 }
 
-func TestRunWithLogCheckpointStore(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "ckpt")
-	args := []string{
-		"-addr", "127.0.0.1:0",
-		"-model", "twoserver",
-		"-top", "10",
-		"-bootstrap", "3",
-		"-bootstrap-depth", "1",
-		"-checkpoint-dir", dir,
-		"-checkpoint-store", "log",
-	}
-	if err := run(cancelledCtx(), args); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "checkpoint.log")); err != nil {
-		t.Errorf("log store file not created: %v", err)
-	}
-	// A second run reopens the log cleanly.
-	if err := run(cancelledCtx(), args); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(cancelledCtx(), []string{
-		"-addr", "127.0.0.1:0", "-model", "twoserver", "-top", "10",
-		"-bootstrap", "0", "-checkpoint-dir", dir, "-checkpoint-store", "sqlite",
-	}); err == nil {
-		t.Error("unknown -checkpoint-store accepted")
+// TestRunRefusesLogStoreCheckpointDir: a checkpoint directory left by the
+// removed append-only log store holds its episodes and tombstones in
+// checkpoint.log, which the directory store cannot read. Startup must fail
+// and name the file rather than serve from an empty store, in single-node
+// mode and for a fleet member's own directory.
+func TestRunRefusesLogStoreCheckpointDir(t *testing.T) {
+	root := filepath.Join(t.TempDir(), "ckpt")
+	base := []string{"-addr", "127.0.0.1:0", "-model", "twoserver", "-top", "10",
+		"-bootstrap", "0", "-checkpoint-dir", root}
+	for name, c := range map[string]struct {
+		logDir string
+		args   []string
+	}{
+		"single": {root, base},
+		"fleet": {filepath.Join(root, "n1"), append(base[:len(base):len(base)],
+			"-fleet-self", "n1", "-fleet-peers", "n1=127.0.0.1:7947,n2=127.0.0.1:7948")},
+	} {
+		if err := os.MkdirAll(c.logDir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		logFile := filepath.Join(c.logDir, "checkpoint.log")
+		if err := os.WriteFile(logFile, []byte{0x10, 0, 0, 0}, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err := run(cancelledCtx(), c.args)
+		if err == nil || !strings.Contains(err.Error(), "checkpoint.log") {
+			t.Errorf("%s: run over a log-store dir: err = %v, want one naming checkpoint.log", name, err)
+		}
+		if err := os.Remove(logFile); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

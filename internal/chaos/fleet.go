@@ -48,10 +48,6 @@ type FleetOptions struct {
 	// VNodes is the virtual-node count per member (0 means
 	// fleet.DefaultVirtualNodes). Every node and every client must agree.
 	VNodes int
-	// StoreKind selects the per-member checkpoint store, as accepted by
-	// server.OpenCheckpointStore ("" or "dir" for one-file-per-episode,
-	// "log" for the append-only log).
-	StoreKind string
 	// SpanDir, when set, turns on distributed episode tracing: member <id>
 	// writes its bpomdp.span/v1 stream to SpanDir/<id>.spans. A killed
 	// member's file keeps whatever it managed to write — exactly what a
@@ -72,7 +68,7 @@ func NewFleet(ids []string, root string, base server.Config, opts FleetOptions) 
 	}
 	f := &Fleet{root: root, nodes: make(map[string]*FleetNode, len(ids))}
 	storeFor := func(id string) (server.Checkpointer, error) {
-		return server.OpenCheckpointStore(opts.StoreKind, filepath.Join(root, id))
+		return server.NewDirCheckpointer(filepath.Join(root, id))
 	}
 	for _, id := range ids {
 		if _, dup := f.nodes[id]; dup {

@@ -107,9 +107,8 @@ func twoServerFleetPrep(t *testing.T) (*core.Prepared, func() (controller.Contro
 // FleetClient, one member is SIGKILL-dropped while it is serving a live
 // episode, and the campaign must still finish with zero abandoned episodes
 // and the exact per-fault mean cost of the same campaign against a local
-// in-process controller. The fleet uses the append-only log checkpoint
-// store, so the handoff replays from fsynced log records, not from any
-// in-memory state of the dead node.
+// in-process controller. The handoff replays the dead node's fsynced
+// checkpoint files, not any in-memory state of the dead node.
 func TestFleetChaosZeroAbandonedEpisodes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet chaos campaign is slow; skipped with -short")
@@ -135,7 +134,7 @@ func TestFleetChaosZeroAbandonedEpisodes(t *testing.T) {
 
 	f, err := chaos.NewFleet([]string{"n1", "n2", "n3"}, t.TempDir(),
 		server.Config{Model: prep.Model, NewController: factory},
-		chaos.FleetOptions{VNodes: 16, StoreKind: "log"})
+		chaos.FleetOptions{VNodes: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +320,7 @@ func TestFleetChaosTerminalDecisionSurvivesOwnerKill(t *testing.T) {
 
 	f, err := chaos.NewFleet([]string{"n1", "n2", "n3"}, t.TempDir(),
 		server.Config{Model: prep.Model, NewController: factory},
-		chaos.FleetOptions{VNodes: 16, StoreKind: "log"})
+		chaos.FleetOptions{VNodes: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

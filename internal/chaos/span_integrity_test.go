@@ -43,7 +43,7 @@ func TestFleetChaosSpanStreamIntegrity(t *testing.T) {
 	spanDir := t.TempDir()
 	f, err := chaos.NewFleet([]string{"n1", "n2", "n3"}, t.TempDir(),
 		server.Config{Model: prep.Model, NewController: factory},
-		chaos.FleetOptions{VNodes: 16, StoreKind: "log", SpanDir: spanDir})
+		chaos.FleetOptions{VNodes: 16, SpanDir: spanDir})
 	if err != nil {
 		t.Fatal(err)
 	}

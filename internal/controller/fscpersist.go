@@ -45,9 +45,8 @@ type fscNodeJSON struct {
 	Edges      []int32   `json:"edges,omitempty"`
 }
 
-// writeFSCFrame writes one length-prefixed CRC-framed payload, the same
-// wire shape as the checkpoint log store: u32 length, u32 CRC-32 (IEEE) of
-// the payload, payload bytes, all little-endian.
+// writeFSCFrame writes one length-prefixed CRC-framed payload: u32 length,
+// u32 CRC-32 (IEEE) of the payload, payload bytes, all little-endian.
 func writeFSCFrame(w io.Writer, payload []byte) error {
 	var hdr [8]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
@@ -60,8 +59,8 @@ func writeFSCFrame(w io.Writer, payload []byte) error {
 }
 
 // readFSCFrame reads the next frame. io.EOF is returned cleanly at a frame
-// boundary; a torn or corrupt frame is an error — unlike the append-only
-// log, a compiled artifact is written atomically and has no valid prefix.
+// boundary; a torn or corrupt frame is an error: a compiled artifact is
+// written atomically, so no valid prefix of a damaged file is trusted.
 func readFSCFrame(r io.Reader) ([]byte, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -86,8 +85,7 @@ func readFSCFrame(r io.Reader) ([]byte, error) {
 
 // Encode writes the compiled table as a bpomdp.fsc/v1 artifact: a header
 // frame followed by one frame per node, each length-prefixed and
-// CRC-framed like the checkpoint log store. Runtime hit/fallback counters
-// are not part of the artifact.
+// CRC-framed. Runtime hit/fallback counters are not part of the artifact.
 func (f *FSC) Encode(w io.Writer) error {
 	hdr, err := json.Marshal(fscHeaderJSON{
 		Schema:          FSCSchema,

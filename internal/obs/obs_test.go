@@ -216,6 +216,42 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTraceWriterConcurrent: one TraceWriter shared by many goroutines, as
+// the server shares its decision trace across handlers, must land every
+// record as one intact line. The buffer is deliberately unsynchronized:
+// under -race this pins the TraceWriter's own lock.
+func TestTraceWriterConcurrent(t *testing.T) {
+	var buf bytes.Buffer
+	tw := NewTraceWriter(&buf)
+	const goroutines, each = 8, 50
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				_ = tw.Write(&DecisionRecord{Episode: uint64(g + 1), Step: i, Action: 2,
+					QValues: []float64{-9, -5, -4.5}, BoundGap: 0.5})
+			}
+		}(g)
+	}
+	wg.Wait()
+	got, err := DecodeTrace(strings.NewReader(buf.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != goroutines*each {
+		t.Fatalf("decoded %d records, want %d", len(got), goroutines*each)
+	}
+	steps := make(map[uint64]int)
+	for _, r := range got {
+		if r.Step != steps[r.Episode] {
+			t.Fatalf("episode %d: step %d out of order, want %d", r.Episode, r.Step, steps[r.Episode])
+		}
+		steps[r.Episode]++
+	}
+}
+
 func TestDecodeTraceRejectsWrongSchema(t *testing.T) {
 	in := strings.NewReader(`{"schema":"bpomdp.trace/v999","episode":1}` + "\n")
 	if _, err := DecodeTrace(in); err == nil {

@@ -138,11 +138,10 @@ func (ts *TombstoneState) validate() error {
 }
 
 // CorruptCheckpoint describes one stored snapshot that could not be decoded.
-// Stores quarantine such entries (a directory store renames the file, a log
-// store skips the record) so one bad snapshot never blocks the rest and is
-// never silently rewritten.
+// The store quarantines such entries (renames the file aside) so one bad
+// snapshot never blocks the rest and is never silently rewritten.
 type CorruptCheckpoint struct {
-	// Name identifies the bad entry in store terms (file name, record offset).
+	// Name is the bad entry's file name.
 	Name string
 	// EpisodeID is the episode the entry claimed to belong to, 0 when even
 	// that could not be determined.
@@ -156,8 +155,8 @@ type CorruptCheckpoint struct {
 // response), Delete when an episode terminates or is abandoned, and LoadAll
 // once at startup. LoadAll returns the good snapshots sorted by episode id
 // alongside any corrupt entries it quarantined; the error is reserved for
-// store-level failures (unreadable directory, unopenable log), never for
-// individual bad snapshots.
+// store-level failures (an unreadable directory), never for individual bad
+// snapshots.
 //
 // Tombstones live in a separate namespace from episode snapshots:
 // SaveTombstone is called on termination before Delete (write-ahead, so a
@@ -177,32 +176,40 @@ type Checkpointer interface {
 	LoadTombstones() ([]TombstoneState, []CorruptCheckpoint, error)
 }
 
-// OpenCheckpointStore opens a checkpoint store of the named kind over dir:
-// "dir" (one atomically-renamed JSON file per episode) or "log" (a single
-// fsynced append-only log with CRC-framed records and compaction).
+// OpenCheckpointStore opens the checkpoint store over dir. The directory
+// store is the only kind: kind must be "" or "dir", and anything else is an
+// error.
 func OpenCheckpointStore(kind, dir string) (Checkpointer, error) {
-	switch kind {
-	case "", "dir":
-		return NewDirCheckpointer(dir)
-	case "log":
-		return NewLogCheckpointer(dir)
-	default:
-		return nil, fmt.Errorf("server: unknown checkpoint store %q (want dir or log)", kind)
+	if kind != "" && kind != "dir" {
+		return nil, fmt.Errorf("server: unknown checkpoint store %q (want dir)", kind)
 	}
+	return NewDirCheckpointer(dir)
 }
+
+// legacyLogFile is the single file the append-only log store, since
+// removed, kept its records in.
+const legacyLogFile = "checkpoint.log"
 
 // DirCheckpointer stores one JSON file per episode in a directory
 // (episode-<id>.json), plus one sibling file per terminal tombstone
-// (tombstone-<id>.json), each written atomically via a temp file + rename so
-// a crash mid-write never corrupts an existing checkpoint.
+// (tombstone-<id>.json). Each write goes to a temp file that is fsynced,
+// renamed over the record, and made durable by an fsync of the directory;
+// each delete fsyncs the directory too. So a crash or power loss mid-write
+// never corrupts an existing checkpoint, and an acknowledged write survives
+// both. One file per record also lets several processes share the
+// directory: every LoadAll and LoadTombstones reads the files afresh, so a
+// member sees the deletes an adopting survivor made through its own handle.
 type DirCheckpointer struct {
-	dir string
+	dir  string
+	sync func(*os.File) error // (*os.File).Sync; replaced in tests
 }
 
 var _ Checkpointer = (*DirCheckpointer)(nil)
 
 // NewDirCheckpointer creates dir if needed and returns a checkpointer over
-// it.
+// it. It refuses a directory holding a checkpoint.log: that file's episodes
+// and tombstones are invisible to this store, so opening it would silently
+// start empty and drop them.
 func NewDirCheckpointer(dir string) (*DirCheckpointer, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("server: empty checkpoint directory")
@@ -210,7 +217,11 @@ func NewDirCheckpointer(dir string) (*DirCheckpointer, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("server: checkpoint dir: %w", err)
 	}
-	return &DirCheckpointer{dir: dir}, nil
+	if _, err := os.Stat(filepath.Join(dir, legacyLogFile)); err == nil {
+		return nil, fmt.Errorf("server: checkpoint dir %s holds %s from the removed log store; "+
+			"its open episodes and tombstones would be lost, so drain it with the release that wrote it or move it aside", dir, legacyLogFile)
+	}
+	return &DirCheckpointer{dir: dir, sync: (*os.File).Sync}, nil
 }
 
 // Dir returns the checkpoint directory.
@@ -224,7 +235,9 @@ func (c *DirCheckpointer) tombPath(id uint64) string {
 	return filepath.Join(c.dir, fmt.Sprintf("tombstone-%d.json", id))
 }
 
-// writeAtomic writes data to dst via a temp file + rename.
+// writeAtomic writes data to dst via a temp file + rename. The temp file is
+// fsynced before the rename and the directory after it, so once writeAtomic
+// returns nil the new content is durable.
 func (c *DirCheckpointer) writeAtomic(dst string, tmpPattern string, data []byte) error {
 	tmp, err := os.CreateTemp(c.dir, tmpPattern)
 	if err != nil {
@@ -232,6 +245,9 @@ func (c *DirCheckpointer) writeAtomic(dst string, tmpPattern string, data []byte
 	}
 	tmpName := tmp.Name()
 	_, werr := tmp.Write(data)
+	if werr == nil {
+		werr = c.sync(tmp)
+	}
 	cerr := tmp.Close()
 	if werr == nil {
 		werr = cerr
@@ -243,7 +259,33 @@ func (c *DirCheckpointer) writeAtomic(dst string, tmpPattern string, data []byte
 		_ = os.Remove(tmpName)
 		return werr
 	}
-	return nil
+	return c.syncDir()
+}
+
+// remove deletes one record file and fsyncs the directory so the removal is
+// durable. A file that does not exist is not an error.
+func (c *DirCheckpointer) remove(path string) error {
+	if err := os.Remove(path); err != nil {
+		if os.IsNotExist(err) {
+			return nil
+		}
+		return err
+	}
+	return c.syncDir()
+}
+
+// syncDir fsyncs the checkpoint directory, making the renames and removals
+// in it durable.
+func (c *DirCheckpointer) syncDir() error {
+	d, err := os.Open(c.dir)
+	if err != nil {
+		return err
+	}
+	err = c.sync(d)
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Save implements Checkpointer.
@@ -261,7 +303,7 @@ func (c *DirCheckpointer) Save(st EpisodeState) error {
 // Delete implements Checkpointer. Deleting a checkpoint that does not exist
 // is not an error.
 func (c *DirCheckpointer) Delete(id uint64) error {
-	if err := os.Remove(c.path(id)); err != nil && !os.IsNotExist(err) {
+	if err := c.remove(c.path(id)); err != nil {
 		return fmt.Errorf("server: delete checkpoint %d: %w", id, err)
 	}
 	return nil
@@ -338,7 +380,7 @@ func (c *DirCheckpointer) SaveTombstone(ts TombstoneState) error {
 // DeleteTombstone implements Checkpointer. Deleting a tombstone that does
 // not exist is not an error.
 func (c *DirCheckpointer) DeleteTombstone(id uint64) error {
-	if err := os.Remove(c.tombPath(id)); err != nil && !os.IsNotExist(err) {
+	if err := c.remove(c.tombPath(id)); err != nil {
 		return fmt.Errorf("server: delete tombstone %d: %w", id, err)
 	}
 	return nil

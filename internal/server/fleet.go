@@ -190,11 +190,6 @@ func (s *Server) adoptFromMember(memberID string, want func(key string) bool) (i
 	if err != nil {
 		return 0, fmt.Errorf("open store of %q: %w", memberID, err)
 	}
-	defer func() {
-		if c, ok := store.(io.Closer); ok {
-			_ = c.Close()
-		}
-	}()
 	states, _, err := store.LoadAll()
 	if err != nil {
 		return 0, fmt.Errorf("load store of %q: %w", memberID, err)

@@ -1,9 +1,7 @@
 package server
 
 import (
-	"encoding/binary"
 	"encoding/json"
-	"hash/crc32"
 	"reflect"
 	"testing"
 )
@@ -40,73 +38,40 @@ func FuzzEpisodeStateDecode(f *testing.F) {
 	})
 }
 
-// FuzzLogRecordDecode drives the checkpoint log scanner — the store's
-// crash-recovery path — over arbitrary file images and checks its structural
-// invariants: the valid prefix is within bounds and stable under re-scan,
-// accepted states validate, and live-byte accounting never exceeds the
-// prefix.
-func FuzzLogRecordDecode(f *testing.F) {
-	frame := func(payload string) []byte {
-		buf := make([]byte, 8+len(payload))
-		binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE([]byte(payload)))
-		copy(buf[8:], payload)
-		return buf
-	}
-	save := frame(`{"op":"save","episodeId":1,"state":{"episodeId":1,"steps":0,"belief":[1]}}`)
-	del := frame(`{"op":"delete","episodeId":1}`)
-	tomb := frame(`{"op":"tomb","episodeId":1,"tomb":{"episodeId":1,"clientKey":"k","steps":2,"final":{"action":-1,"terminate":true,"value":3.5},"terminatedAtUnixNano":7}}`)
-	untomb := frame(`{"op":"untomb","episodeId":1}`)
-	f.Add([]byte{})
-	f.Add(save)
-	f.Add(append(append([]byte{}, save...), del...))
-	f.Add(append(append([]byte{}, save...), save[:len(save)-3]...)) // torn tail
-	f.Add(tomb)
-	f.Add(append(append([]byte{}, tomb...), untomb...))
-	f.Add(append(append([]byte{}, save...), tomb...))                  // both namespaces, same id
-	f.Add(frame(`{"op":"tomb","episodeId":2,"tomb":{"episodeId":1}}`)) // id disagreement
-	f.Add(frame(`not json`))
-	f.Add(frame(`{"op":"warp"}`))
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}) // absurd length prefix
+// FuzzTombstoneStateDecode guards the tombstone trust boundary: bytes read
+// back from a store file or received on POST /v1/fleet/tombstones. Anything
+// that decodes must be a valid terminal record, and re-encoding it must
+// round-trip to the same tombstone and the same bytes, because the final
+// decision it carries is replayed byte-identically.
+func FuzzTombstoneStateDecode(f *testing.F) {
+	f.Add([]byte(`{"episodeId":1,"clientKey":"k","steps":2,"final":{"action":-1,"actionName":"terminate","terminate":true,"value":3.5},"terminatedAtUnixNano":7}`))
+	f.Add([]byte(`{"episodeId":2,"steps":1,"final":{"action":1,"terminate":false,"value":1},"terminatedAtUnixNano":1}`)) // non-terminal final
+	f.Add([]byte(`{"episodeId":3,"final":{"action":-1,"terminate":true,"value":NaN}}`))                                  // NaN value
+	f.Add([]byte(`{"episodeId":4,"final":{"action":-1,"terminate":true,"value":1e999}}`))
+	f.Add([]byte(`{"episodeId":5,"clientKey":"k","steps":2,"final":{"act`)) // torn mid-write
+	f.Add([]byte(`{"episodeId":0,"final":{"terminate":true}}`))
+	f.Add([]byte(`{"episodeId":6,"steps":-1,"final":{"terminate":true},"terminatedAtUnixNano":-5}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		states, tombs, liveBytes, corrupt, validLen := scanLog(data)
-		if validLen < 0 || validLen > int64(len(data)) {
-			t.Fatalf("validLen %d out of range [0, %d]", validLen, len(data))
+		ts, err := DecodeTombstoneState(data)
+		if err != nil {
+			return
 		}
-		if liveBytes < 0 || liveBytes > validLen {
-			t.Fatalf("liveBytes %d outside [0, validLen=%d]", liveBytes, validLen)
+		if verr := ts.validate(); verr != nil {
+			t.Fatalf("accepted tombstone fails validation: %v (%+v)", verr, ts)
 		}
-		for id, st := range states {
-			if id != st.EpisodeID {
-				t.Fatalf("state keyed %d has id %d", id, st.EpisodeID)
-			}
-			if err := st.validate(); err != nil {
-				t.Fatalf("live state fails validation: %v", err)
-			}
+		enc, err := json.Marshal(ts)
+		if err != nil {
+			t.Fatalf("accepted tombstone does not re-encode: %v", err)
 		}
-		for id, ts := range tombs {
-			if id != ts.EpisodeID {
-				t.Fatalf("tombstone keyed %d has id %d", id, ts.EpisodeID)
-			}
-			if err := ts.validate(); err != nil {
-				t.Fatalf("live tombstone fails validation: %v", err)
-			}
+		again, err := DecodeTombstoneState(enc)
+		if err != nil {
+			t.Fatalf("re-encoded tombstone rejected: %v (%s)", err, enc)
 		}
-		// Re-scanning the valid prefix is a fixed point: same states, same
-		// tombstones, same accounting, nothing newly corrupt or torn.
-		states2, tombs2, liveBytes2, corrupt2, validLen2 := scanLog(data[:validLen])
-		if validLen2 != validLen || liveBytes2 != liveBytes ||
-			len(corrupt2) != len(corrupt) || !reflect.DeepEqual(states, states2) ||
-			!reflect.DeepEqual(tombs, tombs2) {
-			t.Fatalf("re-scan of valid prefix diverged: len %d vs %d, live %d vs %d, corrupt %d vs %d",
-				validLen, validLen2, liveBytes, liveBytes2, len(corrupt), len(corrupt2))
+		if !reflect.DeepEqual(ts, again) {
+			t.Fatalf("round trip changed tombstone: %+v vs %+v", ts, again)
 		}
-		// And the prefix really is frame-aligned: appending a fresh valid
-		// frame extends it by exactly that frame.
-		extended := append(append([]byte{}, data[:validLen]...), del...)
-		_, _, _, _, validLen3 := scanLog(extended)
-		if want := validLen + int64(len(del)); validLen3 != want {
-			t.Fatalf("appending a valid frame: validLen %d, want %d", validLen3, want)
+		if enc2, err := json.Marshal(again); err != nil || string(enc2) != string(enc) {
+			t.Fatalf("re-encoding is not a fixed point: %s vs %s (err %v)", enc, enc2, err)
 		}
 	})
 }

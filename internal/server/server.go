@@ -1319,7 +1319,7 @@ func (s *Server) checkpointState(st EpisodeState) {
 	s.storeWrite(st.ClientKey, obs.SpanOpSave, st.EpisodeID, func() error { return s.cfg.Checkpointer.Save(st) })
 }
 
-// storeWrite runs one checkpoint-store write for an episode: a failure is
+// storeWrite runs one checkpoint store write for an episode: a failure is
 // counted, not fatal to the request, and with spans on the write is recorded
 // as a server.checkpoint span under the episode's trace id.
 func (s *Server) storeWrite(trace, op string, id uint64, write func() error) {

@@ -188,7 +188,7 @@ func TestSpannedHandlersEmitSpans(t *testing.T) {
 	srv, err := New(Config{
 		Model:         prep.Model,
 		NewController: boundedFactory(prep),
-		Checkpointer:  openStore(t, "log", t.TempDir()),
+		Checkpointer:  openStore(t, t.TempDir()),
 		SpanTrace:     sink,
 		Node:          "n-test",
 	})
