@@ -17,7 +17,11 @@
 //   - set_value_batch — bounds.Set.ValueBatch over a batch of beliefs with a
 //     preallocated output slice (the batched engine's leaf evaluation)
 //   - batch_decide — controller.Bounded.DecideBatch over the same batch with
-//     reused decision buffers (the full batched Max-Avg expansion)
+//     reused decision buffers (the full batched Max-Avg expansion; every
+//     belief distinct, so it is the overhead guard for duplicate merging)
+//   - batch_decide_reachable — the same over 64 beliefs recorded from a
+//     seeded batched campaign, with their natural repeats (the merged
+//     expansion's common case)
 //   - fsc_decide — controller.FSCDecider.DecideBatch over a batch of
 //     compiled-table beliefs (the table-lookup fast path; compare per
 //     decision against batch_decide for the compilation speedup)
@@ -166,7 +170,7 @@ func main() {
 		for _, w := range scalingWorkers {
 			names = append(names, fmt.Sprintf("campaign_seq_w%d", w), fmt.Sprintf("campaign_batched_w%d", w))
 		}
-		names = append(names, "belief_update", "gs_sweep", "ra_solve", "set_value_batch", "batch_decide", "fsc_decide")
+		names = append(names, "belief_update", "gs_sweep", "ra_solve", "set_value_batch", "batch_decide", "batch_decide_reachable", "fsc_decide")
 		for _, name := range names {
 			e, ok := rep.Bench[name]
 			if !ok {
@@ -256,7 +260,7 @@ func run(episodes, workers int) (*Report, error) {
 	if err := benchSolver(rep, compiled); err != nil {
 		return nil, err
 	}
-	if err := benchBatch(rep, prep); err != nil {
+	if err := benchBatch(rep, compiled, prep); err != nil {
 		return nil, err
 	}
 	if err := benchFSC(rep, compiled, prep, episodes); err != nil {
@@ -464,9 +468,11 @@ func benchFSC(rep *Report, compiled *arch.Compiled, prep *core.Prepared, episode
 
 // benchBatch measures the batched leaf evaluation (Set.ValueBatch over the
 // state-major plane columns) and the full batched Max-Avg expansion
-// (Bounded.DecideBatch). Both run with preallocated output buffers — the
-// campaign's steady state — so allocs/op should be zero.
-func benchBatch(rep *Report, prep *core.Prepared) error {
+// (Bounded.DecideBatch), over dense random beliefs that are all distinct and
+// over beliefs a batched campaign actually decides. All run with
+// preallocated output buffers — the campaign's steady state — so allocs/op
+// should be zero.
+func benchBatch(rep *Report, compiled *arch.Compiled, prep *core.Prepared) error {
 	const batch = 64
 	n := prep.Model.NumStates()
 	stream := rng.New(7)
@@ -488,7 +494,7 @@ func benchBatch(rep *Report, prep *core.Prepared) error {
 	rep.Bench["set_value_batch"] = entryOf(testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			vals = prep.Set.ValueBatch(beliefs, vals)
+			vals = prep.Set.ValueBatch(beliefs, nil, vals)
 		}
 	}))
 
@@ -496,21 +502,76 @@ func benchBatch(rep *Report, prep *core.Prepared) error {
 	if err != nil {
 		return err
 	}
-	decisions := make([]controller.Decision, batch)
-	// Warm once outside the timed region so the engine's per-level scratch is
-	// sized before measurement.
-	if err := ctrl.DecideBatch(beliefs, decisions); err != nil {
+	reachable, err := campaignBeliefs(compiled, prep, ctrl, batch)
+	if err != nil {
 		return err
 	}
-	rep.Bench["batch_decide"] = entryOf(testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := ctrl.DecideBatch(beliefs, decisions); err != nil {
-				b.Fatal(err)
-			}
+	decisions := make([]controller.Decision, batch)
+	measure := func(beliefs []pomdp.Belief) (Entry, error) {
+		// Warm once outside the timed region so the engine's per-level
+		// scratch is sized before measurement.
+		if err := ctrl.DecideBatch(beliefs, decisions); err != nil {
+			return Entry{}, err
 		}
-	}))
+		return entryOf(testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := ctrl.DecideBatch(beliefs, decisions); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})), nil
+	}
+	if rep.Bench["batch_decide"], err = measure(beliefs); err != nil {
+		return err
+	}
+	if rep.Bench["batch_decide_reachable"], err = measure(reachable); err != nil {
+		return err
+	}
 	return nil
+}
+
+// beliefRecorder is a batch decider that keeps a copy of the first limit
+// beliefs it is asked to decide, in order, and decides them with the
+// embedded controller.
+type beliefRecorder struct {
+	*controller.Bounded
+	limit int
+	seen  []pomdp.Belief
+}
+
+func (r *beliefRecorder) DecideBatch(pis []pomdp.Belief, out []controller.Decision) error {
+	for _, pi := range pis {
+		if len(r.seen) < r.limit {
+			r.seen = append(r.seen, pi.Clone())
+		}
+	}
+	return r.Bounded.DecideBatch(pis, out)
+}
+
+// campaignBeliefs returns the first m beliefs a seeded batched campaign
+// (batch size 16, one worker) asks ctrl to decide.
+func campaignBeliefs(compiled *arch.Compiled, prep *core.Prepared, ctrl *controller.Bounded, m int) ([]pomdp.Belief, error) {
+	runner, err := sim.NewRunner(compiled.Recovery, 20000)
+	if err != nil {
+		return nil, err
+	}
+	initial, err := prep.InitialBelief()
+	if err != nil {
+		return nil, err
+	}
+	rec := &beliefRecorder{Bounded: ctrl, limit: m}
+	if _, err := runner.RunCampaignOpts(ctrl, initial, compiled.ZombieStates, 64, rng.New(11), sim.CampaignOptions{
+		Workers:      1,
+		BatchSize:    16,
+		BatchDecider: rec,
+	}); err != nil {
+		return nil, err
+	}
+	if len(rec.seen) < m {
+		return nil, fmt.Errorf("campaign decided %d beliefs, want %d", len(rec.seen), m)
+	}
+	return rec.seen, nil
 }
 
 // benchBeliefUpdate measures the Bayes update (Eq. 4) with reused buffers

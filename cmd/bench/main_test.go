@@ -39,6 +39,18 @@ func TestRunProducesReport(t *testing.T) {
 	if e := rep.Bench["belief_update"]; e.AllocsPerOp != 0 {
 		t.Errorf("belief_update allocates (%d allocs/op); the reuse path must be allocation-free", e.AllocsPerOp)
 	}
+	// The batched expansion, with and without duplicate beliefs to merge,
+	// must run from reused scratch.
+	for _, name := range []string{"batch_decide", "batch_decide_reachable"} {
+		e, ok := rep.Bench[name]
+		if !ok {
+			t.Errorf("missing benchmark %q", name)
+			continue
+		}
+		if e.AllocsPerOp != 0 {
+			t.Errorf("%s allocates (%d allocs/op); the batched expansion must be allocation-free", name, e.AllocsPerOp)
+		}
+	}
 	for _, name := range []string{"campaign_sequential", "campaign_parallel"} {
 		e := rep.Bench[name]
 		if e.EpisodesPerSec <= 0 || e.Episodes != 4 {

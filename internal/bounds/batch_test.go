@@ -169,7 +169,7 @@ func TestSetMatchesRowMajorReference(t *testing.T) {
 				wantUses[arg] += 2
 			}
 		}
-		for j, got := range set.ValueBatch(pis, nil) {
+		for j, got := range set.ValueBatch(pis, nil, nil) {
 			same("ValueBatch", j, got, wantVals[j])
 			if wantArgs[j] >= 0 {
 				wantUses[wantArgs[j]]++
@@ -200,7 +200,7 @@ func TestValueBatchEvictionParity(t *testing.T) {
 		for _, pi := range pis {
 			ref.ValueArg(pi)
 		}
-		out = bat.ValueBatch(pis, out)
+		out = bat.ValueBatch(pis, nil, out)
 
 		b := randomPlanes(stream.SplitN("add", round), 1, n)[0]
 		ka, err := ref.Add(b)
@@ -230,17 +230,84 @@ func TestValueBatchEvictionParity(t *testing.T) {
 	}
 }
 
+// TestValueBatchCountsMatchRepeatedEntries: a batch that carries each belief
+// once with a count must return the same values, bit for bit, and leave the
+// same usage counters as a batch that repeats each belief count times. Two
+// capacity-capped twins driven that way, with the same Adds in between,
+// must evict the same planes.
+func TestValueBatchCountsMatchRepeatedEntries(t *testing.T) {
+	stream := rng.New(41)
+	const n, capacity = 5, 6
+	planes := randomPlanes(stream.SplitN("seed", 0), 3, n)
+	counted := buildSet(t, n, capacity, planes)
+	repeated := buildSet(t, n, capacity, planes)
+
+	var out, outRep []float64
+	for round := 0; round < 40; round++ {
+		pis := randomBeliefs(stream.SplitN("q", round), 1+stream.IntN(6), n)
+		counts := make([]uint64, len(pis))
+		var rep []pomdp.Belief
+		for j, pi := range pis {
+			counts[j] = uint64(stream.IntN(5)) // zero counts included
+			for c := uint64(0); c < counts[j]; c++ {
+				rep = append(rep, pi)
+			}
+		}
+		out = counted.ValueBatch(pis, counts, out)
+		outRep = repeated.ValueBatch(rep, nil, outRep)
+		k := 0
+		for j := range pis {
+			for c := uint64(0); c < counts[j]; c++ {
+				if math.Float64bits(out[j]) != math.Float64bits(outRep[k]) {
+					t.Fatalf("round %d belief %d: counted %v, repeated %v", round, j, out[j], outRep[k])
+				}
+				k++
+			}
+		}
+
+		b := randomPlanes(stream.SplitN("add", round), 1, n)[0]
+		ka, err := counted.Add(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kb, err := repeated.Add(append(linalg.Vector(nil), b...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ka != kb {
+			t.Fatalf("round %d: Add kept=%v on the counted set, %v on the repeated one", round, ka, kb)
+		}
+	}
+	if counted.Evictions() == 0 {
+		t.Fatal("no evictions: the capacity never bit, so the counters were not exercised")
+	}
+	if counted.Evictions() != repeated.Evictions() || counted.Size() != repeated.Size() {
+		t.Fatalf("twins diverged: %d/%d evictions, %d/%d planes",
+			counted.Evictions(), repeated.Evictions(), counted.Size(), repeated.Size())
+	}
+	for i := 0; i < counted.Size(); i++ {
+		if counted.uses[i] != repeated.uses[i] {
+			t.Errorf("plane %d uses: %d vs %d", i, counted.uses[i], repeated.uses[i])
+		}
+		for k := 0; k < n; k++ {
+			if counted.at(i, k) != repeated.at(i, k) {
+				t.Errorf("plane %d entry %d: %v vs %v", i, k, counted.at(i, k), repeated.at(i, k))
+			}
+		}
+	}
+}
+
 // TestValueBatchEmptySetAndEmptyBatch covers the degenerate shapes.
 func TestValueBatchEmptySetAndEmptyBatch(t *testing.T) {
 	s, err := NewSet(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := s.ValueBatch([]pomdp.Belief{{1, 0, 0}}, nil)
+	got := s.ValueBatch([]pomdp.Belief{{1, 0, 0}}, nil, nil)
 	if len(got) != 1 || !math.IsInf(got[0], -1) {
 		t.Errorf("empty set ValueBatch = %v, want [-Inf]", got)
 	}
-	if got := s.ValueBatch(nil, nil); len(got) != 0 {
+	if got := s.ValueBatch(nil, nil, nil); len(got) != 0 {
 		t.Errorf("empty batch returned %v", got)
 	}
 }
@@ -254,12 +321,12 @@ func TestValueBatchGrowsOutput(t *testing.T) {
 	}
 	pis := []pomdp.Belief{{1, 0}, {0, 1}}
 	small := make([]float64, 1)
-	got := s.ValueBatch(pis, small)
+	got := s.ValueBatch(pis, nil, small)
 	if len(got) != 2 || got[0] != -1 || got[1] != -2 {
 		t.Errorf("grown ValueBatch = %v, want [-1 -2]", got)
 	}
 	big := make([]float64, 8)
-	got = s.ValueBatch(pis, big)
+	got = s.ValueBatch(pis, nil, big)
 	if len(got) != 2 || &got[0] != &big[0] {
 		t.Error("sufficient out slice was not reused in place")
 	}
@@ -448,7 +515,7 @@ func TestSetConcurrentReaders(t *testing.T) {
 			defer wg.Done()
 			out := make([]float64, 0, m)
 			for round := 0; round < rounds; round++ {
-				out = shared.ValueBatch(pis, out)
+				out = shared.ValueBatch(pis, nil, out)
 				for j, pi := range pis {
 					v, arg := shared.ValueArg(pi)
 					peek := shared.Peek(pi)

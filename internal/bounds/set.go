@@ -183,26 +183,46 @@ func (s *Set) ValueArg(pi pomdp.Belief) (float64, int) {
 
 // ValueBatch evaluates V_B⁻ at every belief in pis, writing the values into
 // out (grown if its capacity is insufficient) and returning it. Each value
-// and usage-counter bump is exactly ValueArg's on the same belief, so
-// eviction behaviour is unchanged. The batch shares one accumulator scratch,
-// and with a preallocated out the call performs no allocations in steady
-// state.
-func (s *Set) ValueBatch(pis []pomdp.Belief, out []float64) []float64 {
+// is exactly ValueArg's on the same belief, and the maximizing plane's usage
+// counter advances by counts[j] (1 when counts is nil), so a batch that
+// carries one entry with count c leaves the counters — and hence least-used
+// eviction — exactly as c repeated entries would. The batch shares one
+// accumulator scratch, taken from the stack like scanOne's when the set is
+// small enough, and with a preallocated out the call performs no
+// allocations.
+func (s *Set) ValueBatch(pis []pomdp.Belief, counts []uint64, out []float64) []float64 {
 	m := len(pis)
+	if counts != nil && len(counts) != m {
+		panic(fmt.Sprintf("bounds: %d counts for %d beliefs", len(counts), m))
+	}
 	if cap(out) < m {
 		out = make([]float64, m)
 	}
 	out = out[:m]
-	acc := getAcc(len(s.uses))
-	for j, pi := range pis {
-		var arg int
-		out[j], arg = s.scan(pi, *acc)
-		if arg >= 0 {
-			atomic.AddUint64(&s.uses[arg], 1)
-		}
+	var buf [64]float64
+	if len(s.uses) <= len(buf) {
+		s.scanBatch(pis, counts, out, buf[:])
+		return out
 	}
+	acc := getAcc(len(s.uses))
+	s.scanBatch(pis, counts, out, *acc)
 	accPool.Put(acc)
 	return out
+}
+
+// scanBatch is ValueBatch's loop over the batch, with acc as scan scratch.
+func (s *Set) scanBatch(pis []pomdp.Belief, counts []uint64, out, acc []float64) {
+	for j, pi := range pis {
+		var arg int
+		out[j], arg = s.scan(pi, acc)
+		if arg >= 0 {
+			c := uint64(1)
+			if counts != nil {
+				c = counts[j]
+			}
+			atomic.AddUint64(&s.uses[arg], c)
+		}
+	}
 }
 
 // Peek evaluates V_B⁻(π) without recording a use of the maximizing plane.

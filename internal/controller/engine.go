@@ -3,6 +3,7 @@ package controller
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"bpomdp/internal/pomdp"
 )
@@ -17,10 +18,15 @@ import (
 // expands the tree for a whole batch of beliefs at once: each tree level
 // shares one successor arena across the batch and, when the leaf implements
 // pomdp.BatchValueFn, evaluates the entire frontier with a single batched
-// call. Per-belief results are bit-identical to Choose — the engine
-// preserves the sequential per-action, per-observation floating-point
-// accumulation order for every belief — so the two entry points are freely
-// interchangeable.
+// call. Bit-identical beliefs — common, since recovery models observe
+// almost deterministically and so reach few distinct beliefs — are merged at
+// every tree level and in every frontier and expanded or evaluated once,
+// each carrying its multiplicity (see beliefGroups). Per-belief results are
+// bit-identical to Choose — the engine preserves the sequential per-action,
+// per-observation floating-point accumulation order for every belief, and
+// equal inputs give equal outputs — so the two entry points are freely
+// interchangeable. A leaf without batched evaluation is likewise called once
+// per distinct frontier belief.
 type Engine struct {
 	p         *pomdp.POMDP
 	beta      float64
@@ -36,13 +42,105 @@ type Engine struct {
 }
 
 // batchLevel is the reusable state of one tree level of a batched
-// expansion: the shared successor arena and the per-belief accumulators for
-// the action currently being expanded.
+// expansion: the level's belief grouping, the shared successor arena and the
+// per-distinct-belief accumulators for the action currently being expanded.
 type batchLevel struct {
+	nodes  beliefGroups // the level's beliefs, merged by bits
+	leaves beliefGroups // the level's frontier, merged, when it is the last
 	buf    *pomdp.SuccessorBuf
-	q      []float64 // per-belief Q accumulator for the current action
-	counts []int     // successors appended per belief for the current action
+	q      []float64 // per-distinct-belief Q accumulator for the current action
+	counts []int     // successors appended per distinct belief for the current action
+	fw     []uint64  // multiplicity of each frontier belief (its parent's)
 	vals   []float64 // values of the level's frontier beliefs
+}
+
+// beliefGroups merges the bit-identical beliefs of one batch (compared by
+// math.Float64bits, so +0 and −0 stay apart) through an open-addressed
+// index, so the engine expands or evaluates each distinct belief once and
+// scatters the result to its duplicates. Its slices are reused across
+// calls, so the steady state allocates nothing.
+type beliefGroups struct {
+	table  []int32        // slot → distinct index + 1; 0 marks an empty slot
+	hashes []uint64       // hash of each distinct belief
+	first  []int          // batch index of each distinct belief's first occurrence
+	pis    []pomdp.Belief // the distinct beliefs, in first-occurrence order
+	w      []uint64       // summed multiplicity of each distinct belief
+	of     []int          // distinct index of each batch entry
+	vals   []float64      // per-distinct-belief values (leaf frontiers)
+	total  uint64         // summed multiplicity of the whole batch
+}
+
+// group merges pis, whose entry j stands for w[j] logical beliefs (one each
+// when w is nil). Afterwards g.pis, g.first and g.w describe the distinct
+// beliefs, g.of maps every entry to its distinct index, and g.total is the
+// batch's summed multiplicity.
+func (g *beliefGroups) group(pis []pomdp.Belief, w []uint64) {
+	m := len(pis)
+	size := 8
+	for size < 2*m {
+		size <<= 1
+	}
+	if cap(g.table) < size {
+		g.table = make([]int32, size)
+	}
+	g.table = g.table[:size]
+	clear(g.table)
+	if cap(g.of) < m {
+		g.of = make([]int, m)
+	}
+	g.of = g.of[:m]
+	g.hashes, g.first, g.pis, g.w = g.hashes[:0], g.first[:0], g.pis[:0], g.w[:0]
+	g.total = 0
+	shift := 64 - uint(bits.TrailingZeros(uint(size)))
+	for j, pi := range pis {
+		c := uint64(1)
+		if w != nil {
+			c = w[j]
+		}
+		g.total += c
+		h := hashBelief(pi)
+		for i := h >> shift; ; i = (i + 1) & uint64(size-1) {
+			slot := g.table[i]
+			if slot == 0 {
+				g.table[i] = int32(len(g.first) + 1)
+				g.of[j] = len(g.first)
+				g.hashes = append(g.hashes, h)
+				g.first = append(g.first, j)
+				g.pis = append(g.pis, pi)
+				g.w = append(g.w, c)
+				break
+			}
+			if k := int(slot - 1); g.hashes[k] == h && sameBits(g.pis[k], pi) {
+				g.of[j] = k
+				g.w[k] += c
+				break
+			}
+		}
+	}
+}
+
+// hashBelief mixes the bits of every entry of pi. The index takes the top
+// bits of the result, which a multiplicative step makes depend on every
+// input bit.
+func hashBelief(pi pomdp.Belief) uint64 {
+	h := uint64(len(pi))
+	for _, x := range pi {
+		h = (bits.RotateLeft64(h, 27) ^ math.Float64bits(x)) * 0x9e3779b97f4a7c15
+	}
+	return h
+}
+
+// sameBits reports whether a and b are equal entry by entry, bit for bit.
+func sameBits(a, b pomdp.Belief) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i, x := range a {
+		if math.Float64bits(x) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // NewEngine builds a Max-Avg tree engine of the given depth ≥ 1 over model
@@ -103,7 +201,7 @@ func (e *Engine) ChooseBatch(pis []pomdp.Belief, out []pomdp.BackupResult) error
 	if cap(e.rootVals) < len(pis) {
 		e.rootVals = make([]float64, len(pis))
 	}
-	e.expand(0, e.depth, pis, e.rootVals[:len(pis)], out[:len(pis)])
+	e.expand(0, e.depth, pis, nil, e.rootVals[:len(pis)], out[:len(pis)])
 	return nil
 }
 
@@ -150,37 +248,47 @@ func (e *Engine) level(lvl int) *batchLevel {
 // expand is the batched Max-Avg recursion: it computes, for every belief in
 // pis, the value with `remaining` further expansions into vals, and — when
 // res is non-nil (the root call) — the per-action Q-values and maximizing
-// action into res. For each action the whole batch's successors are
-// enumerated into one arena and the next level (or the leaf bound) is
-// evaluated over that frontier in a single pass; the per-belief
-// floating-point accumulation order is exactly the sequential engine's
-// (reward first, then successors in ascending observation order, actions
-// compared in ascending order), which is what makes the results
-// bit-identical to Choose.
-func (e *Engine) expand(lvl, remaining int, pis []pomdp.Belief, vals []float64, res []pomdp.BackupResult) {
+// action into res. Entry j stands for w[j] logical beliefs (one each when w
+// is nil); bit-identical entries are merged first, each distinct belief is
+// expanded once, and its results are copied to its duplicates. For each
+// action the distinct beliefs' successors are enumerated into one arena —
+// each successor inheriting its parent's multiplicity — and the next level
+// (or the leaf bound) is evaluated over that frontier in a single pass; the
+// per-belief floating-point accumulation order is exactly the sequential
+// engine's (reward first, then successors in ascending observation order,
+// actions compared in ascending order), which is what makes the results
+// bit-identical to Choose. The work counters advance by multiplicities, so
+// they count the logical tree Choose would expand.
+func (e *Engine) expand(lvl, remaining int, pis []pomdp.Belief, w []uint64, vals []float64, res []pomdp.BackupResult) {
 	f := e.level(lvl)
-	m := len(pis)
-	e.ctr.Nodes += uint64(m)
+	g := &f.nodes
+	g.group(pis, w)
+	e.ctr.Nodes += g.total
+	m := len(g.first)
 	if cap(f.q) < m {
 		f.q = make([]float64, m)
 		f.counts = make([]int, m)
 	}
 	q, counts := f.q[:m], f.counts[:m]
-	for j := range vals {
+	// A distinct belief's results live at its first occurrence's slot of
+	// vals and res until the duplicates are filled in at the end.
+	for _, j := range g.first {
 		vals[j] = math.Inf(-1)
-	}
-	if res != nil {
-		for j := range res {
-			res[j].Value = math.Inf(-1)
+		if res != nil {
 			res[j].Action = -1
 		}
 	}
 	for a := 0; a < e.p.NumActions(); a++ {
 		f.buf.Reset()
-		for j, pi := range pis {
-			q[j] = e.p.ExpectedReward(pi, a)
-			counts[j] = e.p.AppendSuccessors(e.sc, f.buf, pi, a)
+		fw := f.fw[:0]
+		for k, pi := range g.pis {
+			q[k] = e.p.ExpectedReward(pi, a)
+			counts[k] = e.p.AppendSuccessors(e.sc, f.buf, pi, a)
+			for c := 0; c < counts[k]; c++ {
+				fw = append(fw, g.w[k])
+			}
 		}
+		f.fw = fw
 		frontier := f.buf.Beliefs()
 		probs := f.buf.Probs()
 		if cap(f.vals) < len(frontier) {
@@ -188,14 +296,14 @@ func (e *Engine) expand(lvl, remaining int, pis []pomdp.Belief, vals []float64, 
 		}
 		fvals := f.vals[:len(frontier)]
 		if remaining == 1 {
-			e.leafValues(frontier, fvals)
+			e.leafValues(&f.leaves, frontier, fw, fvals)
 		} else {
-			e.expand(lvl+1, remaining-1, frontier, fvals, nil)
+			e.expand(lvl+1, remaining-1, frontier, fw, fvals, nil)
 		}
 		idx := 0
-		for j := range pis {
-			qj := q[j]
-			for c := 0; c < counts[j]; c++ {
+		for k, j := range g.first {
+			qj := q[k]
+			for c := 0; c < counts[k]; c++ {
 				qj += e.beta * probs[idx] * fvals[idx]
 				idx++
 			}
@@ -210,23 +318,40 @@ func (e *Engine) expand(lvl, remaining int, pis []pomdp.Belief, vals []float64, 
 			}
 		}
 	}
-	if res != nil {
-		for j := range res {
-			res[j].Value = vals[j]
+	for j := range pis {
+		r := g.first[g.of[j]]
+		if r != j {
+			vals[j] = vals[r]
 		}
+		if res == nil {
+			continue
+		}
+		if r != j {
+			res[j].Action = res[r].Action
+			copy(res[j].QValues, res[r].QValues)
+		}
+		res[j].Value = vals[j]
 	}
 }
 
-// leafValues evaluates the leaf bound over a frontier, batched when the
-// leaf supports it.
-func (e *Engine) leafValues(pis []pomdp.Belief, out []float64) {
-	e.ctr.LeafEvals += uint64(len(pis))
+// leafValues evaluates the leaf bound over a frontier whose entry j stands
+// for w[j] logical leaves: bit-identical entries are merged and evaluated
+// once, batched when the leaf supports it, with the multiplicities passed
+// on so the bound set's use counters advance as if every leaf had been
+// evaluated.
+func (e *Engine) leafValues(g *beliefGroups, pis []pomdp.Belief, w []uint64, out []float64) {
+	g.group(pis, w)
+	e.ctr.LeafEvals += g.total
 	if e.batchLeaf != nil {
 		e.ctr.SlabPasses++
-		e.batchLeaf.ValueBatch(pis, out)
-		return
+		g.vals = e.batchLeaf.ValueBatch(g.pis, g.w, g.vals)
+	} else {
+		g.vals = g.vals[:0]
+		for _, pi := range g.pis {
+			g.vals = append(g.vals, e.leaf.Value(pi))
+		}
 	}
-	for j, pi := range pis {
-		out[j] = e.leaf.Value(pi)
+	for j, k := range g.of {
+		out[j] = g.vals[k]
 	}
 }

@@ -25,10 +25,15 @@ type TierSource interface {
 // an increment per Backup is noise next to the backup itself — and are read
 // by differencing snapshots around a decision, so they are meaningful only
 // from the single goroutine driving the engine.
+//
+// Nodes and LeafEvals count the logical tree: a batched expansion that
+// merges bit-identical beliefs adds each merged belief's multiplicity, so
+// the counts equal what per-belief Choose calls would report, not the
+// deduplicated work actually done.
 type EngineCounters struct {
-	// Nodes counts belief nodes expanded (Backup applications).
+	// Nodes counts belief nodes of the logical tree (Backup applications).
 	Nodes uint64
-	// LeafEvals counts leaf-bound evaluations at the tree frontier.
+	// LeafEvals counts leaf-bound evaluations at the logical tree frontier.
 	LeafEvals uint64
 	// SlabPasses counts batched ValueBatch calls, one per evaluated frontier.
 	SlabPasses uint64
@@ -57,7 +62,8 @@ type DecisionStats struct {
 	BeliefEntropy float64
 
 	// TreeNodes, LeafEvals and SlabPasses are the engine-counter deltas
-	// attributable to this decision. For a batched decision the batch's
+	// attributable to this decision; TreeNodes and LeafEvals count the
+	// logical tree (see EngineCounters). For a batched decision the batch's
 	// totals are attributed evenly across its expanded members (remainder to
 	// the first), so summing over the batch is exact.
 	TreeNodes  uint64

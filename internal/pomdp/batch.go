@@ -9,8 +9,12 @@ import "fmt"
 type BatchValueFn interface {
 	ValueFn
 	// ValueBatch writes Value(pis[j]) into out[j] for every j, growing out
-	// if its capacity is insufficient, and returns it.
-	ValueBatch(pis []Belief, out []float64) []float64
+	// if its capacity is insufficient, and returns it. counts[j] is the
+	// multiplicity of pis[j] — how many logical evaluations the one entry
+	// stands for — so an evaluator with per-evaluation side effects (the
+	// bound set's use counters) can account for them as if pis[j] had been
+	// repeated counts[j] times. A nil counts means one each.
+	ValueBatch(pis []Belief, counts []uint64, out []float64) []float64
 }
 
 // SuccessorBuf accumulates the successor beliefs of many (belief, action)

@@ -30,6 +30,9 @@ type CampaignResult struct {
 	// controllers collect per-decision stats: total decisions covered, the
 	// Max-Avg expansion work they performed, and per-episode means of the
 	// bound gap (Property 1(b) slack) and decision-time belief entropy.
+	// TreeNodes and LeafEvals count the logical tree, so batched and
+	// sequential stepping report the same totals although a batched
+	// expansion evaluates each distinct belief only once.
 	Decisions                        int
 	TreeNodes, LeafEvals, SlabPasses uint64
 	BoundGap, BeliefEntropy          stats.Accumulator

@@ -59,7 +59,9 @@ type EpisodeResult struct {
 	// Decision-stat aggregates, populated only when the deciding controller
 	// collects per-decision stats (controller.StatsSource with stats
 	// enabled). Decisions counts the decisions covered; TreeNodes, LeafEvals
-	// and SlabPasses total the Max-Avg expansion work; BoundGapSum and
+	// and SlabPasses total the Max-Avg expansion work, TreeNodes and
+	// LeafEvals counting the logical tree rather than the deduplicated work
+	// of a batched expansion (see controller.EngineCounters); BoundGapSum and
 	// EntropySum accumulate the Property 1(b) slack and the belief entropy
 	// across decisions (divide by Decisions for per-decision means).
 	Decisions   int
