@@ -220,10 +220,9 @@ func BenchmarkBeliefMDPBackup(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	leaf := prep.Set.AsValueFn()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pomdp.Backup(prep.Model, sc, pi, 1, leaf); err != nil {
+		if _, err := pomdp.Backup(prep.Model, sc, pi, 1, prep.Set); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -252,7 +251,7 @@ func BenchmarkTreeExpansion(b *testing.B) {
 	for depth := 1; depth <= 3; depth++ {
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
 			prep := preparedEMN(b)
-			engine, err := controller.NewEngine(prep.Model, depth, 1, prep.Set.AsValueFn())
+			engine, err := controller.NewEngine(prep.Model, depth, 1, prep.Set)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -345,7 +344,7 @@ func BenchmarkScalingSystemSize(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		engine, err := controller.NewEngine(prep.Model, 1, 1, prep.Set.AsValueFn())
+		engine, err := controller.NewEngine(prep.Model, 1, 1, prep.Set)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -564,51 +563,6 @@ func BenchmarkAblationSOR(b *testing.B) {
 				}); err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationBranchAndBound compares the exhaustive Max-Avg expansion
-// against the QMDP-pruned branch-and-bound engine (the paper's proposed
-// future-work extension) at depths 2 and 3 on EMN.
-func BenchmarkAblationBranchAndBound(b *testing.B) {
-	for _, depth := range []int{2, 3} {
-		prep := preparedEMN(b)
-		upper, err := bounds.QMDP(prep.Model, bounds.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		pi, err := prep.InitialBelief()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("full/depth=%d", depth), func(b *testing.B) {
-			engine, err := controller.NewEngine(prep.Model, depth, 1, prep.Set.AsValueFn())
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := engine.Choose(pi); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("pruned/depth=%d", depth), func(b *testing.B) {
-			engine, err := controller.NewPrunedEngine(prep.Model, depth, 1, prep.Set.AsValueFn(), upper)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := engine.Choose(pi); err != nil {
-					b.Fatal(err)
-				}
-			}
-			nodes, pruned := engine.Stats()
-			if nodes+pruned > 0 {
-				b.ReportMetric(100*float64(pruned)/float64(nodes+pruned), "pruned%")
 			}
 		})
 	}

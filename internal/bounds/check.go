@@ -28,7 +28,7 @@ func CheckConsistency(p *pomdp.POMDP, sc *pomdp.Scratch, set *Set, pi pomdp.Beli
 		return ConsistencyReport{}, ErrEmptySet
 	}
 	lhs, _ := set.ValueArg(pi)
-	res, err := pomdp.Backup(p, sc, pi, o.Beta, set.AsValueFn())
+	res, err := pomdp.Backup(p, sc, pi, o.Beta, set)
 	if err != nil {
 		return ConsistencyReport{}, fmt.Errorf("bounds: consistency backup: %w", err)
 	}

@@ -4,7 +4,8 @@
 // (BI-POMDP and the blind-policy method) whose divergence on recovery models
 // the paper demonstrates, the incremental linear-function improvement scheme
 // of Section 4.1, and — as the extension the paper's conclusion calls for —
-// a QMDP-style upper bound usable for gap diagnostics and branch-and-bound.
+// a QMDP-style upper bound usable for gap diagnostics and as the corner of
+// the HSVI refiner's sawtooth upper bound.
 //
 // A lower bound is represented as a set of hyperplanes over the belief
 // simplex: B = {b₁, …, b_k} with V_B⁻(π) = max_b π·b (Equation 6). The
@@ -376,14 +377,6 @@ func (s *Set) CompactLP() (int, error) {
 		removed++
 	}
 	return removed, nil
-}
-
-// AsValueFn adapts the set to the pomdp.ValueFn interface. Note that a *Set
-// already implements pomdp.ValueFn (and pomdp.BatchValueFn) directly; this
-// wrapper survives for callers that want a plain ValueFunc without the
-// batched fast path.
-func (s *Set) AsValueFn() pomdp.ValueFn {
-	return pomdp.ValueFunc(func(pi pomdp.Belief) float64 { return s.Value(pi) })
 }
 
 // The set is usable directly as a (batched) leaf evaluator.

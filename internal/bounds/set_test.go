@@ -137,17 +137,6 @@ func TestSetCapacityEviction(t *testing.T) {
 	}
 }
 
-func TestSetAsValueFn(t *testing.T) {
-	s, err := NewSet(2, linalg.Vector{-1, -3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fn := s.AsValueFn()
-	if got := fn.Value(pomdp.Belief{0.5, 0.5}); got != -2 {
-		t.Errorf("AsValueFn = %v, want -2", got)
-	}
-}
-
 func TestCheckConsistencyEmptySet(t *testing.T) {
 	mod := withNotification(t)
 	s, err := NewSet(mod.NumStates())

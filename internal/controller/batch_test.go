@@ -29,10 +29,10 @@ func batchBeliefs(stream *rng.Stream, m, n int) []pomdp.Belief {
 }
 
 // TestChooseBatchMatchesChoose pins the engine's bit-identity contract:
-// ChooseBatch over random beliefs must reproduce per-belief Choose results
-// exactly (Value, Action, and every Q-value compared with ==, via
-// reflect.DeepEqual) at depth 1 and at depth 2, where the batched recursion
-// shares frontiers across the batch.
+// ChooseBatch over random beliefs must reproduce the reference recursion
+// (refChoose) exactly (Value, Action, and every Q-value compared with ==,
+// via reflect.DeepEqual) at depth 1 and at depth 2, where the batched
+// recursion shares frontiers across the batch.
 func TestChooseBatchMatchesChoose(t *testing.T) {
 	f := newFixture(t)
 	for _, depth := range []int{1, 2} {
@@ -44,7 +44,7 @@ func TestChooseBatchMatchesChoose(t *testing.T) {
 			pis := batchBeliefs(rng.New(uint64(100*depth+trial)), 1+trial*3, f.term.NumStates())
 			want := make([]pomdp.BackupResult, len(pis))
 			for j, pi := range pis {
-				res, err := engine.Choose(pi)
+				res, err := refChoose(f.term, depth, 1, f.set, pi, &EngineCounters{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -56,7 +56,7 @@ func TestChooseBatchMatchesChoose(t *testing.T) {
 			}
 			for j := range want {
 				if !reflect.DeepEqual(want[j], got[j]) {
-					t.Errorf("depth %d trial %d belief %d:\nChoose:      %+v\nChooseBatch: %+v",
+					t.Errorf("depth %d trial %d belief %d:\nreference:   %+v\nChooseBatch: %+v",
 						depth, trial, j, want[j], got[j])
 				}
 			}

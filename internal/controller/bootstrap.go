@@ -131,7 +131,7 @@ func NewBootstrapper(p *pomdp.POMDP, set *bounds.Set, cfg BootstrapConfig, strea
 	if err != nil {
 		return nil, err
 	}
-	engine, err := NewEngine(p, cfg.Depth, cfg.Beta, set.AsValueFn())
+	engine, err := NewEngine(p, cfg.Depth, cfg.Beta, set)
 	if err != nil {
 		return nil, err
 	}

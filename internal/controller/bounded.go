@@ -57,8 +57,7 @@ type Bounded struct {
 	batchRes []pomdp.BackupResult
 
 	// Stats scratch, populated only with cfg.CollectStats.
-	lastStats   DecisionStats
-	statsQ      []float64       // QValues buffer behind lastStats
+	lastStats   DecisionStats   // its QValues alias the engine's Choose result
 	batchStats  []DecisionStats // per-belief stats of the last DecideBatch
 	batchStatsQ []float64       // flat QValues slab behind batchStats
 }
@@ -184,8 +183,7 @@ func (b *Bounded) decideAt(pi pomdp.Belief) (Decision, error) {
 	d := b.toDecision(&res)
 	if b.cfg.CollectStats {
 		after := b.engine.Counters()
-		b.statsQ = append(b.statsQ[:0], res.QValues...)
-		st := b.statsFor(pi, d, b.statsQ)
+		st := b.statsFor(pi, d, res.QValues)
 		st.TreeNodes = after.Nodes - before.Nodes
 		st.LeafEvals = after.LeafEvals - before.LeafEvals
 		st.SlabPasses = after.SlabPasses - before.SlabPasses

@@ -112,7 +112,7 @@ func TestEngineChooseDepth1ClosedForm(t *testing.T) {
 	// (the expectation over observations of a linear leaf collapses to the
 	// pushed-forward belief dotted with the hyperplane).
 	f := newFixture(t)
-	engine, err := NewEngine(f.term, 1, 1, f.set.AsValueFn())
+	engine, err := NewEngine(f.term, 1, 1, f.set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,13 +143,21 @@ func TestEngineDeeperSearchNotWorse(t *testing.T) {
 	pi := pomdp.UniformBelief(f.term.NumStates())
 	var prev float64
 	for depth := 1; depth <= 3; depth++ {
-		engine, err := NewEngine(f.term, depth, 1, f.set.AsValueFn())
+		engine, err := NewEngine(f.term, depth, 1, f.set)
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, err := engine.Value(pi)
+		res, err := engine.Choose(pi)
 		if err != nil {
 			t.Fatal(err)
+		}
+		v := res.Value
+		ref, err := refChoose(f.term, depth, 1, f.set, pi, &EngineCounters{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(v) != math.Float64bits(ref.Value) {
+			t.Errorf("depth %d value %v, reference recursion %v", depth, v, ref.Value)
 		}
 		if depth > 1 && v < prev-1e-9 {
 			t.Errorf("depth %d value %v < depth %d value %v", depth, v, depth-1, prev)

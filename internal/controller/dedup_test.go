@@ -12,11 +12,34 @@ import (
 	"bpomdp/internal/rng"
 )
 
-// The tests in this file pin the batched engine's duplicate merging: a batch
-// that repeats beliefs must decide every entry bit-identically to the
-// per-belief Choose, count the logical tree, and leave the bound set's use
-// counters — hence least-used eviction — exactly as per-belief evaluation
-// would.
+// The tests in this file pin the engine's duplicate merging against
+// refChoose, the textbook recursion: a batch that repeats
+// beliefs must decide every entry bit-identically to the reference, count
+// the logical tree, and leave the bound set's use counters — hence
+// least-used eviction — exactly as per-leaf evaluation would.
+
+// refChoose is the reference Max-Avg expansion: one pomdp.Backup per tree
+// node, recursing into every successor, with the leaf called once per
+// logical frontier belief. It adds the logical tree to ctr.
+func refChoose(p *pomdp.POMDP, depth int, beta float64, leaf pomdp.ValueFn, pi pomdp.Belief, ctr *EngineCounters) (pomdp.BackupResult, error) {
+	sc := pomdp.NewScratch(p)
+	var backup func(pi pomdp.Belief, remaining int) (pomdp.BackupResult, error)
+	backup = func(pi pomdp.Belief, remaining int) (pomdp.BackupResult, error) {
+		ctr.Nodes++
+		return pomdp.Backup(p, sc, pi, beta, pomdp.ValueFunc(func(b pomdp.Belief) float64 {
+			if remaining == 1 {
+				ctr.LeafEvals++
+				return leaf.Value(b)
+			}
+			res, err := backup(b, remaining-1)
+			if err != nil {
+				panic(err)
+			}
+			return res.Value
+		}))
+	}
+	return backup(pi, depth)
+}
 
 // dedupRegime is one termination regime of the two-server model: the
 // model the controller decides over, a constructor for a fresh bound set,
@@ -130,44 +153,86 @@ func sameBackup(a, b pomdp.BackupResult) bool {
 		sameBits(a.QValues, b.QValues)
 }
 
-// TestDedupChooseBatchParity: on batches with repeats, ChooseBatch must
-// reproduce per-belief Choose bit for bit (Action, Value, every Q-value) at
-// depths 1–3 in both termination regimes, and advance the work counters by
-// exactly what the per-belief expansions count.
+// parityEngine is an engine under test, named by its leaf kind.
+type parityEngine struct {
+	leaf   string
+	engine *Engine
+}
+
+// parityEngines returns, for one regime and depth, an engine per leaf kind:
+// the bound set (a batched, use-counting leaf) and two plain ValueFns, the
+// heuristic controller's default SRDS'05 leaf and the zero leaf.
+func parityEngines(t *testing.T, rg dedupRegime, depth int) []parityEngine {
+	t.Helper()
+	set, err := NewEngine(rg.p, depth, 1, rg.newSet(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	heuristic := func(leaf pomdp.ValueFn) *Engine {
+		h, err := NewHeuristic(rg.p, HeuristicConfig{
+			Depth: depth, NullStates: rg.cfg.NullStates, TerminationProbability: 0.9999, Leaf: leaf,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h.engine
+	}
+	return []parityEngine{
+		{"set", set},
+		{"srds05", heuristic(nil)},
+		{"zero", heuristic(pomdp.ValueFunc(func(pomdp.Belief) float64 { return 0 }))},
+	}
+}
+
+// TestDedupChooseBatchParity: on batches with repeats, ChooseBatch and the
+// one-belief Choose must reproduce the reference recursion bit for bit
+// (Action, Value, every Q-value) at depths 1–3 in both termination regimes,
+// for a batched leaf and for plain ones, and advance the work counters by
+// exactly the logical tree the reference counts.
 func TestDedupChooseBatchParity(t *testing.T) {
 	for _, rg := range dedupRegimes(t) {
 		pool := beliefPool(t, rg)
 		for depth := 1; depth <= 3; depth++ {
 			t.Run(fmt.Sprintf("%s/depth%d", rg.name, depth), func(t *testing.T) {
-				engine, err := NewEngine(rg.p, depth, 1, rg.newSet(t))
-				if err != nil {
-					t.Fatal(err)
-				}
-				stream := rng.New(uint64(600 + depth))
-				for trial := 0; trial < 6; trial++ {
-					pis := duplicateBatch(stream, pool, 4+5*trial)
-					c0 := engine.Counters()
-					want := make([]pomdp.BackupResult, len(pis))
-					for j, pi := range pis {
-						if want[j], err = engine.Choose(pi); err != nil {
+				for _, pe := range parityEngines(t, rg, depth) {
+					engine := pe.engine
+					stream := rng.New(uint64(600 + depth))
+					for trial := 0; trial < 6; trial++ {
+						pis := duplicateBatch(stream, pool, 4+5*trial)
+						want := make([]pomdp.BackupResult, len(pis))
+						var ref EngineCounters
+						for j, pi := range pis {
+							res, err := refChoose(rg.p, depth, 1, engine.leaf, pi, &ref)
+							if err != nil {
+								t.Fatal(err)
+							}
+							want[j] = res
+						}
+						c0 := engine.Counters()
+						got := make([]pomdp.BackupResult, len(pis))
+						if err := engine.ChooseBatch(pis, got); err != nil {
 							t.Fatal(err)
 						}
-					}
-					c1 := engine.Counters()
-					got := make([]pomdp.BackupResult, len(pis))
-					if err := engine.ChooseBatch(pis, got); err != nil {
-						t.Fatal(err)
-					}
-					c2 := engine.Counters()
-					for j := range want {
-						if !sameBackup(want[j], got[j]) {
-							t.Fatalf("trial %d belief %d:\nChoose:      %+v\nChooseBatch: %+v", trial, j, want[j], got[j])
+						c1 := engine.Counters()
+						for j, pi := range pis {
+							one, err := engine.Choose(pi)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if !sameBackup(want[j], got[j]) || !sameBackup(want[j], one) {
+								t.Fatalf("%s leaf, trial %d belief %d:\nreference:   %+v\nChooseBatch: %+v\nChoose:      %+v",
+									pe.leaf, trial, j, want[j], got[j], one)
+							}
 						}
-					}
-					if c1.Nodes-c0.Nodes != c2.Nodes-c1.Nodes || c1.LeafEvals-c0.LeafEvals != c2.LeafEvals-c1.LeafEvals {
-						t.Fatalf("trial %d: batched counters %+v, per-belief %+v",
-							trial, EngineCounters{Nodes: c2.Nodes - c1.Nodes, LeafEvals: c2.LeafEvals - c1.LeafEvals},
-							EngineCounters{Nodes: c1.Nodes - c0.Nodes, LeafEvals: c1.LeafEvals - c0.LeafEvals})
+						c2 := engine.Counters()
+						for _, c := range []EngineCounters{
+							{Nodes: c1.Nodes - c0.Nodes, LeafEvals: c1.LeafEvals - c0.LeafEvals},
+							{Nodes: c2.Nodes - c1.Nodes, LeafEvals: c2.LeafEvals - c1.LeafEvals},
+						} {
+							if c != ref {
+								t.Fatalf("%s leaf, trial %d: engine counters %+v, reference %+v", pe.leaf, trial, c, ref)
+							}
+						}
 					}
 				}
 			})
@@ -178,7 +243,8 @@ func TestDedupChooseBatchParity(t *testing.T) {
 // TestDedupDecideBatchParity: Bounded.DecideBatch on batches with repeats
 // must match per-belief decisions bit for bit — Decision and every stats
 // Q-value — and its per-decision work stats must sum to the per-belief
-// totals, at depths 1–3 in both termination regimes.
+// totals, at depths 1–3 in both termination regimes. Every tree-decided
+// belief's Q-values and work stats must also match the reference recursion.
 func TestDedupDecideBatchParity(t *testing.T) {
 	for _, rg := range dedupRegimes(t) {
 		pool := beliefPool(t, rg)
@@ -204,6 +270,18 @@ func TestDedupDecideBatchParity(t *testing.T) {
 						wantQ[j] = append([]float64(nil), st.QValues...)
 						wantNodes += st.TreeNodes
 						wantLeaves += st.LeafEvals
+						if st.TreeNodes == 0 {
+							continue // certainty short-circuit: no tree
+						}
+						var ctr EngineCounters
+						ref, err := refChoose(rg.p, depth, 1, ctrl.engine.leaf, pi, &ctr)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !sameBits(st.QValues, ref.QValues) || st.TreeNodes != ctr.Nodes || st.LeafEvals != ctr.LeafEvals {
+							t.Fatalf("trial %d belief %d: Q-values %v (%d nodes, %d leaves), reference %v (%+v)",
+								trial, j, st.QValues, st.TreeNodes, st.LeafEvals, ref.QValues, ctr)
+						}
 					}
 					got := make([]Decision, len(pis))
 					if err := ctrl.DecideBatch(pis, got); err != nil {
@@ -296,13 +374,13 @@ func TestDedupFSCMissParity(t *testing.T) {
 }
 
 // TestDedupEvictionParity drives two capacity-limited twins of the bound
-// set, one through the merging DecideBatch and one through per-belief
-// decisions, with the same batches and the same Adds in between: the
+// set, one through the merging DecideBatch and one through the reference
+// recursion, with the same batches and the same Adds in between: the
 // merged multiplicities must advance the use counters exactly as the
-// per-belief leaves do, so both twins evict the same planes. A third twin
-// is read by a pool of batch deciders on separate goroutines, as the
-// server's pooled deciders share one set, and must evict the same planes
-// too.
+// reference's per-leaf evaluations do, so both twins evict the same planes.
+// A third twin is read by a pool of batch deciders on separate goroutines,
+// as the server's pooled deciders share one set, and must evict the same
+// planes too.
 func TestDedupEvictionParity(t *testing.T) {
 	for _, rg := range dedupRegimes(t) {
 		pool := beliefPool(t, rg)
@@ -324,7 +402,7 @@ func TestDedupEvictionParity(t *testing.T) {
 					}
 					return ctrl
 				}
-				mergedCtrl, singleCtrl := newCtrl(merged), newCtrl(single)
+				mergedCtrl := newCtrl(merged)
 				pooled := make([]*Bounded, workers)
 				for w := range pooled {
 					pooled[w] = newCtrl(shared)
@@ -356,7 +434,10 @@ func TestDedupEvictionParity(t *testing.T) {
 						}
 					}
 					for _, pi := range pis {
-						if _, err := singleCtrl.decideAt(pi); err != nil {
+						if cfg.TerminateAction < 0 && pi.Mass(pomdp.SortedStates(cfg.NullStates)) >= certainty {
+							continue // decided without a tree
+						}
+						if _, err := refChoose(rg.p, depth, 1, single, pi, &EngineCounters{}); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -375,7 +456,7 @@ func TestDedupEvictionParity(t *testing.T) {
 					}
 					for name, set := range map[string]*bounds.Set{"merged": merged, "pooled": shared} {
 						if set.Size() != single.Size() || set.Evictions() != single.Evictions() {
-							t.Fatalf("round %d: %s twin has %d planes/%d evictions, per-belief twin %d/%d",
+							t.Fatalf("round %d: %s twin has %d planes/%d evictions, reference twin %d/%d",
 								round, name, set.Size(), set.Evictions(), single.Size(), single.Evictions())
 						}
 						for i := 0; i < set.Size(); i++ {

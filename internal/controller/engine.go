@@ -14,19 +14,21 @@ import (
 // leaf evaluator (a lower bound or a heuristic) supplying the remaining
 // reward at the frontier.
 //
-// Besides the per-belief Choose, the engine offers ChooseBatch, which
-// expands the tree for a whole batch of beliefs at once: each tree level
-// shares one successor arena across the batch and, when the leaf implements
-// pomdp.BatchValueFn, evaluates the entire frontier with a single batched
-// call. Bit-identical beliefs — common, since recovery models observe
-// almost deterministically and so reach few distinct beliefs — are merged at
-// every tree level and in every frontier and expanded or evaluated once,
-// each carrying its multiplicity (see beliefGroups). Per-belief results are
-// bit-identical to Choose — the engine preserves the sequential per-action,
-// per-observation floating-point accumulation order for every belief, and
-// equal inputs give equal outputs — so the two entry points are freely
-// interchangeable. A leaf without batched evaluation is likewise called once
-// per distinct frontier belief.
+// There is one expansion, expand, and every decision goes through it:
+// ChooseBatch decides a whole batch of beliefs, and Choose is a one-belief
+// batch. Each tree level shares one successor arena across the batch and,
+// when the leaf implements pomdp.BatchValueFn, evaluates the entire frontier
+// with a single batched call. Bit-identical beliefs — common, since recovery
+// models observe almost deterministically and so reach few distinct beliefs,
+// even inside a single tree — are merged at every tree level and in every
+// frontier and expanded or evaluated once, each carrying its multiplicity
+// (see beliefGroups); a batched leaf receives the multiplicities, so a
+// use-counting bound set advances exactly as if every logical leaf had been
+// evaluated. A leaf without batched evaluation is called once per distinct
+// frontier belief, so it must be a pure function of the belief. Per-belief
+// results do not depend on the batch a belief is decided in: the engine
+// keeps the textbook recursion's per-action, per-observation floating-point
+// accumulation order for every belief, and equal inputs give equal outputs.
 type Engine struct {
 	p         *pomdp.POMDP
 	beta      float64
@@ -37,6 +39,9 @@ type Engine struct {
 
 	levels   []*batchLevel // reusable per-depth expansion state
 	rootVals []float64     // root value scratch for ChooseBatch
+
+	one    [1]pomdp.Belief       // Choose's one-belief batch
+	oneRes [1]pomdp.BackupResult // Choose's result; its QValues are reused
 
 	ctr EngineCounters // monotone work counters; see Counters
 }
@@ -172,12 +177,17 @@ func (e *Engine) Depth() int { return e.depth }
 func (e *Engine) Counters() EngineCounters { return e.ctr }
 
 // Choose expands the tree at belief π and returns the root backup: the
-// maximizing action, its value, and all root Q-values.
+// maximizing action, its value, and all root Q-values. It is ChooseBatch on
+// a one-belief batch. The returned QValues belong to the engine and stay
+// valid until its next call.
 func (e *Engine) Choose(pi pomdp.Belief) (pomdp.BackupResult, error) {
-	e.ctr.Nodes++
-	return pomdp.Backup(e.p, e.sc, pi, e.beta, pomdp.ValueFunc(func(b pomdp.Belief) float64 {
-		return e.evaluate(b, e.depth-1)
-	}))
+	e.one[0] = pi
+	err := e.ChooseBatch(e.one[:], e.oneRes[:])
+	e.one[0] = nil
+	if err != nil {
+		return pomdp.BackupResult{}, err
+	}
+	return e.oneRes[0], nil
 }
 
 // ChooseBatch expands the tree at every belief in pis and writes the root
@@ -205,37 +215,6 @@ func (e *Engine) ChooseBatch(pis []pomdp.Belief, out []pomdp.BackupResult) error
 	return nil
 }
 
-// Value evaluates the depth-limited value estimate at π without committing
-// to an action.
-func (e *Engine) Value(pi pomdp.Belief) (float64, error) {
-	res, err := e.Choose(pi)
-	if err != nil {
-		return 0, err
-	}
-	return res.Value, nil
-}
-
-// evaluate computes the Max-Avg value with `remaining` further expansions.
-// The shared scratch is safe across recursion levels: Backup consumes it
-// fully inside Successors before any leaf evaluation runs, and successor
-// beliefs are freshly allocated.
-func (e *Engine) evaluate(pi pomdp.Belief, remaining int) float64 {
-	if remaining == 0 {
-		e.ctr.LeafEvals++
-		return e.leaf.Value(pi)
-	}
-	e.ctr.Nodes++
-	res, err := pomdp.Backup(e.p, e.sc, pi, e.beta, pomdp.ValueFunc(func(b pomdp.Belief) float64 {
-		return e.evaluate(b, remaining-1)
-	}))
-	if err != nil {
-		// Backup only fails on malformed inputs, which NewEngine and the
-		// recursion structure rule out; surface loudly if it ever happens.
-		panic(fmt.Sprintf("controller: internal backup failure: %v", err))
-	}
-	return res.Value
-}
-
 // level returns the reusable expansion state for tree level lvl, growing
 // the level list on first use.
 func (e *Engine) level(lvl int) *batchLevel {
@@ -254,11 +233,12 @@ func (e *Engine) level(lvl int) *batchLevel {
 // action the distinct beliefs' successors are enumerated into one arena —
 // each successor inheriting its parent's multiplicity — and the next level
 // (or the leaf bound) is evaluated over that frontier in a single pass; the
-// per-belief floating-point accumulation order is exactly the sequential
-// engine's (reward first, then successors in ascending observation order,
-// actions compared in ascending order), which is what makes the results
-// bit-identical to Choose. The work counters advance by multiplicities, so
-// they count the logical tree Choose would expand.
+// per-belief floating-point accumulation order is exactly pomdp.Backup's
+// (reward first, then successors in ascending observation order, actions
+// compared in ascending order), which is what makes a belief's results
+// independent of its batch. The work counters advance by multiplicities,
+// so they count the logical tree: one node per expanded belief and one leaf
+// evaluation per frontier belief, duplicates included.
 func (e *Engine) expand(lvl, remaining int, pis []pomdp.Belief, w []uint64, vals []float64, res []pomdp.BackupResult) {
 	f := e.level(lvl)
 	g := &f.nodes

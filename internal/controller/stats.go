@@ -21,17 +21,17 @@ type TierSource interface {
 }
 
 // EngineCounters are the Engine's monotone work counters. The counters are
-// plain (non-atomic) fields bumped unconditionally on the expansion paths —
-// an increment per Backup is noise next to the backup itself — and are read
-// by differencing snapshots around a decision, so they are meaningful only
-// from the single goroutine driving the engine.
+// plain (non-atomic) fields bumped unconditionally on the expansion path —
+// an addition per tree level is noise next to the expansion itself — and
+// are read by differencing snapshots around a decision, so they are
+// meaningful only from the single goroutine driving the engine.
 //
-// Nodes and LeafEvals count the logical tree: a batched expansion that
-// merges bit-identical beliefs adds each merged belief's multiplicity, so
-// the counts equal what per-belief Choose calls would report, not the
+// Nodes and LeafEvals count the logical tree: the expansion merges
+// bit-identical beliefs and adds each merged belief's multiplicity, so the
+// counts are what expanding every belief separately would report, not the
 // deduplicated work actually done.
 type EngineCounters struct {
-	// Nodes counts belief nodes of the logical tree (Backup applications).
+	// Nodes counts belief nodes of the logical tree (Max-Avg backups).
 	Nodes uint64
 	// LeafEvals counts leaf-bound evaluations at the logical tree frontier.
 	LeafEvals uint64

@@ -48,13 +48,13 @@ type DecisionRecord struct {
 	// BeliefEntropy is the Shannon entropy (nats) of the decision belief.
 	BeliefEntropy float64 `json:"beliefEntropy"`
 
-	// TreeNodes counts belief nodes expanded (Backup applications) for this
+	// TreeNodes counts belief nodes expanded (Max-Avg backups) for this
 	// decision, LeafEvals the leaf-bound evaluations at the frontier, and
 	// SlabPasses the batched ValueBatch calls, one per frontier. TreeNodes
-	// and LeafEvals count the logical tree — what a per-belief expansion
-	// performs — even where a batched expansion merged bit-identical beliefs
-	// and did less work. For a batched decision these cover the whole
-	// batch, attributed evenly across its expanded members.
+	// and LeafEvals count the logical tree — every belief, duplicates
+	// included — even where the expansion merged bit-identical beliefs and
+	// did less work. For a batched decision these cover the whole batch,
+	// attributed evenly across its expanded members.
 	TreeNodes  uint64 `json:"treeNodes"`
 	LeafEvals  uint64 `json:"leafEvals,omitempty"`
 	SlabPasses uint64 `json:"slabPasses,omitempty"`
