@@ -52,12 +52,15 @@ test-fsc:
 
 # Fuzz smoke: a few seconds per fuzz target over the trust boundaries —
 # checkpoint EpisodeState JSON decode, TombstoneState JSON decode (store files
-# and the fleet tombstone endpoint), and the compiled FSC artifact decoder.
+# and the fleet tombstone endpoint), the compiled FSC artifact decoder, and
+# the bpomdp.span/v1 decoder (span files from every node, with their nested
+# decision objects, feed cmd/tracestats).
 # Corpus additions land under the packages' testdata/fuzz/ directories.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzEpisodeStateDecode -fuzztime=10s ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzTombstoneStateDecode -fuzztime=10s ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzFSCDecode -fuzztime=10s ./internal/controller
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeSpans -fuzztime=10s ./internal/obs
 
 # The full gate: formatting, vet, the docs gate, the complete test suite
 # (chaos campaign included) under the race detector, the FSC

@@ -18,8 +18,6 @@
 package main
 
 import (
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -72,20 +70,11 @@ func run(args []string) error {
 
 	loaded := false
 	if *inPath != "" {
-		data, err := os.ReadFile(*inPath)
-		if err != nil && !errors.Is(err, os.ErrNotExist) {
+		if loaded, err = prep.LoadBounds(*inPath); err != nil {
 			return err
 		}
-		if err == nil {
-			if err := json.Unmarshal(data, prep.Set); err != nil {
-				return fmt.Errorf("load bounds %s: %w", *inPath, err)
-			}
-			if prep.Set.NumStates() != prep.Model.NumStates() {
-				return fmt.Errorf("bounds %s are over %d states, model has %d",
-					*inPath, prep.Set.NumStates(), prep.Model.NumStates())
-			}
+		if loaded {
 			log.Printf("loaded %d bound vectors from %s", prep.Set.Size(), *inPath)
-			loaded = true
 		}
 	}
 	if !loaded && *bootstrap > 0 {
@@ -110,21 +99,13 @@ func run(args []string) error {
 		log.Printf("warning: trial budget exhausted before the gap target; rerun with -trials/-depth to tighten further")
 	}
 
-	data, err := json.Marshal(prep.Set)
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(*out, data, 0o644); err != nil {
+	if err := prep.SaveBounds(*out); err != nil {
 		return err
 	}
 	log.Printf("wrote %d lower-bound planes to %s", prep.Set.Size(), *out)
 
 	if *upperOut != "" {
-		data, err := json.Marshal(prep.Upper)
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*upperOut, data, 0o644); err != nil {
+		if err := core.WriteJSONFile(*upperOut, prep.Upper); err != nil {
 			return err
 		}
 		log.Printf("wrote upper bound (%d points) to %s", prep.Upper.NumPoints(), *upperOut)

@@ -15,8 +15,6 @@
 package main
 
 import (
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -68,18 +66,11 @@ func run(args []string) error {
 
 	loaded := false
 	if *boundsPath != "" {
-		if data, err := os.ReadFile(*boundsPath); err == nil {
-			if err := json.Unmarshal(data, prep.Set); err != nil {
-				return fmt.Errorf("load bounds %s: %w", *boundsPath, err)
-			}
-			if prep.Set.NumStates() != prep.Model.NumStates() {
-				return fmt.Errorf("bounds %s are over %d states, model has %d",
-					*boundsPath, prep.Set.NumStates(), prep.Model.NumStates())
-			}
-			log.Printf("loaded %d bound vectors from %s", prep.Set.Size(), *boundsPath)
-			loaded = true
-		} else if !errors.Is(err, os.ErrNotExist) {
+		if loaded, err = prep.LoadBounds(*boundsPath); err != nil {
 			return err
+		}
+		if loaded {
+			log.Printf("loaded %d bound vectors from %s", prep.Set.Size(), *boundsPath)
 		}
 	}
 	if !loaded && *bootstrap > 0 {
@@ -92,11 +83,7 @@ func run(args []string) error {
 		log.Printf("bootstrapped %d episodes in %v: bound at uniform %.2f, %d vectors",
 			*bootstrap, time.Since(start).Round(time.Millisecond), last.BoundAtUniform, last.Vectors)
 		if *boundsPath != "" {
-			data, err := json.Marshal(prep.Set)
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(*boundsPath, data, 0o644); err != nil {
+			if err := prep.SaveBounds(*boundsPath); err != nil {
 				return err
 			}
 			log.Printf("saved bound set to %s", *boundsPath)

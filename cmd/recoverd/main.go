@@ -23,7 +23,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"expvar"
 	"flag"
@@ -90,8 +89,7 @@ func run(ctx context.Context, args []string) error {
 		metricsAddr = fs.String("metrics-addr", "", "serve /metrics plus the pprof endpoints on this separate address, keeping scrapers off the API port (empty = off)")
 		expvarOn    = fs.Bool("expvar", false, "also serve expvar under /debug/vars on the -pprof and -metrics-addr listeners")
 		logRequests = fs.Bool("log-requests", false, "log every API request (method, path, status, duration) via slog")
-		tracePath   = fs.String("trace", "", "append one structured JSONL decision record per computed decision to this file (enables per-decision stats collection)")
-		spanPath    = fs.String("span-trace", "", "append one bpomdp.span/v1 JSONL span per traced operation to this file; stitch files from every node with cmd/tracestats")
+		spanPath    = fs.String("span-trace", "", "append one bpomdp.span/v1 JSONL span per traced operation to this file, each freshly computed decision explained on its handler span (enables per-decision stats collection); stitch files from every node with cmd/tracestats")
 
 		readHeaderTimeout = fs.Duration("read-header-timeout", 5*time.Second, "http.Server ReadHeaderTimeout")
 		readTimeout       = fs.Duration("read-timeout", 30*time.Second, "http.Server ReadTimeout (bounds slow-loris request bodies)")
@@ -115,18 +113,11 @@ func run(ctx context.Context, args []string) error {
 
 	loaded := false
 	if *boundsPath != "" {
-		if data, err := os.ReadFile(*boundsPath); err == nil {
-			if err := json.Unmarshal(data, prep.Set); err != nil {
-				return fmt.Errorf("load bounds %s: %w", *boundsPath, err)
-			}
-			if prep.Set.NumStates() != prep.Model.NumStates() {
-				return fmt.Errorf("bounds %s are over %d states, model has %d",
-					*boundsPath, prep.Set.NumStates(), prep.Model.NumStates())
-			}
-			log.Printf("loaded %d bound vectors from %s", prep.Set.Size(), *boundsPath)
-			loaded = true
-		} else if !errors.Is(err, os.ErrNotExist) {
+		if loaded, err = prep.LoadBounds(*boundsPath); err != nil {
 			return err
+		}
+		if loaded {
+			log.Printf("loaded %d bound vectors from %s", prep.Set.Size(), *boundsPath)
 		}
 	}
 	if !loaded && *bootstrap > 0 {
@@ -139,11 +130,7 @@ func run(ctx context.Context, args []string) error {
 		log.Printf("bootstrapped %d episodes in %v: bound at uniform %.2f, %d vectors",
 			*bootstrap, time.Since(start).Round(time.Millisecond), last.BoundAtUniform, last.Vectors)
 		if *boundsPath != "" {
-			data, err := json.Marshal(prep.Set)
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(*boundsPath, data, 0o644); err != nil {
+			if err := prep.SaveBounds(*boundsPath); err != nil {
 				return err
 			}
 			log.Printf("saved bound set to %s", *boundsPath)
@@ -165,11 +152,7 @@ func run(ctx context.Context, args []string) error {
 			rep.Wall.Round(time.Millisecond), rep.InitialGap, rep.FinalGap,
 			rep.Trials, rep.Backups, rep.PlanesAdded, rep.PointsAdded, rep.Converged)
 		if *boundsPath != "" {
-			data, err := json.Marshal(prep.Set)
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(*boundsPath, data, 0o644); err != nil {
+			if err := prep.SaveBounds(*boundsPath); err != nil {
 				return err
 			}
 			log.Printf("saved refined bound set to %s", *boundsPath)
@@ -226,16 +209,6 @@ func run(ctx context.Context, args []string) error {
 	if *expvarOn && *pprofAddr == "" && *metricsAddr == "" {
 		return fmt.Errorf("-expvar needs a -pprof or -metrics-addr listener address")
 	}
-	var traceFile *os.File
-	if *tracePath != "" {
-		f, err := os.OpenFile(*tracePath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return fmt.Errorf("open trace file: %w", err)
-		}
-		traceFile = f
-		defer traceFile.Close()
-		log.Printf("tracing decisions to %s (schema %s)", *tracePath, obs.TraceSchema)
-	}
 	var spanFile *os.File
 	if *spanPath != "" {
 		f, err := os.OpenFile(*spanPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -291,13 +264,10 @@ func run(ctx context.Context, args []string) error {
 		log.Printf("fleet mode: member %q of %d peers", *fleetSelf, len(members))
 	}
 
-	// Structured tracing needs the controllers to collect per-decision
-	// stats; without -trace the flag stays off and the hot path is bare.
-	collectStats := traceFile != nil
-	var decisionTrace io.Writer
-	if traceFile != nil {
-		decisionTrace = traceFile
-	}
+	// Decide spans explain decisions from the controllers' per-decision
+	// stats; without -span-trace collection stays off and the hot path is
+	// bare.
+	collectStats := spanFile != nil
 	var spanTrace io.Writer
 	if spanFile != nil {
 		spanTrace = spanFile
@@ -312,7 +282,6 @@ func run(ctx context.Context, args []string) error {
 		TombstoneTTL:      *tombstoneTTL,
 		ClientRetryBudget: *retryBudget,
 		MaxBodyBytes:      *maxBodyBytes,
-		DecisionTrace:     decisionTrace,
 		Metrics:           metrics,
 		NewController: func() (controller.Controller, pomdp.Belief, error) {
 			cfg := core.ControllerConfig{Depth: *depth, ImproveOnline: *improve, CollectStats: collectStats}

@@ -199,7 +199,7 @@ func TestRunFleetFlags(t *testing.T) {
 }
 
 func TestRunObservabilityFlags(t *testing.T) {
-	trace := filepath.Join(t.TempDir(), "decisions.jsonl")
+	spans := filepath.Join(t.TempDir(), "node.spans")
 	if err := run(cancelledCtx(), []string{
 		"-addr", "127.0.0.1:0",
 		"-model", "twoserver",
@@ -209,13 +209,13 @@ func TestRunObservabilityFlags(t *testing.T) {
 		"-pprof", "127.0.0.1:0",
 		"-expvar",
 		"-log-requests",
-		"-trace", trace,
+		"-span-trace", spans,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// The trace file is created eagerly so a bad path fails at startup.
-	if _, err := os.Stat(trace); err != nil {
-		t.Errorf("trace file not created: %v", err)
+	// The span trace file is created eagerly so a bad path fails at startup.
+	if _, err := os.Stat(spans); err != nil {
+		t.Errorf("span trace file not created: %v", err)
 	}
 
 	// expvar is served on the pprof/metrics listeners; without either it is
@@ -234,30 +234,13 @@ func TestRunObservabilityFlags(t *testing.T) {
 		t.Errorf("-expvar with -metrics-addr rejected: %v", err)
 	}
 
-	// The span trace file is created eagerly, like the decision trace.
-	spans := filepath.Join(t.TempDir(), "node.spans")
-	if err := run(cancelledCtx(), []string{
-		"-addr", "127.0.0.1:0", "-model", "twoserver", "-top", "10",
-		"-bootstrap", "0", "-span-trace", spans,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(spans); err != nil {
-		t.Errorf("span trace file not created: %v", err)
-	}
+	// An unwritable span trace path fails at startup, not at the first
+	// decision.
 	if err := run(cancelledCtx(), []string{
 		"-addr", "127.0.0.1:0", "-model", "twoserver", "-top", "10",
 		"-bootstrap", "0", "-span-trace", filepath.Join(spans, "not-a-dir", "s.jsonl"),
 	}); err == nil {
 		t.Error("unwritable span trace path accepted")
-	}
-
-	// An unwritable trace path fails at startup, not at the first decision.
-	if err := run(cancelledCtx(), []string{
-		"-addr", "127.0.0.1:0", "-model", "twoserver", "-top", "10",
-		"-bootstrap", "0", "-trace", filepath.Join(trace, "not-a-dir", "t.jsonl"),
-	}); err == nil {
-		t.Error("unwritable trace path accepted")
 	}
 }
 

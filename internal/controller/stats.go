@@ -1,7 +1,7 @@
 package controller
 
-// Decider tiers, recorded in DecisionStats.Tier and carried through
-// decision traces so every record attributes the serving tier.
+// Decider tiers, recorded in DecisionStats.Tier and carried on decide spans
+// so every explained decision attributes the serving tier.
 const (
 	// TierTree marks a decision produced by the Max-Avg tree expansion
 	// (Bounded), whether invoked directly or as an FSC fallback.
@@ -75,15 +75,15 @@ type DecisionStats struct {
 	SetEvictions uint64
 
 	// Tier identifies which decider tier served the decision (TierTree or
-	// TierFSC). Every stats-producing path sets it, so trace records never
-	// silently drop tier attribution — in particular the FSC fallback path
-	// reports TierTree with the tree's own bound gap.
+	// TierFSC). Every stats-producing path sets it, so explained decisions
+	// never silently drop tier attribution — in particular the FSC fallback
+	// path reports TierTree with the tree's own bound gap.
 	Tier string
 }
 
 // StatsSource is implemented by controllers that can explain their
 // decisions. StatsEnabled reports whether collection is configured —
-// callers (campaign runners, trace recorders) check it once per episode and
+// callers (campaign runners, the server) check it once per episode and
 // skip the stats path entirely when it is off, which is what keeps
 // instrumented builds free on the hot path. DecisionStats returns the stats
 // of the most recent Decide; it is only meaningful when StatsEnabled.

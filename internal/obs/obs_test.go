@@ -179,82 +179,3 @@ type errNonMonotone struct {
 func (e errNonMonotone) Error() string {
 	return "non-monotone bucket"
 }
-
-func TestTraceRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	tw := NewTraceWriter(&buf)
-	recs := []DecisionRecord{
-		{Episode: 1, Step: 0, Action: 2, ActionName: "restart", Value: -4.5,
-			QValues: []float64{-9, -5, -4.5}, LeafBound: -6, BoundGap: 1.5,
-			BeliefEntropy: 1.9, TreeNodes: 1, LeafEvals: 12, SlabPasses: 1,
-			SetSize: 11, SetEvictions: 2},
-		{Episode: 1, Step: 1, Action: -1, Terminate: true, Value: 0,
-			LeafBound: -0.5, BoundGap: 0.5, BeliefEntropy: 0.01, TreeNodes: 1},
-	}
-	for i := range recs {
-		if err := tw.Write(&recs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := DecodeTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(recs) {
-		t.Fatalf("decoded %d records, want %d", len(got), len(recs))
-	}
-	for i := range got {
-		if got[i].Schema != TraceSchema {
-			t.Errorf("record %d schema %q", i, got[i].Schema)
-		}
-		want := recs[i]
-		want.Schema = TraceSchema
-		if got[i].BoundGap != want.BoundGap || got[i].BeliefEntropy != want.BeliefEntropy ||
-			got[i].TreeNodes != want.TreeNodes || got[i].Action != want.Action {
-			t.Errorf("record %d = %+v, want %+v", i, got[i], want)
-		}
-	}
-}
-
-// TestTraceWriterConcurrent: one TraceWriter shared by many goroutines, as
-// the server shares its decision trace across handlers, must land every
-// record as one intact line. The buffer is deliberately unsynchronized:
-// under -race this pins the TraceWriter's own lock.
-func TestTraceWriterConcurrent(t *testing.T) {
-	var buf bytes.Buffer
-	tw := NewTraceWriter(&buf)
-	const goroutines, each = 8, 50
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < each; i++ {
-				_ = tw.Write(&DecisionRecord{Episode: uint64(g + 1), Step: i, Action: 2,
-					QValues: []float64{-9, -5, -4.5}, BoundGap: 0.5})
-			}
-		}(g)
-	}
-	wg.Wait()
-	got, err := DecodeTrace(strings.NewReader(buf.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != goroutines*each {
-		t.Fatalf("decoded %d records, want %d", len(got), goroutines*each)
-	}
-	steps := make(map[uint64]int)
-	for _, r := range got {
-		if r.Step != steps[r.Episode] {
-			t.Fatalf("episode %d: step %d out of order, want %d", r.Episode, r.Step, steps[r.Episode])
-		}
-		steps[r.Episode]++
-	}
-}
-
-func TestDecodeTraceRejectsWrongSchema(t *testing.T) {
-	in := strings.NewReader(`{"schema":"bpomdp.trace/v999","episode":1}` + "\n")
-	if _, err := DecodeTrace(in); err == nil {
-		t.Error("wrong schema accepted")
-	}
-}

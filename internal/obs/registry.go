@@ -1,9 +1,9 @@
 // Package obs is the framework's observability layer: a dependency-free
 // metrics registry (atomic counters, gauges, and fixed-bucket latency
 // histograms rendered in Prometheus text exposition format) and the
-// structured decision-trace schema (DecisionRecord, JSONL) that explains
-// every recovery decision with its bound gap, belief entropy, and tree
-// expansion effort.
+// bpomdp.span/v1 JSONL span schema, whose decide spans explain every freshly
+// computed recovery decision with its bound gap, belief entropy, and tree
+// expansion effort (DecisionRecord).
 //
 // The package is designed around the zero-cost-when-disabled contract:
 // nothing here sits on a hot path unless a caller explicitly wires it in,

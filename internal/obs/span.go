@@ -101,8 +101,12 @@ type SpanRecord struct {
 	// Op names the client call ("decide", "observe", ...) on client spans
 	// and the store operation on checkpoint/adopt spans.
 	Op string `json:"op,omitempty"`
-	// Tier labels decide spans with the serving tier ("fsc" or "tree").
+	// Tier labels a handler span that computed a fresh decision with the
+	// serving tier ("fsc" or "tree").
 	Tier string `json:"tier,omitempty"`
+	// Decision explains the fresh decision the handler computed; absent on
+	// every other span, including a decision re-served from the cache.
+	Decision *DecisionRecord `json:"decision,omitempty"`
 	// Status is the HTTP status code (server handler spans and client
 	// attempts that got a response; 0 = transport error or n/a).
 	Status int `json:"status,omitempty"`
@@ -122,9 +126,9 @@ type SpanRecord struct {
 // End returns the span's wall-clock end (UnixNano).
 func (r *SpanRecord) End() int64 { return r.Start + r.Duration }
 
-// SpanWriter writes SpanRecords as JSONL. Like TraceWriter it serializes
-// writes with a mutex, so one writer may be shared by every handler
-// goroutine on a node; each record lands as one intact line.
+// SpanWriter writes SpanRecords as JSONL. It serializes writes with a
+// mutex, so one writer may be shared by every handler goroutine on a node;
+// each record lands as one intact line.
 type SpanWriter struct {
 	mu  sync.Mutex
 	enc *json.Encoder

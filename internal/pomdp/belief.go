@@ -79,7 +79,7 @@ func (b Belief) Mass(states []int) float64 {
 
 // Entropy returns the Shannon entropy of the belief in nats: −Σ π(s)·ln π(s)
 // with 0·ln 0 = 0. It is maximal (ln n) at the uniform belief and zero at a
-// vertex of the simplex — the decision-trace layer records it as a measure
+// vertex of the simplex — decide spans record it as a measure
 // of how much diagnostic ambiguity the controller decided under.
 func (b Belief) Entropy() float64 {
 	var h float64

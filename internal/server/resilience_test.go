@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -16,7 +15,6 @@ import (
 	"bpomdp/internal/controller"
 	"bpomdp/internal/core"
 	"bpomdp/internal/models"
-	"bpomdp/internal/obs"
 	"bpomdp/internal/pomdp"
 	"bpomdp/internal/rng"
 )
@@ -638,109 +636,5 @@ func TestMetricsSeriesPreserved(t *testing.T) {
 		if got := metricValue(t, mb, series); got < 1 {
 			t.Errorf("handler %s latency histogram count %v, want >= 1", h, got)
 		}
-	}
-}
-
-// TestDecisionTraceRoundTrip: with DecisionTrace set and a stats-collecting
-// controller, the server must emit one schema-tagged JSONL record per
-// freshly computed decision — cached retries must not re-record — and the
-// records must round-trip through obs.DecodeTrace with the bound-gap
-// explanation populated.
-func TestDecisionTraceRoundTrip(t *testing.T) {
-	prep := testPrepared(t)
-	var buf bytes.Buffer
-	srv, err := New(Config{
-		Model: prep.Model,
-		NewController: func() (controller.Controller, pomdp.Belief, error) {
-			ctrl, err := prep.NewController(core.ControllerConfig{Depth: 1, CollectStats: true})
-			if err != nil {
-				return nil, nil, err
-			}
-			initial, err := prep.InitialBelief()
-			return ctrl, initial, err
-		},
-		DecisionTrace: &buf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs := httptest.NewServer(srv)
-	defer hs.Close()
-
-	resp, err := http.Post(hs.URL+"/v1/episodes", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-
-	model := prep.Model
-	sc := pomdp.NewScratch(model)
-	fresh := 0
-	terminated := false
-	for step := 0; step < 50 && !terminated; step++ {
-		var d DecisionResponse
-		// Two GETs per step: the second is served from the cache and must
-		// not add a trace record.
-		for i := 0; i < 2; i++ {
-			resp, err := http.Get(hs.URL + "/v1/episodes/1/decision")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := json.NewDecoder(resp.Body).Decode(&d); err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-		}
-		fresh++
-		if d.Terminate {
-			terminated = true
-			break
-		}
-		succs := model.Successors(sc, pomdp.PointBelief(model.NumStates(), 0), d.Action)
-		body := fmt.Sprintf(`{"action":%d,"observation":%d}`, d.Action, succs[0].Obs)
-		or, err := http.Post(hs.URL+"/v1/episodes/1/observations", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		or.Body.Close()
-	}
-	if !terminated {
-		t.Fatal("episode did not terminate")
-	}
-
-	recs, err := obs.DecodeTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != fresh {
-		t.Fatalf("%d trace records for %d fresh decisions (cached retries must not re-record)", len(recs), fresh)
-	}
-	na := model.NumActions()
-	for i, rec := range recs {
-		if rec.Episode != 1 {
-			t.Errorf("record %d: episode %d, want 1", i, rec.Episode)
-		}
-		if rec.Step != i {
-			t.Errorf("record %d: step %d, want %d", i, rec.Step, i)
-		}
-		if rec.BoundGap < -1e-9 {
-			t.Errorf("record %d: bound gap %v < 0 violates Property 1(b)", i, rec.BoundGap)
-		}
-		if rec.BeliefEntropy < 0 {
-			t.Errorf("record %d: negative belief entropy %v", i, rec.BeliefEntropy)
-		}
-		if len(rec.QValues) != na {
-			t.Errorf("record %d: %d q-values, want %d", i, len(rec.QValues), na)
-		}
-		if rec.Action >= 0 && rec.ActionName == "" {
-			t.Errorf("record %d: action %d has no name", i, rec.Action)
-		}
-		if !rec.Terminate && rec.TreeNodes == 0 {
-			t.Errorf("record %d: non-terminal decision reports zero tree nodes", i)
-		}
-	}
-	last := recs[len(recs)-1]
-	if !last.Terminate {
-		t.Error("final trace record is not the terminal decision")
 	}
 }

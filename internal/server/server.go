@@ -130,15 +130,12 @@ type Config struct {
 	// see EpisodeIDBaseFor) so adopted episodes keep their original ids
 	// without colliding with the adopter's allocator. Leave 0 outside fleets.
 	EpisodeIDBase uint64
-	// DecisionTrace, when non-nil, receives one structured JSONL
-	// obs.DecisionRecord per freshly computed decision (cached retries are
-	// not re-recorded). When the episode controllers collect DecisionStats,
-	// records carry the full bound-gap explanation. The writer need not be
-	// synchronized; records are serialized internally.
-	DecisionTrace io.Writer
 	// SpanTrace, when non-nil, receives one JSONL obs.SpanRecord per traced
 	// operation (handler serve, redirect hop, checkpoint write, adoption,
 	// tombstone replication) for requests carrying an X-Bpomdp-Trace header.
+	// The handler span that computed a fresh decision carries its
+	// obs.DecisionRecord, with the bound-gap explanation when the episode
+	// controllers collect DecisionStats.
 	// Nil keeps the span layer entirely off the hot path: handlers are
 	// registered unwrapped. The writer need not be synchronized.
 	SpanTrace io.Writer
@@ -204,8 +201,6 @@ type Server struct {
 
 	// m holds the registry-backed instruments behind /metrics.
 	m *serverMetrics
-	// trace, when non-nil, receives structured decision records.
-	trace *obs.TraceWriter
 	// spans, when non-nil, receives distributed episode spans; node names
 	// this process in them. startAt anchors the health view's uptime.
 	spans   *obs.SpanWriter
@@ -363,9 +358,6 @@ func New(cfg Config) (*Server, error) {
 		m:          newServerMetrics(reg),
 		node:       cfg.Node,
 		startAt:    time.Now(),
-	}
-	if cfg.DecisionTrace != nil {
-		s.trace = obs.NewTraceWriter(cfg.DecisionTrace)
 	}
 	if cfg.SpanTrace != nil {
 		s.spans = obs.NewSpanWriter(cfg.SpanTrace)
@@ -1055,11 +1047,11 @@ func (s *Server) handleDecision(w http.ResponseWriter, r *http.Request) {
 
 // serveDecision answers with the decision for ep's current step: the cached
 // one when this step was already decided, else a fresh one from the
-// controller, recorded in the per-tier latency histogram and the decision
-// trace. A terminal decision retires the episode: the tombstone is persisted
-// write-ahead, the episode deleted, and the tombstone replicated. Both
-// GET .../decision and a POST .../observations with decide set answer
-// through here.
+// controller, recorded in the per-tier latency histogram and, on a traced
+// request, explained on the handler span. A terminal decision retires the
+// episode: the tombstone is persisted write-ahead, the episode deleted, and
+// the tombstone replicated. Both GET .../decision and a POST
+// .../observations with decide set answer through here.
 func (s *Server) serveDecision(w http.ResponseWriter, id uint64, ep *episode) {
 	ep.mu.Lock()
 	if ep.lastDecision != nil {
@@ -1085,49 +1077,21 @@ func (s *Server) serveDecision(w http.ResponseWriter, id uint64, ep *episode) {
 		}
 	}
 	s.m.decideLatency(tier).Observe(time.Since(t0).Seconds())
-	if s.spans != nil {
-		// The spanned wrapper lifts the tier off this response header onto
-		// the decide span.
-		w.Header().Set(HeaderTier, tier)
-	}
 	resp := DecisionResponse{Action: d.Action, Terminate: d.Terminate, Value: d.Value}
 	if !d.Terminate || d.Action >= 0 {
 		resp.ActionName = s.cfg.Model.M.ActionName(d.Action)
 	}
+	if sw, ok := w.(*spanResponseWriter); ok {
+		// A traced request: the spanned wrapper puts the tier and the
+		// explanation on the handler span. Built under ep.mu, since the
+		// stats buffers are reused by the episode's next decision.
+		sw.tier = tier
+		sw.decision = explain(ep, d, resp.ActionName)
+	}
 	ep.lastDecision = &resp
 	ep.lastActive = s.cfg.now()
 	steps := ep.steps
-	var rec *obs.DecisionRecord
-	if s.trace != nil {
-		// Build the record under ep.mu (the stats buffers are reused by the
-		// episode's next decision) and write it after unlocking.
-		rec = &obs.DecisionRecord{
-			Episode:    id,
-			Step:       ep.steps,
-			Action:     d.Action,
-			ActionName: resp.ActionName,
-			Terminate:  d.Terminate,
-			Value:      d.Value,
-		}
-		if ss, ok := ep.ctrl.(controller.StatsSource); ok && ss.StatsEnabled() {
-			st := ss.DecisionStats()
-			rec.Action = st.Action
-			rec.QValues = append([]float64(nil), st.QValues...)
-			rec.LeafBound = st.LeafBound
-			rec.BoundGap = st.BoundGap
-			rec.BeliefEntropy = st.BeliefEntropy
-			rec.TreeNodes = st.TreeNodes
-			rec.LeafEvals = st.LeafEvals
-			rec.SlabPasses = st.SlabPasses
-			rec.SetSize = st.SetSize
-			rec.SetEvictions = st.SetEvictions
-			rec.Tier = st.Tier
-		}
-	}
 	ep.mu.Unlock()
-	if rec != nil {
-		_ = s.trace.Write(rec)
-	}
 	s.m.decisions.Inc()
 
 	if d.Terminate {
@@ -1160,6 +1124,35 @@ func (s *Server) serveDecision(w http.ResponseWriter, id uint64, ep *episode) {
 		s.replicateTombstone(ts)
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// explain builds the span's account of the decision d just computed for
+// ep; the caller holds ep.mu. The bound-gap explanation is attached only
+// when the controller collects stats.
+func explain(ep *episode, d controller.Decision, actionName string) *obs.DecisionRecord {
+	rec := &obs.DecisionRecord{
+		Step:       ep.steps,
+		Action:     d.Action,
+		ActionName: actionName,
+		Terminate:  d.Terminate,
+		Value:      d.Value,
+	}
+	if ss, ok := ep.ctrl.(controller.StatsSource); ok && ss.StatsEnabled() {
+		st := ss.DecisionStats()
+		rec.Action = st.Action
+		rec.Explanation = &obs.Explanation{
+			QValues:       append([]float64(nil), st.QValues...),
+			LeafBound:     st.LeafBound,
+			BoundGap:      st.BoundGap,
+			BeliefEntropy: st.BeliefEntropy,
+			TreeNodes:     st.TreeNodes,
+			LeafEvals:     st.LeafEvals,
+			SlabPasses:    st.SlabPasses,
+			SetSize:       st.SetSize,
+			SetEvictions:  st.SetEvictions,
+		}
+	}
+	return rec
 }
 
 func (s *Server) handleObservation(w http.ResponseWriter, r *http.Request) {

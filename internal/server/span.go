@@ -15,16 +15,15 @@ import (
 // all stitch into one timeline without any id-translation table.
 const HeaderTrace = "X-Bpomdp-Trace"
 
-// HeaderTier annotates decision responses with the serving tier ("fsc" or
-// "tree"). Set only when span tracing is enabled; the spanned wrapper lifts
-// it onto the decide span.
-const HeaderTier = "X-Bpomdp-Tier"
-
 // spanResponseWriter captures the status a handler writes so the span
-// wrapper can record it (and detect 307 redirect hops).
+// wrapper can record it (and detect 307 redirect hops). A handler that
+// computes a fresh decision hands its tier and explanation to the span
+// through it (see serveDecision); nothing of either reaches the wire.
 type spanResponseWriter struct {
 	http.ResponseWriter
-	status int
+	status   int
+	tier     string
+	decision *obs.DecisionRecord
 }
 
 func (w *spanResponseWriter) WriteHeader(code int) {
@@ -44,9 +43,9 @@ func (w *spanResponseWriter) Write(p []byte) (int, error) {
 // even a nil check rides the hot path — and with spans enabled, untraced
 // requests (no X-Bpomdp-Trace header) pay one header lookup.
 //
-// The wrapper reads response headers after the handler ran: a 307 carries
-// the owner in X-Bpomdp-Owner (the redirect hop's Target), and decide
-// handlers stamp the serving tier into X-Bpomdp-Tier.
+// After the handler ran, a 307 carries the owner in X-Bpomdp-Owner (the
+// redirect hop's Target), and a handler that computed a fresh decision has
+// left its tier and explanation on the writer.
 func (s *Server) spanned(kind string, fn http.HandlerFunc) http.HandlerFunc {
 	if s.spans == nil {
 		return fn
@@ -67,7 +66,8 @@ func (s *Server) spanned(kind string, fn http.HandlerFunc) http.HandlerFunc {
 			Start:    t0.UnixNano(),
 			Duration: time.Since(t0).Nanoseconds(),
 			Status:   sw.status,
-			Tier:     sw.Header().Get(HeaderTier),
+			Tier:     sw.tier,
+			Decision: sw.decision,
 		}
 		if sw.status == http.StatusTemporaryRedirect {
 			rec.Target = sw.Header().Get(HeaderOwner)

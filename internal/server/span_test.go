@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"bpomdp/internal/controller"
+	"bpomdp/internal/core"
 	"bpomdp/internal/obs"
 	"bpomdp/internal/pomdp"
 )
@@ -180,8 +181,8 @@ func TestFleetHealthSnapshot(t *testing.T) {
 
 // TestSpannedHandlersEmitSpans drives a traced episode end to end over a
 // span-enabled server and checks the emitted stream: handler spans keyed by
-// the trace header, the decide span carrying its serving tier, and
-// checkpoint spans for the write-ahead saves and the terminal tombstone.
+// the trace header, the decide span carrying its serving tier and decision,
+// and checkpoint spans for the write-ahead saves and the terminal tombstone.
 func TestSpannedHandlersEmitSpans(t *testing.T) {
 	prep := testPrepared(t)
 	sink := &spanBuffer{}
@@ -233,9 +234,7 @@ func TestSpannedHandlersEmitSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if got := resp.Header.Get(HeaderTier); got != controller.TierTree && got != controller.TierFSC {
-		t.Errorf("%s = %q, want a tier label", HeaderTier, got)
-	}
+	assertNoTierHeader(t, resp)
 
 	sc := pomdp.NewScratch(prep.Model)
 	succs := prep.Model.Successors(sc, pomdp.PointBelief(prep.Model.NumStates(), 0), d.Action)
@@ -288,6 +287,9 @@ func TestSpannedHandlersEmitSpans(t *testing.T) {
 			}
 			if sp.Episode != out.EpisodeID {
 				t.Errorf("decide span episode %d, want %d", sp.Episode, out.EpisodeID)
+			}
+			if sp.Decision == nil || sp.Decision.Action != d.Action || sp.Decision.Step != 0 {
+				t.Errorf("decide span decision %+v, want step 0 action %d", sp.Decision, d.Action)
 			}
 		case obs.SpanServerObserve:
 			if sp.Status != http.StatusNoContent {
@@ -348,7 +350,8 @@ func TestSpannedHandlersEmitSpans(t *testing.T) {
 
 // TestSpansDisabledEmitsNothing pins the zero-cost-off contract at the
 // behavior level: without Config.SpanTrace the spanned wrapper must return
-// the handler unchanged and no HeaderTier must be set.
+// the handler unchanged, and the decision response carries no tracing
+// header.
 func TestSpansDisabledEmitsNothing(t *testing.T) {
 	srv, _ := newTestServer(t)
 	hs := httptest.NewServer(srv)
@@ -379,7 +382,178 @@ func TestSpansDisabledEmitsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if got := resp.Header.Get(HeaderTier); got != "" {
-		t.Errorf("%s = %q with spans disabled, want empty", HeaderTier, got)
+	assertNoTierHeader(t, resp)
+}
+
+// assertNoTierHeader checks that a decision response names no serving tier
+// on the wire: the tier reaches the decide span inside the process only.
+func assertNoTierHeader(t *testing.T, resp *http.Response) {
+	t.Helper()
+	for name, vals := range resp.Header {
+		for _, v := range vals {
+			if v == controller.TierTree || v == controller.TierFSC {
+				t.Errorf("response header %s: %q leaks the serving tier", name, v)
+			}
+		}
+	}
+}
+
+// TestDecisionSpanRoundTrip: on a span-enabled server, the handler span
+// that computed each fresh decision carries that decision's explanation, and
+// the spans round-trip through obs.DecodeSpans. Every step of a keyed
+// episode is traced; even steps are decided by GET .../decision, odd ones by
+// an observation POST with decide set, and each is then asked again and
+// served from the per-step cache, which must add no explanation. With a
+// stats-collecting controller the explanation carries the bound gap; with
+// stats off, only the base fields.
+func TestDecisionSpanRoundTrip(t *testing.T) {
+	prep := testPrepared(t)
+	model := prep.Model
+	na := model.NumActions()
+	for _, stats := range []bool{true, false} {
+		t.Run(fmt.Sprintf("stats=%v", stats), func(t *testing.T) {
+			sink := &spanBuffer{}
+			srv, err := New(Config{
+				Model: model,
+				NewController: func() (controller.Controller, pomdp.Belief, error) {
+					ctrl, err := prep.NewController(core.ControllerConfig{Depth: 1, CollectStats: stats})
+					if err != nil {
+						return nil, nil, err
+					}
+					initial, err := prep.InitialBelief()
+					return ctrl, initial, err
+				},
+				SpanTrace: sink,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			hs := httptest.NewServer(srv)
+			defer hs.Close()
+
+			const key = "ck-explain"
+			do := func(method, path, body string, out any) int {
+				t.Helper()
+				req, err := http.NewRequest(method, hs.URL+path, strings.NewReader(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				req.Header.Set("Content-Type", "application/json")
+				req.Header.Set(HeaderTrace, key)
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				assertNoTierHeader(t, resp)
+				if out != nil {
+					if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return resp.StatusCode
+			}
+
+			var start StartResponse
+			do("POST", "/v1/episodes", `{"clientKey":"`+key+`"}`, &start)
+			decisionPath := fmt.Sprintf("/v1/episodes/%d/decision", start.EpisodeID)
+			obsPath := fmt.Sprintf("/v1/episodes/%d/observations", start.EpisodeID)
+
+			sc := pomdp.NewScratch(model)
+			var d DecisionResponse
+			fresh, piggybacked := 0, 0
+			// Two GETs: the second is served from the cache.
+			do("GET", decisionPath, "", &d)
+			do("GET", decisionPath, "", &d)
+			fresh++
+			for step := 0; !d.Terminate; step++ {
+				if step >= 50 {
+					t.Fatal("episode did not terminate")
+				}
+				succs := model.Successors(sc, pomdp.PointBelief(model.NumStates(), 0), d.Action)
+				if step%2 == 0 {
+					body := fmt.Sprintf(`{"action":%d,"observation":%d,"stepIndex":%d,"decide":true}`, d.Action, succs[0].Obs, step)
+					// The retransmit is answered with the cached decision.
+					do("POST", obsPath, body, &d)
+					do("POST", obsPath, body, &d)
+					piggybacked++
+				} else {
+					body := fmt.Sprintf(`{"action":%d,"observation":%d,"stepIndex":%d}`, d.Action, succs[0].Obs, step)
+					if got := do("POST", obsPath, body, nil); got != http.StatusNoContent {
+						t.Fatalf("observation status %d", got)
+					}
+					do("GET", decisionPath, "", &d)
+					do("GET", decisionPath, "", &d)
+				}
+				fresh++
+			}
+			if piggybacked == 0 {
+				t.Fatal("no decision was answered on an observation")
+			}
+
+			var decided []obs.SpanRecord
+			onObserve := 0
+			for _, sp := range sink.Spans(t) {
+				if sp.Decision == nil {
+					if sp.Tier != "" {
+						t.Errorf("%s span without a decision has tier %q", sp.Kind, sp.Tier)
+					}
+					continue
+				}
+				switch sp.Kind {
+				case obs.SpanServerObserve:
+					onObserve++
+				case obs.SpanServerDecide:
+				default:
+					t.Errorf("decision on a %s span", sp.Kind)
+				}
+				if sp.Tier != controller.TierTree && sp.Tier != controller.TierFSC {
+					t.Errorf("%s span with a decision has tier %q", sp.Kind, sp.Tier)
+				}
+				decided = append(decided, sp)
+			}
+			if len(decided) != fresh {
+				t.Fatalf("%d decisions on spans for %d fresh decisions (cached retries must not re-record)", len(decided), fresh)
+			}
+			if onObserve != piggybacked {
+				t.Errorf("%d decisions on observe spans, want %d", onObserve, piggybacked)
+			}
+			for i, sp := range decided {
+				rec := sp.Decision
+				if sp.Episode != start.EpisodeID {
+					t.Errorf("decision %d: episode %d, want %d", i, sp.Episode, start.EpisodeID)
+				}
+				if rec.Step != i {
+					t.Errorf("decision %d: step %d, want %d", i, rec.Step, i)
+				}
+				if rec.Action >= 0 && rec.ActionName == "" {
+					t.Errorf("decision %d: action %d has no name", i, rec.Action)
+				}
+				if !stats {
+					if rec.Explanation != nil {
+						t.Errorf("decision %d: stats-off controller explained %+v", i, rec.Explanation)
+					}
+					continue
+				}
+				if rec.Explanation == nil {
+					t.Fatalf("decision %d: no explanation from a stats-collecting controller", i)
+				}
+				if rec.BoundGap < -1e-9 {
+					t.Errorf("decision %d: bound gap %v < 0 violates Property 1(b)", i, rec.BoundGap)
+				}
+				if rec.BeliefEntropy < 0 {
+					t.Errorf("decision %d: negative belief entropy %v", i, rec.BeliefEntropy)
+				}
+				if len(rec.QValues) != na {
+					t.Errorf("decision %d: %d q-values, want %d", i, len(rec.QValues), na)
+				}
+				if !rec.Terminate && rec.TreeNodes == 0 {
+					t.Errorf("decision %d: non-terminal decision reports zero tree nodes", i)
+				}
+			}
+			if !decided[len(decided)-1].Decision.Terminate {
+				t.Error("final decision span is not the terminal decision")
+			}
+		})
 	}
 }

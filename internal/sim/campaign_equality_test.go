@@ -3,12 +3,15 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"bpomdp/internal/controller"
+	"bpomdp/internal/core"
+	"bpomdp/internal/models"
 	"bpomdp/internal/pomdp"
 	"bpomdp/internal/rng"
 	"bpomdp/internal/stats"
@@ -200,7 +203,7 @@ func (decideFailController) Belief() pomdp.Belief   { return nil }
 func (decideFailController) Name() string           { return "decide-fail" }
 
 // TestParallelWorkerErrorPreservesPartialResults is the regression test for
-// the pre-unification data loss: RunCampaignParallel returned
+// the pre-unification data loss: the parallel campaign returned
 // CampaignResult{} whenever any worker erred — discarding every completed
 // episode — and surfaced only the first worker's error. The unified engine
 // must keep the completed episodes and join all worker errors.
@@ -302,5 +305,128 @@ func TestSharedControllerRejectedInParallel(t *testing.T) {
 	_, err = runner.RunCampaignOpts(ctrl, pomdp.UniformBelief(3), []int{1, 2}, 20, rng.New(3), CampaignOptions{Workers: 4})
 	if err == nil || !strings.Contains(err.Error(), "shared controller") {
 		t.Errorf("shared controller with Workers=4 accepted: %v", err)
+	}
+}
+
+// mostLikelyFactory builds a fresh stateless most-likely controller per
+// worker over the two-server model.
+func mostLikelyFactory(ts *models.TwoServer) ControllerFactory {
+	return func() (controller.Controller, pomdp.Belief, error) {
+		ctrl, err := controller.NewMostLikely(ts.Model, controller.MostLikelyConfig{
+			NullStates: ts.NullStates, TerminationProbability: 0.999,
+		})
+		return ctrl, pomdp.UniformBelief(3), err
+	}
+}
+
+// TestWorkerFactoryMatchesSequentialForStatelessController: a controller
+// with no cross-episode state must give the sequential campaign's merged
+// statistics at any worker count.
+func TestWorkerFactoryMatchesSequentialForStatelessController(t *testing.T) {
+	rm, ts := twoServerRecovery(t)
+	runner, err := NewRunner(rm, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	factory := mostLikelyFactory(ts)
+	const episodes = 60
+	ctrl, initial, err := factory()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, err := runner.RunCampaign(ctrl, initial, []int{1, 2}, episodes, rng.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 3, 8} {
+		par, err := runner.RunCampaignOpts(nil, nil, []int{1, 2}, episodes, rng.New(5), CampaignOptions{
+			Workers: workers, WorkerFactory: factory,
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if par.Episodes != episodes || par.Recovered != seq.Recovered {
+			t.Errorf("workers=%d: episodes/recovered = %d/%d, want %d/%d",
+				workers, par.Episodes, par.Recovered, episodes, seq.Recovered)
+		}
+		if math.Abs(par.Cost.Mean()-seq.Cost.Mean()) > 1e-9 {
+			t.Errorf("workers=%d: cost %v != sequential %v", workers, par.Cost.Mean(), seq.Cost.Mean())
+		}
+		if math.Abs(par.Cost.Variance()-seq.Cost.Variance()) > 1e-6 {
+			t.Errorf("workers=%d: variance %v != sequential %v", workers, par.Cost.Variance(), seq.Cost.Variance())
+		}
+		if math.Abs(par.MonitorCalls.Mean()-seq.MonitorCalls.Mean()) > 1e-9 {
+			t.Errorf("workers=%d: monitor calls differ", workers)
+		}
+	}
+}
+
+// TestWorkerFactoryBoundedControllers: per-worker bounded controllers, each
+// over its own bootstrapped bound set and improving it online, recover
+// every episode.
+func TestWorkerFactoryBoundedControllers(t *testing.T) {
+	rm, _ := twoServerRecovery(t)
+	runner, err := NewRunner(rm, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each worker gets its own Prepared (and thus its own mutable bound
+	// set); the bounded controller is not safe to share across goroutines.
+	factory := func() (controller.Controller, pomdp.Belief, error) {
+		prep, err := core.Prepare(rm, core.PrepareOptions{OperatorResponseTime: 10})
+		if err != nil {
+			return nil, nil, err
+		}
+		// Bootstrapping before control is part of the paper's protocol: the
+		// raw RA-Bound can be loose enough to make premature termination
+		// look attractive.
+		if _, err := prep.Bootstrap(10, controller.VariantAverage, 1, rng.New(77)); err != nil {
+			return nil, nil, err
+		}
+		ctrl, err := prep.NewController(core.ControllerConfig{Depth: 1, ImproveOnline: true})
+		if err != nil {
+			return nil, nil, err
+		}
+		initial, err := prep.InitialBelief()
+		return ctrl, initial, err
+	}
+	res, err := runner.RunCampaignOpts(nil, nil, []int{1, 2}, 40, rng.New(9), CampaignOptions{
+		Workers: 4, WorkerFactory: factory,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Recovered != res.Episodes {
+		t.Errorf("recovered %d/%d", res.Recovered, res.Episodes)
+	}
+}
+
+func TestWorkerFactoryValidation(t *testing.T) {
+	rm, ts := twoServerRecovery(t)
+	runner, err := NewRunner(rm, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(factory ControllerFactory, faults []int, episodes int) error {
+		_, err := runner.RunCampaignOpts(nil, nil, faults, episodes, rng.New(1), CampaignOptions{
+			Workers: 2, WorkerFactory: factory,
+		})
+		return err
+	}
+	factory := mostLikelyFactory(ts)
+	if run(factory, nil, 5) == nil {
+		t.Error("empty faults accepted")
+	}
+	if run(factory, []int{1}, 0) == nil {
+		t.Error("zero episodes accepted")
+	}
+	if run(nil, []int{1}, 5) == nil {
+		t.Error("nil factory accepted")
+	}
+	bad := func() (controller.Controller, pomdp.Belief, error) {
+		return nil, nil, errors.New("boom")
+	}
+	if run(bad, []int{1}, 5) == nil {
+		t.Error("factory error swallowed")
 	}
 }

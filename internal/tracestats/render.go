@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"time"
+
+	"bpomdp/internal/obs"
 )
 
 func ms(nanos int64) string {
@@ -17,10 +19,28 @@ func pct(part, whole int64) string {
 	return fmt.Sprintf("%.1f%%", 100*float64(part)/float64(whole))
 }
 
+// decisionDetail tells the decision a handler span computed: the action
+// chosen (or the termination), its value, and — when the controller
+// collected stats — the bound gap that explains it.
+func decisionDetail(d *obs.DecisionRecord) string {
+	what := d.ActionName
+	switch {
+	case d.Terminate:
+		what = "terminate"
+	case what == "":
+		what = fmt.Sprintf("action %d", d.Action)
+	}
+	out := fmt.Sprintf("step=%d %s value=%.4g", d.Step, what, d.Value)
+	if d.Explanation != nil {
+		out += fmt.Sprintf(" gap=%.4g", d.BoundGap)
+	}
+	return out
+}
+
 // Render formats one episode's stitched timeline for reading: every span on
 // its own line with the offset from first activity, the emitting node, and
-// the span's story (tier, status, attempt numbers, redirect targets), then
-// the wall-clock attribution.
+// the span's story (tier and decision, status, attempt numbers, redirect
+// targets), then the wall-clock attribution.
 func (tl *Timeline) Render() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "episode %s", tl.TraceID)
@@ -39,6 +59,9 @@ func (tl *Timeline) Render() string {
 		}
 		if sp.Tier != "" {
 			detail = append(detail, "tier="+sp.Tier)
+		}
+		if d := sp.Decision; d != nil {
+			detail = append(detail, decisionDetail(d))
 		}
 		if sp.Status != 0 {
 			detail = append(detail, fmt.Sprintf("status=%d", sp.Status))

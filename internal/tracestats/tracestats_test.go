@@ -237,3 +237,42 @@ func TestLoadAndSummarize(t *testing.T) {
 		t.Errorf("timeline render:\n%s", out)
 	}
 }
+
+// TestRenderShowsDecision: a handler span that computed a decision prints
+// the action, value, bound gap and tier on its own line; a decision from a
+// controller without stats prints no gap.
+func TestRenderShowsDecision(t *testing.T) {
+	call := span("ck", "client", obs.SpanClientCall, 0, 100)
+	decide := span("ck", "n1", obs.SpanServerDecide, 10, 20)
+	decide.Tier = "tree"
+	decide.Decision = &obs.DecisionRecord{Step: 0, Action: 2, ActionName: "restart-a", Value: -4.5,
+		Explanation: &obs.Explanation{QValues: []float64{-9, -5, -4.5}, LeafBound: -6, BoundGap: 1.5}}
+	observe := span("ck", "n1", obs.SpanServerObserve, 40, 20)
+	observe.Tier = "fsc"
+	observe.Decision = &obs.DecisionRecord{Step: 1, Action: -1, Terminate: true, Value: -0.25}
+
+	tls := Stitch([]obs.SpanRecord{call, decide, observe})
+	if len(tls) != 1 {
+		t.Fatalf("%d timelines, want 1", len(tls))
+	}
+	lines := strings.Split(tls[0].Render(), "\n")
+	find := func(kind string) string {
+		for _, l := range lines {
+			if strings.Contains(l, kind) {
+				return l
+			}
+		}
+		t.Fatalf("no %s line in:\n%s", kind, strings.Join(lines, "\n"))
+		return ""
+	}
+	if l := find(obs.SpanServerDecide); !strings.Contains(l, "tier=tree step=0 restart-a value=-4.5 gap=1.5") {
+		t.Errorf("decide line %q lacks the decision and its gap", l)
+	}
+	l := find(obs.SpanServerObserve)
+	if !strings.Contains(l, "tier=fsc step=1 terminate value=-0.25") {
+		t.Errorf("observe line %q lacks the terminal decision", l)
+	}
+	if strings.Contains(l, "gap=") {
+		t.Errorf("observe line %q shows a gap for a decision without stats", l)
+	}
+}
