@@ -33,9 +33,11 @@ docs-check:
 	sh scripts/check-metrics.sh
 
 # Campaign-engine equality, determinism, and partial-result tests under the
-# race detector — the fast gate for changes to internal/sim.
+# race detector — the fast gate for changes to internal/sim. The pattern
+# covers the one episode loop's parity tests in both decision modes:
+# batched and per-episode stepping, worker factories, and RunEpisode.
 test-campaign:
-	$(GO) test -race -run 'Unified|Parallel|Campaign|Sequential' ./internal/sim/
+	$(GO) test -race -run 'Unified|Parallel|Campaign|Sequential|WorkerFactory|RunEpisode' ./internal/sim/
 
 # Fleet and chaos suite under the race detector: ring/membership unit tests,
 # server-side redirect/adoption tests, client failover, and the node-kill

@@ -124,7 +124,7 @@ func (u *UpperBound) AddPoint(pi pomdp.Belief, v float64) (bool, error) {
 		return false, fmt.Errorf("bounds: non-finite point value %v", v)
 	}
 	for i := range u.vals {
-		if sameBelief(u.pts[i*u.n:(i+1)*u.n], pi) {
+		if pomdp.SameBits(u.pts[i*u.n:(i+1)*u.n], pi) {
 			if v < u.vals[i] {
 				u.vals[i] = v
 				return true, nil
@@ -139,17 +139,6 @@ func (u *UpperBound) AddPoint(pi pomdp.Belief, v float64) (bool, error) {
 	u.vals = append(u.vals, v)
 	u.cornerAt = append(u.cornerAt, linalg.DotUnrolled(pi, u.corner))
 	return true, nil
-}
-
-// sameBelief reports bit-exact equality (the equivalence the deterministic
-// belief filter preserves, same notion as the FSC's belief keys).
-func sameBelief(a []float64, b pomdp.Belief) bool {
-	for i, x := range a {
-		if math.Float64bits(x) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // The upper bound is usable directly as a leaf evaluator.

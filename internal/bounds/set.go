@@ -239,6 +239,10 @@ func (s *Set) Peek(pi pomdp.Belief) float64 {
 // to call concurrently with readers; like Size it may race with an Add.
 func (s *Set) Evictions() uint64 { return atomic.LoadUint64(&s.evictions) }
 
+// Uses returns how many evaluations plane i has won — the counter
+// least-used eviction ranks planes by.
+func (s *Set) Uses(i int) uint64 { return atomic.LoadUint64(&s.uses[i]) }
+
 // Plane returns (a copy of) hyperplane i.
 func (s *Set) Plane(i int) linalg.Vector {
 	_ = s.uses[i] // an out-of-range i must panic, not read a neighbouring plane

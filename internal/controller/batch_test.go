@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"bpomdp/internal/bounds"
+	"bpomdp/internal/linalg"
 	"bpomdp/internal/models"
 	"bpomdp/internal/pomdp"
 	"bpomdp/internal/rng"
@@ -26,6 +27,15 @@ func batchBeliefs(stream *rng.Stream, m, n int) []pomdp.Belief {
 		pis[i] = pi
 	}
 	return pis
+}
+
+// decideFrom decides at pi the way an episode whose belief reached pi does:
+// Reset to pi, then Decide.
+func decideFrom(ctrl Controller, pi pomdp.Belief) (Decision, error) {
+	if err := ctrl.Reset(pi); err != nil {
+		return Decision{}, err
+	}
+	return ctrl.Decide()
 }
 
 // TestChooseBatchMatchesChoose pins the engine's bit-identity contract:
@@ -124,7 +134,7 @@ func TestDecideBatchMatchesDecide(t *testing.T) {
 
 	want := make([]Decision, len(pis))
 	for j, pi := range pis {
-		d, err := ctrl.decideAt(pi)
+		d, err := decideFrom(ctrl, pi)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +181,7 @@ func TestDecideBatchNotificationCertainty(t *testing.T) {
 
 	want := make([]Decision, len(pis))
 	for j, pi := range pis {
-		d, err := ctrl.decideAt(pi)
+		d, err := decideFrom(ctrl, pi)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,7 +223,7 @@ func TestDecideBatchFallbackWithOnlineImprovement(t *testing.T) {
 
 	want := make([]Decision, len(pis))
 	for j, pi := range pis {
-		d, err := seqCtrl.decideAt(pi)
+		d, err := decideFrom(seqCtrl, pi)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,5 +259,152 @@ func TestDecideBatchValidation(t *testing.T) {
 	}
 	if err := ctrl.DecideBatch([]pomdp.Belief{{1, 0}}, make([]Decision, 1)); err == nil {
 		t.Error("wrong-length belief accepted")
+	}
+}
+
+// TestDecideIsBatchOfOne pins the single decision path under the settings
+// that make DecideBatch decide one belief at a time (ImproveOnline and
+// CheckConsistency, with CollectStats on). Three twins over three copies
+// of the bound set see the same beliefs: per-belief
+// Decide, one in-order DecideBatch, and the reference (the audit and the
+// update by hand, then refChoose with the a_T tie-break). Decisions,
+// Q-values, work counters and every stats field must agree, and so must the
+// final planes, use counts and eviction counts, also through a probe of
+// further Adds under a capacity, which evicts by those use counts.
+func TestDecideIsBatchOfOne(t *testing.T) {
+	f := newFixture(t)
+	const capacity = 4
+	for _, tc := range []struct {
+		name           string
+		improve, check bool
+		capped         bool // capacity already bites during the decisions
+	}{
+		// Evictions can break Property 1(b), so the audited runs cap the
+		// sets only for the probe.
+		{"improve", true, false, true},
+		{"check", false, true, false},
+		{"improve+check", true, true, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := BoundedConfig{
+				Depth: 1, TerminateAction: f.idx.Action, NullStates: []int{0},
+				ImproveOnline: tc.improve, CheckConsistency: tc.check, CollectStats: true,
+			}
+			newTwin := func() (*bounds.Set, *Bounded) {
+				set, err := bounds.RASet(f.term, bounds.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tc.capped {
+					set.SetCapacity(capacity)
+				}
+				ctrl, err := NewBounded(f.term, set, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return set, ctrl
+			}
+			seqSet, seqCtrl := newTwin()
+			batSet, batCtrl := newTwin()
+			refSet, refCtrl := newTwin()
+			updater, err := bounds.NewUpdater(f.term, refSet, bounds.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc := pomdp.NewScratch(f.term)
+
+			pis := batchBeliefs(rng.New(43), 40, f.term.NumStates())
+			vertex := make(pomdp.Belief, f.term.NumStates())
+			vertex[0] = 1
+			pis = append(pis, vertex)
+
+			seqStats := make([]DecisionStats, len(pis))
+			seqOut := make([]Decision, len(pis))
+			for j, pi := range pis {
+				if seqOut[j], err = decideFrom(seqCtrl, pi); err != nil {
+					t.Fatal(err)
+				}
+				st := seqCtrl.DecisionStats()
+				st.QValues = append([]float64(nil), st.QValues...)
+				seqStats[j] = st
+			}
+			batOut := make([]Decision, len(pis))
+			if err := batCtrl.DecideBatch(pis, batOut); err != nil {
+				t.Fatal(err)
+			}
+			batStats := batCtrl.BatchDecisionStats()
+			for j, pi := range pis {
+				if tc.check {
+					rep, err := bounds.CheckConsistency(f.term, sc, refSet, pi, bounds.Options{})
+					if err != nil || !rep.OK {
+						t.Fatalf("belief %d: reference audit %+v, %v", j, rep, err)
+					}
+				}
+				if tc.improve {
+					if _, err := updater.UpdateAt(pi); err != nil {
+						t.Fatal(err)
+					}
+				}
+				var ctr EngineCounters
+				ref, err := refChoose(f.term, 1, 1, refSet, pi, &ctr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := refCtrl.toDecision(&ref)
+				leaf := refSet.Peek(pi)
+				if seqOut[j] != want || batOut[j] != want {
+					t.Fatalf("belief %d: Decide %+v, DecideBatch %+v, reference %+v", j, seqOut[j], batOut[j], want)
+				}
+				wantStats := DecisionStats{
+					Action: want.Action, Terminate: want.Terminate, Value: want.Value, QValues: ref.QValues,
+					LeafBound: leaf, BoundGap: want.Value - leaf, BeliefEntropy: pi.Entropy(),
+					TreeNodes: ctr.Nodes, LeafEvals: ctr.LeafEvals, SlabPasses: seqStats[j].SlabPasses,
+					SetSize: refSet.Size(), SetEvictions: refSet.Evictions(), Tier: TierTree,
+				}
+				if seqStats[j].SlabPasses == 0 {
+					t.Fatalf("belief %d: no slab pass counted", j)
+				}
+				if !reflect.DeepEqual(seqStats[j], wantStats) || !reflect.DeepEqual(batStats[j], wantStats) {
+					t.Fatalf("belief %d stats:\nDecide:      %+v\nDecideBatch: %+v\nreference:   %+v", j, seqStats[j], batStats[j], wantStats)
+				}
+			}
+			if !seqOut[len(pis)-1].Terminate {
+				t.Error("Sφ vertex not terminated: the a_T tie-break is not exercised")
+			}
+
+			// Further Adds under a capacity evict by the final use counts.
+			for _, set := range []*bounds.Set{seqSet, batSet, refSet} {
+				set.SetCapacity(capacity)
+			}
+			probe := rng.New(47)
+			base := refSet.Plane(0)
+			for k := 0; k < 6; k++ {
+				b := make(linalg.Vector, len(base))
+				for s := range b {
+					b[s] = base[s] + probe.Float64()
+				}
+				b[probe.IntN(len(b))] -= 3
+				for _, set := range []*bounds.Set{seqSet, batSet, refSet} {
+					if _, err := set.Add(append(linalg.Vector(nil), b...)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for name, set := range map[string]*bounds.Set{"Decide": seqSet, "DecideBatch": batSet} {
+					if set.Size() != refSet.Size() || set.Evictions() != refSet.Evictions() {
+						t.Fatalf("probe %d: %s twin has %d planes/%d evictions, reference %d/%d",
+							k, name, set.Size(), set.Evictions(), refSet.Size(), refSet.Evictions())
+					}
+					for i := 0; i < set.Size(); i++ {
+						if set.Uses(i) != refSet.Uses(i) || !pomdp.SameBits(pomdp.Belief(set.Plane(i)), pomdp.Belief(refSet.Plane(i))) {
+							t.Fatalf("probe %d: %s twin plane %d (%d uses) differs from the reference (%d uses)",
+								k, name, i, set.Uses(i), refSet.Uses(i))
+						}
+					}
+				}
+			}
+			if refSet.Evictions() == 0 {
+				t.Fatal("no evictions: the use counters were not exercised")
+			}
+		})
 	}
 }

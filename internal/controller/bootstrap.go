@@ -244,9 +244,8 @@ func (b *Bootstrapper) Iterate() (IterationStats, error) {
 }
 
 func (b *Bootstrapper) sampleTransition(stream *rng.Stream, s, a int) (int, error) {
-	weights := make([]float64, b.p.NumStates())
-	b.p.M.Trans[a].Row(s, func(c int, v float64) { weights[c] = v })
-	next, err := stream.Categorical(weights)
+	cols, vals := b.p.M.Trans[a].RowSlice(s)
+	next, err := stream.CategoricalSparse(cols, vals)
 	if err != nil {
 		return 0, fmt.Errorf("controller: sample transition from %s under %s: %w",
 			b.p.M.StateName(s), b.p.M.ActionName(a), err)
@@ -255,9 +254,8 @@ func (b *Bootstrapper) sampleTransition(stream *rng.Stream, s, a int) (int, erro
 }
 
 func (b *Bootstrapper) sampleObservation(stream *rng.Stream, s, a int) (int, error) {
-	weights := make([]float64, b.p.NumObservations())
-	b.p.Obs[a].Row(s, func(o int, v float64) { weights[o] = v })
-	obs, err := stream.Categorical(weights)
+	cols, vals := b.p.Obs[a].RowSlice(s)
+	obs, err := stream.CategoricalSparse(cols, vals)
 	if err != nil {
 		return 0, fmt.Errorf("controller: sample observation in %s under %s: %w",
 			b.p.M.StateName(s), b.p.M.ActionName(a), err)

@@ -44,22 +44,25 @@ type BoundedConfig struct {
 // Property 1's preconditions (no free actions; V_B ≤ L_p V_B) it terminates
 // with probability 1 and its expected cost is bounded by the bound itself.
 type Bounded struct {
-	beliefTracker
+	BeliefFilter
 	cfg     BoundedConfig
 	engine  *Engine
 	set     *bounds.Set
 	updater *bounds.Updater
 	nullSet []int
 
+	one    [1]pomdp.Belief // decideOne's one-belief batch
+	oneOut [1]Decision
+
 	// DecideBatch scratch, reused across calls.
 	batchIdx []int
 	batchPis []pomdp.Belief
-	batchRes []pomdp.BackupResult
+	batchRes []pomdp.BackupResult // root backups; a run decided from batch position j writes from j on
 
-	// Stats scratch, populated only with cfg.CollectStats.
-	lastStats   DecisionStats   // its QValues alias the engine's Choose result
-	batchStats  []DecisionStats // per-belief stats of the last DecideBatch
-	batchStatsQ []float64       // flat QValues slab behind batchStats
+	// Per-belief stats of the last decision call, indexed by batch
+	// position; populated only with cfg.CollectStats. Their QValues alias
+	// batchRes.
+	batchStats []DecisionStats
 }
 
 var (
@@ -100,11 +103,11 @@ func NewBounded(p *pomdp.POMDP, set *bounds.Set, cfg BoundedConfig) (*Bounded, e
 		return nil, err
 	}
 	b := &Bounded{
-		beliefTracker: newBeliefTracker(p),
-		cfg:           cfg,
-		engine:        engine,
-		set:           set,
-		nullSet:       pomdp.SortedStates(cfg.NullStates),
+		BeliefFilter: NewBeliefFilter(p, nil),
+		cfg:          cfg,
+		engine:       engine,
+		set:          set,
+		nullSet:      pomdp.SortedStates(cfg.NullStates),
 	}
 	if cfg.ImproveOnline {
 		u, err := bounds.NewUpdater(p, set, bounds.Options{Beta: cfg.Beta})
@@ -133,64 +136,30 @@ func (b *Bounded) Model() *pomdp.POMDP { return b.p }
 
 // Decide implements Controller. It expands the Max-Avg tree at the current
 // belief and returns the maximizing action; choosing a_T (or, with recovery
-// notification, certainty of Sφ) terminates the episode.
+// notification, certainty of Sφ) terminates the episode. It is DecideBatch
+// on a one-belief batch of the tracked belief.
 func (b *Bounded) Decide() (Decision, error) {
 	if b.belief == nil {
 		return Decision{}, ErrNotReset
 	}
-	return b.decideAt(b.belief)
+	return b.decideOne(b.belief)
+}
+
+// decideOne is DecideBatch on the one-belief batch {pi}; its stats are
+// entry 0 of BatchDecisionStats.
+func (b *Bounded) decideOne(pi pomdp.Belief) (Decision, error) {
+	b.one[0] = pi
+	err := b.DecideBatch(b.one[:], b.oneOut[:])
+	b.one[0] = nil
+	if err != nil {
+		return Decision{}, err
+	}
+	return b.oneOut[0], nil
 }
 
 // certainty is the belief mass at which the recovery-notification regime
 // considers the system certainly recovered.
 const certainty = 1 - 1e-9
-
-// decideAt is Decide for an explicit belief (which need not be the tracked
-// one — DecideBatch and the batch server endpoint decide for foreign
-// beliefs).
-func (b *Bounded) decideAt(pi pomdp.Belief) (Decision, error) {
-	if b.cfg.CheckConsistency {
-		rep, err := bounds.CheckConsistency(b.p, b.sc, b.set, pi, bounds.Options{Beta: b.cfg.Beta})
-		if err != nil {
-			return Decision{}, err
-		}
-		if !rep.OK {
-			return Decision{}, fmt.Errorf("controller: Property 1(b) violated at belief %v: V_B=%v > L_pV_B=%v",
-				pi, rep.Bound, rep.Backup)
-		}
-	}
-	if b.updater != nil {
-		if _, err := b.updater.UpdateAt(pi); err != nil {
-			return Decision{}, fmt.Errorf("controller: online bound update: %w", err)
-		}
-	}
-	// Recovery-notification regime: stop as soon as the belief certifies Sφ.
-	if b.cfg.TerminateAction < 0 && pi.Mass(b.nullSet) >= certainty {
-		d := Decision{Terminate: true, Value: 0}
-		if b.cfg.CollectStats {
-			b.lastStats = b.statsFor(pi, d, nil)
-		}
-		return d, nil
-	}
-	var before EngineCounters
-	if b.cfg.CollectStats {
-		before = b.engine.Counters()
-	}
-	res, err := b.engine.Choose(pi)
-	if err != nil {
-		return Decision{}, err
-	}
-	d := b.toDecision(&res)
-	if b.cfg.CollectStats {
-		after := b.engine.Counters()
-		st := b.statsFor(pi, d, res.QValues)
-		st.TreeNodes = after.Nodes - before.Nodes
-		st.LeafEvals = after.LeafEvals - before.LeafEvals
-		st.SlabPasses = after.SlabPasses - before.SlabPasses
-		b.lastStats = st
-	}
-	return d, nil
-}
 
 // statsFor builds the engine-counter-independent part of a DecisionStats:
 // the bound explanation (LeafBound via Set.Peek so reading it cannot perturb
@@ -225,9 +194,14 @@ func (b *Bounded) StatsEnabled() bool { return b.cfg.CollectStats }
 func (b *Bounded) LastTier() string { return TierTree }
 
 // DecisionStats implements StatsSource: the stats of the most recent Decide
-// (or of the last belief decided by a sequential-fallback DecideBatch).
-// Valid until the next decision call; only meaningful with CollectStats.
-func (b *Bounded) DecisionStats() DecisionStats { return b.lastStats }
+// (entry 0 of the last decision call). Valid until the next decision call;
+// only meaningful with CollectStats.
+func (b *Bounded) DecisionStats() DecisionStats {
+	if len(b.batchStats) == 0 {
+		return DecisionStats{}
+	}
+	return b.batchStats[0]
+}
 
 // BatchDecisionStats implements BatchStatsSource: per-belief stats of the
 // most recent DecideBatch, indexed like its pis argument. Valid until the
@@ -235,25 +209,16 @@ func (b *Bounded) DecisionStats() DecisionStats { return b.lastStats }
 func (b *Bounded) BatchDecisionStats() []DecisionStats { return b.batchStats }
 
 // toDecision converts a root backup into a Decision, applying the a_T
-// tie-break shared with the FSC compiler.
-func (b *Bounded) toDecision(res *pomdp.BackupResult) Decision {
-	return decisionFromBackup(res, b.cfg.TerminateAction)
-}
-
-// decisionFromBackup converts a root backup into a Decision, applying the
-// a_T tie-break: Property 1(a) demands no free actions outside s_T, but real
+// tie-break: Property 1(a) demands no free actions outside s_T, but real
 // models often have a zero-cost passive action at the Sφ vertex (monitoring
 // a healthy system drops no requests). At that vertex Q(a_T) ties the
 // maximum and a plain argmax can loop on the free action forever;
 // terminating on a tie costs nothing by the controller's own estimate and
-// restores the termination guarantee. It is shared by the online controller
-// and the FSC compiler so compiled nodes replay exactly the decision the
-// tree would make.
-func decisionFromBackup(res *pomdp.BackupResult, terminateAction int) Decision {
+// restores the termination guarantee.
+func (b *Bounded) toDecision(res *pomdp.BackupResult) Decision {
 	d := Decision{Action: res.Action, Value: res.Value}
-	if terminateAction >= 0 &&
-		(res.Action == terminateAction || res.QValues[terminateAction] >= res.Value-1e-9) {
-		d.Action = terminateAction
+	if aT := b.cfg.TerminateAction; aT >= 0 && (res.Action == aT || res.QValues[aT] >= res.Value-1e-9) {
+		d.Action = aT
 		d.Terminate = true
 	}
 	return d
@@ -261,52 +226,89 @@ func decisionFromBackup(res *pomdp.BackupResult, terminateAction int) Decision {
 
 // DecideBatch implements BatchDecider: it decides for every belief in pis
 // independently of the tracked episode belief, writing Decision j into
-// out[j]. Certainty-terminated beliefs (recovery notification) are answered
-// directly; the rest share one batched tree expansion, with results
-// bit-identical to per-belief Decide calls.
+// out[j]. It is the controller's one decision path — Decide and the FSC
+// compiler come through it too. Certainty-terminated beliefs (recovery
+// notification) are answered directly; the rest share one batched tree
+// expansion, with results bit-identical to deciding each belief alone.
 //
-// With ImproveOnline or CheckConsistency configured the controller falls
-// back to sequential per-belief decisions, because both mutate or audit the
-// shared bound set between decisions and a batched expansion would observe
-// a different set than the sequential order does.
+// With ImproveOnline or CheckConsistency configured it decides in chunks of
+// one belief, in batch order: both mutate or audit the shared bound set
+// before each belief's own expansion, and a batched expansion would observe
+// a different set than that order does.
 func (b *Bounded) DecideBatch(pis []pomdp.Belief, out []Decision) error {
 	if len(out) < len(pis) {
 		return fmt.Errorf("controller: batch decision buffer length %d < %d beliefs", len(out), len(pis))
 	}
-	collect := b.cfg.CollectStats
-	if collect {
-		b.growBatchStats(len(pis))
-	}
-	if b.updater != nil || b.cfg.CheckConsistency {
-		for j, pi := range pis {
-			d, err := b.decideAt(pi)
-			if err != nil {
-				return fmt.Errorf("controller: batch belief %d: %w", j, err)
-			}
-			out[j] = d
-			if collect {
-				st := b.lastStats
-				st.QValues = b.retainQ(st.QValues)
-				b.batchStats[j] = st
-			}
-		}
-		return nil
-	}
 	n := b.p.NumStates()
-	b.batchIdx = b.batchIdx[:0]
-	b.batchPis = b.batchPis[:0]
-	var before EngineCounters
-	if collect {
-		before = b.engine.Counters()
-	}
 	for j, pi := range pis {
 		if len(pi) != n {
 			return fmt.Errorf("controller: batch belief %d length %d, want %d", j, len(pi), n)
 		}
+	}
+	// Grow the result buffer while keeping the QValues slices already
+	// allocated in earlier calls, so the steady state allocates nothing.
+	if cap(b.batchRes) < len(pis) {
+		grown := make([]pomdp.BackupResult, len(pis))
+		copy(grown, b.batchRes[:cap(b.batchRes)])
+		b.batchRes = grown
+	}
+	b.batchRes = b.batchRes[:len(pis)]
+	if b.cfg.CollectStats {
+		if cap(b.batchStats) < len(pis) {
+			b.batchStats = make([]DecisionStats, len(pis))
+		}
+		b.batchStats = b.batchStats[:len(pis)]
+	}
+	if b.updater == nil && !b.cfg.CheckConsistency {
+		return b.decide(pis, out, 0)
+	}
+	for j, pi := range pis {
+		if err := b.prepare(pi); err != nil {
+			return err
+		}
+		if err := b.decide(pis[j:j+1], out[j:j+1], j); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// prepare runs the per-belief work that precedes a belief's expansion: the
+// Property 1(b) audit and the online bound update.
+func (b *Bounded) prepare(pi pomdp.Belief) error {
+	if b.cfg.CheckConsistency {
+		rep, err := bounds.CheckConsistency(b.p, b.sc, b.set, pi, bounds.Options{Beta: b.cfg.Beta})
+		if err != nil {
+			return err
+		}
+		if !rep.OK {
+			return fmt.Errorf("controller: Property 1(b) violated at belief %v: V_B=%v > L_pV_B=%v",
+				pi, rep.Bound, rep.Backup)
+		}
+	}
+	if b.updater != nil {
+		if _, err := b.updater.UpdateAt(pi); err != nil {
+			return fmt.Errorf("controller: online bound update: %w", err)
+		}
+	}
+	return nil
+}
+
+// decide answers pis, the beliefs at batch positions off, off+1, … of the
+// current DecideBatch call, with one shared tree expansion. Root backups
+// land in batchRes from position off on, so the stats QValues of every
+// position stay valid until the next call without copying.
+func (b *Bounded) decide(pis []pomdp.Belief, out []Decision, off int) error {
+	collect := b.cfg.CollectStats
+	b.batchIdx = b.batchIdx[:0]
+	b.batchPis = b.batchPis[:0]
+	for j, pi := range pis {
+		// Recovery-notification regime: stop as soon as the belief
+		// certifies Sφ.
 		if b.cfg.TerminateAction < 0 && pi.Mass(b.nullSet) >= certainty {
 			out[j] = Decision{Terminate: true, Value: 0}
 			if collect {
-				b.batchStats[j] = b.statsFor(pi, out[j], nil)
+				b.batchStats[off+j] = b.statsFor(pi, out[j], nil)
 			}
 			continue
 		}
@@ -316,29 +318,23 @@ func (b *Bounded) DecideBatch(pis []pomdp.Belief, out []Decision) error {
 	if len(b.batchIdx) == 0 {
 		return nil
 	}
-	// Grow the result buffer while keeping the QValues slices already
-	// allocated in earlier calls, so the steady state allocates nothing.
-	if cap(b.batchRes) < len(b.batchIdx) {
-		grown := make([]pomdp.BackupResult, len(b.batchIdx))
-		copy(grown, b.batchRes[:cap(b.batchRes)])
-		b.batchRes = grown
-	}
-	b.batchRes = b.batchRes[:len(b.batchIdx)]
-	if err := b.engine.ChooseBatch(b.batchPis, b.batchRes); err != nil {
+	res := b.batchRes[off : off+len(b.batchIdx)]
+	before := b.engine.Counters()
+	if err := b.engine.ChooseBatch(b.batchPis, res); err != nil {
 		return err
 	}
 	for k, j := range b.batchIdx {
-		out[j] = b.toDecision(&b.batchRes[k])
+		out[j] = b.toDecision(&res[k])
 	}
 	if collect {
-		// One shared expansion served the whole batch: attribute the engine-
-		// counter deltas evenly across its members (remainder to the first),
-		// so summing the per-decision stats reproduces the true totals.
+		// One shared expansion served the run: attribute the engine-counter
+		// deltas evenly across its members (remainder to the first), so
+		// summing the per-decision stats reproduces the true totals.
 		after := b.engine.Counters()
 		m := uint64(len(b.batchIdx))
 		dn, dl, ds := after.Nodes-before.Nodes, after.LeafEvals-before.LeafEvals, after.SlabPasses-before.SlabPasses
 		for k, j := range b.batchIdx {
-			st := b.statsFor(b.batchPis[k], out[j], b.batchRes[k].QValues)
+			st := b.statsFor(b.batchPis[k], out[j], res[k].QValues)
 			st.TreeNodes = dn / m
 			st.LeafEvals = dl / m
 			st.SlabPasses = ds / m
@@ -347,33 +343,8 @@ func (b *Bounded) DecideBatch(pis []pomdp.Belief, out []Decision) error {
 				st.LeafEvals += dl % m
 				st.SlabPasses += ds % m
 			}
-			b.batchStats[j] = st
+			b.batchStats[off+j] = st
 		}
 	}
 	return nil
-}
-
-// growBatchStats sizes the per-belief stats buffer and its QValues slab for
-// a DecideBatch over m beliefs. The slab is sized upfront so mid-loop
-// appends cannot reallocate it out from under earlier entries' aliases.
-func (b *Bounded) growBatchStats(m int) {
-	if cap(b.batchStats) < m {
-		b.batchStats = make([]DecisionStats, m)
-	}
-	b.batchStats = b.batchStats[:m]
-	need := m * b.p.NumActions()
-	if cap(b.batchStatsQ) < need {
-		b.batchStatsQ = make([]float64, 0, need)
-	}
-	b.batchStatsQ = b.batchStatsQ[:0]
-}
-
-// retainQ copies q into the batch QValues slab and returns the stable view.
-func (b *Bounded) retainQ(q []float64) []float64 {
-	if q == nil {
-		return nil
-	}
-	start := len(b.batchStatsQ)
-	b.batchStatsQ = append(b.batchStatsQ, q...)
-	return b.batchStatsQ[start:len(b.batchStatsQ):len(b.batchStatsQ)]
 }

@@ -137,7 +137,7 @@ func duplicateBatch(stream *rng.Stream, pool []pomdp.Belief, m int) []pomdp.Beli
 	for j := range pis {
 		pis[j] = pool[stream.IntN(len(pool))].Clone()
 		for _, prev := range pis[:j] {
-			repeats = repeats || sameBits(prev, pis[j])
+			repeats = repeats || pomdp.SameBits(prev, pis[j])
 		}
 	}
 	if !repeats {
@@ -150,7 +150,7 @@ func duplicateBatch(stream *rng.Stream, pool []pomdp.Belief, m int) []pomdp.Beli
 // sameBackup reports whether two root backups agree bit for bit.
 func sameBackup(a, b pomdp.BackupResult) bool {
 	return a.Action == b.Action && math.Float64bits(a.Value) == math.Float64bits(b.Value) &&
-		sameBits(a.QValues, b.QValues)
+		pomdp.SameBits(a.QValues, b.QValues)
 }
 
 // parityEngine is an engine under test, named by its leaf kind.
@@ -263,7 +263,7 @@ func TestDedupDecideBatchParity(t *testing.T) {
 					wantQ := make([][]float64, len(pis))
 					var wantNodes, wantLeaves uint64
 					for j, pi := range pis {
-						if want[j], err = ctrl.decideAt(pi); err != nil {
+						if want[j], err = decideFrom(ctrl, pi); err != nil {
 							t.Fatal(err)
 						}
 						st := ctrl.DecisionStats()
@@ -278,7 +278,7 @@ func TestDedupDecideBatchParity(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if !sameBits(st.QValues, ref.QValues) || st.TreeNodes != ctr.Nodes || st.LeafEvals != ctr.LeafEvals {
+						if !pomdp.SameBits(st.QValues, ref.QValues) || st.TreeNodes != ctr.Nodes || st.LeafEvals != ctr.LeafEvals {
 							t.Fatalf("trial %d belief %d: Q-values %v (%d nodes, %d leaves), reference %v (%+v)",
 								trial, j, st.QValues, st.TreeNodes, st.LeafEvals, ref.QValues, ctr)
 						}
@@ -292,7 +292,7 @@ func TestDedupDecideBatchParity(t *testing.T) {
 						if got[j] != want[j] || math.Float64bits(got[j].Value) != math.Float64bits(want[j].Value) {
 							t.Fatalf("trial %d belief %d: DecideBatch %+v, Decide %+v", trial, j, got[j], want[j])
 						}
-						if !sameBits(st.QValues, wantQ[j]) {
+						if !pomdp.SameBits(st.QValues, wantQ[j]) {
 							t.Fatalf("trial %d belief %d: Q-values %v, want %v", trial, j, st.QValues, wantQ[j])
 						}
 						gotNodes += st.TreeNodes
@@ -317,19 +317,16 @@ func TestDedupFSCMissParity(t *testing.T) {
 		for depth := 1; depth <= 3; depth++ {
 			t.Run(fmt.Sprintf("%s/depth%d", rg.name, depth), func(t *testing.T) {
 				set := rg.newSet(t)
-				fsc, err := CompileFSC(rg.p, set, []pomdp.Belief{rg.initial}, FSCCompileConfig{
-					Depth:                    depth,
-					TerminateAction:          rg.cfg.TerminateAction,
-					NullStates:               rg.cfg.NullStates,
-					InitialObservationAction: rg.observe,
-					MaxNodes:                 3,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
 				cfg := rg.cfg
 				cfg.Depth = depth
 				tree, err := NewBounded(rg.p, set, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fsc, err := CompileFSC(tree, []pomdp.Belief{rg.initial}, FSCCompileConfig{
+					InitialObservationAction: rg.observe,
+					MaxNodes:                 3,
+				})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -356,7 +353,7 @@ func TestDedupFSCMissParity(t *testing.T) {
 						t.Fatal(err)
 					}
 					for j, pi := range pis {
-						want, err := tree.decideAt(pi)
+						want, err := decideFrom(tree, pi)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -460,7 +457,7 @@ func TestDedupEvictionParity(t *testing.T) {
 								round, name, set.Size(), set.Evictions(), single.Size(), single.Evictions())
 						}
 						for i := 0; i < set.Size(); i++ {
-							if !sameBits(pomdp.Belief(set.Plane(i)), pomdp.Belief(single.Plane(i))) {
+							if !pomdp.SameBits(pomdp.Belief(set.Plane(i)), pomdp.Belief(single.Plane(i))) {
 								t.Fatalf("round %d: %s twin evicted differently (plane %d differs)", round, name, i)
 							}
 						}

@@ -115,7 +115,7 @@ func (g *beliefGroups) group(pis []pomdp.Belief, w []uint64) {
 				g.w = append(g.w, c)
 				break
 			}
-			if k := int(slot - 1); g.hashes[k] == h && sameBits(g.pis[k], pi) {
+			if k := int(slot - 1); g.hashes[k] == h && pomdp.SameBits(g.pis[k], pi) {
 				g.of[j] = k
 				g.w[k] += c
 				break
@@ -133,19 +133,6 @@ func hashBelief(pi pomdp.Belief) uint64 {
 		h = (bits.RotateLeft64(h, 27) ^ math.Float64bits(x)) * 0x9e3779b97f4a7c15
 	}
 	return h
-}
-
-// sameBits reports whether a and b are equal entry by entry, bit for bit.
-func sameBits(a, b pomdp.Belief) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, x := range a {
-		if math.Float64bits(x) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // NewEngine builds a Max-Avg tree engine of the given depth ≥ 1 over model

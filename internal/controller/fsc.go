@@ -209,7 +209,7 @@ type FSCDeciderConfig struct {
 // long as the bound set is not mutated after compilation (ImproveOnline on
 // the fallback weakens this to "both tiers are valid bounded decisions").
 type FSCDecider struct {
-	beliefTracker
+	BeliefFilter
 	fsc      *FSC
 	fallback *Bounded
 	cfg      FSCDeciderConfig
@@ -270,11 +270,11 @@ func NewFSCDecider(fsc *FSC, fallback *Bounded, cfg FSCDeciderConfig) (*FSCDecid
 		return nil, fmt.Errorf("controller: fsc decider collects stats but its fallback does not")
 	}
 	return &FSCDecider{
-		beliefTracker: newBeliefTracker(p),
-		fsc:           fsc,
-		fallback:      fallback,
-		cfg:           cfg,
-		node:          -1,
+		BeliefFilter: NewBeliefFilter(p, nil),
+		fsc:          fsc,
+		fallback:     fallback,
+		cfg:          cfg,
+		node:         -1,
 	}, nil
 }
 
@@ -296,7 +296,7 @@ func (d *FSCDecider) Model() *pomdp.POMDP { return d.p }
 
 // Reset implements Controller.
 func (d *FSCDecider) Reset(initial pomdp.Belief) error {
-	if err := d.beliefTracker.Reset(initial); err != nil {
+	if err := d.BeliefFilter.Reset(initial); err != nil {
 		return err
 	}
 	d.node = d.attach(d.belief)
@@ -317,7 +317,7 @@ func (d *FSCDecider) attach(pi pomdp.Belief) int32 {
 // stale or hand-edited artifact degrades to fallback instead of replaying a
 // wrong trajectory.
 func (d *FSCDecider) Observe(action, obs int) error {
-	if err := d.beliefTracker.Observe(action, obs); err != nil {
+	if err := d.BeliefFilter.Observe(action, obs); err != nil {
 		return err
 	}
 	next := int32(-1)
@@ -325,7 +325,7 @@ func (d *FSCDecider) Observe(action, obs int) error {
 		n := &d.fsc.nodes[d.node]
 		if action == n.EdgeAction && obs < len(n.Edges) {
 			next = n.Edges[obs]
-			if next >= 0 && !beliefsEqual(d.fsc.nodes[next].Belief, d.belief) {
+			if next >= 0 && !pomdp.SameBits(d.fsc.nodes[next].Belief, d.belief) {
 				next = -1
 			}
 		}
@@ -335,19 +335,6 @@ func (d *FSCDecider) Observe(action, obs int) error {
 	}
 	d.node = next
 	return nil
-}
-
-// beliefsEqual reports bit-exact equality of two beliefs.
-func beliefsEqual(a, b pomdp.Belief) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, x := range a {
-		if math.Float64bits(x) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // Decide implements Controller: a table lookup when the tracked belief sits
@@ -370,12 +357,12 @@ func (d *FSCDecider) Decide() (Decision, error) {
 	}
 	d.fsc.fallbacks.Add(1)
 	d.lastTier = TierTree
-	dec, err := d.fallback.decideAt(d.belief)
+	dec, err := d.fallback.decideOne(d.belief)
 	if err != nil {
 		return Decision{}, err
 	}
 	if d.cfg.CollectStats {
-		d.lastStats = d.fallback.lastStats
+		d.lastStats = d.fallback.BatchDecisionStats()[0]
 	}
 	return dec, nil
 }
@@ -474,7 +461,7 @@ func (d *FSCDecider) DecideBatch(pis []pomdp.Belief, out []Decision) error {
 	}
 	if collect {
 		// Fallback stats already carry TierTree and alias the fallback's
-		// QValues slab, which stays valid until this decider's next call.
+		// root backups, which stay valid until this decider's next call.
 		fst := d.fallback.BatchDecisionStats()
 		for k, j := range d.fbIdx {
 			d.batchStats[j] = fst[k]

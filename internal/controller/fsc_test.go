@@ -13,8 +13,8 @@ import (
 )
 
 // compileFixtureFSC compiles the two-server termination fixture's FSC from
-// the uniform-over-original-states root, against the fixture's frozen
-// RA-Bound set.
+// the uniform-over-original-states root, through a depth-1 tree over the
+// fixture's frozen RA-Bound set.
 func compileFixtureFSC(t *testing.T, f *fixture, cfg FSCCompileConfig) *FSC {
 	t.Helper()
 	n := f.term.NumStates()
@@ -28,11 +28,12 @@ func compileFixtureFSC(t *testing.T, f *fixture, cfg FSCCompileConfig) *FSC {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.TerminateAction == 0 {
-		cfg.TerminateAction = f.idx.Action
+	tree, err := NewBounded(f.term, f.set, BoundedConfig{Depth: 1, TerminateAction: f.idx.Action, NullStates: []int{0}})
+	if err != nil {
+		t.Fatal(err)
 	}
 	cfg.InitialObservationAction = f.ts.ActionObserve
-	fsc, err := CompileFSC(f.term, f.set, []pomdp.Belief{root}, cfg)
+	fsc, err := CompileFSC(tree, []pomdp.Belief{root}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,11 +41,13 @@ func compileFixtureFSC(t *testing.T, f *fixture, cfg FSCCompileConfig) *FSC {
 }
 
 // TestCompileFSCNodeParity is the cornerstone exactness test: every compiled
-// node's stored decision and bound gap must be bit-identical to what a
-// Bounded controller over the same frozen set produces at the node's belief.
+// node's stored decision and bound gap must be bit-identical to the
+// reference recursion's decision at the node's belief over the same frozen
+// set, with the gap Value − V_B⁻(π), and to what a Bounded controller
+// reaching that belief decides and reports.
 func TestCompileFSCNodeParity(t *testing.T) {
 	f := newFixture(t)
-	fsc := compileFixtureFSC(t, f, FSCCompileConfig{Depth: 1})
+	fsc := compileFixtureFSC(t, f, FSCCompileConfig{})
 	if fsc.NumNodes() < 2 {
 		t.Fatalf("compiled only %d nodes; expansion did not reach past the root", fsc.NumNodes())
 	}
@@ -56,7 +59,18 @@ func TestCompileFSCNodeParity(t *testing.T) {
 	}
 	for i := 0; i < fsc.NumNodes(); i++ {
 		n := fsc.Node(i)
-		d, err := ctrl.decideAt(n.Belief)
+		ref, err := refChoose(f.term, 1, 1, f.set, n.Belief, &EngineCounters{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := ctrl.toDecision(&ref)
+		if n.decision() != want || math.Float64bits(n.Value) != math.Float64bits(want.Value) {
+			t.Errorf("node %d: compiled decision %+v, reference %+v", i, n.decision(), want)
+		}
+		if gap := want.Value - f.set.Peek(n.Belief); math.Float64bits(n.Gap) != math.Float64bits(gap) {
+			t.Errorf("node %d: compiled gap %v, reference Value − Peek = %v", i, n.Gap, gap)
+		}
+		d, err := decideFrom(ctrl, n.Belief)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +86,7 @@ func TestCompileFSCNodeParity(t *testing.T) {
 
 // TestCompileFSCNotificationCertainty compiles in the recovery-notification
 // regime and pins that certainty nodes replay the online controller's
-// short-circuit: Terminate with zero value, and parity with decideAt at
+// short-circuit: Terminate with zero value, and parity with Decide at
 // every node.
 func TestCompileFSCNotificationCertainty(t *testing.T) {
 	ts, err := models.NewTwoServer(models.TwoServerConfig{Coverage: 1})
@@ -87,21 +101,20 @@ func TestCompileFSCNotificationCertainty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fsc, err := CompileFSC(mod, set, []pomdp.Belief{pomdp.UniformBelief(mod.NumStates())}, FSCCompileConfig{
-		Depth: 1, TerminateAction: -1, NullStates: ts.NullStates,
-		InitialObservationAction: ts.ActionObserve,
-	})
+	ctrl, err := NewBounded(mod, set, BoundedConfig{Depth: 1, TerminateAction: -1, NullStates: ts.NullStates})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl, err := NewBounded(mod, set, BoundedConfig{Depth: 1, TerminateAction: -1, NullStates: ts.NullStates})
+	fsc, err := CompileFSC(ctrl, []pomdp.Belief{pomdp.UniformBelief(mod.NumStates())}, FSCCompileConfig{
+		InitialObservationAction: ts.ActionObserve,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sawCertainty := false
 	for i := 0; i < fsc.NumNodes(); i++ {
 		n := fsc.Node(i)
-		d, err := ctrl.decideAt(n.Belief)
+		d, err := decideFrom(ctrl, n.Belief)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +143,7 @@ func TestCompileFSCNotificationCertainty(t *testing.T) {
 // amortization of the tree, never an approximation.
 func TestFSCDeciderEpisodeParity(t *testing.T) {
 	f := newFixture(t)
-	fsc := compileFixtureFSC(t, f, FSCCompileConfig{Depth: 1})
+	fsc := compileFixtureFSC(t, f, FSCCompileConfig{})
 	newTree := func() *Bounded {
 		ctrl, err := NewBounded(f.term, f.set, BoundedConfig{
 			Depth: 1, TerminateAction: f.idx.Action, NullStates: []int{0},
@@ -180,7 +193,7 @@ func TestFSCDeciderEpisodeParity(t *testing.T) {
 // bound-gap telemetry of both serving tiers.
 func TestFSCDeciderStatsTiers(t *testing.T) {
 	f := newFixture(t)
-	fsc := compileFixtureFSC(t, f, FSCCompileConfig{Depth: 1})
+	fsc := compileFixtureFSC(t, f, FSCCompileConfig{})
 	newTree := func() *Bounded {
 		ctrl, err := NewBounded(f.term, f.set, BoundedConfig{
 			Depth: 1, TerminateAction: f.idx.Action, NullStates: []int{0}, CollectStats: true,
@@ -250,7 +263,7 @@ func TestFSCDeciderStatsTiers(t *testing.T) {
 // split the batch across both tiers.
 func TestFSCDecideBatchMatchesTree(t *testing.T) {
 	f := newFixture(t)
-	fsc := compileFixtureFSC(t, f, FSCCompileConfig{Depth: 1})
+	fsc := compileFixtureFSC(t, f, FSCCompileConfig{})
 	newTree := func(stats bool) *Bounded {
 		ctrl, err := NewBounded(f.term, f.set, BoundedConfig{
 			Depth: 1, TerminateAction: f.idx.Action, NullStates: []int{0}, CollectStats: stats,
@@ -302,7 +315,7 @@ func TestFSCDecideBatchMatchesTree(t *testing.T) {
 // the same decisions.
 func TestFSCRoundTrip(t *testing.T) {
 	f := newFixture(t)
-	fsc := compileFixtureFSC(t, f, FSCCompileConfig{Depth: 1})
+	fsc := compileFixtureFSC(t, f, FSCCompileConfig{})
 	var buf bytes.Buffer
 	if err := fsc.Encode(&buf); err != nil {
 		t.Fatal(err)
@@ -331,7 +344,7 @@ func TestFSCRoundTrip(t *testing.T) {
 // never serve decisions from a damaged table.
 func TestFSCDecodeRejectsCorruption(t *testing.T) {
 	f := newFixture(t)
-	fsc := compileFixtureFSC(t, f, FSCCompileConfig{Depth: 1})
+	fsc := compileFixtureFSC(t, f, FSCCompileConfig{})
 	var buf bytes.Buffer
 	if err := fsc.Encode(&buf); err != nil {
 		t.Fatal(err)
@@ -369,7 +382,7 @@ func TestFSCDecodeRejectsCorruption(t *testing.T) {
 
 func TestNewFSCDeciderValidation(t *testing.T) {
 	f := newFixture(t)
-	fsc := compileFixtureFSC(t, f, FSCCompileConfig{Depth: 1})
+	fsc := compileFixtureFSC(t, f, FSCCompileConfig{})
 	tree := func(stats bool) *Bounded {
 		ctrl, err := NewBounded(f.term, f.set, BoundedConfig{
 			Depth: 1, TerminateAction: f.idx.Action, NullStates: []int{0}, CollectStats: stats,
@@ -416,19 +429,24 @@ func TestNewFSCDeciderValidation(t *testing.T) {
 func TestCompileFSCValidation(t *testing.T) {
 	f := newFixture(t)
 	uniform := pomdp.UniformBelief(f.term.NumStates())
-	if _, err := CompileFSC(f.term, nil, []pomdp.Belief{uniform}, FSCCompileConfig{TerminateAction: f.idx.Action}); err == nil {
-		t.Error("nil set accepted")
+	tree, err := NewBounded(f.term, f.set, BoundedConfig{Depth: 1, TerminateAction: f.idx.Action})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := CompileFSC(f.term, f.set, nil, FSCCompileConfig{TerminateAction: f.idx.Action}); err == nil {
+	if _, err := CompileFSC(nil, []pomdp.Belief{uniform}, FSCCompileConfig{}); err == nil {
+		t.Error("nil tree accepted")
+	}
+	if _, err := CompileFSC(tree, nil, FSCCompileConfig{}); err == nil {
 		t.Error("no roots accepted")
 	}
-	if _, err := CompileFSC(f.term, f.set, []pomdp.Belief{{1, 0}}, FSCCompileConfig{TerminateAction: f.idx.Action}); err == nil {
+	if _, err := CompileFSC(tree, []pomdp.Belief{{1, 0}}, FSCCompileConfig{}); err == nil {
 		t.Error("short root belief accepted")
 	}
-	if _, err := CompileFSC(f.term, f.set, []pomdp.Belief{uniform}, FSCCompileConfig{
-		TerminateAction: f.idx.Action, InitialObservationAction: -1,
-	}); err == nil {
+	if _, err := CompileFSC(tree, []pomdp.Belief{uniform}, FSCCompileConfig{InitialObservationAction: -1}); err == nil {
 		t.Error("out-of-range initial observation action accepted")
+	}
+	if _, err := CompileFSC(tree, []pomdp.Belief{uniform}, FSCCompileConfig{MaxNodes: -1}); err == nil {
+		t.Error("negative node budget accepted")
 	}
 }
 
@@ -437,8 +455,8 @@ func TestCompileFSCValidation(t *testing.T) {
 // in range.
 func TestCompileFSCMaxNodes(t *testing.T) {
 	f := newFixture(t)
-	full := compileFixtureFSC(t, f, FSCCompileConfig{Depth: 1})
-	capped := compileFixtureFSC(t, f, FSCCompileConfig{Depth: 1, MaxNodes: 3})
+	full := compileFixtureFSC(t, f, FSCCompileConfig{})
+	capped := compileFixtureFSC(t, f, FSCCompileConfig{MaxNodes: 3})
 	if capped.NumNodes() != 3 {
 		t.Fatalf("capped compile produced %d nodes, want 3", capped.NumNodes())
 	}
@@ -476,8 +494,12 @@ func FuzzFSCDecode(fz *testing.F) {
 	if err != nil {
 		fz.Fatal(err)
 	}
-	fsc, err := CompileFSC(term, set, []pomdp.Belief{pomdp.UniformBelief(term.NumStates())}, FSCCompileConfig{
-		Depth: 1, TerminateAction: idx.Action, InitialObservationAction: ts.ActionObserve,
+	tree, err := NewBounded(term, set, BoundedConfig{Depth: 1, TerminateAction: idx.Action})
+	if err != nil {
+		fz.Fatal(err)
+	}
+	fsc, err := CompileFSC(tree, []pomdp.Belief{pomdp.UniformBelief(term.NumStates())}, FSCCompileConfig{
+		InitialObservationAction: ts.ActionObserve,
 	})
 	if err != nil {
 		fz.Fatal(err)

@@ -33,7 +33,7 @@ type HeuristicConfig struct {
 // system has not recovered times the cost of the most expensive action.
 // Unlike a bound, this provides no termination or performance guarantee.
 type Heuristic struct {
-	beliefTracker
+	BeliefFilter
 	cfg       HeuristicConfig
 	engine    *Engine
 	nullSet   []int
@@ -59,9 +59,9 @@ func NewHeuristic(p *pomdp.POMDP, cfg HeuristicConfig) (*Heuristic, error) {
 		return nil, fmt.Errorf("controller: termination probability %v outside (0,1]", cfg.TerminationProbability)
 	}
 	h := &Heuristic{
-		beliefTracker: newBeliefTracker(p),
-		cfg:           cfg,
-		nullSet:       pomdp.SortedStates(cfg.NullStates),
+		BeliefFilter: NewBeliefFilter(p, nil),
+		cfg:          cfg,
+		nullSet:      pomdp.SortedStates(cfg.NullStates),
 	}
 	worst := math.Inf(1)
 	for _, r := range p.M.Reward {

@@ -20,7 +20,7 @@ type MostLikelyConfig struct {
 // diagnosis with the Bayes rule and chooses the cheapest recovery action
 // that recovers from the most likely fault, with no lookahead at all.
 type MostLikely struct {
-	beliefTracker
+	BeliefFilter
 	cfg     MostLikelyConfig
 	nullSet []int
 	// actionFor[s] is the precomputed cheapest action maximizing the
@@ -45,9 +45,9 @@ func NewMostLikely(p *pomdp.POMDP, cfg MostLikelyConfig) (*MostLikely, error) {
 		return nil, fmt.Errorf("controller: termination probability %v outside (0,1]", cfg.TerminationProbability)
 	}
 	m := &MostLikely{
-		beliefTracker: newBeliefTracker(p),
-		cfg:           cfg,
-		nullSet:       pomdp.SortedStates(cfg.NullStates),
+		BeliefFilter: NewBeliefFilter(p, nil),
+		cfg:          cfg,
+		nullSet:      pomdp.SortedStates(cfg.NullStates),
 	}
 	n := p.NumStates()
 	isNull := make([]bool, n)

@@ -12,7 +12,7 @@ import (
 // controller must outperform it by construction (the bound is the random
 // policy's value, and the controller maximizes against it).
 type Random struct {
-	beliefTracker
+	BeliefFilter
 	nullSet  []int
 	termProb float64
 	stream   *rng.Stream
@@ -35,10 +35,10 @@ func NewRandom(p *pomdp.POMDP, nullStates []int, terminationProbability float64,
 		return nil, fmt.Errorf("controller: nil rng stream")
 	}
 	return &Random{
-		beliefTracker: newBeliefTracker(p),
-		nullSet:       pomdp.SortedStates(nullStates),
-		termProb:      terminationProbability,
-		stream:        stream,
+		BeliefFilter: NewBeliefFilter(p, nil),
+		nullSet:      pomdp.SortedStates(nullStates),
+		termProb:     terminationProbability,
+		stream:       stream,
 	}, nil
 }
 

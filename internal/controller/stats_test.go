@@ -25,7 +25,7 @@ func TestDecisionStatsSequential(t *testing.T) {
 		t.Fatal("CollectStats controller reports StatsEnabled() == false")
 	}
 	for _, pi := range batchBeliefs(rng.New(23), 10, f.term.NumStates()) {
-		d, err := ctrl.decideAt(pi)
+		d, err := decideFrom(ctrl, pi)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +90,7 @@ func TestBatchDecisionStatsMatchSequential(t *testing.T) {
 
 	want := make([]DecisionStats, len(pis))
 	for j, pi := range pis {
-		if _, err := seqCtrl.decideAt(pi); err != nil {
+		if _, err := decideFrom(seqCtrl, pi); err != nil {
 			t.Fatal(err)
 		}
 		st := seqCtrl.DecisionStats()
@@ -194,11 +194,11 @@ func TestCollectStatsLeavesDecisionsUnchanged(t *testing.T) {
 	}
 	plain, instrumented := mk(false), mk(true)
 	for _, pi := range batchBeliefs(rng.New(37), 40, f.term.NumStates()) {
-		dp, err := plain.decideAt(pi)
+		dp, err := decideFrom(plain, pi)
 		if err != nil {
 			t.Fatal(err)
 		}
-		di, err := instrumented.decideAt(pi)
+		di, err := decideFrom(instrumented, pi)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -347,26 +347,26 @@ type FSCConfig struct {
 	// MaxNodes caps the compiled table; zero means the compiler default.
 	MaxNodes int
 	// Improve runs an incremental bound update at every compiled belief
-	// (mutates the prepared set; see controller.FSCCompileConfig.Improve).
+	// (the compiling tree's ImproveOnline; it mutates the prepared set, see
+	// controller.CompileFSC).
 	Improve bool
 }
 
 // CompileFSC compiles a finite-state controller over the prepared model
-// from the episode initial belief, against the current (typically
-// bootstrapped) bound set.
+// from the episode initial belief, deciding every node through a bounded
+// controller over the current (typically bootstrapped) bound set.
 func (p *Prepared) CompileFSC(cfg FSCConfig) (*controller.FSC, error) {
 	initial, err := p.InitialBelief()
 	if err != nil {
 		return nil, err
 	}
-	return controller.CompileFSC(p.Model, p.Set, []pomdp.Belief{initial}, controller.FSCCompileConfig{
-		Depth:                    cfg.Depth,
-		Beta:                     p.opts.Bounds.Beta,
-		TerminateAction:          p.Terminate.Action,
-		NullStates:               p.Source.NullStates,
+	tree, err := p.NewController(ControllerConfig{Depth: cfg.Depth, ImproveOnline: cfg.Improve})
+	if err != nil {
+		return nil, err
+	}
+	return controller.CompileFSC(tree, []pomdp.Belief{initial}, controller.FSCCompileConfig{
 		InitialObservationAction: p.Source.MonitorAction,
 		MaxNodes:                 cfg.MaxNodes,
-		Improve:                  cfg.Improve,
 	})
 }
 

@@ -50,6 +50,22 @@ func (b Belief) Clone() Belief {
 	return Belief(linalg.Vector(b).Clone())
 }
 
+// SameBits reports whether a and b are equal entry by entry, bit for bit
+// (compared by math.Float64bits, so +0 and −0 differ and a NaN equals
+// itself). This is the equivalence the deterministic belief filter
+// preserves: equal inputs updated alike stay bit-identical.
+func SameBits(a, b Belief) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i, x := range a {
+		if math.Float64bits(x) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // Vec views the belief as a linalg.Vector without copying.
 func (b Belief) Vec() linalg.Vector { return linalg.Vector(b) }
 

@@ -149,6 +149,40 @@ func (s *Stream) Categorical(weights []float64) (int, error) {
 	return last, nil
 }
 
+// CategoricalSparse is Categorical over a sparse weight row given as
+// parallel cols/weights slices (stored entries in ascending column order,
+// as a CSR row keeps them). It returns a column index and reproduces
+// Categorical on the densified row exactly — the same total, the single
+// Float64 draw, and the same accumulation over the non-zero entries — so
+// a caller can sample a model row without materializing it.
+func (s *Stream) CategoricalSparse(cols []int, weights []float64) (int, error) {
+	var total float64
+	for i, w := range weights {
+		if w < 0 {
+			return 0, fmt.Errorf("rng: negative weight %v at index %d", w, cols[i])
+		}
+		total += w
+	}
+	if total <= 0 {
+		return 0, fmt.Errorf("rng: weights sum to %v", total)
+	}
+	x := s.r.Float64() * total
+	var acc float64
+	last := 0
+	for i, w := range weights {
+		if w == 0 {
+			continue
+		}
+		acc += w
+		last = cols[i]
+		if x < acc {
+			return cols[i], nil
+		}
+	}
+	// Floating-point slack: fall back to the last positive-weight index.
+	return last, nil
+}
+
 // Perm returns a random permutation of [0, n).
 func (s *Stream) Perm(n int) []int { return s.r.Perm(n) }
 

@@ -167,3 +167,51 @@ func TestShuffle(t *testing.T) {
 		t.Errorf("shuffle lost elements: %v (was %v)", xs, orig)
 	}
 }
+
+// TestCategoricalSparseMatchesDense: the sparse draw must equal Categorical
+// on the densified row — same index, same stream consumption, and an error
+// exactly when the dense draw errs — over random rows (with explicit zeros
+// and tiny weights among the stored entries) and seeds.
+func TestCategoricalSparseMatchesDense(t *testing.T) {
+	gen := New(41)
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + gen.IntN(12)
+		dense := make([]float64, n)
+		var cols []int
+		var vals []float64
+		for c := 0; c < n; c++ {
+			if gen.Bernoulli(0.5) {
+				continue
+			}
+			var w float64
+			switch gen.IntN(4) {
+			case 0: // explicit stored zero
+			case 1:
+				w = 1e-300 * gen.Float64()
+			default:
+				w = gen.Float64()
+			}
+			if trial%50 == 7 {
+				w = -w // exercise the negative-weight error
+			}
+			dense[c] = w
+			cols = append(cols, c)
+			vals = append(vals, w)
+		}
+		seed := uint64(gen.IntN(1 << 30))
+		ds, ss := New(seed), New(seed)
+		for draw := 0; draw < 4; draw++ {
+			want, werr := ds.Categorical(dense)
+			got, gerr := ss.CategoricalSparse(cols, vals)
+			if (werr != nil) != (gerr != nil) {
+				t.Fatalf("trial %d draw %d: dense err %v, sparse err %v (row %v)", trial, draw, werr, gerr, dense)
+			}
+			if werr == nil && got != want {
+				t.Fatalf("trial %d draw %d: sparse drew %d, dense %d (row %v)", trial, draw, got, want, dense)
+			}
+		}
+		if ds.Float64() != ss.Float64() {
+			t.Fatalf("trial %d: sparse and dense draws consumed the stream differently", trial)
+		}
+	}
+}

@@ -137,10 +137,10 @@ type CampaignOptions struct {
 	// leaf-bound evaluation across the batch. Per-episode RNG streams,
 	// trajectories, and metrics are bit-identical to sequential stepping
 	// (each worker folds its completed episodes in episode-index order),
-	// so BatchSize is purely a throughput knob. Batched stepping drives
-	// bare belief filters instead of the episode controller, so it is
-	// incompatible with EpisodeFactory and does not feed StateAware
-	// controllers.
+	// so BatchSize is purely a throughput knob. Batched stepping tracks
+	// each episode's belief with a pooled controller.BeliefFilter instead
+	// of an episode controller, so it is incompatible with EpisodeFactory
+	// and does not feed StateAware controllers.
 	BatchSize int
 	// BatchDecider supplies the decision engine for batched stepping. When
 	// nil, the worker's controller (shared ctrl or WorkerFactory product)
@@ -272,55 +272,274 @@ func autoWorkers(episodes, procs int) int {
 	return w
 }
 
+// doneEpisode is a finished episode's outcome, held by value until every
+// earlier episode of the stripe has finished, so the episode object can be
+// recycled the moment the episode ends. ok is false for a failed episode.
+type doneEpisode struct {
+	index int
+	ok    bool
+	res   EpisodeResult
+}
+
 // runWorker runs worker w's stripe of the campaign — episodes w, w+workers,
-// w+2·workers, … — sequentially on the calling goroutine. It is the single
-// episode loop behind every campaign mode: the sequential engine is exactly
-// runWorker(0, 1, …). On a fatal episode error it stops its own stripe and
-// returns the partial aggregate alongside the error; other workers finish
-// their stripes, so the merged partial result of a failing campaign is
-// itself deterministic for a fixed worker count.
+// w+2·workers, … — on the calling goroutine. It is the single episode loop
+// behind every campaign mode: the sequential engine is exactly
+// runWorker(0, 1, …).
+//
+// The worker keeps up to BatchSize episodes of its stripe live (one when
+// BatchSize is 0) and advances them in rounds: refill the live set, enforce
+// the step budget, decide, then terminate, fail or step each episode. Only
+// the decision round depends on the mode. Under batched stepping one
+// BatchDecider call decides for every live episode, whose beliefs pooled
+// filters track; otherwise the live episode's own controller (the shared
+// one, a WorkerFactory product, or an EpisodeFactory product) decides.
+// Per-episode RNG streams are derived from the episode index, the filters
+// perform the controllers' Bayes updates, and DecideBatch is bit-identical
+// to Decide, so trajectories do not depend on the mode or the batch size;
+// finished episodes are folded into the aggregate in episode-index order —
+// the accumulator is floating-point-order sensitive — so the resulting
+// CampaignResult (wall-clock AlgoTime aside) does not either.
+//
+// With ContinueOnError every failing episode is counted Abandoned;
+// otherwise the failure with the smallest episode index becomes the
+// worker's error (the one a one-at-a-time loop would hit first): the
+// worker starts no further episodes, episodes before it drain to
+// completion and are folded, and episodes after it are discarded as
+// never-run. The one necessarily coarser case is a DecideBatch error,
+// which cannot be attributed to a single episode and fails every episode
+// live at that moment. Other workers finish their stripes, so the merged
+// partial result of a failing campaign is itself deterministic for a fixed
+// worker count.
 func (r *Runner) runWorker(w, workers int, ctrl controller.Controller, initial pomdp.Belief, faultStates []int, episodes int, stream *rng.Stream, opts CampaignOptions) (CampaignResult, error) {
-	if opts.BatchSize > 0 {
-		return r.runWorkerBatched(w, workers, ctrl, initial, faultStates, episodes, stream, opts)
-	}
 	var out CampaignResult
 	if ctrl != nil {
 		out.Name = ctrl.Name()
 	}
-	for i := w; i < episodes; i += workers {
-		ep := stream.SplitN("episode", i)
-		fault := faultStates[ep.IntN(len(faultStates))]
-		epCtrl := ctrl
-		var done func(error)
-		if opts.EpisodeFactory != nil {
-			c, cleanup, err := opts.EpisodeFactory(i)
-			if err != nil {
-				if opts.ContinueOnError {
-					out.Abandoned++
-					continue
+	p := r.rm.POMDP
+	batch := opts.BatchSize
+	var (
+		bd            controller.BatchDecider
+		bss           controller.BatchStatsSource
+		fp            *pomdp.POMDP
+		filterScratch *pomdp.Scratch
+		label         string
+	)
+	if batch > 0 {
+		if bd = opts.BatchDecider; bd == nil {
+			bd, _ = ctrl.(controller.BatchDecider)
+		}
+		if bd == nil {
+			return out, fmt.Errorf("sim: batched stepping needs a controller.BatchDecider (set CampaignOptions.BatchDecider or use a batch-capable controller)")
+		}
+		// The belief filters must track the decider's state space, not the
+		// simulated base model: the Section 3.1 transforms append
+		// termination states, so the decider's model is usually wider. Base
+		// action and observation indices coincide (the transforms guarantee
+		// it), which is what lets the base-model simulator feed a
+		// transformed-model filter.
+		fp = p
+		if m, ok := bd.(interface{ Model() *pomdp.POMDP }); ok && m.Model() != nil {
+			fp = m.Model()
+		}
+		if len(initial) != fp.NumStates() {
+			return out, fmt.Errorf("sim: initial belief length %d does not match the batch decider's %d-state model", len(initial), fp.NumStates())
+		}
+		label = "batched"
+		if n, ok := bd.(interface{ Name() string }); ok {
+			label = n.Name()
+		} else if ctrl != nil {
+			label = ctrl.Name()
+		}
+		out.Name = label
+		if s, ok := bd.(controller.BatchStatsSource); ok && s.StatsEnabled() {
+			bss = s
+		}
+		// One update scratch shared by every filter of the stripe: the
+		// filters advance strictly one at a time.
+		filterScratch = pomdp.NewScratch(fp)
+	} else {
+		batch = 1
+	}
+
+	live := make([]*episode, 0, batch)
+	free := make([]*episode, 0, batch)
+	beliefs := make([]pomdp.Belief, 0, batch)
+	decisions := make([]controller.Decision, batch)
+	var finished []doneEpisode
+	next := w     // next episode index of the stripe to start
+	nextFold := w // next episode index of the stripe to fold
+	fatalIdx, fatalErr := -1, error(nil)
+
+	// settle records a finished episode and folds every finished episode
+	// whose stripe predecessors have all finished, in index order, stopping
+	// at a fatal failure.
+	settle := func(d doneEpisode) {
+		finished = append(finished, d)
+		for fatalIdx < 0 || nextFold < fatalIdx {
+			k := -1
+			for i := range finished {
+				if finished[i].index == nextFold {
+					k = i
+					break
 				}
-				return out, fmt.Errorf("sim: episode %d factory: %w", i, err)
 			}
-			epCtrl, done = c, cleanup
-			if out.Name == "" {
-				out.Name = epCtrl.Name()
+			if k < 0 {
+				return
 			}
+			if finished[k].ok {
+				out.add(finished[k].res)
+			}
+			last := len(finished) - 1
+			finished[k] = finished[last]
+			finished = finished[:last]
+			nextFold += workers
 		}
-		res, err := r.RunEpisode(epCtrl, initial, fault, ep)
-		if done != nil {
-			done(err)
+	}
+	// release returns an episode object to the arena for the next start.
+	release := func(e *episode) {
+		e.ctrl, e.stats, e.done = nil, nil, nil
+		free = append(free, e)
+	}
+	// lose records the failure of episode i: Abandoned under
+	// ContinueOnError, else the smallest-index failure becomes the error.
+	lose := func(i int, err error) {
+		if opts.ContinueOnError {
+			out.Abandoned++
+		} else if fatalIdx < 0 || i < fatalIdx {
+			fatalIdx, fatalErr = i, err
 		}
-		if err != nil {
-			if opts.ContinueOnError {
-				out.Abandoned++
+		settle(doneEpisode{index: i})
+	}
+	fail := func(e *episode, err error) {
+		if e.done != nil {
+			e.done(err)
+		}
+		lose(e.index, fmt.Errorf("sim: episode %d (fault %s): %w", e.index, p.M.StateName(e.fault), err))
+		release(e)
+	}
+	finish := func(e *episode) {
+		if e.done != nil {
+			e.done(nil)
+		}
+		settle(doneEpisode{index: e.index, ok: true, res: e.res})
+		release(e)
+	}
+
+	for {
+		// Refill the live set from the stripe. Recycled episode objects
+		// reseed their stream in place.
+		for len(live) < batch && next < episodes && fatalIdx < 0 {
+			i := next
+			next += workers
+			var e *episode
+			if len(free) > 0 {
+				e = free[len(free)-1]
+				free = free[:len(free)-1]
+			} else {
+				e = &episode{label: label}
+				if bd != nil {
+					e.flt = controller.NewBeliefFilter(fp, filterScratch)
+				}
+			}
+			e.stream = stream.SplitNInto(e.stream, "episode", i)
+			e.index, e.fault = i, faultStates[e.stream.IntN(len(faultStates))]
+			if bd == nil {
+				e.ctrl = ctrl
+				if opts.EpisodeFactory != nil {
+					c, cleanup, err := opts.EpisodeFactory(i)
+					if err != nil {
+						lose(i, fmt.Errorf("sim: episode %d factory: %w", i, err))
+						release(e)
+						continue
+					}
+					e.ctrl, e.done = c, cleanup
+					if out.Name == "" {
+						out.Name = c.Name()
+					}
+				}
+			}
+			if err := r.start(e, initial); err != nil {
+				fail(e, err)
 				continue
 			}
-			return out, fmt.Errorf("sim: episode %d (fault %s): %w",
-				i, r.rm.POMDP.M.StateName(fault), err)
+			live = append(live, e)
 		}
-		out.add(res)
+		if len(live) == 0 {
+			break
+		}
+		// Enforce the step budget, and discard episodes a recorded fatal
+		// failure proves a one-at-a-time loop would never have started.
+		kept := live[:0]
+		for _, e := range live {
+			if fatalIdx >= 0 && e.index > fatalIdx {
+				release(e)
+				continue
+			}
+			if err := r.checkBudget(e); err != nil {
+				fail(e, err)
+				continue
+			}
+			kept = append(kept, e)
+		}
+		live = kept
+		if len(live) == 0 {
+			continue
+		}
+
+		// The decision round.
+		if bd != nil {
+			beliefs = beliefs[:0]
+			for _, e := range live {
+				beliefs = append(beliefs, e.flt.Current())
+			}
+			t0 := time.Now()
+			err := bd.DecideBatch(beliefs, decisions[:len(live)])
+			share := time.Since(t0) / time.Duration(len(live))
+			for _, e := range live {
+				e.res.AlgoTime += share
+			}
+			if err != nil {
+				derr := fmt.Errorf("sim: %s decide: %w", label, err)
+				for _, e := range live {
+					fail(e, derr)
+				}
+				live = live[:0]
+				continue
+			}
+			if bss != nil {
+				for k, st := range bss.BatchDecisionStats()[:len(live)] {
+					live[k].res.addStats(st)
+				}
+			}
+		} else {
+			kept = live[:0]
+			for _, e := range live {
+				d, err := e.decide()
+				if err != nil {
+					fail(e, err)
+					continue
+				}
+				decisions[len(kept)] = d
+				kept = append(kept, e)
+			}
+			live = kept
+		}
+
+		kept = live[:0]
+		for k, e := range live {
+			ended, err := r.apply(e, decisions[k])
+			switch {
+			case err != nil:
+				fail(e, err)
+			case ended:
+				finish(e)
+			default:
+				kept = append(kept, e)
+			}
+		}
+		live = kept
 	}
-	return out, nil
+	return out, fatalErr
 }
 
 // Row renders the campaign as a Table 1 row: cost, recovery time, residual

@@ -121,148 +121,185 @@ func NewRunner(rm *core.RecoveryModel, maxSteps int) (*Runner, error) {
 	return &Runner{rm: rm, isNull: isNull, maxStep: maxSteps}, nil
 }
 
+// episode is one live recovery episode: the simulated true system, its
+// RNG stream, and the belief tracking of whoever decides for it — its own
+// controller, or (under batched stepping, where one BatchDecider decides
+// for a whole stripe) a pooled belief filter. Campaign workers recycle
+// episode objects, stream and filter included, so the steady state starts
+// episodes without allocating.
+type episode struct {
+	index  int // campaign episode index (RNG stream and fold order)
+	fault  int
+	state  int
+	stream *rng.Stream
+	res    EpisodeResult
+
+	ctrl  controller.Controller   // nil under batched stepping
+	stats controller.StatsSource  // ctrl, when it collects decision stats
+	done  func(error)             // EpisodeFactory cleanup hook, or nil
+	flt   controller.BeliefFilter // batched stepping's belief tracking
+	label string                  // names the batch decider in errors
+}
+
+// name labels the episode's decider in errors.
+func (e *episode) name() string {
+	if e.ctrl != nil {
+		return e.ctrl.Name()
+	}
+	return e.label
+}
+
 // RunEpisode injects faultState, performs the initial detection sweep, and
 // drives ctrl until it terminates. initial is the controller's prior belief
 // before the first monitor output (it may be sized for a transformed model
 // with extra states appended after the base states; base action and
 // observation indices must coincide, which the Section 3.1 transforms
-// guarantee).
+// guarantee). It is a campaign episode run on its own, through the same
+// steps as the campaign loop.
 func (r *Runner) RunEpisode(ctrl controller.Controller, initial pomdp.Belief, faultState int, stream *rng.Stream) (EpisodeResult, error) {
+	e := &episode{fault: faultState, stream: stream, ctrl: ctrl}
+	if err := r.start(e, initial); err != nil {
+		return e.res, err
+	}
+	for {
+		if err := r.checkBudget(e); err != nil {
+			return e.res, err
+		}
+		d, err := e.decide()
+		if err != nil {
+			return e.res, err
+		}
+		if ended, err := r.apply(e, d); ended || err != nil {
+			return e.res, err
+		}
+	}
+}
+
+// start injects e.fault, resets the episode's belief tracking to initial,
+// and runs the initial detection sweep: the monitors fire once so the
+// controller can condition its prior on real outputs (Section 4).
+func (r *Runner) start(e *episode, initial pomdp.Belief) error {
 	p := r.rm.POMDP
-	if faultState < 0 || faultState >= p.NumStates() {
-		return EpisodeResult{}, fmt.Errorf("sim: fault state %d out of range [0,%d)", faultState, p.NumStates())
+	e.state = e.fault
+	e.res = EpisodeResult{Injected: e.fault}
+	if e.fault < 0 || e.fault >= p.NumStates() {
+		return fmt.Errorf("sim: fault state %d out of range [0,%d)", e.fault, p.NumStates())
 	}
-	res := EpisodeResult{Injected: faultState}
-	if err := ctrl.Reset(initial); err != nil {
-		return res, fmt.Errorf("sim: reset %s: %w", ctrl.Name(), err)
+	var err error
+	if e.ctrl != nil {
+		err = e.ctrl.Reset(initial)
+		// Decision-stat collection is decided once per episode so the hot
+		// loop pays nothing when the controller does not collect.
+		e.stats, _ = e.ctrl.(controller.StatsSource)
+		if e.stats != nil && !e.stats.StatsEnabled() {
+			e.stats = nil
+		}
+	} else {
+		err = e.flt.Reset(initial)
 	}
-
-	state := faultState
-	obsAction := r.rm.MonitorAction
-
-	// Decision-stat collection is decided once per episode so the hot loop
-	// pays nothing when the controller does not collect (the common case).
-	ss, _ := ctrl.(controller.StatsSource)
-	collect := ss != nil && ss.StatsEnabled()
-
-	// Initial detection sweep: the monitors fire once so the controller can
-	// condition its uniform prior on real outputs (Section 4).
-	state, err := r.step(ctrl, &res, state, obsAction, stream)
 	if err != nil {
-		return res, err
+		return fmt.Errorf("sim: reset %s: %w", e.name(), err)
 	}
-
-	for res.Steps = 1; res.Steps <= r.maxStep; res.Steps++ {
-		if sa, ok := ctrl.(controller.StateAware); ok {
-			sa.ObserveTrueState(state)
-		}
-		t0 := time.Now()
-		d, err := ctrl.Decide()
-		res.AlgoTime += time.Since(t0)
-		if err != nil {
-			return res, fmt.Errorf("sim: %s decide: %w", ctrl.Name(), err)
-		}
-		if collect {
-			res.addStats(ss.DecisionStats())
-		}
-		if d.Terminate {
-			res.Recovered = r.isNull[state]
-			return res, nil
-		}
-		if d.Action < 0 || d.Action >= p.NumActions() {
-			return res, fmt.Errorf("sim: %s chose invalid action %d", ctrl.Name(), d.Action)
-		}
-		if d.Action != obsAction {
-			res.Actions++
-		}
-		state, err = r.step(ctrl, &res, state, d.Action, stream)
-		if err != nil {
-			return res, err
-		}
+	if err := r.act(e, r.rm.MonitorAction); err != nil {
+		return err
 	}
-	return res, fmt.Errorf("sim: %s after %d steps: %w", ctrl.Name(), r.maxStep, ErrTimedOut)
+	e.res.Steps = 1
+	return nil
 }
 
-// stepObserver is the slice of controller.Controller the episode step needs:
-// something that absorbs observations and names itself in errors. The
-// batched campaign engine drives bare belief filters (the decisions come
-// from a shared BatchDecider), so step cannot demand a full Controller.
-type stepObserver interface {
-	Observe(action, obs int) error
-	Name() string
+// checkBudget fails an episode that used up its step budget without
+// terminating.
+func (r *Runner) checkBudget(e *episode) error {
+	if e.res.Steps > r.maxStep {
+		return fmt.Errorf("sim: %s after %d steps: %w", e.name(), r.maxStep, ErrTimedOut)
+	}
+	return nil
 }
 
-// step executes one action on the true system (transition + monitor sweep +
-// accounting) and feeds the sampled observation to the controller.
-func (r *Runner) step(ctrl stepObserver, res *EpisodeResult, state, action int, stream *rng.Stream) (int, error) {
+// decide is the decision round of an episode with its own controller: it
+// feeds a StateAware controller the true state, times Decide, and folds in
+// the decision's stats.
+func (e *episode) decide() (controller.Decision, error) {
+	if sa, ok := e.ctrl.(controller.StateAware); ok {
+		sa.ObserveTrueState(e.state)
+	}
+	t0 := time.Now()
+	d, err := e.ctrl.Decide()
+	e.res.AlgoTime += time.Since(t0)
+	if err != nil {
+		return d, fmt.Errorf("sim: %s decide: %w", e.ctrl.Name(), err)
+	}
+	if e.stats != nil {
+		e.res.addStats(e.stats.DecisionStats())
+	}
+	return d, nil
+}
+
+// apply carries out decision d: a termination ends the episode (ended is
+// true), an out-of-range action fails it, and any other action is executed
+// as the episode's next step.
+func (r *Runner) apply(e *episode, d controller.Decision) (ended bool, err error) {
+	if d.Terminate {
+		e.res.Recovered = r.isNull[e.state]
+		return true, nil
+	}
+	if d.Action < 0 || d.Action >= r.rm.POMDP.NumActions() {
+		return false, fmt.Errorf("sim: %s chose invalid action %d", e.name(), d.Action)
+	}
+	if d.Action != r.rm.MonitorAction {
+		e.res.Actions++
+	}
+	if err := r.act(e, d.Action); err != nil {
+		return false, err
+	}
+	e.res.Steps++
+	return false, nil
+}
+
+// act executes one action on the true system (transition + monitor sweep +
+// accounting) and feeds the sampled observation to the episode's belief
+// tracking.
+func (r *Runner) act(e *episode, action int) error {
 	p := r.rm.POMDP
+	res := &e.res
 	dur := r.rm.Durations[action]
 	tMon := r.rm.MonitorDuration
 
 	// Cost is the negated model reward on the true trajectory; the model's
 	// r(s,a) already folds in the action duration and the trailing sweep.
-	res.Cost += -p.M.Reward[action][state]
+	res.Cost += -p.M.Reward[action][e.state]
 	res.RecoveryTime += dur + tMon
-	if !r.isNull[state] {
+	if !r.isNull[e.state] {
 		res.ResidualTime += dur
 	}
 
-	next, err := r.sampleTransition(stream, state, action)
+	next, err := r.sampleTransition(e.stream, e.state, action)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if !r.isNull[next] {
 		res.ResidualTime += tMon
 	}
-	obs, err := r.sampleObservation(stream, next, action)
+	obs, err := r.sampleObservation(e.stream, next, action)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	res.MonitorCalls++
-	if err := ctrl.Observe(action, obs); err != nil {
-		return 0, fmt.Errorf("sim: %s observe: %w", ctrl.Name(), err)
+	e.state = next
+	if e.ctrl != nil {
+		err = e.ctrl.Observe(action, obs)
+	} else {
+		err = e.flt.Observe(action, obs)
 	}
-	return next, nil
-}
-
-// sampleSparse draws an index from a sparse weight row (parallel col/val
-// slices), reproducing rng.Stream.Categorical's arithmetic exactly — the
-// total, the single Float64 draw, and the accumulation visit the stored
-// entries in the same order a dense weight vector would visit its non-zero
-// entries — without materializing the dense vector. This keeps the episode
-// loop allocation-free while leaving every sampled trajectory bit-for-bit
-// identical to the dense implementation it replaced.
-func sampleSparse(stream *rng.Stream, cols []int, vals []float64) (int, error) {
-	var total float64
-	for i, w := range vals {
-		if w < 0 {
-			return 0, fmt.Errorf("sim: negative weight %v at index %d", w, cols[i])
-		}
-		total += w
+	if err != nil {
+		return fmt.Errorf("sim: %s observe: %w", e.name(), err)
 	}
-	if total <= 0 {
-		return 0, fmt.Errorf("sim: weights sum to %v", total)
-	}
-	x := stream.Float64() * total
-	var acc float64
-	last := 0
-	for i, w := range vals {
-		if w == 0 {
-			continue
-		}
-		acc += w
-		last = cols[i]
-		if x < acc {
-			return cols[i], nil
-		}
-	}
-	// Floating-point slack: fall back to the last positive-weight index.
-	return last, nil
+	return nil
 }
 
 func (r *Runner) sampleTransition(stream *rng.Stream, s, a int) (int, error) {
 	cols, vals := r.rm.POMDP.M.Trans[a].RowSlice(s)
-	next, err := sampleSparse(stream, cols, vals)
+	next, err := stream.CategoricalSparse(cols, vals)
 	if err != nil {
 		return 0, fmt.Errorf("sim: transition from %s under %s: %w",
 			r.rm.POMDP.M.StateName(s), r.rm.POMDP.M.ActionName(a), err)
@@ -272,7 +309,7 @@ func (r *Runner) sampleTransition(stream *rng.Stream, s, a int) (int, error) {
 
 func (r *Runner) sampleObservation(stream *rng.Stream, s, a int) (int, error) {
 	cols, vals := r.rm.POMDP.Obs[a].RowSlice(s)
-	obs, err := sampleSparse(stream, cols, vals)
+	obs, err := stream.CategoricalSparse(cols, vals)
 	if err != nil {
 		return 0, fmt.Errorf("sim: observation in %s under %s: %w",
 			r.rm.POMDP.M.StateName(s), r.rm.POMDP.M.ActionName(a), err)
