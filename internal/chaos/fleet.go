@@ -58,10 +58,10 @@ type FleetOptions struct {
 
 // NewFleet builds and starts a fleet with the given member IDs. Each node
 // gets a store at root/<id>, an independent membership view, and a server
-// built from base with the Checkpointer, Fleet, and EpisodeIDBase fields
-// filled in per member; every other base field (Model, NewController, ...)
-// is shared. Listeners are created before any server so the member
-// addresses are real from the start.
+// built from base with the Checkpointer and Fleet fields filled in per member
+// (the server derives its episode id range from its fleet index); every
+// other base field (Model, NewController, ...) is shared. Listeners are
+// created before any server so the member addresses are real from the start.
 func NewFleet(ids []string, root string, base server.Config, opts FleetOptions) (*Fleet, error) {
 	if len(ids) < 2 {
 		return nil, fmt.Errorf("chaos: fleet needs at least 2 members, got %d", len(ids))

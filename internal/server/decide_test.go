@@ -217,12 +217,12 @@ func fillTombstoneCache(s *Server, from uint64, at time.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for i := 0; i < maxTombstones; i++ {
-		s.insertTombstoneLocked(TombstoneState{
+		s.table.retire(TombstoneState{
 			EpisodeID:            from + uint64(i),
 			Steps:                1,
 			Final:                DecisionResponse{Action: 3, ActionName: "terminate", Terminate: true},
 			TerminatedAtUnixNano: at.Add(time.Duration(i) * time.Millisecond).UnixNano(),
-		})
+		}, s.cfg.now())
 	}
 }
 
@@ -278,18 +278,18 @@ func checkTombOrder(t *testing.T, s *Server) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	live := make(map[uint64]int)
-	for _, ref := range s.tombOrder {
-		if tb := s.tombstones[ref.id]; tb != nil && tb.seq == ref.seq {
+	for _, ref := range s.table.tombOrder {
+		if tb := s.table.tombstones[ref.id]; tb != nil && tb.seq == ref.seq {
 			live[ref.id]++
 		}
 	}
-	for id := range s.tombstones {
+	for id := range s.table.tombstones {
 		if live[id] != 1 {
 			t.Fatalf("tombstone %d has %d live queue references, want 1", id, live[id])
 		}
 	}
-	if n := len(s.tombOrder); n > 2*len(s.tombstones)+1 {
-		t.Fatalf("queue holds %d references for %d tombstones", n, len(s.tombstones))
+	if n := len(s.table.tombOrder); n > 2*len(s.table.tombstones)+1 {
+		t.Fatalf("queue holds %d references for %d tombstones", n, len(s.table.tombstones))
 	}
 }
 
@@ -307,8 +307,8 @@ func newCacheTestServer(t *testing.T, ttl time.Duration, now func() time.Time) *
 func insertTomb(s *Server, id uint64, at time.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.insertTombstoneLocked(TombstoneState{EpisodeID: id, ClientKey: fmt.Sprintf("k%d", id),
-		Final: DecisionResponse{Terminate: true}, TerminatedAtUnixNano: at.UnixNano()})
+	s.table.retire(TombstoneState{EpisodeID: id, ClientKey: fmt.Sprintf("k%d", id),
+		Final: DecisionResponse{Terminate: true}, TerminatedAtUnixNano: at.UnixNano()}, s.cfg.now())
 }
 
 // cachedIDs reports which of ids are in the tombstone cache, checking that
@@ -319,8 +319,8 @@ func cachedIDs(t *testing.T, s *Server, ids ...uint64) map[uint64]bool {
 	defer s.mu.Unlock()
 	out := make(map[uint64]bool, len(ids))
 	for _, id := range ids {
-		_, inCache := s.tombstones[id]
-		if keyed := s.tombByKey[fmt.Sprintf("k%d", id)] == id; keyed != inCache {
+		_, inCache := s.table.tombstones[id]
+		if keyed := s.table.tombByKey[fmt.Sprintf("k%d", id)] == id; keyed != inCache {
 			t.Fatalf("tombstone %d: cached %v but key routed %v", id, inCache, keyed)
 		}
 		out[id] = inCache
@@ -348,7 +348,7 @@ func TestTombstoneCacheEvictsInInsertionOrder(t *testing.T) {
 		}
 	}
 	srv.mu.Lock()
-	n, overflow := len(srv.tombstones), srv.tombOverflow
+	n, overflow := len(srv.table.tombstones), srv.table.tombOverflow
 	srv.mu.Unlock()
 	if n != maxTombstones || !overflow {
 		t.Errorf("cache holds %d (overflow %v), want %d and overflow", n, overflow, maxTombstones)
@@ -417,8 +417,8 @@ func TestTombstoneOrderQueueBounded(t *testing.T) {
 			next++
 		}
 		srv.mu.Lock()
-		maxQueue = max(maxQueue, len(srv.tombOrder))
-		maxCache = max(maxCache, len(srv.tombstones))
+		maxQueue = max(maxQueue, len(srv.table.tombOrder))
+		maxCache = max(maxCache, len(srv.table.tombstones))
 		srv.mu.Unlock()
 		if op%1000 == 0 {
 			checkTombOrder(t, srv)

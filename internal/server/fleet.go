@@ -44,8 +44,8 @@ type FleetConfig struct {
 	StoreFor func(memberID string) (Checkpointer, error)
 }
 
-// episodeIDRangeBits is how far member indices are shifted to form
-// EpisodeIDBase: each member allocates ids in its own disjoint 48-bit range,
+// episodeIDRangeBits is how far member indices are shifted to form a
+// member's id base: each member allocates ids in its own disjoint 48-bit range,
 // so an adopted episode keeps its original id without ever colliding with
 // the adopter's allocator.
 const episodeIDRangeBits = 48
@@ -62,22 +62,20 @@ func sameIDRange(id, base uint64) bool {
 	return id>>episodeIDRangeBits == base>>episodeIDRangeBits
 }
 
-// validateFleet checks the fleet configuration and derives EpisodeIDBase.
-// Called by New.
-func validateFleet(cfg *Config) error {
-	f := cfg.Fleet
+// validateFleet checks the fleet configuration and returns the base of this
+// member's id range (0 outside a fleet). Called by New.
+func validateFleet(f *FleetConfig) (uint64, error) {
 	if f == nil {
-		return nil
+		return 0, nil
 	}
 	if f.Membership == nil {
-		return fmt.Errorf("server: fleet config without membership")
+		return 0, fmt.Errorf("server: fleet config without membership")
 	}
 	idx, ok := f.Membership.Index(f.Self)
 	if !ok {
-		return fmt.Errorf("server: fleet self %q is not a member", f.Self)
+		return 0, fmt.Errorf("server: fleet self %q is not a member", f.Self)
 	}
-	cfg.EpisodeIDBase = EpisodeIDBaseFor(idx)
-	return nil
+	return EpisodeIDBaseFor(idx), nil
 }
 
 func (s *Server) fleetEnabled() bool { return s.cfg.Fleet != nil }
@@ -108,13 +106,10 @@ func (s *Server) fleetStart(w http.ResponseWriter, r *http.Request, key string) 
 		s.redirectToOwner(w, r, owner)
 		return true
 	}
+	// A tombstoned key is known too: handleStart's dedupe will answer with
+	// the original terminated episode's id.
 	s.mu.Lock()
-	_, known := s.byKey[key]
-	if !known {
-		// A tombstoned key is known too: handleStart's dedupe will answer
-		// with the original terminated episode's id.
-		_, known = s.tombByKey[key]
-	}
+	_, known := s.table.keyed(key)
 	s.mu.Unlock()
 	if !known {
 		s.adoptKey(key)
@@ -155,12 +150,8 @@ func (s *Server) adoptKey(key string) int {
 // adoptFromDown runs adoption against every down member's store. want
 // filters by episode key.
 func (s *Server) adoptFromDown(want func(key string) bool) int {
-	f := s.cfg.Fleet
-	if f.StoreFor == nil {
-		return 0
-	}
 	total := 0
-	for _, down := range f.Membership.DownMembers() {
+	for _, down := range s.cfg.Fleet.Membership.DownMembers() {
 		n, err := s.adoptFromMember(down.ID, want)
 		if err != nil {
 			s.m.adoptErrors.Inc()
@@ -178,9 +169,10 @@ func (s *Server) adoptFromDown(want func(key string) bool) int {
 //
 // Tombstones are adopted before episodes: a terminal decision is the
 // episode's durable last word, and a crash on the source between
-// tombstone-write and record-delete can leave both in its store. Processing
-// tombstones first makes the tombstone win — the stale episode record is
-// deleted, never replayed into a live (re-decidable) episode.
+// tombstone-write and record-delete can leave both in its store. Retiring
+// tombstones first makes the tombstone win — an episode record whose id is
+// tombstoned here is stale, deleted, never replayed into a live
+// (re-decidable) episode.
 func (s *Server) adoptFromMember(memberID string, want func(key string) bool) (int, error) {
 	f := s.cfg.Fleet
 	if f.StoreFor == nil {
@@ -200,34 +192,35 @@ func (s *Server) adoptFromMember(memberID string, want func(key string) bool) (i
 		// already-terminated one. Refuse the whole store.
 		return 0, fmt.Errorf("load tombstones of %q: %w", memberID, err)
 	}
-	stale := make(map[uint64]bool, len(states))
-	for _, st := range states {
-		stale[st.EpisodeID] = true
-	}
 	var firstErr error
+	note := func(err error) {
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	// Keyless records cannot be routed (no key, no ring position), so no
+	// member can claim them without two members claiming the same episode;
+	// they are left for the original member's restart. A keyed record is
+	// claimed only by its owner in the current view: other survivors claim
+	// their own ranges.
+	claims := func(key string) bool {
+		if key == "" || !want(key) {
+			return false
+		}
+		owner, ok := f.Membership.Owner(key)
+		return ok && owner.ID == f.Self
+	}
+	// Staleness is judged against the claimed ids, not against the cache,
+	// which may evict past its cap.
 	tombed := make(map[uint64]bool)
 	for _, ts := range tombs {
-		if ts.ClientKey == "" || !want(ts.ClientKey) {
-			continue
-		}
-		// Only claim keys this member owns in the current view; other
-		// survivors claim their own ranges.
-		if owner, ok := f.Membership.Owner(ts.ClientKey); !ok || owner.ID != f.Self {
+		if !claims(ts.ClientKey) {
 			continue
 		}
 		tombed[ts.EpisodeID] = true
 		at0 := s.spanStart()
 		claimed := s.adoptTombstone(ts)
-		if err := store.DeleteTombstone(ts.EpisodeID); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		if stale[ts.EpisodeID] {
-			// The source crashed between tombstone-write and record-delete;
-			// finish its deletion so the record cannot be adopted or resumed.
-			if err := store.Delete(ts.EpisodeID); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
+		note(store.DeleteTombstone(ts.EpisodeID))
 		if claimed && !at0.IsZero() {
 			s.emitSpan(&obs.SpanRecord{TraceID: ts.ClientKey, Kind: obs.SpanServerAdopt,
 				Op: obs.SpanOpTombstone, Episode: ts.EpisodeID, Source: memberID,
@@ -237,18 +230,12 @@ func (s *Server) adoptFromMember(memberID string, want func(key string) bool) (i
 	adopted := 0
 	for _, st := range states {
 		if tombed[st.EpisodeID] {
+			// The source crashed between tombstone-write and record-delete;
+			// finish its deletion so the record cannot be adopted or resumed.
+			note(store.Delete(st.EpisodeID))
 			continue
 		}
-		if st.ClientKey == "" {
-			// Keyless episodes cannot be routed (no key, no ring position),
-			// so no member can claim them without two members claiming the
-			// same episode. Left for the original member's restart.
-			continue
-		}
-		if !want(st.ClientKey) {
-			continue
-		}
-		if owner, ok := f.Membership.Owner(st.ClientKey); !ok || owner.ID != f.Self {
+		if !claims(st.ClientKey) {
 			continue
 		}
 		at0 := s.spanStart()
@@ -258,12 +245,10 @@ func (s *Server) adoptFromMember(memberID string, want func(key string) bool) (i
 		adopted++
 		// Persist into our own store before removing the source record so a
 		// crash between the two leaves the episode recoverable (twice is
-		// fine — replay is deterministic and the duplicate loses the byKey
+		// fine — replay is deterministic and the duplicate loses admit's key
 		// race), never zero places.
 		s.checkpointState(st)
-		if err := store.Delete(st.EpisodeID); err != nil && firstErr == nil {
-			firstErr = err
-		}
+		note(store.Delete(st.EpisodeID))
 		if !at0.IsZero() {
 			s.emitSpan(&obs.SpanRecord{TraceID: st.ClientKey, Kind: obs.SpanServerAdopt,
 				Op: obs.SpanOpEpisode, Episode: st.EpisodeID, Source: memberID,
@@ -273,31 +258,14 @@ func (s *Server) adoptFromMember(memberID string, want func(key string) bool) (i
 	return adopted, firstErr
 }
 
-// adoptTombstone claims one foreign terminal tombstone: persist it into our
-// own store, then cache it. False when this id is already tombstoned here
-// (e.g. it arrived earlier via replication).
+// adoptTombstone claims one foreign terminal tombstone through
+// acceptTombstone. False when this id is already tombstoned here (e.g. it
+// arrived earlier via replication).
 func (s *Server) adoptTombstone(ts TombstoneState) bool {
-	s.mu.Lock()
-	_, have := s.tombstones[ts.EpisodeID]
-	s.mu.Unlock()
-	if have {
+	if _, tb := s.cached(ts.EpisodeID); tb != nil {
 		return false
 	}
-	if s.cfg.Checkpointer != nil {
-		if err := s.cfg.Checkpointer.SaveTombstone(ts); err != nil {
-			s.m.checkpointErrors.Inc()
-		}
-	}
-	s.mu.Lock()
-	s.insertTombstoneLocked(ts)
-	// The terminal decision supersedes any live copy of the same episode.
-	if ep, ok := s.episodes[ts.EpisodeID]; ok {
-		delete(s.episodes, ts.EpisodeID)
-		if ep.clientKey != "" {
-			delete(s.byKey, ep.clientKey)
-		}
-	}
-	s.mu.Unlock()
+	_ = s.acceptTombstone(ts) // a failed save is counted; the cache still serves it
 	s.m.tombstonesAdopted.Inc()
 	return true
 }
@@ -306,12 +274,10 @@ func (s *Server) adoptTombstone(ts TombstoneState) bool {
 // the episode is already present (or its key is taken) or replay fails.
 func (s *Server) adoptOne(st EpisodeState) bool {
 	s.mu.Lock()
-	_, haveID := s.episodes[st.EpisodeID]
-	_, haveTomb := s.tombstones[st.EpisodeID]
-	_, haveKey := s.byKey[st.ClientKey]
-	_, haveTombKey := s.tombByKey[st.ClientKey]
+	ep, tb := s.table.find(st.EpisodeID)
+	_, keyTaken := s.table.keyed(st.ClientKey)
 	s.mu.Unlock()
-	if haveID || haveTomb || haveKey || haveTombKey {
+	if ep != nil || tb != nil || keyTaken {
 		return false
 	}
 	ep, err := s.replay(st)
@@ -319,25 +285,15 @@ func (s *Server) adoptOne(st EpisodeState) bool {
 		s.m.adoptErrors.Inc()
 		return false
 	}
+	// admit re-checks under the lock: a concurrent adoption or start may
+	// have won.
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	// Re-check under the lock: a concurrent adoption or start may have won.
-	if _, ok := s.episodes[st.EpisodeID]; ok {
-		return false
+	admitted := s.table.admit(ep)
+	s.mu.Unlock()
+	if admitted {
+		s.m.adopted.Inc()
 	}
-	if _, ok := s.byKey[st.ClientKey]; ok {
-		return false
-	}
-	if _, ok := s.tombByKey[st.ClientKey]; ok {
-		return false
-	}
-	s.episodes[st.EpisodeID] = ep
-	s.byKey[st.ClientKey] = st.EpisodeID
-	if sameIDRange(st.EpisodeID, s.cfg.EpisodeIDBase) && st.EpisodeID > s.nextID {
-		s.nextID = st.EpisodeID
-	}
-	s.m.adopted.Inc()
-	return true
+	return admitted
 }
 
 // MarkMemberDown flips a member down in this node's view and eagerly adopts
@@ -412,28 +368,9 @@ func (s *Server) reconcileOwnership() int {
 	for _, ts := range tombs {
 		haveTomb[ts.EpisodeID] = true
 	}
-	dropped := 0
 	s.mu.Lock()
-	for id, ep := range s.episodes {
-		if haveState[id] {
-			continue
-		}
-		delete(s.episodes, id)
-		if ep.clientKey != "" {
-			delete(s.byKey, ep.clientKey)
-		}
-		dropped++
-	}
-	for id, tb := range s.tombstones {
-		if haveTomb[id] {
-			continue
-		}
-		delete(s.tombstones, id)
-		if tb.key != "" {
-			delete(s.tombByKey, tb.key)
-		}
-		dropped++
-	}
+	dropped := len(s.table.dropWhere(func(ep *episode) bool { return !haveState[ep.id] })) +
+		len(s.table.forgetWhere(func(id uint64, _ *tombstone) bool { return !haveTomb[id] }))
 	s.mu.Unlock()
 	s.m.staleDropped.Add(uint64(dropped))
 	return dropped
@@ -615,15 +552,19 @@ func (s *Server) handleTombstoneReplica(w http.ResponseWriter, r *http.Request) 
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if err := s.acceptTombstone(ts); err != nil {
+	err = s.acceptTombstone(ts)
+	s.m.tombstonesReceived.Inc()
+	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// acceptTombstone durably stores a replicated tombstone and caches it. The
-// store write comes first: the point of the replica is surviving this
+// acceptTombstone durably stores a tombstone taken over from a peer —
+// replicated to this member, or adopted from a down member's store — and
+// retires the episode with it, dropping any live copy held here. The store
+// write comes first: the point of taking it over is surviving this
 // member's own crash.
 func (s *Server) acceptTombstone(ts TombstoneState) error {
 	var saveErr error
@@ -633,8 +574,7 @@ func (s *Server) acceptTombstone(ts TombstoneState) error {
 		}
 	}
 	s.mu.Lock()
-	s.insertTombstoneLocked(ts)
+	s.table.retire(ts, s.cfg.now())
 	s.mu.Unlock()
-	s.m.tombstonesReceived.Inc()
 	return saveErr
 }

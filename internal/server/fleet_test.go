@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"bpomdp/internal/fleet"
 )
@@ -452,5 +453,50 @@ func TestFleetDeadMemberReturns(t *testing.T) {
 	// Marking up again is a clean no-op.
 	if n, err := a.srv.MarkMemberUp("a"); err != nil || n != 0 {
 		t.Errorf("second self mark-up dropped %d (err=%v), want 0", n, err)
+	}
+}
+
+// TestFleetReplicatedTombstoneRetiresLiveCopy: a tombstone replicated from a
+// peer is the episode's last word even when this member still holds a live
+// copy of it. The copy is retired, so the episode is never served as both
+// live and terminated.
+func TestFleetReplicatedTombstoneRetiresLiveCopy(t *testing.T) {
+	nodes, _ := newFleetPair(t)
+	a := nodes["a"]
+	key := keyOwnedBy(t, a.view, "a")
+	resp, err := http.Post(a.hs.URL+"/v1/episodes", "application/json",
+		strings.NewReader(fmt.Sprintf(`{"clientKey":%q}`, key)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var started StartResponse
+	if err := json.NewDecoder(resp.Body).Decode(&started); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	final := DecisionResponse{Action: 3, ActionName: "terminate", Terminate: true, Value: -1.5}
+	if err := a.srv.acceptTombstone(TombstoneState{EpisodeID: started.EpisodeID, ClientKey: key,
+		Steps: 2, Final: final, TerminatedAtUnixNano: time.Now().UnixNano()}); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err = http.Get(a.hs.URL + fmt.Sprintf("/v1/episodes/%d", started.EpisodeID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st StatusResponse
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if st.Open {
+		t.Errorf("status after replicated tombstone: %+v, want closed", st)
+	}
+	if status, got := getDecision(t, a.hs.URL, started.EpisodeID); status != http.StatusOK || got != final {
+		t.Errorf("decision after replicated tombstone: status %d %+v, want 200 %+v", status, got, final)
+	}
+	if n := a.srv.OpenEpisodes(); n != 0 {
+		t.Errorf("%d episodes open after their tombstone arrived", n)
 	}
 }

@@ -87,8 +87,7 @@ func tierHealth(h *obs.Histogram, uptime time.Duration) HealthTier {
 
 func (s *Server) handleFleetHealth(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
-	open := len(s.episodes)
-	tombs := len(s.tombstones)
+	open, tombs := s.table.size()
 	draining := s.draining
 	rep := s.restored
 	failed := len(rep.Failed)

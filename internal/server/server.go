@@ -125,11 +125,6 @@ type Config struct {
 	// recovery fleet: episode keys hash to owners, unowned requests are
 	// redirected, and down members' episodes are adopted. See FleetConfig.
 	Fleet *FleetConfig
-	// EpisodeIDBase offsets freshly assigned episode ids. In fleet mode New
-	// derives it from the member's index (disjoint 48-bit ranges per member,
-	// see EpisodeIDBaseFor) so adopted episodes keep their original ids
-	// without colliding with the adopter's allocator. Leave 0 outside fleets.
-	EpisodeIDBase uint64
 	// SpanTrace, when non-nil, receives one JSONL obs.SpanRecord per traced
 	// operation (handler serve, redirect hop, checkpoint write, adoption,
 	// tombstone replication) for requests carrying an X-Bpomdp-Trace header.
@@ -162,24 +157,10 @@ type Server struct {
 	cfg Config
 	mux *http.ServeMux
 
-	mu         sync.Mutex
-	episodes   map[uint64]*episode
-	byKey      map[string]uint64 // clientKey -> open episode id
-	tombstones map[uint64]*tombstone
-	tombByKey  map[string]uint64 // clientKey -> terminated episode id
-	// tombOrder is the tombstone cache's eviction queue, oldest insertion
-	// first. A reference is live while its cache entry still carries the
-	// reference's seq; entries deleted by Sweep or reconcileOwnership, or
-	// re-inserted under a new seq, leave dead references behind that
-	// eviction skips and compaction drops.
-	tombOrder []tombRef
-	tombSeq   uint64
-	// tombOverflow is set when the in-memory tombstone cache evicted past its
-	// cap; it tells Sweep that the store may hold expired tombstones the
-	// cache no longer sees.
-	tombOverflow bool
-	nextID       uint64
-	closed       bool
+	mu sync.Mutex
+	// table holds the live episodes and cached tombstones under mu.
+	table  episodeTable
+	closed bool
 	// draining flips /healthz to 503 once graceful shutdown begins, so
 	// load-balancers and fleet probes stop routing new work here while
 	// in-flight requests finish. Set by BeginShutdown and by Close.
@@ -234,29 +215,15 @@ type episode struct {
 // tombstone remembers a terminated episode's final decision so a client
 // whose response was lost by the network can retry its request — the
 // decision GET, or the final observation POST that asked for the decision —
-// and still learn the episode is over. The in-memory table is a write-through cache over the
-// checkpoint store's durable TombstoneState records: termination persists
-// the record before the episode state is deleted, so the final decision
-// survives a crash, a restart, and (via replication and adoption) the death
-// of the whole member.
+// and still learn the episode is over. The episode table caches it as a
+// write-through copy of the checkpoint store's durable record: termination
+// persists the record before the episode state is deleted, so the final
+// decision survives a crash, a restart, and (via replication and adoption)
+// the death of the whole member.
 type tombstone struct {
-	final DecisionResponse
-	key   string
-	steps int
-	at    time.Time
-	seq   uint64 // insertion number; matches its live tombOrder reference
+	TombstoneState
+	seq uint64 // insertion number; matches its live tombOrder reference
 }
-
-// tombRef is one tombOrder entry: the cached tombstone of episode id as
-// inserted with sequence number seq.
-type tombRef struct{ id, seq uint64 }
-
-// maxTombstones caps the in-memory tombstone cache; past the cap the entry
-// inserted longest ago is evicted. Cache eviction is memory-only — the
-// durable store record stays until its TTL expires, and a request for an
-// evicted id falls back to a store lookup — so evicting in insertion order
-// rather than termination-time order loses nothing.
-const maxTombstones = 4096
 
 // RestoreFailure describes one checkpoint that could not be resumed.
 type RestoreFailure struct {
@@ -332,7 +299,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.now == nil {
 		cfg.now = time.Now
 	}
-	if err := validateFleet(&cfg); err != nil {
+	idBase, err := validateFleet(cfg.Fleet)
+	if err != nil {
 		return nil, err
 	}
 	reg := cfg.Metrics
@@ -347,17 +315,13 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	s := &Server{
-		cfg:        cfg,
-		mux:        http.NewServeMux(),
-		episodes:   make(map[uint64]*episode),
-		byKey:      make(map[string]uint64),
-		tombstones: make(map[uint64]*tombstone),
-		tombByKey:  make(map[string]uint64),
-		repStop:    make(chan struct{}),
-		nextID:     cfg.EpisodeIDBase,
-		m:          newServerMetrics(reg),
-		node:       cfg.Node,
-		startAt:    time.Now(),
+		cfg:     cfg,
+		mux:     http.NewServeMux(),
+		table:   newEpisodeTable(idBase),
+		repStop: make(chan struct{}),
+		m:       newServerMetrics(reg),
+		node:    cfg.Node,
+		startAt: time.Now(),
 	}
 	if cfg.SpanTrace != nil {
 		s.spans = obs.NewSpanWriter(cfg.SpanTrace)
@@ -413,17 +377,13 @@ func (s *Server) restore() {
 	for _, c := range append(corrupt, tombCorrupt...) {
 		s.restored.Failed = append(s.restored.Failed, RestoreFailure{EpisodeID: c.EpisodeID, Name: c.Name, Err: c.Err})
 	}
+	// The cache may evict past its cap, so staleness is judged against the
+	// loaded ids, not against what the table still holds.
 	tombed := make(map[uint64]bool, len(tombs))
 	for _, ts := range tombs {
+		s.table.retire(ts, s.cfg.now())
 		tombed[ts.EpisodeID] = true
-		s.insertTombstoneLocked(ts)
 		s.restored.Tombstones++
-		// Tombstoned ids must advance the allocator like live ones: a fresh
-		// episode minted at a tombstoned id would shadow the terminal
-		// decision and corrupt both store namespaces.
-		if sameIDRange(ts.EpisodeID, s.cfg.EpisodeIDBase) && ts.EpisodeID > s.nextID {
-			s.nextID = ts.EpisodeID
-		}
 	}
 	for _, st := range states {
 		if tombed[st.EpisodeID] {
@@ -433,20 +393,16 @@ func (s *Server) restore() {
 			stale = append(stale, st.EpisodeID)
 			continue
 		}
-		// Only ids from this member's own range advance the allocator: an
-		// adopted foreign-range id must not jump nextID into another
-		// member's space.
-		if sameIDRange(st.EpisodeID, s.cfg.EpisodeIDBase) && st.EpisodeID > s.nextID {
-			s.nextID = st.EpisodeID
-		}
 		ep, rerr := s.replay(st)
+		if rerr == nil && !s.table.admit(ep) {
+			rerr = fmt.Errorf("episode id or client key %q already restored", st.ClientKey)
+		}
 		if rerr != nil {
+			// The record stays in the store for inspection, so a fresh
+			// episode must not be minted over it.
+			s.table.reserve(st.EpisodeID)
 			s.restored.Failed = append(s.restored.Failed, RestoreFailure{EpisodeID: st.EpisodeID, Err: rerr})
 			continue
-		}
-		s.episodes[st.EpisodeID] = ep
-		if st.ClientKey != "" {
-			s.byKey[st.ClientKey] = st.EpisodeID
 		}
 		s.restored.Resumed++
 	}
@@ -455,69 +411,6 @@ func (s *Server) restore() {
 		if derr := s.cfg.Checkpointer.Delete(id); derr != nil {
 			s.m.checkpointErrors.Inc()
 		}
-	}
-}
-
-// insertTombstoneLocked registers one tombstone in the in-memory cache as
-// its newest entry and returns it. The returned tombstone stays valid even
-// if the cap evicts it from the cache. Caller holds s.mu.
-func (s *Server) insertTombstoneLocked(ts TombstoneState) *tombstone {
-	at := s.cfg.now()
-	if ts.TerminatedAtUnixNano > 0 {
-		at = time.Unix(0, ts.TerminatedAtUnixNano)
-	}
-	s.tombSeq++
-	tb := &tombstone{final: ts.Final, key: ts.ClientKey, steps: ts.Steps, at: at, seq: s.tombSeq}
-	s.tombstones[ts.EpisodeID] = tb
-	s.tombOrder = append(s.tombOrder, tombRef{id: ts.EpisodeID, seq: tb.seq})
-	if ts.ClientKey != "" {
-		s.tombByKey[ts.ClientKey] = ts.EpisodeID
-	}
-	s.trimTombstonesLocked()
-	return tb
-}
-
-// trimTombstonesLocked evicts the earliest-inserted tombstones past the cap —
-// from memory only; the durable records stay until their TTL, and reads fall
-// back to the store. Setting tombOverflow tells Sweep that store-only
-// tombstones may exist and need a store scan to expire. Each live cache
-// entry has exactly one live reference in tombOrder, so the queue holds
-// len(tombstones) live references plus dead ones; it is rebuilt from the
-// live ones once the dead outnumber them, which keeps it within twice the
-// cache size and costs O(1) amortized per insertion. Caller holds s.mu.
-func (s *Server) trimTombstonesLocked() {
-	for len(s.tombstones) > maxTombstones {
-		ref := s.tombOrder[0]
-		s.tombOrder = s.tombOrder[1:]
-		tb := s.tombstones[ref.id]
-		if tb == nil || tb.seq != ref.seq {
-			continue
-		}
-		if tb.key != "" {
-			delete(s.tombByKey, tb.key)
-		}
-		delete(s.tombstones, ref.id)
-		s.tombOverflow = true
-	}
-	if live := len(s.tombstones); len(s.tombOrder)-live > live {
-		kept := make([]tombRef, 0, 2*live)
-		for _, ref := range s.tombOrder {
-			if tb := s.tombstones[ref.id]; tb != nil && tb.seq == ref.seq {
-				kept = append(kept, ref)
-			}
-		}
-		s.tombOrder = kept
-	}
-}
-
-// tombstoneStateOf rebuilds the durable record from a cached tombstone.
-func tombstoneStateOf(id uint64, tb *tombstone) TombstoneState {
-	return TombstoneState{
-		EpisodeID:            id,
-		ClientKey:            tb.key,
-		Steps:                tb.steps,
-		Final:                tb.final,
-		TerminatedAtUnixNano: tb.at.UnixNano(),
 	}
 }
 
@@ -611,10 +504,7 @@ func (s *Server) Close() error {
 	}
 	s.closed = true
 	s.draining = true
-	eps := make([]*episode, 0, len(s.episodes))
-	for _, ep := range s.episodes {
-		eps = append(eps, ep)
-	}
+	eps := s.table.live()
 	s.mu.Unlock()
 
 	if s.janitorStop != nil {
@@ -678,34 +568,16 @@ func (s *Server) Sweep() int {
 	s.mu.Lock()
 	if s.cfg.EpisodeTTL > 0 {
 		cutoff := now.Add(-s.cfg.EpisodeTTL)
-		for _, ep := range s.episodes {
+		expired = s.table.dropWhere(func(ep *episode) bool {
 			ep.mu.Lock()
-			idle := ep.lastActive.Before(cutoff)
-			ep.mu.Unlock()
-			if idle {
-				expired = append(expired, ep)
-				delete(s.episodes, ep.id)
-				if ep.clientKey != "" {
-					delete(s.byKey, ep.clientKey)
-				}
-			}
-		}
+			defer ep.mu.Unlock()
+			return ep.lastActive.Before(cutoff)
+		})
 	}
+	tombCutoff := now.Add(-tombTTL).UnixNano()
 	if tombTTL > 0 {
-		cutoff := now.Add(-tombTTL)
-		for id, tb := range s.tombstones {
-			if tb.at.Before(cutoff) {
-				delete(s.tombstones, id)
-				if tb.key != "" {
-					delete(s.tombByKey, tb.key)
-				}
-				expiredTombs = append(expiredTombs, id)
-			}
-		}
-		if s.tombOverflow {
-			scanStore = true
-			s.tombOverflow = len(s.tombstones) >= maxTombstones
-		}
+		expiredTombs = s.table.forgetWhere(func(_ uint64, tb *tombstone) bool { return tb.TerminatedAtUnixNano < tombCutoff })
+		scanStore = s.table.overflowed()
 	}
 	s.mu.Unlock()
 
@@ -717,7 +589,7 @@ func (s *Server) Sweep() int {
 			}
 		}
 	}
-	for _, id := range expiredTombs {
+	expireTombstone := func(id uint64) {
 		s.m.tombstonesEvicted.Inc()
 		if s.cfg.Checkpointer != nil {
 			if err := s.cfg.Checkpointer.DeleteTombstone(id); err != nil {
@@ -725,24 +597,16 @@ func (s *Server) Sweep() int {
 			}
 		}
 	}
+	for _, id := range expiredTombs {
+		expireTombstone(id)
+	}
 	if scanStore && s.cfg.Checkpointer != nil {
 		// Cache overflow means the store may hold tombstones the in-memory
-		// loop above never saw; expire them straight from the store.
-		cutoffNano := now.Add(-tombTTL).UnixNano()
+		// sweep above never saw; expire them straight from the store.
 		if tombs, _, err := s.cfg.Checkpointer.LoadTombstones(); err == nil {
 			for _, ts := range tombs {
-				if ts.TerminatedAtUnixNano >= cutoffNano {
-					continue
-				}
-				s.mu.Lock()
-				_, cached := s.tombstones[ts.EpisodeID]
-				s.mu.Unlock()
-				if cached {
-					continue
-				}
-				s.m.tombstonesEvicted.Inc()
-				if err := s.cfg.Checkpointer.DeleteTombstone(ts.EpisodeID); err != nil {
-					s.m.checkpointErrors.Inc()
+				if _, tb := s.cached(ts.EpisodeID); tb == nil && ts.TerminatedAtUnixNano < tombCutoff {
+					expireTombstone(ts.EpisodeID)
 				}
 			}
 		}
@@ -754,7 +618,8 @@ func (s *Server) Sweep() int {
 func (s *Server) OpenEpisodes() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.episodes)
+	open, _ := s.table.size()
+	return open
 }
 
 // API payloads.
@@ -889,33 +754,24 @@ func (s *Server) handleStart(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
+	// A key whose episode already terminated answers with the original id
+	// (not a fresh episode), which routes the client's retried final request
+	// to the tombstone, so the terminal decision is replayed rather than
+	// recomputed.
 	s.mu.Lock()
-	if req.ClientKey != "" {
-		if id, ok := s.byKey[req.ClientKey]; ok {
-			s.mu.Unlock()
-			s.m.dedupedStarts.Inc()
-			writeJSON(w, http.StatusOK, StartResponse{EpisodeID: id})
-			return
-		}
-		if id, ok := s.tombByKey[req.ClientKey]; ok {
-			// The key's episode already terminated. Answering with the original
-			// id (not a fresh episode) routes the client's retried final
-			// request to the tombstone, so the terminal decision is replayed
-			// rather than recomputed.
-			s.mu.Unlock()
-			s.m.dedupedStarts.Inc()
-			writeJSON(w, http.StatusOK, StartResponse{EpisodeID: id})
-			return
-		}
+	if id, ok := s.table.keyed(req.ClientKey); ok {
+		s.mu.Unlock()
+		s.m.dedupedStarts.Inc()
+		writeJSON(w, http.StatusOK, StartResponse{EpisodeID: id})
+		return
 	}
-	if len(s.episodes) >= s.cfg.MaxEpisodes {
+	if open, _ := s.table.size(); open >= s.cfg.MaxEpisodes {
 		s.mu.Unlock()
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfter)))
 		writeError(w, http.StatusTooManyRequests, fmt.Errorf("episode cap %d reached", s.cfg.MaxEpisodes))
 		return
 	}
-	s.nextID++
-	id := s.nextID
+	id := s.table.allocate()
 	s.mu.Unlock()
 
 	ctrl, initial, err := s.cfg.NewController()
@@ -930,24 +786,16 @@ func (s *Server) handleStart(w http.ResponseWriter, r *http.Request) {
 	ep := &episode{id: id, ctrl: ctrl, clientKey: req.ClientKey, lastActive: s.cfg.now()}
 
 	s.mu.Lock()
-	if req.ClientKey != "" {
-		// A concurrent duplicate may have won the race while the factory ran —
-		// or even terminated already, leaving only a tombstone.
-		if existing, ok := s.byKey[req.ClientKey]; ok {
-			s.mu.Unlock()
-			s.m.dedupedStarts.Inc()
-			writeJSON(w, http.StatusOK, StartResponse{EpisodeID: existing})
-			return
-		}
-		if existing, ok := s.tombByKey[req.ClientKey]; ok {
-			s.mu.Unlock()
-			s.m.dedupedStarts.Inc()
-			writeJSON(w, http.StatusOK, StartResponse{EpisodeID: existing})
-			return
-		}
-		s.byKey[req.ClientKey] = id
+	if !s.table.admit(ep) {
+		// A concurrent duplicate won the race while the factory ran — or even
+		// terminated already, leaving only a tombstone. The allocator never
+		// hands out a taken id, so the key is what collided.
+		existing, _ := s.table.keyed(req.ClientKey)
+		s.mu.Unlock()
+		s.m.dedupedStarts.Inc()
+		writeJSON(w, http.StatusOK, StartResponse{EpisodeID: existing})
+		return
 	}
-	s.episodes[id] = ep
 	s.mu.Unlock()
 	s.m.started.Inc()
 	s.checkpoint(ep)
@@ -983,7 +831,7 @@ func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (id uint64, ep *
 		// re-reading the cache, which guarantees nothing about keeping it.
 		if ts, found := s.loadStoredTombstone(id); found {
 			s.mu.Lock()
-			tb = s.insertTombstoneLocked(ts)
+			tb = s.table.retire(ts, s.cfg.now())
 			s.mu.Unlock()
 		}
 	}
@@ -994,15 +842,12 @@ func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (id uint64, ep *
 	return id, ep, tb, true
 }
 
-// cached reads the episode and tombstone tables for id. A live episode wins:
-// the two never coexist once termination or adoption has finished.
+// cached reads the episode table for id: the live episode, else its cached
+// tombstone.
 func (s *Server) cached(id uint64) (*episode, *tombstone) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if ep := s.episodes[id]; ep != nil {
-		return ep, nil
-	}
-	return nil, s.tombstones[id]
+	return s.table.find(id)
 }
 
 // episode is lookup for handlers that only serve live episodes: a
@@ -1039,7 +884,7 @@ func (s *Server) handleDecision(w http.ResponseWriter, r *http.Request) {
 	if ep == nil {
 		// The terminal decision was already computed; the client's copy was
 		// lost in transit. Re-serve it.
-		writeJSON(w, http.StatusOK, tb.final)
+		writeJSON(w, http.StatusOK, tb.Final)
 		return
 	}
 	s.serveDecision(w, id, ep)
@@ -1112,11 +957,7 @@ func (s *Server) serveDecision(w http.ResponseWriter, id uint64, ep *episode) {
 			s.storeWrite(ep.clientKey, obs.SpanOpTombstone, id, func() error { return s.cfg.Checkpointer.SaveTombstone(ts) })
 		}
 		s.mu.Lock()
-		delete(s.episodes, id)
-		if ep.clientKey != "" {
-			delete(s.byKey, ep.clientKey)
-		}
-		s.insertTombstoneLocked(ts)
+		s.table.retire(ts, s.cfg.now())
 		s.mu.Unlock()
 		if s.cfg.Checkpointer != nil {
 			s.storeWrite(ep.clientKey, obs.SpanOpDelete, id, func() error { return s.cfg.Checkpointer.Delete(id) })
@@ -1175,8 +1016,8 @@ func (s *Server) handleObservation(w http.ResponseWriter, r *http.Request) {
 		// The episode is over. A retransmit of its final observation whose
 		// first answer — the terminal decision — was lost gets that decision
 		// again; any other observation is for an episode that is gone.
-		if req.Decide && (req.StepIndex == nil || *req.StepIndex < tb.steps) {
-			writeJSON(w, http.StatusOK, tb.final)
+		if req.Decide && (req.StepIndex == nil || *req.StepIndex < tb.Steps) {
+			writeJSON(w, http.StatusOK, tb.Final)
 			return
 		}
 		writeError(w, http.StatusNotFound, fmt.Errorf("episode %d not found", id))
@@ -1262,15 +1103,12 @@ func (s *Server) handleBelief(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	id, ep, ok := s.episode(w, r)
+	id, _, ok := s.episode(w, r)
 	if !ok {
 		return
 	}
 	s.mu.Lock()
-	delete(s.episodes, id)
-	if ep.clientKey != "" {
-		delete(s.byKey, ep.clientKey)
-	}
+	s.table.drop(id)
 	s.mu.Unlock()
 	if s.cfg.Checkpointer != nil {
 		if err := s.cfg.Checkpointer.Delete(id); err != nil {

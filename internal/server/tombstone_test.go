@@ -282,6 +282,76 @@ func TestTombstoneWriteAheadRestore(t *testing.T) {
 	})
 }
 
+// crowdedStore serves its store's tombstones followed by extra ones, as if
+// the store held them too.
+type crowdedStore struct {
+	Checkpointer
+	extra []TombstoneState
+}
+
+func (c crowdedStore) LoadTombstones() ([]TombstoneState, []CorruptCheckpoint, error) {
+	tombs, corrupt, err := c.Checkpointer.LoadTombstones()
+	return append(tombs, c.extra...), corrupt, err
+}
+
+// TestTombstoneWriteAheadRestorePastCap is the write-ahead crash of
+// TestTombstoneWriteAheadRestore with more than maxTombstones newer
+// tombstones beside it, so the cache evicts the stale record's tombstone
+// while restoring. The record must still be recognised as stale: deleted,
+// never resumed.
+func TestTombstoneWriteAheadRestorePastCap(t *testing.T) {
+	onDirStore(t, func(t *testing.T) {
+		prep := testPrepared(t)
+		dir := t.TempDir()
+		cp := openStore(t, dir)
+		srv, err := New(Config{Model: prep.Model, NewController: boundedFactory(prep),
+			Checkpointer: noDeleteStore{cp}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs := httptest.NewServer(srv)
+		id, final := driveTerminal(t, hs, prep.Model, "ck-wal-cap")
+		hs.Close()
+		srv.Close()
+
+		newer := make([]TombstoneState, maxTombstones)
+		later := time.Now().Add(time.Hour)
+		for i := range newer {
+			newer[i] = TombstoneState{
+				EpisodeID:            id + 1 + uint64(i),
+				Steps:                1,
+				Final:                DecisionResponse{Action: 3, ActionName: "terminate", Terminate: true},
+				TerminatedAtUnixNano: later.Add(time.Duration(i) * time.Millisecond).UnixNano(),
+			}
+		}
+		cp2 := openStore(t, dir)
+		srv2, err := New(Config{Model: prep.Model, NewController: boundedFactory(prep),
+			Checkpointer: crowdedStore{cp2, newer}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv2.Close()
+		hs2 := httptest.NewServer(srv2)
+		defer hs2.Close()
+
+		rep := srv2.Restored()
+		if rep.Tombstones != maxTombstones+1 || rep.Resumed != 0 || len(rep.Failed) != 0 {
+			t.Fatalf("restored %d tombstones, %d episodes, %d failures; want %d, 0, 0",
+				rep.Tombstones, rep.Resumed, len(rep.Failed), maxTombstones+1)
+		}
+		if srv2.OpenEpisodes() != 0 {
+			t.Errorf("stale episode resurrected: %d open", srv2.OpenEpisodes())
+		}
+		if states, _, err := cp2.LoadAll(); err != nil || len(states) != 0 {
+			t.Errorf("stale episode record survives restore: %+v (err=%v)", states, err)
+		}
+		status, replayed := getDecision(t, hs2.URL, id)
+		if status != http.StatusOK || replayed != final {
+			t.Errorf("decision after write-ahead recovery %+v (status %d), want %+v", replayed, status, final)
+		}
+	})
+}
+
 // TestTombstoneTTLEviction drives the store-backed eviction path: once the
 // TTL passes, Sweep removes the tombstone from the cache AND the durable
 // store, and the decision is genuinely gone.
