@@ -22,7 +22,7 @@ import (
 	"bpomdp/internal/sim"
 )
 
-// killerEpisode wraps a FleetEpisode and, on the armed episode after a few
+// killerEpisode wraps a fleet Episode and, on the armed episode after a few
 // applied observations, SIGKILLs whichever fleet member is serving it. The
 // kill waits for a non-terminal decision — the one the last observation's
 // answer carried — so the episode is still live on the member and its next
@@ -30,7 +30,7 @@ import (
 // passed through untouched, so the campaign engine cannot tell a handoff
 // happened.
 type killerEpisode struct {
-	*client.FleetEpisode
+	*client.Episode
 	f          *chaos.Fleet
 	fired      *bool
 	adopted    *int
@@ -40,7 +40,7 @@ type killerEpisode struct {
 }
 
 func (k *killerEpisode) Observe(action, obs int) error {
-	if err := k.FleetEpisode.Observe(action, obs); err != nil {
+	if err := k.Episode.Observe(action, obs); err != nil {
 		return err
 	}
 	k.steps++
@@ -48,13 +48,13 @@ func (k *killerEpisode) Observe(action, obs int) error {
 }
 
 func (k *killerEpisode) Decide() (controller.Decision, error) {
-	d, err := k.FleetEpisode.Decide()
+	d, err := k.Episode.Decide()
 	if err != nil || d.Terminate {
 		return d, err
 	}
 	if k.armed && !*k.fired && k.steps >= k.afterSteps {
 		*k.fired = true
-		n, err := k.f.Kill(k.FleetEpisode.Owner())
+		n, err := k.f.Kill(k.Episode.Owner())
 		if err != nil {
 			return d, err
 		}
@@ -162,12 +162,12 @@ func TestFleetChaosZeroAbandonedEpisodes(t *testing.T) {
 				return nil, nil, err
 			}
 			k := &killerEpisode{
-				FleetEpisode: ep,
-				f:            f,
-				fired:        &killFired,
-				adopted:      &adopted,
-				armed:        episode == killDuringEpisode,
-				afterSteps:   1,
+				Episode:    ep,
+				f:          f,
+				fired:      &killFired,
+				adopted:    &adopted,
+				armed:      episode == killDuringEpisode,
+				afterSteps: 1,
 			}
 			cleanup := func(err error) {
 				if err != nil {
@@ -213,7 +213,7 @@ func TestFleetChaosZeroAbandonedEpisodes(t *testing.T) {
 		killDuringEpisode, adopted, remote.Cost.Mean())
 }
 
-// lostFinalEpisode wraps a FleetEpisode to stage the lost-final-decision
+// lostFinalEpisode wraps a fleet Episode to stage the lost-final-decision
 // window: on the armed episode it first posts each observation over a raw,
 // redirect-free request that asks for the decision — exactly what the
 // client sends on the wire — and the moment the answer is terminal (so the
@@ -222,7 +222,7 @@ func TestFleetChaosZeroAbandonedEpisodes(t *testing.T) {
 // client's own Observe is then a retransmit of the final observation and
 // has to recover the decision from the survivors.
 type lostFinalEpisode struct {
-	*client.FleetEpisode
+	*client.Episode
 	f     *chaos.Fleet
 	armed bool
 	fired *bool
@@ -257,7 +257,7 @@ func (l *lostFinalEpisode) Observe(action, obs int) error {
 	}
 	// A retransmit when the raw post went through: the member dedupes it by
 	// step index and answers with the decision it already made.
-	return l.FleetEpisode.Observe(action, obs)
+	return l.Episode.Observe(action, obs)
 }
 
 // observationRecorder is the fleet client's transport. Once the kill has
@@ -352,11 +352,11 @@ func TestFleetChaosTerminalDecisionSurvivesOwnerKill(t *testing.T) {
 				rec.key = ep.Key()
 			}
 			l := &lostFinalEpisode{
-				FleetEpisode: ep,
-				f:            f,
-				armed:        episode == killDuringEpisode,
-				fired:        &killFired,
-				lost:         &lost,
+				Episode: ep,
+				f:       f,
+				armed:   episode == killDuringEpisode,
+				fired:   &killFired,
+				lost:    &lost,
 			}
 			cleanup := func(err error) {
 				if err != nil {

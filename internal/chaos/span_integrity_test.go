@@ -81,12 +81,12 @@ func TestFleetChaosSpanStreamIntegrity(t *testing.T) {
 				killedKey = ep.Key()
 			}
 			k := &killerEpisode{
-				FleetEpisode: ep,
-				f:            f,
-				fired:        &killFired,
-				adopted:      &adopted,
-				armed:        episode == killDuringEpisode,
-				afterSteps:   1,
+				Episode:    ep,
+				f:          f,
+				fired:      &killFired,
+				adopted:    &adopted,
+				armed:      episode == killDuringEpisode,
+				afterSteps: 1,
 			}
 			cleanup := func(err error) {
 				if err != nil {

@@ -23,7 +23,7 @@ func (c *Client) DecideBatch(beliefs []pomdp.Belief) ([]controller.Decision, err
 		req.Beliefs[i] = b
 	}
 	var out server.BatchDecideResponse
-	if err := c.do(http.MethodPost, "/v1/decide/batch", nil, &req, &out, idemSafe); err != nil {
+	if err := c.do(http.MethodPost, "/v1/decide/batch", nil, &req, &out); err != nil {
 		return nil, err
 	}
 	if len(out.Decisions) != len(beliefs) {

@@ -10,8 +10,7 @@
 // issues is idempotent on the wire — episode starts carry a
 // client-generated clientKey and observation POSTs carry a stepIndex, both
 // of which the server deduplicates — so a retried request never corrupts an
-// episode. Requests without a dedupe key are retried only when the
-// connection could not be established at all.
+// episode.
 package client
 
 import (
@@ -78,27 +77,17 @@ func New(baseURL string, httpClient *http.Client, opts ...Option) (*Client, erro
 	return c, nil
 }
 
-// Healthy probes /healthz.
+// Healthy probes /healthz with a single attempt: no retries, metrics or
+// spans, but the per-attempt timeout applies and an error carries the
+// server's message.
 func (c *Client) Healthy() error {
-	req, err := http.NewRequest(http.MethodGet, c.base+"/healthz", nil)
-	if err != nil {
-		return fmt.Errorf("client: healthz: %w", err)
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return fmt.Errorf("client: healthz: %w", err)
-	}
-	defer drainClose(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("client: healthz status %d", resp.StatusCode)
-	}
-	return nil
+	return c.doOnce(http.MethodGet, "/healthz", nil, nil, nil)
 }
 
 // Model fetches the model summary.
 func (c *Client) Model() (server.ModelResponse, error) {
 	var out server.ModelResponse
-	err := c.do(http.MethodGet, "/v1/model", nil, nil, &out, idemSafe)
+	err := c.do(http.MethodGet, "/v1/model", nil, nil, &out)
 	return out, err
 }
 
@@ -107,20 +96,30 @@ func (c *Client) Model() (server.ModelResponse, error) {
 // raced a lost response resumes the already-created episode instead of
 // leaking a duplicate.
 func (c *Client) StartEpisode() (*Episode, error) {
-	return c.StartEpisodeKeyed(newClientKey())
+	key, err := newClientKey()
+	if err != nil {
+		return nil, err
+	}
+	return c.StartEpisodeKeyed(key)
 }
 
 // StartEpisodeKeyed opens an episode under a caller-chosen idempotency key.
 // In a fleet the key doubles as the episode's routing key; restarting the
 // same key on any member converges on the one episode (dedupe on the owner,
-// redirect elsewhere, adoption after a handoff).
+// redirect elsewhere, adoption after a handoff). An empty key is refused
+// before anything is sent: the server dedupes only non-empty keys, so a
+// retried keyless start could open a second episode.
 func (c *Client) StartEpisodeKeyed(key string) (*Episode, error) {
+	if key == "" {
+		return nil, fmt.Errorf("client: empty episode key")
+	}
 	req := server.StartRequest{ClientKey: key}
 	var out server.StartResponse
-	if err := c.do(http.MethodPost, "/v1/episodes", episodeKeyHeader(key), &req, &out, idemSafe); err != nil {
+	hdr := episodeKeyHeader(key)
+	if err := c.do(http.MethodPost, "/v1/episodes", hdr, &req, &out); err != nil {
 		return nil, err
 	}
-	return &Episode{c: c, id: out.EpisodeID, key: key, hdr: episodeKeyHeader(key), open: true}, nil
+	return &Episode{c: c, id: out.EpisodeID, key: key, hdr: hdr, open: true}, nil
 }
 
 // Resume attaches to an episode already open on the server — typically one
@@ -128,7 +127,7 @@ func (c *Client) StartEpisodeKeyed(key string) (*Episode, error) {
 // client's observation step counter with the server's.
 func (c *Client) Resume(id uint64) (*Episode, error) {
 	var st server.StatusResponse
-	if err := c.do(http.MethodGet, fmt.Sprintf("/v1/episodes/%d", id), nil, nil, &st, idemSafe); err != nil {
+	if err := c.do(http.MethodGet, fmt.Sprintf("/v1/episodes/%d", id), nil, nil, &st); err != nil {
 		return nil, err
 	}
 	return &Episode{c: c, id: id, steps: st.Steps, open: st.Open}, nil
@@ -138,12 +137,8 @@ func (c *Client) Resume(id uint64) (*Episode, error) {
 // requests so fleet members can redirect or adopt instead of 404ing. The key
 // doubles as the episode's distributed trace id, so the same header set
 // carries X-Bpomdp-Trace — a span-enabled server then traces the episode
-// whether or not this client records its own spans. Nil for keyless
-// episodes.
+// whether or not this client records its own spans.
 func episodeKeyHeader(key string) http.Header {
-	if key == "" {
-		return nil
-	}
 	return http.Header{
 		server.HeaderEpisodeKey: []string{key},
 		server.HeaderTrace:      []string{key},
@@ -151,19 +146,19 @@ func episodeKeyHeader(key string) http.Header {
 }
 
 // newClientKey returns a 128-bit random idempotency key.
-func newClientKey() string {
+func newClientKey() (string, error) {
 	var b [16]byte
 	if _, err := cryptorand.Read(b[:]); err != nil {
-		// crypto/rand never fails on supported platforms; an empty key just
-		// downgrades the start to non-idempotent.
-		return ""
+		return "", fmt.Errorf("client: generate an episode key: %w", err)
 	}
-	return hex.EncodeToString(b[:])
+	return hex.EncodeToString(b[:]), nil
 }
 
 // Episode drives one remote recovery episode. It implements
 // controller.Controller; Reset is a no-op (the server resets the episode's
-// controller when the episode is created).
+// controller when the episode is created). An episode started through a
+// FleetClient also fails over: when its owner stops answering, it re-binds
+// in place to whoever now owns its key and continues.
 type Episode struct {
 	c     *Client
 	id    uint64
@@ -174,16 +169,26 @@ type Episode struct {
 	// next is the decision the last Observe's answer carried, consumed by
 	// the following Decide; nil when there is none to use.
 	next *server.DecisionResponse
+
+	// fc and owner are set for an episode started by a FleetClient: the
+	// fleet it fails over in and the member currently serving it.
+	fc    *FleetClient
+	owner string
 }
 
 var _ controller.Controller = (*Episode)(nil)
 
-// ID returns the server-assigned episode id.
+// ID returns the server-assigned episode id (in a fleet, stable across
+// failovers while the episode's checkpoints survive).
 func (e *Episode) ID() uint64 { return e.id }
 
 // Key returns the episode's idempotency/routing key ("" when started
 // without one).
 func (e *Episode) Key() string { return e.key }
+
+// Owner returns the fleet member currently serving the episode ("" outside
+// a fleet).
+func (e *Episode) Owner() string { return e.owner }
 
 // Steps returns the number of observations the client knows were applied.
 func (e *Episode) Steps() int { return e.steps }
@@ -201,17 +206,25 @@ func (e *Episode) Reset(pomdp.Belief) error {
 	return nil
 }
 
+// path returns the episode's resource path with suffix appended; it reads
+// the id at call time, so a call retried after a failover uses the new one.
+func (e *Episode) path(suffix string) string {
+	return fmt.Sprintf("/v1/episodes/%d%s", e.id, suffix)
+}
+
 // Decide implements controller.Controller. After Observe it returns the
 // decision that came back with the observation, with no round trip;
 // otherwise (first step, ObserveNamed, Resume, a server that answered the
 // observation with 204) it fetches the decision with GET. The server caches
-// the decision for the current step, so a retried call returns the
-// identical decision.
+// the decision for the current step, so a retried call — also one retried
+// across a fleet handoff — returns the identical decision.
 func (e *Episode) Decide() (controller.Decision, error) {
 	var out server.DecisionResponse
 	if e.next != nil {
 		out, e.next = *e.next, nil
-	} else if err := e.c.do(http.MethodGet, fmt.Sprintf("/v1/episodes/%d/decision", e.id), e.hdr, nil, &out, idemSafe); err != nil {
+	} else if err := e.withFailover(func() error {
+		return e.c.do(http.MethodGet, e.path("/decision"), e.hdr, nil, &out)
+	}); err != nil {
 		return controller.Decision{}, err
 	}
 	if out.Terminate {
@@ -222,15 +235,18 @@ func (e *Episode) Decide() (controller.Decision, error) {
 
 // Observe implements controller.Controller. The request carries the
 // client's step index as a dedupe key, so a retransmit after a lost
-// response is acknowledged without being applied twice. It also asks for
-// the next decision, which the following Decide returns: a served step is
-// one round trip. A retransmit gets the same decision, including the
-// terminal one of an episode that ended while the first answer was lost.
+// response — also one sent to a new owner after a failover — is
+// acknowledged without being applied twice. It also asks for the next
+// decision, which the following Decide returns: a served step is one round
+// trip. A retransmit gets the same decision, including the terminal one of
+// an episode that ended while the first answer was lost.
 func (e *Episode) Observe(action, obs int) error {
 	step := e.steps
 	req := server.ObservationRequest{Action: action, Observation: obs, StepIndex: &step, Decide: true}
 	var next *server.DecisionResponse // stays nil on a 204 from a server without decide
-	if err := e.c.do(http.MethodPost, fmt.Sprintf("/v1/episodes/%d/observations", e.id), e.hdr, &req, &next, idemSafe); err != nil {
+	if err := e.withFailover(func() error {
+		return e.c.do(http.MethodPost, e.path("/observations"), e.hdr, &req, &next)
+	}); err != nil {
 		return err
 	}
 	e.steps++
@@ -243,7 +259,9 @@ func (e *Episode) Observe(action, obs int) error {
 func (e *Episode) ObserveNamed(action, obs string) error {
 	step := e.steps
 	req := server.ObservationRequest{ActionName: action, ObservationName: obs, StepIndex: &step}
-	if err := e.c.do(http.MethodPost, fmt.Sprintf("/v1/episodes/%d/observations", e.id), e.hdr, &req, nil, idemSafe); err != nil {
+	if err := e.withFailover(func() error {
+		return e.c.do(http.MethodPost, e.path("/observations"), e.hdr, &req, nil)
+	}); err != nil {
 		return err
 	}
 	e.steps++
@@ -251,50 +269,35 @@ func (e *Episode) ObserveNamed(action, obs string) error {
 	return nil
 }
 
-// Belief implements controller.Controller by fetching the remote belief.
+// Belief implements controller.Controller by fetching the remote belief;
+// nil when it cannot be fetched.
 func (e *Episode) Belief() pomdp.Belief {
 	var out server.BeliefResponse
-	if err := e.c.do(http.MethodGet, fmt.Sprintf("/v1/episodes/%d/belief", e.id), e.hdr, nil, &out, idemSafe); err != nil {
+	if err := e.withFailover(func() error {
+		return e.c.do(http.MethodGet, e.path("/belief"), e.hdr, nil, &out)
+	}); err != nil {
 		return nil
 	}
 	return pomdp.Belief(out.Belief)
 }
 
-// Abandon deletes the episode on the server.
+// Abandon deletes the episode on the server, wherever it currently lives.
 func (e *Episode) Abandon() error {
 	e.open, e.next = false, nil
-	return e.c.do(http.MethodDelete, fmt.Sprintf("/v1/episodes/%d", e.id), e.hdr, nil, nil, idemSafe)
+	return e.withFailover(func() error {
+		return e.c.do(http.MethodDelete, e.path(""), e.hdr, nil, nil)
+	})
 }
 
-// do performs one JSON request/response exchange under the retry policy.
-// hdr, when non-nil, supplies extra request headers (e.g. the fleet episode
-// key). A traced call (WithSpans applied and an episode key on the request)
-// is wrapped in a client.call span covering the whole retry loop.
-// Exhaustion — attempts or budget — returns a *RetryExhaustedError wrapping
-// the last failure.
-func (c *Client) do(method, path string, hdr http.Header, in, out any, idem idempotency) error {
-	trace := c.traceID(hdr)
-	if trace == "" {
-		return c.doRetry(method, path, hdr, in, out, idem, "", "")
-	}
-	op := callOp(method, path)
-	t0 := time.Now()
-	err := c.doRetry(method, path, hdr, in, out, idem, trace, op)
-	rec := &obs.SpanRecord{
-		TraceID: trace, Kind: obs.SpanClientCall, Op: op,
-		Start: t0.UnixNano(), Duration: time.Since(t0).Nanoseconds(),
-	}
-	if err != nil {
-		rec.Err = err.Error()
-		rec.Status = StatusCode(err)
-	}
-	c.spanEmit(rec)
-	return err
-}
-
-// doRetry is the retry loop behind do. trace is empty for untraced calls;
-// when set, every attempt and backoff sleep emits its own span.
-func (c *Client) doRetry(method, path string, hdr http.Header, in, out any, idem idempotency, trace, op string) error {
+// do performs one JSON request/response exchange under the retry policy;
+// it is the client's only retry loop. hdr, when non-nil, supplies extra
+// request headers (e.g. the fleet episode key). A traced call (WithSpans
+// applied and an episode key on the request) emits a client.attempt span
+// per attempt, a client.backoff span per sleep and one client.call span
+// over the whole loop; a metered call (WithMetrics) updates the
+// recoverd_client_* series. Exhaustion — attempts or budget — returns a
+// *RetryExhaustedError wrapping the last failure.
+func (c *Client) do(method, path string, hdr http.Header, in, out any) error {
 	var payload []byte
 	if in != nil {
 		data, err := json.Marshal(in)
@@ -303,72 +306,76 @@ func (c *Client) doRetry(method, path string, hdr http.Header, in, out any, idem
 		}
 		payload = data
 	}
+	trace, op := c.traceID(hdr), ""
+	if trace != "" {
+		op = callOp(method, path)
+	}
 
 	var (
-		lastErr error
-		slept   time.Duration
-		started = time.Now()
+		err         error
+		slept, hint time.Duration // hint: the last failure's Retry-After
+		started     = time.Now()
 	)
-	for attempt := 0; attempt < c.policy.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			delay := c.policy.backoff(attempt - 1)
-			if hinted := retryDelayHint(lastErr); hinted > delay {
-				delay = hinted
+	for attempt := 0; ; attempt++ {
+		if attempt >= c.policy.MaxAttempts {
+			err = &RetryExhaustedError{
+				Method: method, Path: path,
+				Attempts:   attempt,
+				LastStatus: StatusCode(err),
+				Elapsed:    time.Since(started),
+				Err:        err,
 			}
+			break
+		}
+		if attempt > 0 {
+			delay := max(c.policy.backoff(attempt-1), hint)
 			if slept+delay > c.policy.Budget {
-				return &RetryExhaustedError{
+				err = &RetryExhaustedError{
 					Method: method, Path: path,
 					Attempts:        attempt,
-					LastStatus:      StatusCode(lastErr),
+					LastStatus:      StatusCode(err),
 					Elapsed:         time.Since(started),
 					BudgetExhausted: true,
 					Budget:          c.policy.Budget,
-					Err:             lastErr,
+					Err:             err,
 				}
+				break
 			}
 			slept += delay
-			if trace != "" {
-				c.spannedSleep(trace, op, attempt, delay)
-			} else {
-				c.policy.Sleep(delay)
-			}
+			t0 := time.Now()
+			c.policy.Sleep(delay)
+			c.span(trace, obs.SpanClientBackoff, op, attempt, t0, nil)
 			if c.metrics != nil {
 				c.metrics.retries.Inc()
 			}
 		}
-		var err error
-		if trace != "" {
-			err = c.spannedAttempt(trace, op, attempt, method, path, hdr, payload, out)
-		} else {
-			err = c.attempt(method, path, hdr, payload, out)
+
+		if c.metrics != nil {
+			c.metrics.requests.Inc()
 		}
-		if err == nil {
-			return nil
+		t0 := time.Now()
+		err = c.doOnce(method, path, hdr, payload, out)
+		if c.metrics != nil {
+			c.metrics.latency.Observe(time.Since(t0).Seconds())
+			if err != nil {
+				c.metrics.errors.Inc()
+			}
 		}
-		lastErr = err
-		if ok, _ := retryable(err, idem); !ok {
-			return err
+		c.span(trace, obs.SpanClientAttempt, op, attempt, t0, err)
+		if err == nil || !retryable(err) {
+			break
+		}
+		hint = 0
+		var se *statusError
+		if errors.As(err, &se) {
+			hint = se.retryAfter
 		}
 	}
-	return &RetryExhaustedError{
-		Method: method, Path: path,
-		Attempts:   c.policy.MaxAttempts,
-		LastStatus: StatusCode(lastErr),
-		Elapsed:    time.Since(started),
-		Err:        lastErr,
-	}
+	c.span(trace, obs.SpanClientCall, op, 0, started, err)
+	return err
 }
 
-// retryDelayHint extracts a server-mandated delay (Retry-After) from err.
-func retryDelayHint(err error) time.Duration {
-	var se *statusError
-	if errors.As(err, &se) {
-		return se.retryAfter
-	}
-	return 0
-}
-
-// doOnce performs a single attempt. Every path — success, HTTP error,
+// doOnce performs a single attempt under the per-attempt timeout. Every path — success, HTTP error,
 // decode failure — drains and closes the response body so the underlying
 // connection is reusable and never leaks.
 func (c *Client) doOnce(method, path string, hdr http.Header, payload []byte, out any) error {

@@ -5,7 +5,9 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"bpomdp/internal/controller"
 	"bpomdp/internal/core"
@@ -94,6 +96,54 @@ func TestHealthyAndModel(t *testing.T) {
 	}
 	if m.States[0] != "null" || m.Actions[3] != pomdp.TerminateActionName {
 		t.Errorf("model names: %v / %v", m.States, m.Actions)
+	}
+}
+
+// TestHealthyHonoursPerTryTimeout: a health probe against a server that
+// never answers must give up after the per-attempt timeout, not hang.
+func TestHealthyHonoursPerTryTimeout(t *testing.T) {
+	release := make(chan struct{})
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
+	}))
+	defer hs.Close()
+	defer close(release)
+	c, err := New(hs.URL, hs.Client(), WithRetryPolicy(RetryPolicy{PerTryTimeout: 50 * time.Millisecond}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- c.Healthy() }()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("Healthy succeeded against a server that never answers")
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Healthy still blocked after 2s with a 50ms per-attempt timeout")
+	}
+}
+
+// TestStartEpisodeKeyedRefusesEmptyKey: the server dedupes only non-empty
+// keys, so a keyless start is refused before anything reaches the wire.
+func TestStartEpisodeKeyedRefusesEmptyKey(t *testing.T) {
+	var hits atomic.Int64
+	hs := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+		hits.Add(1)
+	}))
+	defer hs.Close()
+	c, err := New(hs.URL, hs.Client())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ep, err := c.StartEpisodeKeyed(""); err == nil {
+		t.Fatalf("keyless start opened episode %d", ep.ID())
+	}
+	if got := hits.Load(); got != 0 {
+		t.Errorf("server saw %d requests, want 0", got)
 	}
 }
 

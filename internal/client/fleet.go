@@ -8,11 +8,8 @@ import (
 	"sync"
 	"time"
 
-	"bpomdp/internal/controller"
 	"bpomdp/internal/fleet"
 	"bpomdp/internal/obs"
-	"bpomdp/internal/pomdp"
-	"bpomdp/internal/server"
 )
 
 // FleetClient talks to a recovery fleet without a coordinator: it computes
@@ -86,7 +83,7 @@ func (fc *FleetClient) syncDown(memberID string) {
 		return
 	}
 	for _, m := range fc.view.DownMembers() {
-		_ = c.do(http.MethodPost, "/v1/fleet/members/"+url.PathEscape(m.ID)+"/down", nil, nil, nil, idemSafe)
+		_ = c.do(http.MethodPost, "/v1/fleet/members/"+url.PathEscape(m.ID)+"/down", nil, nil, nil)
 	}
 }
 
@@ -123,130 +120,57 @@ func transportExhausted(err error) bool {
 
 // StartEpisode opens an episode on the owner of a fresh routing key,
 // failing over to the next surviving owner when a member is unreachable.
-func (fc *FleetClient) StartEpisode() (*FleetEpisode, error) {
-	key := newClientKey()
-	if key == "" {
-		return nil, fmt.Errorf("client: could not generate an episode key")
+// The episode fails over the same way for the rest of its life.
+func (fc *FleetClient) StartEpisode() (*Episode, error) {
+	key, err := newClientKey()
+	if err != nil {
+		return nil, err
 	}
+	ep, owner, err := fc.startOnOwner(key, false)
+	if err != nil {
+		return nil, err
+	}
+	ep.fc, ep.owner = fc, owner
+	return ep, nil
+}
+
+// startOnOwner starts key on the member that owns it and returns the plain
+// episode and that member's id. A member that does not answer at all is
+// marked down and the key moves to the next surviving owner, which first
+// hears of every death this client knows (syncDown). syncFirst asks for
+// that report on the first hop too; a failover sets it, since it has just
+// marked the old owner down.
+func (fc *FleetClient) startOnOwner(key string, syncFirst bool) (*Episode, string, error) {
 	var lastErr error
 	for hop := 0; hop < fc.memberCount(); hop++ {
 		owner, ok := fc.view.Owner(key)
 		if !ok {
-			return nil, fmt.Errorf("client: every fleet member is marked down")
+			return nil, "", fmt.Errorf("client: every fleet member is marked down")
 		}
-		if hop > 0 {
+		if syncFirst || hop > 0 {
 			fc.syncDown(owner.ID)
 		}
 		ep, err := fc.client(owner.ID).StartEpisodeKeyed(key)
 		if err == nil {
-			return &FleetEpisode{fc: fc, key: key, ownerID: owner.ID, ep: ep}, nil
+			return ep, owner.ID, nil
 		}
 		lastErr = err
 		if !transportExhausted(err) {
-			return nil, err
+			return nil, "", err
 		}
 		_, _ = fc.view.MarkDown(owner.ID)
 	}
-	return nil, fmt.Errorf("client: no fleet member accepted the episode: %w", lastErr)
+	return nil, "", fmt.Errorf("client: no fleet member accepted episode %s: %w", key, lastErr)
 }
 
-// FleetEpisode drives one episode across the fleet. It implements
-// controller.Controller like Episode, adding owner failover: when the
-// current owner stops answering, the episode re-binds to whoever now owns
-// its key and continues — retried steps deduplicate server-side, so the
-// handoff has at-most-once effect.
-type FleetEpisode struct {
-	fc      *FleetClient
-	key     string
-	ownerID string
-	ep      *Episode
-}
-
-var _ controller.Controller = (*FleetEpisode)(nil)
-
-// ID returns the server-assigned episode id (stable across failovers while
-// the episode's checkpoints survive).
-func (e *FleetEpisode) ID() uint64 { return e.ep.ID() }
-
-// Key returns the episode's routing key.
-func (e *FleetEpisode) Key() string { return e.key }
-
-// Owner returns the member currently serving the episode.
-func (e *FleetEpisode) Owner() string { return e.ownerID }
-
-// Steps returns the client-side count of applied observations.
-func (e *FleetEpisode) Steps() int { return e.ep.Steps() }
-
-// Name implements controller.Controller.
-func (e *FleetEpisode) Name() string { return e.ep.Name() }
-
-// Reset implements controller.Controller (no-op, as for Episode).
-func (e *FleetEpisode) Reset(b pomdp.Belief) error { return e.ep.Reset(b) }
-
-// failover re-routes the episode after its owner stopped answering:
-// mark the owner down, restart the key on the new owner (dedupe or adoption
-// returns the same episode), re-bind. The client-side step counter carries
-// over — it is the dedupe cursor for retransmitted observations. On a traced
-// client the whole re-bind is recorded as a client.failover span whose
-// Target is the owner the episode moved to.
-func (e *FleetEpisode) failover() error {
-	c := e.ep.c
-	if c.spans == nil {
-		return e.rebind()
+// withFailover runs op against the episode's current binding. In a fleet,
+// when the owner is unreachable it fails over and runs op again; each
+// failover consumes a hop, and at most one full sweep of the fleet is
+// attempted. Outside a fleet it just runs op.
+func (e *Episode) withFailover(op func() error) error {
+	if e.fc == nil {
+		return op()
 	}
-	t0 := time.Now()
-	err := e.rebind()
-	rec := &obs.SpanRecord{
-		TraceID: e.key, Kind: obs.SpanClientFailover, Target: e.ownerID,
-		Start: t0.UnixNano(), Duration: time.Since(t0).Nanoseconds(),
-	}
-	if err != nil {
-		rec.Err = err.Error()
-		rec.Target = ""
-	}
-	c.spanEmit(rec)
-	return err
-}
-
-// rebind is failover without the span bookkeeping.
-func (e *FleetEpisode) rebind() error {
-	_, _ = e.fc.view.MarkDown(e.ownerID)
-	var lastErr error
-	for hop := 0; hop < e.fc.memberCount(); hop++ {
-		owner, ok := e.fc.view.Owner(e.key)
-		if !ok {
-			return fmt.Errorf("client: every fleet member is marked down")
-		}
-		e.fc.syncDown(owner.ID)
-		fresh, err := e.fc.client(owner.ID).StartEpisodeKeyed(e.key)
-		if err == nil {
-			if fresh.ID() != e.ep.ID() && e.ep.Steps() > 0 {
-				// The fleet answered with a brand-new episode: the original's
-				// checkpoints (and any terminal tombstone) are gone. Binding
-				// to it would silently replay recovery from step zero.
-				_ = fresh.Abandon()
-				return &EpisodeLostError{Key: e.key, EpisodeID: e.ep.ID(), FreshID: fresh.ID(), Steps: e.ep.Steps()}
-			}
-			fresh.steps = e.ep.steps
-			fresh.open = e.ep.open
-			fresh.next = e.ep.next
-			e.ownerID = owner.ID
-			e.ep = fresh
-			return nil
-		}
-		lastErr = err
-		if !transportExhausted(err) {
-			return err
-		}
-		_, _ = e.fc.view.MarkDown(owner.ID)
-	}
-	return fmt.Errorf("client: episode %s found no surviving owner: %w", e.key, lastErr)
-}
-
-// withFailover runs op against the current binding, failing over and
-// retrying when the owner is unreachable. Each failover consumes a hop;
-// at most one full sweep of the fleet is attempted.
-func (e *FleetEpisode) withFailover(op func() error) error {
 	var err error
 	for hop := 0; hop <= e.fc.memberCount(); hop++ {
 		err = op()
@@ -260,44 +184,39 @@ func (e *FleetEpisode) withFailover(op func() error) error {
 	return err
 }
 
-// Decide implements controller.Controller with owner failover. A decision
-// that came back with the last observation is returned locally, as by
-// Episode.Decide. Decisions are cached per step server-side, so a decision
-// retried across a handoff is byte-identical.
-func (e *FleetEpisode) Decide() (controller.Decision, error) {
-	var d controller.Decision
-	err := e.withFailover(func() error {
-		var derr error
-		d, derr = e.ep.Decide()
-		return derr
-	})
-	return d, err
-}
-
-// Observe implements controller.Controller with owner failover. The step
-// index makes retransmits across the handoff idempotent, and the new owner
-// answers a retransmit with the decision for the step — the terminal one
-// from the replicated tombstone if the old owner ended the episode before
-// it died.
-func (e *FleetEpisode) Observe(action, obs int) error {
-	return e.withFailover(func() error { return e.ep.Observe(action, obs) })
-}
-
-// Belief implements controller.Controller. Unlike Episode.Belief it goes
-// through the failover wrapper, so a dead owner re-binds instead of
-// silently returning nil.
-func (e *FleetEpisode) Belief() pomdp.Belief {
-	var out server.BeliefResponse
-	err := e.withFailover(func() error {
-		return e.ep.c.do(http.MethodGet, fmt.Sprintf("/v1/episodes/%d/belief", e.ep.id), e.ep.hdr, nil, &out, idemSafe)
-	})
-	if err != nil {
-		return nil
+// failover re-binds the episode in place after its owner stopped answering:
+// mark the owner down, restart the key on the new owner (dedupe or adoption
+// returns the same episode), and swap in that member's client and id. The
+// step counter (the dedupe cursor for retransmitted observations), the open
+// flag and any piggybacked decision stay as they are. The fresh id is
+// adopted only when no step was applied; otherwise a different id means the
+// episode was lost. On a traced client the whole re-bind is recorded as a
+// client.failover span whose Target is the owner the episode moved to.
+func (e *Episode) failover() error {
+	t0 := time.Now()
+	_, _ = e.fc.view.MarkDown(e.owner)
+	fresh, owner, err := e.fc.startOnOwner(e.key, true)
+	if err == nil && fresh.id != e.id && e.steps > 0 {
+		// The fleet answered with a brand-new episode: the original's
+		// checkpoints (and any terminal tombstone) are gone. Binding to it
+		// would silently replay recovery from step zero.
+		_ = fresh.Abandon()
+		err = &EpisodeLostError{Key: e.key, EpisodeID: e.id, FreshID: fresh.id, Steps: e.steps}
 	}
-	return pomdp.Belief(out.Belief)
-}
-
-// Abandon deletes the episode wherever it currently lives.
-func (e *FleetEpisode) Abandon() error {
-	return e.withFailover(func() error { return e.ep.Abandon() })
+	if err == nil {
+		e.c, e.owner, e.id = fresh.c, owner, fresh.id
+	}
+	if e.c.spans != nil {
+		rec := &obs.SpanRecord{
+			TraceID: e.key, Kind: obs.SpanClientFailover,
+			Start: t0.UnixNano(), Duration: time.Since(t0).Nanoseconds(),
+		}
+		if err != nil {
+			rec.Err = err.Error()
+		} else {
+			rec.Target = e.owner
+		}
+		e.c.spanEmit(rec)
+	}
+	return err
 }

@@ -100,7 +100,7 @@ func newClientFleetHandoff(t *testing.T, handoff bool) (map[string]*fleetTestNod
 
 // stepOnce drives one decide/observe round against a deterministic
 // environment (first successor observation under the decider's own belief).
-func stepOnce(t *testing.T, prep *core.Prepared, sc *pomdp.Scratch, e *FleetEpisode) bool {
+func stepOnce(t *testing.T, prep *core.Prepared, sc *pomdp.Scratch, e *Episode) bool {
 	t.Helper()
 	d, err := e.Decide()
 	if err != nil {

@@ -1,15 +1,10 @@
 package client
 
-import (
-	"net/http"
-	"time"
+import "bpomdp/internal/obs"
 
-	"bpomdp/internal/obs"
-)
-
-// clientMetrics holds the client-side instruments. A Client without
-// WithMetrics carries a nil *clientMetrics and pays a single nil check per
-// attempt.
+// clientMetrics holds the client-side instruments, updated by the retry
+// loop in do. A Client without WithMetrics carries a nil *clientMetrics and
+// pays only nil checks.
 type clientMetrics struct {
 	requests *obs.Counter
 	retries  *obs.Counter
@@ -35,20 +30,4 @@ func WithMetrics(reg *obs.Registry) Option {
 				"Per-attempt request latency in seconds.", obs.DefLatencyBuckets),
 		}
 	}
-}
-
-// attempt wraps one doOnce call with the client's instruments; with no
-// metrics attached it is a plain call.
-func (c *Client) attempt(method, path string, hdr http.Header, payload []byte, out any) error {
-	if c.metrics == nil {
-		return c.doOnce(method, path, hdr, payload, out)
-	}
-	c.metrics.requests.Inc()
-	t0 := time.Now()
-	err := c.doOnce(method, path, hdr, payload, out)
-	c.metrics.latency.Observe(time.Since(t0).Seconds())
-	if err != nil {
-		c.metrics.errors.Inc()
-	}
-	return err
 }

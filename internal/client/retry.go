@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
-	"net"
 	"net/http"
 	"strconv"
 	"time"
@@ -86,20 +85,6 @@ func (p RetryPolicy) backoff(attempt int) time.Duration {
 	return time.Duration(p.Rand() * float64(ceil))
 }
 
-// idempotency classifies how aggressively a request may be retried.
-type idempotency int
-
-const (
-	// idemSafe marks requests that are safe to retry after any failure:
-	// GETs, DELETEs, and POSTs carrying a dedupe key the server honours
-	// (clientKey on starts, stepIndex on observations).
-	idemSafe idempotency = iota
-	// idemConnOnly marks non-idempotent requests, retried only when the
-	// connection could not be established at all (the server never saw the
-	// request) or the server explicitly refused it with 429.
-	idemConnOnly
-)
-
 // statusError is an HTTP-level failure, preserving the code for retry
 // classification and any Retry-After hint the server sent.
 type statusError struct {
@@ -160,41 +145,18 @@ func StatusCode(err error) int {
 	return 0
 }
 
-// retryable decides whether err warrants another attempt under the given
-// idempotency class, and any server-mandated delay before it.
-func retryable(err error, idem idempotency) (bool, time.Duration) {
-	if err == nil {
-		return false, 0
-	}
+// retryable reports whether err warrants another attempt. Every request the
+// client sends carries a dedupe key the server honours (clientKey on starts,
+// stepIndex on observations) or is idempotent by nature (reads, deletes,
+// the stateless batch decide, marking a member down), so one rule serves
+// them all: 429 and 5xx retry, other HTTP errors do not, and transport
+// errors (timeout, reset, refused) do.
+func retryable(err error) bool {
 	var se *statusError
 	if errors.As(err, &se) {
-		switch {
-		case se.code == http.StatusTooManyRequests:
-			// The server refused before doing any work; always safe.
-			return true, se.retryAfter
-		case se.code >= 500:
-			return idem == idemSafe, se.retryAfter
-		default:
-			return false, 0
-		}
+		return se.code == http.StatusTooManyRequests || se.code >= 500
 	}
-	if idem == idemSafe {
-		// Any transport error: timeout, reset, refused — the request is
-		// safe to re-send.
-		return true, 0
-	}
-	return isConnError(err), 0
-}
-
-// isConnError reports whether err happened before the request could have
-// reached the server (dial failure), making even non-idempotent requests
-// safe to retry.
-func isConnError(err error) bool {
-	var op *net.OpError
-	if errors.As(err, &op) {
-		return op.Op == "dial"
-	}
-	return false
+	return err != nil
 }
 
 func parseRetryAfter(h http.Header) time.Duration {

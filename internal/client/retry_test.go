@@ -55,31 +55,25 @@ func TestBackoffJitterRange(t *testing.T) {
 }
 
 func TestRetryableClassification(t *testing.T) {
-	dial := &net.OpError{Op: "dial", Net: "tcp", Err: errors.New("refused")}
 	read := &net.OpError{Op: "read", Net: "tcp", Err: errors.New("reset")}
 	cases := []struct {
 		name string
 		err  error
-		idem idempotency
 		want bool
 	}{
-		{"nil", nil, idemSafe, false},
-		{"transport-idem", fmt.Errorf("wrap: %w", read), idemSafe, true},
-		{"transport-connonly", fmt.Errorf("wrap: %w", read), idemConnOnly, false},
-		{"dial-connonly", fmt.Errorf("wrap: %w", dial), idemConnOnly, true},
-		{"429-connonly", &statusError{code: http.StatusTooManyRequests}, idemConnOnly, true},
-		{"500-idem", &statusError{code: http.StatusInternalServerError}, idemSafe, true},
-		{"503-idem", &statusError{code: http.StatusServiceUnavailable}, idemSafe, true},
-		{"500-connonly", &statusError{code: http.StatusInternalServerError}, idemConnOnly, false},
-		{"404-idem", &statusError{code: http.StatusNotFound}, idemSafe, false},
-		{"409-idem", &statusError{code: http.StatusConflict}, idemSafe, false},
-		{"422-idem", &statusError{code: http.StatusUnprocessableEntity}, idemSafe, false},
+		{"nil", nil, false},
+		{"transport-idem", fmt.Errorf("wrap: %w", read), true},
+		{"429", &statusError{code: http.StatusTooManyRequests}, true},
+		{"500-idem", &statusError{code: http.StatusInternalServerError}, true},
+		{"503-idem", &statusError{code: http.StatusServiceUnavailable}, true},
+		{"404-idem", &statusError{code: http.StatusNotFound}, false},
+		{"409-idem", &statusError{code: http.StatusConflict}, false},
+		{"422-idem", &statusError{code: http.StatusUnprocessableEntity}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, _ := retryable(tc.err, tc.idem)
-			if got != tc.want {
-				t.Errorf("retryable(%v, %v) = %v, want %v", tc.err, tc.idem, got, tc.want)
+			if got := retryable(tc.err); got != tc.want {
+				t.Errorf("retryable(%v) = %v, want %v", tc.err, got, tc.want)
 			}
 		})
 	}
@@ -143,7 +137,7 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = c.do(http.MethodGet, "/v1/model", nil, nil, nil, idemSafe)
+	err = c.do(http.MethodGet, "/v1/model", nil, nil, nil)
 	if err == nil {
 		t.Fatal("budget-limited call succeeded")
 	}
@@ -158,28 +152,6 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 	}
 	if slept != 16*time.Millisecond {
 		t.Errorf("total sleep %v, want 16ms", slept)
-	}
-}
-
-func TestNonIdempotentNotRetriedOnHTTPError(t *testing.T) {
-	var hits atomic.Int64
-	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		hits.Add(1)
-		http.Error(w, `{"error":"flaky"}`, http.StatusInternalServerError)
-	}))
-	defer hs.Close()
-	c, err := New(hs.URL, hs.Client(), WithRetryPolicy(RetryPolicy{
-		MaxAttempts: 5,
-		Sleep:       func(time.Duration) {},
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.do(http.MethodPost, "/x", nil, nil, nil, idemConnOnly); err == nil {
-		t.Fatal("500 surfaced as success")
-	}
-	if got := hits.Load(); got != 1 {
-		t.Errorf("non-idempotent POST attempted %d times, want 1", got)
 	}
 }
 
@@ -240,7 +212,7 @@ func TestRetryExhaustedErrorFields(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = c.do(http.MethodGet, "/v1/model", nil, nil, nil, idemSafe)
+		err = c.do(http.MethodGet, "/v1/model", nil, nil, nil)
 		var re *RetryExhaustedError
 		if !errors.As(err, &re) {
 			t.Fatalf("error %T is not a *RetryExhaustedError", err)
@@ -275,7 +247,7 @@ func TestRetryExhaustedErrorFields(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = c.do(http.MethodGet, "/v1/model", nil, nil, nil, idemSafe)
+		err = c.do(http.MethodGet, "/v1/model", nil, nil, nil)
 		var re *RetryExhaustedError
 		if !errors.As(err, &re) {
 			t.Fatalf("error %T is not a *RetryExhaustedError", err)
@@ -302,7 +274,7 @@ func TestRetryExhaustedErrorFields(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = c.do(http.MethodGet, "/v1/model", nil, nil, nil, idemSafe)
+		err = c.do(http.MethodGet, "/v1/model", nil, nil, nil)
 		var re *RetryExhaustedError
 		if !errors.As(err, &re) {
 			t.Fatalf("error %T is not a *RetryExhaustedError", err)
@@ -332,7 +304,7 @@ func TestMaxAttemptsExhaustion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = c.do(http.MethodGet, "/v1/model", nil, nil, nil, idemSafe)
+	err = c.do(http.MethodGet, "/v1/model", nil, nil, nil)
 	if err == nil {
 		t.Fatal("always-503 call succeeded")
 	}

@@ -15,8 +15,8 @@ import (
 // with the servers' span streams by cmd/tracestats. node names this process
 // in the emitted spans ("client" when empty). The writer is typically shared
 // with other clients of the same process — SpanWriter serializes writes.
-// A nil writer leaves the client untraced; an untraced client pays one nil
-// check per call.
+// A nil writer leaves the client untraced; an untraced call pays one nil
+// check and an empty-trace check per span it would have emitted.
 func WithSpans(sw *obs.SpanWriter, node string) Option {
 	return func(c *Client) {
 		if sw == nil {
@@ -65,24 +65,15 @@ func (c *Client) traceID(hdr http.Header) string {
 	return hdr.Get(server.HeaderTrace)
 }
 
-// spannedSleep is the backoff sleep of a traced call: the wait is recorded
-// as a client.backoff span so tracestats can attribute it. attempt numbers
-// the attempt the sleep precedes.
-func (c *Client) spannedSleep(traceID, op string, attempt int, delay time.Duration) {
-	t0 := time.Now()
-	c.policy.Sleep(delay)
-	c.spanEmit(&obs.SpanRecord{
-		TraceID: traceID, Kind: obs.SpanClientBackoff, Op: op, Attempt: attempt,
-		Start: t0.UnixNano(), Duration: time.Since(t0).Nanoseconds(),
-	})
-}
-
-// spannedAttempt wraps one instrumented attempt in a client.attempt span.
-func (c *Client) spannedAttempt(traceID, op string, attempt int, method, path string, hdr http.Header, payload []byte, out any) error {
-	t0 := time.Now()
-	err := c.attempt(method, path, hdr, payload, out)
+// span emits one span of a traced call, timed from t0 to now: a
+// client.attempt or client.call span carries err's status and message, a
+// client.backoff span passes nil. A no-op when trace is empty.
+func (c *Client) span(trace, kind, op string, attempt int, t0 time.Time, err error) {
+	if trace == "" {
+		return
+	}
 	rec := &obs.SpanRecord{
-		TraceID: traceID, Kind: obs.SpanClientAttempt, Op: op, Attempt: attempt,
+		TraceID: trace, Kind: kind, Op: op, Attempt: attempt,
 		Start: t0.UnixNano(), Duration: time.Since(t0).Nanoseconds(),
 	}
 	if err != nil {
@@ -90,5 +81,4 @@ func (c *Client) spannedAttempt(traceID, op string, attempt int, method, path st
 		rec.Err = err.Error()
 	}
 	c.spanEmit(rec)
-	return err
 }

@@ -27,7 +27,8 @@ func traceSleepPolicy() RetryPolicy {
 // TestWithSpansEmitsCallAttemptBackoff drives one keyed call that fails once
 // and succeeds on retry, and checks the span stream tells that exact story:
 // one call span containing two attempts separated by one backoff, all keyed
-// by the episode key and attributed to the configured node.
+// by the episode key and attributed to the configured node. The client is
+// metered too, and the counters must account the same two attempts.
 func TestWithSpansEmitsCallAttemptBackoff(t *testing.T) {
 	var hits atomic.Int64
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -44,8 +45,10 @@ func TestWithSpansEmitsCallAttemptBackoff(t *testing.T) {
 	defer hs.Close()
 
 	var buf bytes.Buffer
+	reg := obs.NewRegistry()
 	c, err := New(hs.URL, hs.Client(),
 		WithSpans(obs.NewSpanWriter(&buf), "driver-1"),
+		WithMetrics(reg),
 		WithRetryPolicy(traceSleepPolicy()))
 	if err != nil {
 		t.Fatal(err)
@@ -104,6 +107,19 @@ func TestWithSpansEmitsCallAttemptBackoff(t *testing.T) {
 		if at.Start < call.Start || at.End() > call.End() {
 			t.Errorf("attempt %d [%d,%d] outside call [%d,%d]",
 				i, at.Start, at.End(), call.Start, call.End())
+		}
+	}
+
+	g := reg.Gather()
+	want := map[string]float64{
+		"recoverd_client_requests_total":                 2,
+		"recoverd_client_retries_total":                  1,
+		"recoverd_client_errors_total":                   1,
+		"recoverd_client_request_duration_seconds_count": 2,
+	}
+	for series, v := range want {
+		if g[series] != v {
+			t.Errorf("%s = %v, want %v", series, g[series], v)
 		}
 	}
 }

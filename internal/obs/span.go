@@ -27,7 +27,7 @@ const (
 	// SpanClientBackoff is the sleep between attempts; Attempt numbers the
 	// attempt the sleep preceded (1 = before the first retry).
 	SpanClientBackoff = "client.backoff"
-	// SpanClientFailover is a FleetEpisode owner re-bind after transport
+	// SpanClientFailover is a fleet episode's owner re-bind after transport
 	// exhaustion; Target is the new owner.
 	SpanClientFailover = "client.failover"
 
