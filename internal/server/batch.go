@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -46,14 +45,7 @@ func (s *Server) getBatchDecider() (controller.BatchDecider, error) {
 // builds no controllers.
 func (s *Server) handleBatchDecide(w http.ResponseWriter, r *http.Request) {
 	var req BatchDecideRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body over %d bytes", tooBig.Limit))
-			return
-		}
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode batch decide request: %w", err))
+	if !s.decodeBody(w, r, &req, "batch decide request") {
 		return
 	}
 	if len(req.Beliefs) == 0 {
@@ -95,11 +87,7 @@ func (s *Server) handleBatchDecide(w http.ResponseWriter, r *http.Request) {
 
 	resp := BatchDecideResponse{Decisions: make([]DecisionResponse, len(decisions))}
 	for i, d := range decisions {
-		dr := DecisionResponse{Action: d.Action, Terminate: d.Terminate, Value: d.Value}
-		if !d.Terminate || d.Action >= 0 {
-			dr.ActionName = s.cfg.Model.M.ActionName(d.Action)
-		}
-		resp.Decisions[i] = dr
+		resp.Decisions[i] = s.decisionResponse(d)
 	}
 	s.m.batchRequests.Inc()
 	s.m.batchDecisions.Add(uint64(len(decisions)))

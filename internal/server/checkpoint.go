@@ -310,17 +310,22 @@ func (c *DirCheckpointer) Delete(id uint64) error {
 }
 
 // LoadAll implements Checkpointer, returning snapshots sorted by episode id.
-// A file that cannot be decoded is quarantined: renamed to
-// episode-<id>.json.corrupt (so a later Save of the same episode can never
-// silently overwrite the evidence, and a later LoadAll is not blocked by
-// it) and reported as a CorruptCheckpoint.
 func (c *DirCheckpointer) LoadAll() ([]EpisodeState, []CorruptCheckpoint, error) {
+	return loadRecords(c, "episode-", DecodeEpisodeState, func(st EpisodeState) uint64 { return st.EpisodeID })
+}
+
+// loadRecords reads every <prefix><id>.json record in the directory,
+// sorted by id. A file that cannot be decoded is quarantined: renamed to
+// <name>.corrupt (so a later write of the same id can never silently
+// overwrite the evidence, and a later load is not blocked by it) and
+// reported as a CorruptCheckpoint.
+func loadRecords[T any](c *DirCheckpointer, prefix string, decode func([]byte) (T, error), idOf func(T) uint64) ([]T, []CorruptCheckpoint, error) {
 	entries, err := os.ReadDir(c.dir)
 	if err != nil {
 		return nil, nil, fmt.Errorf("server: read checkpoint dir: %w", err)
 	}
 	var (
-		out     []EpisodeState
+		out     []T
 		corrupt []CorruptCheckpoint
 	)
 	quarantine := func(name string, id uint64, err error) {
@@ -331,10 +336,10 @@ func (c *DirCheckpointer) LoadAll() ([]EpisodeState, []CorruptCheckpoint, error)
 	}
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasPrefix(name, "episode-") || !strings.HasSuffix(name, ".json") {
+		if e.IsDir() || !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, ".json") {
 			continue
 		}
-		idText := strings.TrimSuffix(strings.TrimPrefix(name, "episode-"), ".json")
+		idText := strings.TrimSuffix(strings.TrimPrefix(name, prefix), ".json")
 		id, err := strconv.ParseUint(idText, 10, 64)
 		if err != nil {
 			quarantine(name, 0, fmt.Errorf("bad id in file name"))
@@ -346,18 +351,18 @@ func (c *DirCheckpointer) LoadAll() ([]EpisodeState, []CorruptCheckpoint, error)
 			corrupt = append(corrupt, CorruptCheckpoint{Name: name, EpisodeID: id, Err: err})
 			continue
 		}
-		st, err := DecodeEpisodeState(data)
+		rec, err := decode(data)
 		if err != nil {
 			quarantine(name, id, err)
 			continue
 		}
-		if st.EpisodeID != id {
-			quarantine(name, id, fmt.Errorf("id %d inside file", st.EpisodeID))
+		if got := idOf(rec); got != id {
+			quarantine(name, id, fmt.Errorf("id %d inside file", got))
 			continue
 		}
-		out = append(out, st)
+		out = append(out, rec)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].EpisodeID < out[j].EpisodeID })
+	sort.Slice(out, func(i, j int) bool { return idOf(out[i]) < idOf(out[j]) })
 	return out, corrupt, nil
 }
 
@@ -390,47 +395,5 @@ func (c *DirCheckpointer) DeleteTombstone(id uint64) error {
 // by episode id. Undecodable files are quarantined exactly like episode
 // checkpoints.
 func (c *DirCheckpointer) LoadTombstones() ([]TombstoneState, []CorruptCheckpoint, error) {
-	entries, err := os.ReadDir(c.dir)
-	if err != nil {
-		return nil, nil, fmt.Errorf("server: read checkpoint dir: %w", err)
-	}
-	var (
-		out     []TombstoneState
-		corrupt []CorruptCheckpoint
-	)
-	quarantine := func(name string, id uint64, err error) {
-		if rerr := os.Rename(filepath.Join(c.dir, name), filepath.Join(c.dir, name+".corrupt")); rerr != nil {
-			err = fmt.Errorf("%w (quarantine failed: %v)", err, rerr)
-		}
-		corrupt = append(corrupt, CorruptCheckpoint{Name: name, EpisodeID: id, Err: err})
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasPrefix(name, "tombstone-") || !strings.HasSuffix(name, ".json") {
-			continue
-		}
-		idText := strings.TrimSuffix(strings.TrimPrefix(name, "tombstone-"), ".json")
-		id, err := strconv.ParseUint(idText, 10, 64)
-		if err != nil {
-			quarantine(name, 0, fmt.Errorf("bad id in file name"))
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(c.dir, name))
-		if err != nil {
-			corrupt = append(corrupt, CorruptCheckpoint{Name: name, EpisodeID: id, Err: err})
-			continue
-		}
-		ts, err := DecodeTombstoneState(data)
-		if err != nil {
-			quarantine(name, id, err)
-			continue
-		}
-		if ts.EpisodeID != id {
-			quarantine(name, id, fmt.Errorf("id %d inside file", ts.EpisodeID))
-			continue
-		}
-		out = append(out, ts)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].EpisodeID < out[j].EpisodeID })
-	return out, corrupt, nil
+	return loadRecords(c, "tombstone-", DecodeTombstoneState, func(ts TombstoneState) uint64 { return ts.EpisodeID })
 }

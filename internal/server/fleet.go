@@ -247,7 +247,7 @@ func (s *Server) adoptFromMember(memberID string, want func(key string) bool) (i
 		// crash between the two leaves the episode recoverable (twice is
 		// fine — replay is deterministic and the duplicate loses admit's key
 		// race), never zero places.
-		s.checkpointState(st)
+		_ = s.save(st.ClientKey, st)
 		note(store.Delete(st.EpisodeID))
 		if !at0.IsZero() {
 			s.emitSpan(&obs.SpanRecord{TraceID: st.ClientKey, Kind: obs.SpanServerAdopt,
@@ -258,14 +258,14 @@ func (s *Server) adoptFromMember(memberID string, want func(key string) bool) (i
 	return adopted, firstErr
 }
 
-// adoptTombstone claims one foreign terminal tombstone through
-// acceptTombstone. False when this id is already tombstoned here (e.g. it
-// arrived earlier via replication).
+// adoptTombstone claims one foreign terminal tombstone through retire. False
+// when this id is already tombstoned here (e.g. it arrived earlier via
+// replication).
 func (s *Server) adoptTombstone(ts TombstoneState) bool {
 	if _, tb := s.cached(ts.EpisodeID); tb != nil {
 		return false
 	}
-	_ = s.acceptTombstone(ts) // a failed save is counted; the cache still serves it
+	_ = s.retire(ts, false) // a failed save is counted; the cache still serves it
 	s.m.tombstonesAdopted.Inc()
 	return true
 }
@@ -349,14 +349,12 @@ func (s *Server) MarkMemberUp(id string) (int, error) {
 // serving a possibly-stale episode is recoverable (the adopter's copy wins
 // the redirect), while dropping a live one is not.
 func (s *Server) reconcileOwnership() int {
-	if s.cfg.Checkpointer == nil {
-		return 0
-	}
-	states, _, err := s.cfg.Checkpointer.LoadAll()
+	tombs, err := s.storedTombstones()
 	if err != nil {
 		return 0
 	}
-	tombs, _, err := s.cfg.Checkpointer.LoadTombstones()
+	// The tombstones loaded, so there is a store to list the episodes of.
+	states, _, err := s.cfg.Checkpointer.LoadAll()
 	if err != nil {
 		return 0
 	}
@@ -552,29 +550,11 @@ func (s *Server) handleTombstoneReplica(w http.ResponseWriter, r *http.Request) 
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	err = s.acceptTombstone(ts)
+	err = s.retire(ts, false)
 	s.m.tombstonesReceived.Inc()
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
-}
-
-// acceptTombstone durably stores a tombstone taken over from a peer —
-// replicated to this member, or adopted from a down member's store — and
-// retires the episode with it, dropping any live copy held here. The store
-// write comes first: the point of taking it over is surviving this
-// member's own crash.
-func (s *Server) acceptTombstone(ts TombstoneState) error {
-	var saveErr error
-	if s.cfg.Checkpointer != nil {
-		if saveErr = s.cfg.Checkpointer.SaveTombstone(ts); saveErr != nil {
-			s.m.checkpointErrors.Inc()
-		}
-	}
-	s.mu.Lock()
-	s.table.retire(ts, s.cfg.now())
-	s.mu.Unlock()
-	return saveErr
 }

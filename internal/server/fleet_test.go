@@ -476,8 +476,8 @@ func TestFleetReplicatedTombstoneRetiresLiveCopy(t *testing.T) {
 	resp.Body.Close()
 
 	final := DecisionResponse{Action: 3, ActionName: "terminate", Terminate: true, Value: -1.5}
-	if err := a.srv.acceptTombstone(TombstoneState{EpisodeID: started.EpisodeID, ClientKey: key,
-		Steps: 2, Final: final, TerminatedAtUnixNano: time.Now().UnixNano()}); err != nil {
+	if err := a.srv.retire(TombstoneState{EpisodeID: started.EpisodeID, ClientKey: key,
+		Steps: 2, Final: final, TerminatedAtUnixNano: time.Now().UnixNano()}, false); err != nil {
 		t.Fatal(err)
 	}
 

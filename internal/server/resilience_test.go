@@ -124,6 +124,77 @@ func TestPanicBecomesInternalError(t *testing.T) {
 	}
 }
 
+// within runs f and fails the test if f has not returned after d, so a
+// wedged lock fails the test instead of hanging it.
+func within(t *testing.T, d time.Duration, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(d):
+		t.Fatalf("%s still blocked after %v", what, d)
+	}
+}
+
+// TestPanicDoesNotWedgeEpisode: a controller panic fails only its own
+// request. The episode's lock is released, so the idle sweep, a new start
+// and Close all carry on, and the panic is counted once.
+func TestPanicDoesNotWedgeEpisode(t *testing.T) {
+	prep := testPrepared(t)
+	srv, err := New(Config{
+		Model: prep.Model,
+		NewController: func() (controller.Controller, pomdp.Belief, error) {
+			initial, err := prep.InitialBelief()
+			return &panicController{}, initial, err
+		},
+		EpisodeTTL: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv)
+	defer hs.Close()
+	hc := &http.Client{Timeout: 2 * time.Second}
+
+	resp, err := hc.Post(hs.URL+"/v1/episodes", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("start status %d", resp.StatusCode)
+	}
+	resp, err = hc.Get(hs.URL + "/v1/episodes/1/decision")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("panic status %d, want 500", resp.StatusCode)
+	}
+
+	within(t, time.Second, "Sweep after a controller panic", func() { srv.Sweep() })
+	within(t, 3*time.Second, "start after a controller panic", func() {
+		resp, err := hc.Post(hs.URL+"/v1/episodes", "application/json", nil)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusCreated {
+			t.Errorf("start after panic: status %d, want 201", resp.StatusCode)
+		}
+	})
+	if got := metricValue(t, metricsBody(t, hs.URL), "recoverd_panics_total"); got != 1 {
+		t.Errorf("recoverd_panics_total %v, want 1", got)
+	}
+	within(t, time.Second, "Close after a controller panic", func() { srv.Close() })
+}
+
 func TestBodyLimit(t *testing.T) {
 	prep := testPrepared(t)
 	srv, err := New(Config{Model: prep.Model, NewController: boundedFactory(prep), MaxBodyBytes: 128})
@@ -147,6 +218,16 @@ func TestBodyLimit(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized body status %d", resp.StatusCode)
+	}
+
+	hugeStart := fmt.Sprintf(`{"clientKey":%q}`, strings.Repeat("k", 4096))
+	resp, err = http.Post(hs.URL+"/v1/episodes", "application/json", strings.NewReader(hugeStart))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized start body status %d, want 413", resp.StatusCode)
 	}
 }
 

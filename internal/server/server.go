@@ -51,9 +51,11 @@
 //   - Abandoned monitors: episodes idle longer than EpisodeTTL are evicted
 //     (counted in recoverd_episodes_evicted_total) so a hung monitor cannot
 //     leak controllers forever.
-//   - Hostile input: request bodies are capped with http.MaxBytesReader and
-//     handler panics become 500s (counted in recoverd_panics_total) rather
-//     than daemon crashes.
+//   - Hostile input: request bodies are capped with http.MaxBytesReader (413
+//     past the cap) and handler panics become 500s (counted in
+//     recoverd_panics_total) rather than daemon crashes. A controller panic
+//     fails only its own request: the episode's lock is released, so the
+//     episode, the idle sweep and Close carry on.
 package server
 
 import (
@@ -197,7 +199,8 @@ type Server struct {
 }
 
 // episode is one live episode. Its mutex serializes controller access and
-// protects the mutable bookkeeping fields.
+// protects the mutable bookkeeping fields; locked is the only code that takes
+// it, and never while s.mu is held.
 type episode struct {
 	mu        sync.Mutex
 	id        uint64
@@ -209,7 +212,28 @@ type episode struct {
 	// retried GET returns identical bytes without re-running the controller.
 	// Invalidated by each applied observation.
 	lastDecision *DecisionResponse
-	lastActive   time.Time
+	// lastActive is the Unix-nano time of the last request served, atomic so
+	// the idle sweep reads it under s.mu without taking ep.mu.
+	lastActive atomic.Int64
+}
+
+// panicError is a controller panic caught by locked.
+type panicError struct{ v any }
+
+func (e *panicError) Error() string { return fmt.Sprintf("internal panic: %v", e.v) }
+
+// locked runs f holding ep.mu, the one critical section on an episode. The
+// lock is released however f ends, and a panic in f comes back as a
+// *panicError: a controller bug fails its own request, not the episode.
+func (ep *episode) locked(f func() error) (err error) {
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	defer func() {
+		if v := recover(); v != nil {
+			err = &panicError{v}
+		}
+	}()
+	return f()
 }
 
 // tombstone remembers a terminated episode's final decision so a client
@@ -408,20 +432,30 @@ func (s *Server) restore() {
 	}
 	s.mu.Unlock()
 	for _, id := range stale {
-		if derr := s.cfg.Checkpointer.Delete(id); derr != nil {
-			s.m.checkpointErrors.Inc()
-		}
+		s.deleteRecord("", id)
 	}
+}
+
+// errNoStore is storedTombstones' answer when no checkpoint store is
+// configured.
+var errNoStore = errors.New("server: no checkpoint store")
+
+// storedTombstones reads every tombstone in the checkpoint store, for the
+// paths that fall back to it after New: a lookup the cache misses, the
+// overflow sweep and a returning member's ownership check.
+func (s *Server) storedTombstones() ([]TombstoneState, error) {
+	if s.cfg.Checkpointer == nil {
+		return nil, errNoStore
+	}
+	tombs, _, err := s.cfg.Checkpointer.LoadTombstones()
+	return tombs, err
 }
 
 // loadStoredTombstone consults the checkpoint store for a tombstone the
 // in-memory cache no longer holds (evicted past the cap). Lookups by unknown
 // id are rare, so a store scan here is acceptable.
 func (s *Server) loadStoredTombstone(id uint64) (TombstoneState, bool) {
-	if s.cfg.Checkpointer == nil {
-		return TombstoneState{}, false
-	}
-	tombs, _, err := s.cfg.Checkpointer.LoadTombstones()
+	tombs, err := s.storedTombstones()
 	if err != nil {
 		return TombstoneState{}, false
 	}
@@ -459,14 +493,15 @@ func (s *Server) replay(st EpisodeState) (*episode, error) {
 			}
 		}
 	}
-	return &episode{
-		id:         st.EpisodeID,
-		ctrl:       ctrl,
-		clientKey:  st.ClientKey,
-		steps:      st.Steps,
-		history:    append([]Step(nil), st.History...),
-		lastActive: s.cfg.now(),
-	}, nil
+	ep := &episode{
+		id:        st.EpisodeID,
+		ctrl:      ctrl,
+		clientKey: st.ClientKey,
+		steps:     st.Steps,
+		history:   append([]Step(nil), st.History...),
+	}
+	s.touch(ep)
+	return ep, nil
 }
 
 // Restored reports what New recovered from the checkpointer. The returned
@@ -516,14 +551,13 @@ func (s *Server) Close() error {
 	close(s.repStop)
 	s.repWG.Wait()
 	var firstErr error
-	if s.cfg.Checkpointer != nil {
-		for _, ep := range eps {
-			ep.mu.Lock()
-			st := ep.snapshotLocked()
-			ep.mu.Unlock()
-			if err := s.cfg.Checkpointer.Save(st); err != nil && firstErr == nil {
-				firstErr = err
-			}
+	for _, ep := range eps {
+		st, err := ep.snapshot()
+		if err == nil {
+			err = s.save("", st)
+		}
+		if err != nil && firstErr == nil {
+			firstErr = err
 		}
 	}
 	return firstErr
@@ -567,12 +601,8 @@ func (s *Server) Sweep() int {
 
 	s.mu.Lock()
 	if s.cfg.EpisodeTTL > 0 {
-		cutoff := now.Add(-s.cfg.EpisodeTTL)
-		expired = s.table.dropWhere(func(ep *episode) bool {
-			ep.mu.Lock()
-			defer ep.mu.Unlock()
-			return ep.lastActive.Before(cutoff)
-		})
+		cutoff := now.Add(-s.cfg.EpisodeTTL).UnixNano()
+		expired = s.table.dropWhere(func(ep *episode) bool { return ep.lastActive.Load() < cutoff })
 	}
 	tombCutoff := now.Add(-tombTTL).UnixNano()
 	if tombTTL > 0 {
@@ -583,33 +613,22 @@ func (s *Server) Sweep() int {
 
 	for _, ep := range expired {
 		s.m.evicted.Inc()
-		if s.cfg.Checkpointer != nil {
-			if err := s.cfg.Checkpointer.Delete(ep.id); err != nil {
-				s.m.checkpointErrors.Inc()
-			}
-		}
+		s.deleteRecord("", ep.id)
 	}
-	expireTombstone := func(id uint64) {
-		s.m.tombstonesEvicted.Inc()
-		if s.cfg.Checkpointer != nil {
-			if err := s.cfg.Checkpointer.DeleteTombstone(id); err != nil {
-				s.m.checkpointErrors.Inc()
+	if scanStore {
+		// Cache overflow means the store may hold tombstones the in-memory
+		// sweep above never saw; expire them straight from the store.
+		if tombs, err := s.storedTombstones(); err == nil {
+			for _, ts := range tombs {
+				if _, tb := s.cached(ts.EpisodeID); tb == nil && ts.TerminatedAtUnixNano < tombCutoff {
+					expiredTombs = append(expiredTombs, ts.EpisodeID)
+				}
 			}
 		}
 	}
 	for _, id := range expiredTombs {
-		expireTombstone(id)
-	}
-	if scanStore && s.cfg.Checkpointer != nil {
-		// Cache overflow means the store may hold tombstones the in-memory
-		// sweep above never saw; expire them straight from the store.
-		if tombs, _, err := s.cfg.Checkpointer.LoadTombstones(); err == nil {
-			for _, ts := range tombs {
-				if _, tb := s.cached(ts.EpisodeID); tb == nil && ts.TerminatedAtUnixNano < tombCutoff {
-					expireTombstone(ts.EpisodeID)
-				}
-			}
-		}
+		s.m.tombstonesEvicted.Inc()
+		_ = s.storeWrite("", obs.SpanOpDelete, id, func(c Checkpointer) error { return c.DeleteTombstone(id) })
 	}
 	return len(expired)
 }
@@ -737,12 +756,8 @@ func (s *Server) handleModel(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleStart(w http.ResponseWriter, r *http.Request) {
 	var req StartRequest
-	if r.Body != nil && r.ContentLength != 0 {
-		body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-		if err := json.NewDecoder(body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("decode start request: %w", err))
-			return
-		}
+	if r.Body != nil && r.ContentLength != 0 && !s.decodeBody(w, r, &req, "start request") {
+		return
 	}
 
 	if s.fleetEnabled() && req.ClientKey != "" {
@@ -783,7 +798,8 @@ func (s *Server) handleStart(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, fmt.Errorf("reset: %w", err))
 		return
 	}
-	ep := &episode{id: id, ctrl: ctrl, clientKey: req.ClientKey, lastActive: s.cfg.now()}
+	ep := &episode{id: id, ctrl: ctrl, clientKey: req.ClientKey}
+	s.touch(ep)
 
 	s.mu.Lock()
 	if !s.table.admit(ep) {
@@ -798,7 +814,12 @@ func (s *Server) handleStart(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 	s.m.started.Inc()
-	s.checkpoint(ep)
+	st, err := ep.snapshot()
+	if err != nil {
+		s.fail(w, http.StatusInternalServerError, err)
+		return
+	}
+	_ = s.save(req.ClientKey, st)
 	writeJSON(w, http.StatusCreated, StartResponse{EpisodeID: id})
 }
 
@@ -870,9 +891,11 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, StatusResponse{EpisodeID: id, Open: false})
 		return
 	}
-	ep.mu.Lock()
-	steps := ep.steps
-	ep.mu.Unlock()
+	var steps int
+	if err := ep.locked(func() error { steps = ep.steps; return nil }); err != nil {
+		s.fail(w, http.StatusInternalServerError, err)
+		return
+	}
 	writeJSON(w, http.StatusOK, StatusResponse{EpisodeID: id, Steps: steps, Open: true})
 }
 
@@ -894,77 +917,93 @@ func (s *Server) handleDecision(w http.ResponseWriter, r *http.Request) {
 // one when this step was already decided, else a fresh one from the
 // controller, recorded in the per-tier latency histogram and, on a traced
 // request, explained on the handler span. A terminal decision retires the
-// episode: the tombstone is persisted write-ahead, the episode deleted, and
-// the tombstone replicated. Both GET .../decision and a POST
-// .../observations with decide set answer through here.
+// episode through retire. Both GET .../decision and a POST .../observations
+// with decide set answer through here.
 func (s *Server) serveDecision(w http.ResponseWriter, id uint64, ep *episode) {
-	ep.mu.Lock()
-	if ep.lastDecision != nil {
-		resp := *ep.lastDecision
-		ep.lastActive = s.cfg.now()
-		ep.mu.Unlock()
-		writeJSON(w, http.StatusOK, resp)
+	var (
+		resp  DecisionResponse
+		fresh bool
+		steps int
+	)
+	err := ep.locked(func() error {
+		if ep.lastDecision != nil {
+			resp = *ep.lastDecision
+			return nil
+		}
+		t0 := time.Now()
+		d, err := ep.ctrl.Decide()
+		if err != nil {
+			return err
+		}
+		// Per-tier decision latency: the controller records which tier served
+		// (an always-on constant store, unlike full stats collection).
+		tier := controller.TierTree
+		if tsrc, ok := ep.ctrl.(controller.TierSource); ok {
+			if lt := tsrc.LastTier(); lt != "" {
+				tier = lt
+			}
+		}
+		s.m.decideLatency(tier).Observe(time.Since(t0).Seconds())
+		resp = s.decisionResponse(d)
+		if sw, ok := w.(*spanResponseWriter); ok {
+			// A traced request: the spanned wrapper puts the tier and the
+			// explanation on the handler span. Built under ep.mu, since the
+			// stats buffers are reused by the episode's next decision.
+			sw.tier = tier
+			sw.decision = explain(ep, d, resp.ActionName)
+		}
+		cached := resp
+		ep.lastDecision = &cached
+		fresh, steps = true, ep.steps
+		return nil
+	})
+	if err != nil {
+		s.fail(w, http.StatusInternalServerError, err)
 		return
 	}
-	t0 := time.Now()
-	d, derr := ep.ctrl.Decide()
-	if derr != nil {
-		ep.mu.Unlock()
-		writeError(w, http.StatusInternalServerError, derr)
-		return
-	}
-	// Per-tier decision latency: the controller records which tier served
-	// (an always-on constant store, unlike full stats collection).
-	tier := controller.TierTree
-	if tsrc, ok := ep.ctrl.(controller.TierSource); ok {
-		if lt := tsrc.LastTier(); lt != "" {
-			tier = lt
+	s.touch(ep)
+	if fresh {
+		s.m.decisions.Inc()
+		if resp.Terminate {
+			s.m.terminated.Inc()
+			_ = s.retire(TombstoneState{EpisodeID: id, ClientKey: ep.clientKey, Steps: steps, Final: resp,
+				TerminatedAtUnixNano: s.cfg.now().UnixNano()}, true)
 		}
 	}
-	s.m.decideLatency(tier).Observe(time.Since(t0).Seconds())
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// retire makes ts its episode's last word, whether decided here (local) or
+// taken over from a peer: save the tombstone write-ahead, retire it in the
+// table, delete the record of any live copy that dropped, and replicate a
+// local decision. A crash after the save leaves both records stored, and
+// restore and adoption let the tombstone win; the reverse order would open a
+// window where the final decision exists nowhere durable. It returns the
+// save's error.
+func (s *Server) retire(ts TombstoneState, local bool) error {
+	id := ts.EpisodeID
+	err := s.storeWrite(ts.ClientKey, obs.SpanOpTombstone, id, func(c Checkpointer) error { return c.SaveTombstone(ts) })
+	s.mu.Lock()
+	live, _ := s.table.find(id)
+	s.table.retire(ts, s.cfg.now())
+	s.mu.Unlock()
+	if live != nil {
+		_ = s.deleteRecord(ts.ClientKey, id)
+	}
+	if local {
+		s.replicateTombstone(ts)
+	}
+	return err
+}
+
+// decisionResponse renders a controller decision for the wire. A terminate
+// names an action only when it carries one.
+func (s *Server) decisionResponse(d controller.Decision) DecisionResponse {
 	resp := DecisionResponse{Action: d.Action, Terminate: d.Terminate, Value: d.Value}
 	if !d.Terminate || d.Action >= 0 {
 		resp.ActionName = s.cfg.Model.M.ActionName(d.Action)
 	}
-	if sw, ok := w.(*spanResponseWriter); ok {
-		// A traced request: the spanned wrapper puts the tier and the
-		// explanation on the handler span. Built under ep.mu, since the
-		// stats buffers are reused by the episode's next decision.
-		sw.tier = tier
-		sw.decision = explain(ep, d, resp.ActionName)
-	}
-	ep.lastDecision = &resp
-	ep.lastActive = s.cfg.now()
-	steps := ep.steps
-	ep.mu.Unlock()
-	s.m.decisions.Inc()
-
-	if d.Terminate {
-		s.m.terminated.Inc()
-		ts := TombstoneState{
-			EpisodeID:            id,
-			ClientKey:            ep.clientKey,
-			Steps:                steps,
-			Final:                resp,
-			TerminatedAtUnixNano: s.cfg.now().UnixNano(),
-		}
-		// Write-ahead: persist the tombstone BEFORE deleting the episode
-		// record. A crash between the two leaves both in the store; restore
-		// and adoption resolve that in the tombstone's favor. The reverse
-		// order would open a window where the final decision exists nowhere
-		// durable.
-		if s.cfg.Checkpointer != nil {
-			s.storeWrite(ep.clientKey, obs.SpanOpTombstone, id, func() error { return s.cfg.Checkpointer.SaveTombstone(ts) })
-		}
-		s.mu.Lock()
-		s.table.retire(ts, s.cfg.now())
-		s.mu.Unlock()
-		if s.cfg.Checkpointer != nil {
-			s.storeWrite(ep.clientKey, obs.SpanOpDelete, id, func() error { return s.cfg.Checkpointer.Delete(id) })
-		}
-		s.replicateTombstone(ts)
-	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp
 }
 
 // explain builds the span's account of the decision d just computed for
@@ -1002,14 +1041,7 @@ func (s *Server) handleObservation(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ObservationRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("observation body exceeds %d bytes", tooLarge.Limit))
-			return
-		}
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode observation: %w", err))
+	if !s.decodeBody(w, r, &req, "observation") {
 		return
 	}
 	if ep == nil {
@@ -1023,7 +1055,7 @@ func (s *Server) handleObservation(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("episode %d not found", id))
 		return
 	}
-	action, obs := req.Action, req.Observation
+	action, observation := req.Action, req.Observation
 	if req.ActionName != "" {
 		a, err := s.lookupAction(req.ActionName)
 		if err != nil {
@@ -1038,53 +1070,52 @@ func (s *Server) handleObservation(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		obs = o
+		observation = o
 	}
 
-	ep.mu.Lock()
-	if req.StepIndex != nil {
-		switch {
-		case *req.StepIndex < ep.steps:
-			// Retransmit of an already-applied observation: acknowledge
-			// without applying it twice.
-			ep.lastActive = s.cfg.now()
-			ep.mu.Unlock()
-			s.m.dedupedObs.Inc()
-			s.acknowledge(w, id, ep, req.Decide)
-			return
-		case *req.StepIndex > ep.steps:
-			have := ep.steps
-			ep.mu.Unlock()
-			writeError(w, http.StatusConflict,
-				fmt.Errorf("observation step %d out of order (episode has %d)", *req.StepIndex, have))
-			return
+	var (
+		st      EpisodeState
+		applied bool
+	)
+	status := http.StatusInternalServerError
+	err := ep.locked(func() error {
+		if req.StepIndex != nil {
+			switch {
+			case *req.StepIndex < ep.steps:
+				// Retransmit of an already-applied observation: acknowledge
+				// without applying it twice.
+				return nil
+			case *req.StepIndex > ep.steps:
+				status = http.StatusConflict
+				return fmt.Errorf("observation step %d out of order (episode has %d)", *req.StepIndex, ep.steps)
+			}
 		}
-	}
-	if err := ep.ctrl.Observe(action, obs); err != nil {
-		ep.mu.Unlock()
-		status := http.StatusInternalServerError
-		if errors.Is(err, pomdp.ErrImpossibleObservation) {
-			status = http.StatusUnprocessableEntity
+		if err := ep.ctrl.Observe(action, observation); err != nil {
+			if errors.Is(err, pomdp.ErrImpossibleObservation) {
+				status = http.StatusUnprocessableEntity
+			}
+			return err
 		}
-		writeError(w, status, err)
+		ep.steps++
+		ep.history = append(ep.history, Step{Action: action, Observation: observation})
+		ep.lastDecision = nil
+		st, applied = ep.snapshotLocked(), true
+		return nil
+	})
+	if err != nil {
+		s.fail(w, status, err)
 		return
 	}
-	ep.steps++
-	ep.history = append(ep.history, Step{Action: action, Observation: obs})
-	ep.lastDecision = nil
-	ep.lastActive = s.cfg.now()
-	st := ep.snapshotLocked()
-	ep.mu.Unlock()
-
-	s.m.observed.Inc()
-	s.checkpointState(st)
-	s.acknowledge(w, id, ep, req.Decide)
-}
-
-// acknowledge answers an applied or deduplicated observation: 204, or with
-// decide set, 200 and the decision for the episode's new step.
-func (s *Server) acknowledge(w http.ResponseWriter, id uint64, ep *episode, decide bool) {
-	if decide {
+	s.touch(ep)
+	if applied {
+		s.m.observed.Inc()
+		_ = s.save(ep.clientKey, st)
+	} else {
+		s.m.dedupedObs.Inc()
+	}
+	// Applied or deduplicated: 204, or with decide set, 200 and the
+	// decision for the episode's new step.
+	if req.Decide {
 		s.serveDecision(w, id, ep)
 		return
 	}
@@ -1096,25 +1127,23 @@ func (s *Server) handleBelief(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	ep.mu.Lock()
-	b := ep.ctrl.Belief()
-	ep.mu.Unlock()
+	var b pomdp.Belief
+	if err := ep.locked(func() error { b = ep.ctrl.Belief(); return nil }); err != nil {
+		s.fail(w, http.StatusInternalServerError, err)
+		return
+	}
 	writeJSON(w, http.StatusOK, BeliefResponse{Belief: b})
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	id, _, ok := s.episode(w, r)
+	id, ep, ok := s.episode(w, r)
 	if !ok {
 		return
 	}
 	s.mu.Lock()
 	s.table.drop(id)
 	s.mu.Unlock()
-	if s.cfg.Checkpointer != nil {
-		if err := s.cfg.Checkpointer.Delete(id); err != nil {
-			s.m.checkpointErrors.Inc()
-		}
-	}
+	_ = s.deleteRecord(ep.clientKey, id)
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -1131,31 +1160,38 @@ func (ep *episode) snapshotLocked() EpisodeState {
 	}
 }
 
-// checkpoint snapshots ep and persists it (best-effort; failures are
-// counted, not fatal to the request).
-func (s *Server) checkpoint(ep *episode) {
-	if s.cfg.Checkpointer == nil {
-		return
-	}
-	ep.mu.Lock()
-	st := ep.snapshotLocked()
-	ep.mu.Unlock()
-	s.checkpointState(st)
+// snapshot captures ep's serializable state under its lock.
+func (ep *episode) snapshot() (st EpisodeState, err error) {
+	err = ep.locked(func() error { st = ep.snapshotLocked(); return nil })
+	return st, err
 }
 
-func (s *Server) checkpointState(st EpisodeState) {
-	if s.cfg.Checkpointer == nil {
-		return
+// touch records a request served on ep, for the idle sweep.
+func (s *Server) touch(ep *episode) { ep.lastActive.Store(s.cfg.now().UnixNano()) }
+
+// fail answers a request whose locked section failed, with status. A caught
+// controller panic answers 500 and counts in recoverd_panics_total, as a
+// handler panic does.
+func (s *Server) fail(w http.ResponseWriter, status int, err error) {
+	var p *panicError
+	if errors.As(err, &p) {
+		s.m.panics.Inc()
+		status = http.StatusInternalServerError
 	}
-	s.storeWrite(st.ClientKey, obs.SpanOpSave, st.EpisodeID, func() error { return s.cfg.Checkpointer.Save(st) })
+	writeError(w, status, err)
 }
 
-// storeWrite runs one checkpoint store write for an episode: a failure is
-// counted, not fatal to the request, and with spans on the write is recorded
-// as a server.checkpoint span under the episode's trace id.
-func (s *Server) storeWrite(trace, op string, id uint64, write func() error) {
+// storeWrite is the server's one path for mutating its checkpoint store, and
+// does nothing without one. A failed write is counted in
+// recoverd_checkpoint_errors_total and returned; request paths treat it as
+// best-effort. Under a trace id (the janitor, restore and Close pass none)
+// the write is a server.checkpoint span with op.
+func (s *Server) storeWrite(trace, op string, id uint64, write func(Checkpointer) error) error {
+	if s.cfg.Checkpointer == nil {
+		return nil
+	}
 	t0 := s.spanStart()
-	err := write()
+	err := write(s.cfg.Checkpointer)
 	if err != nil {
 		s.m.checkpointErrors.Inc()
 	}
@@ -1167,6 +1203,34 @@ func (s *Server) storeWrite(trace, op string, id uint64, write func() error) {
 		}
 		s.emitSpan(rec)
 	}
+	return err
+}
+
+// save persists an episode snapshot.
+func (s *Server) save(trace string, st EpisodeState) error {
+	return s.storeWrite(trace, obs.SpanOpSave, st.EpisodeID, func(c Checkpointer) error { return c.Save(st) })
+}
+
+// deleteRecord deletes an episode's snapshot record.
+func (s *Server) deleteRecord(trace string, id uint64) error {
+	return s.storeWrite(trace, obs.SpanOpDelete, id, func(c Checkpointer) error { return c.Delete(id) })
+}
+
+// decodeBody decodes r's JSON body into v, capped at MaxBodyBytes. On failure
+// it answers 413 for a body over the cap, else 400, with what naming the
+// body in the error, and returns false.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any, what string) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("%s body exceeds %d bytes", what, tooLarge.Limit))
+	} else {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("decode %s: %w", what, err))
+	}
+	return false
 }
 
 func (s *Server) lookupAction(name string) (int, error) {

@@ -9,9 +9,11 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"bpomdp/internal/controller"
 	"bpomdp/internal/core"
+	"bpomdp/internal/fleet"
 	"bpomdp/internal/obs"
 	"bpomdp/internal/pomdp"
 )
@@ -555,5 +557,106 @@ func TestDecisionSpanRoundTrip(t *testing.T) {
 				t.Error("final decision span is not the terminal decision")
 			}
 		})
+	}
+}
+
+// stopController decides to terminate at once, so a test reaches an
+// episode's terminal decision in one request.
+type stopController struct{ belief pomdp.Belief }
+
+func (c *stopController) Reset(initial pomdp.Belief) error { c.belief = initial.Clone(); return nil }
+func (c *stopController) Decide() (controller.Decision, error) {
+	return controller.Decision{Action: -1, Terminate: true, Value: -1}, nil
+}
+func (c *stopController) Observe(int, int) error { return nil }
+func (c *stopController) Belief() pomdp.Belief   { return c.belief.Clone() }
+func (c *stopController) Name() string           { return "stop" }
+
+// TestStoreWriteSpansUniform: every store write a traced request causes is
+// one server.checkpoint span with its op, whichever path made it — an
+// abandoned episode's delete, a terminal decision's tombstone then delete,
+// and a replicated tombstone accepted from a peer.
+func TestStoreWriteSpansUniform(t *testing.T) {
+	prep := testPrepared(t)
+	sink := &spanBuffer{}
+	hs := httptest.NewUnstartedServer(nil)
+	view, err := fleet.NewMembership([]fleet.Member{{ID: "a", Addr: "http://" + hs.Listener.Addr().String()}}, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{
+		Model: prep.Model,
+		NewController: func() (controller.Controller, pomdp.Belief, error) {
+			initial, err := prep.InitialBelief()
+			return &stopController{}, initial, err
+		},
+		Checkpointer: openStore(t, t.TempDir()),
+		Fleet:        &FleetConfig{Self: "a", Membership: view},
+		SpanTrace:    sink,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs.Config.Handler = srv
+	hs.Start()
+	defer hs.Close()
+
+	// checkpointOps runs one traced request and returns the ops of the
+	// checkpoint spans it emitted, in order.
+	checkpointOps := func(trace, method, path, body string, want int) []string {
+		t.Helper()
+		before := len(sink.Spans(t))
+		req, err := http.NewRequest(method, hs.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set(HeaderTrace, trace)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Fatalf("%s %s: status %d, want %d", method, path, resp.StatusCode, want)
+		}
+		var ops []string
+		for _, sp := range sink.Spans(t)[before:] {
+			if sp.Kind == obs.SpanServerCheckpoint {
+				if sp.TraceID != trace {
+					t.Errorf("%s %s: checkpoint span trace %q, want %q", method, path, sp.TraceID, trace)
+				}
+				ops = append(ops, sp.Op)
+			}
+		}
+		return ops
+	}
+	start := func(key string) uint64 {
+		t.Helper()
+		status, body := rawCall(t, http.MethodPost, hs.URL+"/v1/episodes", fmt.Sprintf(`{"clientKey":%q}`, key))
+		if status != http.StatusCreated {
+			t.Fatalf("start %q: status %d (%s)", key, status, body)
+		}
+		var out StartResponse
+		if err := json.Unmarshal(body, &out); err != nil {
+			t.Fatal(err)
+		}
+		return out.EpisodeID
+	}
+
+	abandoned := start("ck-abandoned")
+	if ops := checkpointOps("ck-abandoned", http.MethodDelete, fmt.Sprintf("/v1/episodes/%d", abandoned), "", http.StatusNoContent); fmt.Sprint(ops) != fmt.Sprint([]string{obs.SpanOpDelete}) {
+		t.Errorf("delete: checkpoint ops %v, want [delete]", ops)
+	}
+
+	terminated := start("ck-terminated")
+	if ops := checkpointOps("ck-terminated", http.MethodGet, fmt.Sprintf("/v1/episodes/%d/decision", terminated), "", http.StatusOK); fmt.Sprint(ops) != fmt.Sprint([]string{obs.SpanOpTombstone, obs.SpanOpDelete}) {
+		t.Errorf("terminal decision: checkpoint ops %v, want [tombstone delete]", ops)
+	}
+
+	replica := fmt.Sprintf(`{"episodeId":%d,"clientKey":"ck-replica","steps":1,"final":{"action":-1,"actionName":"","terminate":true,"value":-1},"terminatedAtUnixNano":%d}`,
+		EpisodeIDBaseFor(1)+7, time.Now().UnixNano())
+	if ops := checkpointOps("ck-replica", http.MethodPost, tombstoneReplicaPath, replica, http.StatusNoContent); fmt.Sprint(ops) != fmt.Sprint([]string{obs.SpanOpTombstone}) {
+		t.Errorf("accepted replica: checkpoint ops %v, want [tombstone]", ops)
 	}
 }

@@ -417,3 +417,56 @@ func TestTombstoneTTLEviction(t *testing.T) {
 		t.Errorf("start after eviction: status %d, want 201", resp.StatusCode)
 	}
 }
+
+// TestRetiredLiveCopyLeavesNoRecord: a peer's tombstone (replicated or
+// adopted, so retired with local unset) that retires a live copy held here
+// also deletes that copy's episode record. Otherwise, once the
+// tombstone expires, a restart on the same store resumes the terminated
+// episode.
+func TestRetiredLiveCopyLeavesNoRecord(t *testing.T) {
+	prep := testPrepared(t)
+	store := openStore(t, t.TempDir())
+	cfg := Config{Model: prep.Model, NewController: boundedFactory(prep), Checkpointer: store}
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv)
+	defer hs.Close()
+	status, body := rawCall(t, http.MethodPost, hs.URL+"/v1/episodes", `{"clientKey":"k-retired"}`)
+	if status != http.StatusCreated {
+		t.Fatalf("start status %d (%s)", status, body)
+	}
+	var started StartResponse
+	if err := json.Unmarshal(body, &started); err != nil {
+		t.Fatal(err)
+	}
+
+	final := DecisionResponse{Action: 3, ActionName: "terminate", Terminate: true, Value: -1.5}
+	if err := srv.retire(TombstoneState{EpisodeID: started.EpisodeID, ClientKey: "k-retired",
+		Steps: 0, Final: final, TerminatedAtUnixNano: time.Now().UnixNano()}, false); err != nil {
+		t.Fatal(err)
+	}
+	if states, _, err := store.LoadAll(); err != nil || len(states) != 0 {
+		t.Errorf("store after the tombstone: %d episode records (err %v), want 0", len(states), err)
+	}
+	// The tombstone expires, as the TTL sweep would delete it.
+	if err := store.DeleteTombstone(started.EpisodeID); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	restarted, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restarted.Close()
+	if rep := restarted.Restored(); rep.Resumed != 0 {
+		t.Errorf("restart resumed %d episodes, want 0: the terminated episode came back", rep.Resumed)
+	}
+	if n := restarted.OpenEpisodes(); n != 0 {
+		t.Errorf("%d episodes open after restart, want 0", n)
+	}
+}
