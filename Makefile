@@ -40,11 +40,13 @@ test-campaign:
 	$(GO) test -race -run 'Unified|Parallel|Campaign|Sequential|WorkerFactory|RunEpisode' ./internal/sim/
 
 # Fleet and chaos suite under the race detector: ring/membership unit tests,
-# server-side redirect/adoption tests, client failover, and the node-kill
-# campaign — the fast gate for changes to the fleet path.
+# server-side redirect/adoption tests, client failover, the node-kill
+# campaign, and concurrent served episodes improving one shared bound set
+# online (recoverd's default) — the fast gate for changes to the fleet path.
 test-fleet:
 	$(GO) test -race -run 'Fleet|Chaos' ./...
 	$(GO) test -race ./internal/fleet/
+	$(GO) test -race -run 'TestImproveOnlineConcurrentEpisodes' ./internal/client/
 
 # FSC-tier equality gate under the race detector: compiled-controller
 # campaigns must match the tree's mean cost exactly on EMN and on random
@@ -56,13 +58,15 @@ test-fsc:
 # checkpoint EpisodeState JSON decode, TombstoneState JSON decode (store files
 # and the fleet tombstone endpoint), the compiled FSC artifact decoder, and
 # the bpomdp.span/v1 decoder (span files from every node, with their nested
-# decision objects, feed cmd/tracestats).
+# decision objects, feed cmd/tracestats), and the wire codec's canonical
+# decoder of HTTP API bodies against encoding/json.
 # Corpus additions land under the packages' testdata/fuzz/ directories.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzEpisodeStateDecode -fuzztime=10s ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzTombstoneStateDecode -fuzztime=10s ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzFSCDecode -fuzztime=10s ./internal/controller
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeSpans -fuzztime=10s ./internal/obs
+	$(GO) test -run='^$$' -fuzz=FuzzWireDecode -fuzztime=10s ./internal/server
 
 # The full gate: formatting, vet, the docs gate, the complete test suite
 # (chaos campaign included) under the race detector, the FSC

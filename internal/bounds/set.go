@@ -60,8 +60,10 @@ var ErrEmptySet = errors.New("bounds: empty hyperplane set")
 // once on a set nobody is mutating — the scan scratch comes from a package
 // pool and the usage counters behind least-used eviction are updated
 // atomically — so read-only controllers may share one set (e.g. a pool of
-// campaign workers evaluating the same bootstrapped bound).
+// campaign workers evaluating the same bootstrapped bound). Controllers
+// that share a set while one of them mutates it serialise on Mutex.
 type Set struct {
+	lock      sync.RWMutex
 	cols      []float64 // entry k of plane i is cols[k*Size()+i]
 	uses      []uint64  // accessed atomically in ValueArg/ValueBatch; plainly under mutation
 	maxLen    int       // 0 = unlimited
@@ -100,6 +102,12 @@ func NewSet(n int, base ...linalg.Vector) (*Set, error) {
 	}
 	return s, nil
 }
+
+// Mutex is the lock controllers sharing the set hold across a decision:
+// write-held by one that mutates the set (online improvement), read-held
+// by the rest. The set's own methods never take it; it orders their
+// callers.
+func (s *Set) Mutex() *sync.RWMutex { return &s.lock }
 
 // SetCapacity bounds the number of stored hyperplanes; when an Add would
 // exceed it, the least-used plane (other than the first, which is kept as

@@ -300,7 +300,7 @@ func (e *Episode) Abandon() error {
 func (c *Client) do(method, path string, hdr http.Header, in, out any) error {
 	var payload []byte
 	if in != nil {
-		data, err := json.Marshal(in)
+		data, err := server.Marshal(in)
 		if err != nil {
 			return fmt.Errorf("client: encode %s %s: %w", method, path, err)
 		}
@@ -422,7 +422,7 @@ func (c *Client) doOnce(method, path string, hdr http.Header, payload []byte, ou
 		return se
 	}
 	if out != nil && resp.StatusCode != http.StatusNoContent {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		if err := server.ReadJSON(resp.Body, out); err != nil {
 			return fmt.Errorf("client: decode %s %s: %w", method, path, err)
 		}
 	}

@@ -83,7 +83,13 @@ func NewBounded(p *pomdp.POMDP, set *bounds.Set, cfg BoundedConfig) (*Bounded, e
 	if cfg.Beta == 0 {
 		cfg.Beta = 1
 	}
-	if set == nil || set.Size() == 0 {
+	if set == nil {
+		return nil, fmt.Errorf("controller: bounded controller needs a non-empty bound set (compute the RA-Bound first)")
+	}
+	// Controllers already deciding over the set may be improving it.
+	set.Mutex().RLock()
+	defer set.Mutex().RUnlock()
+	if set.Size() == 0 {
 		return nil, fmt.Errorf("controller: bounded controller needs a non-empty bound set (compute the RA-Bound first)")
 	}
 	if set.NumStates() != p.NumStates() {
@@ -235,7 +241,19 @@ func (b *Bounded) toDecision(res *pomdp.BackupResult) Decision {
 // one belief, in batch order: both mutate or audit the shared bound set
 // before each belief's own expansion, and a batched expansion would observe
 // a different set than that order does.
+//
+// The call holds the set's Mutex throughout, for writing with
+// ImproveOnline and for reading otherwise, so controllers sharing the set
+// may decide from several goroutines.
 func (b *Bounded) DecideBatch(pis []pomdp.Belief, out []Decision) error {
+	mu := b.set.Mutex()
+	if b.updater != nil {
+		mu.Lock()
+		defer mu.Unlock()
+	} else {
+		mu.RLock()
+		defer mu.RUnlock()
+	}
 	if len(out) < len(pis) {
 		return fmt.Errorf("controller: batch decision buffer length %d < %d beliefs", len(out), len(pis))
 	}

@@ -372,6 +372,10 @@ func (d *FSCDecider) Decide() (Decision, error) {
 // the compiler), live belief entropy, a live bound-set snapshot, and zero
 // expansion work — serving from the table expands nothing.
 func (d *FSCDecider) fscStats(n *FSCNode, pi pomdp.Belief) DecisionStats {
+	mu := d.fallback.set.Mutex()
+	mu.RLock()
+	size := d.fallback.set.Size()
+	mu.RUnlock()
 	st := DecisionStats{
 		Action:        n.Action,
 		Terminate:     n.Terminate,
@@ -379,7 +383,7 @@ func (d *FSCDecider) fscStats(n *FSCNode, pi pomdp.Belief) DecisionStats {
 		LeafBound:     n.Value - n.Gap,
 		BoundGap:      n.Gap,
 		BeliefEntropy: pi.Entropy(),
-		SetSize:       d.fallback.set.Size(),
+		SetSize:       size,
 		SetEvictions:  d.fallback.set.Evictions(),
 		Tier:          TierFSC,
 	}

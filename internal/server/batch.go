@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
+	"sync"
 
 	"bpomdp/internal/controller"
 	"bpomdp/internal/pomdp"
@@ -39,13 +41,26 @@ func (s *Server) getBatchDecider() (controller.BatchDecider, error) {
 	return bd, nil
 }
 
+// batchScratch is the per-request memory of POST /v1/decide/batch. It is
+// pooled, so the steady state allocates no belief or decision storage.
+type batchScratch struct {
+	beliefs   beliefScratch
+	pis       []pomdp.Belief
+	decisions []controller.Decision
+	resp      []DecisionResponse
+}
+
+var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
+
 // handleBatchDecide serves POST /v1/decide/batch: decisions for many
 // beliefs in one stateless request. The decider is taken from a pool, so
 // repeated batches re-use the same engine scratch and the steady state
 // builds no controllers.
 func (s *Server) handleBatchDecide(w http.ResponseWriter, r *http.Request) {
+	sc := batchScratchPool.Get().(*batchScratch)
+	defer batchScratchPool.Put(sc)
 	var req BatchDecideRequest
-	if !s.decodeBody(w, r, &req, "batch decide request") {
+	if !s.decodeBody(w, r, &req, &sc.beliefs, "batch decide request") {
 		return
 	}
 	if len(req.Beliefs) == 0 {
@@ -57,7 +72,7 @@ func (s *Server) handleBatchDecide(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	n := s.cfg.Model.NumStates()
-	beliefs := make([]pomdp.Belief, len(req.Beliefs))
+	beliefs := sc.pis[:0]
 	for i, b := range req.Beliefs {
 		if len(b) != n {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("belief %d has length %d, want %d", i, len(b), n))
@@ -68,15 +83,18 @@ func (s *Server) handleBatchDecide(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("belief %d is not a distribution", i))
 			return
 		}
-		beliefs[i] = pi
+		beliefs = append(beliefs, pi)
 	}
+	sc.pis = beliefs
 
 	bd, err := s.getBatchDecider()
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	decisions := make([]controller.Decision, len(beliefs))
+	decisions := slices.Grow(sc.decisions[:0], len(beliefs))[:len(beliefs)]
+	clear(decisions)
+	sc.decisions = decisions
 	if err := bd.DecideBatch(beliefs, decisions); err != nil {
 		// The decider may be mid-batch in an unknown state; drop it rather
 		// than pooling it.
@@ -85,11 +103,12 @@ func (s *Server) handleBatchDecide(w http.ResponseWriter, r *http.Request) {
 	}
 	s.batchPool.Put(bd)
 
-	resp := BatchDecideResponse{Decisions: make([]DecisionResponse, len(decisions))}
-	for i, d := range decisions {
-		resp.Decisions[i] = s.decisionResponse(d)
+	resp := sc.resp[:0]
+	for _, d := range decisions {
+		resp = append(resp, s.decisionResponse(d))
 	}
+	sc.resp = resp
 	s.m.batchRequests.Inc()
 	s.m.batchDecisions.Add(uint64(len(decisions)))
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, BatchDecideResponse{Decisions: resp})
 }

@@ -59,7 +59,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -756,7 +755,7 @@ func (s *Server) handleModel(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleStart(w http.ResponseWriter, r *http.Request) {
 	var req StartRequest
-	if r.Body != nil && r.ContentLength != 0 && !s.decodeBody(w, r, &req, "start request") {
+	if r.Body != nil && r.ContentLength != 0 && !s.decodeBody(w, r, &req, nil, "start request") {
 		return
 	}
 
@@ -1041,7 +1040,7 @@ func (s *Server) handleObservation(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ObservationRequest
-	if !s.decodeBody(w, r, &req, "observation") {
+	if !s.decodeBody(w, r, &req, nil, "observation") {
 		return
 	}
 	if ep == nil {
@@ -1216,11 +1215,12 @@ func (s *Server) deleteRecord(trace string, id uint64) error {
 	return s.storeWrite(trace, obs.SpanOpDelete, id, func(c Checkpointer) error { return c.Delete(id) })
 }
 
-// decodeBody decodes r's JSON body into v, capped at MaxBodyBytes. On failure
-// it answers 413 for a body over the cap, else 400, with what naming the
-// body in the error, and returns false.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any, what string) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)).Decode(v)
+// decodeBody decodes r's JSON body into v, capped at MaxBodyBytes; sc is
+// the scratch a *BatchDecideRequest decodes into (nil for fresh memory). On
+// failure it answers 413 for a body over the cap, else 400, with what
+// naming the body in the error, and returns false.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any, sc *beliefScratch, what string) bool {
+	err := readJSON(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), v, sc)
 	if err == nil {
 		return true
 	}
@@ -1259,13 +1259,21 @@ func retryAfterSeconds(d time.Duration) int {
 	return secs
 }
 
+// writeJSON answers status with v's JSON encoding and the Encoder's
+// trailing newline. v is encoded before anything is sent, so a value that
+// cannot be encoded (a non-finite float) answers 500 instead.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	buf := getBody()
+	b, err := appendJSON((*buf)[:0], v)
+	b = append(b, '\n')
+	defer putBody(buf, b)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, fmt.Errorf("encode response: %w", err))
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		// Headers are already out; nothing more to do.
-		_ = err
-	}
+	_, _ = w.Write(b) // the status is out; a failed write has no one to tell
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {

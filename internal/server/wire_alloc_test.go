@@ -1,0 +1,90 @@
+//go:build !race
+
+package server
+
+import (
+	"testing"
+
+	"bpomdp/internal/core"
+	"bpomdp/internal/emn"
+	"bpomdp/internal/rng"
+)
+
+// emnBatch returns a batch request of 16 beliefs over the prepared EMN
+// model and its 16-decision answer.
+func emnBatch(t *testing.T) (BatchDecideRequest, BatchDecideResponse) {
+	t.Helper()
+	compiled, err := emn.Build(emn.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep, err := core.Prepare(compiled.Recovery, core.PrepareOptions{OperatorResponseTime: emn.OperatorResponseTime})
+	if err != nil {
+		t.Fatal(err)
+	}
+	initial, err := prep.InitialBelief()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(3)
+	req := BatchDecideRequest{Beliefs: [][]float64{initial}}
+	for len(req.Beliefs) < 16 {
+		pi := make([]float64, len(initial))
+		sum := 0.0
+		for k := range pi {
+			if r.IntN(3) == 0 {
+				pi[k] = r.Float64()
+				sum += pi[k]
+			}
+		}
+		if sum == 0 {
+			continue
+		}
+		for k := range pi {
+			pi[k] /= sum
+		}
+		req.Beliefs = append(req.Beliefs, pi)
+	}
+	var resp BatchDecideResponse
+	for i := range 16 {
+		a := i % prep.Model.NumActions()
+		resp.Decisions = append(resp.Decisions, DecisionResponse{
+			Action: a, ActionName: prep.Model.M.ActionName(a), Terminate: i == 15, Value: -r.Float64() * 100,
+		})
+	}
+	return req, resp
+}
+
+// TestWireAllocs pins the codec's steady state: encoding a batch request
+// or response into a warm buffer allocates nothing, and decoding a
+// canonical request into warm scratch allocates at most once.
+func TestWireAllocs(t *testing.T) {
+	req, resp := emnBatch(t)
+	buf := make([]byte, 0, 64<<10)
+	if n := testing.AllocsPerRun(100, func() { buf, _ = req.AppendJSON(buf[:0]) }); n != 0 {
+		t.Errorf("appending a 16-belief request allocates %v times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { buf, _ = resp.AppendJSON(buf[:0]) }); n != 0 {
+		t.Errorf("appending a 16-decision response allocates %v times, want 0", n)
+	}
+
+	body, err := req.AppendJSON(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sc beliefScratch
+	var got BatchDecideRequest
+	decode := func() {
+		got = BatchDecideRequest{}
+		if !decodeCanonical(body, &got, &sc) {
+			t.Fatal("canonical request declined")
+		}
+	}
+	decode()
+	if n := testing.AllocsPerRun(100, decode); n > 1 {
+		t.Errorf("decoding a 16-belief request into warm scratch allocates %v times, want at most 1", n)
+	}
+	if len(got.Beliefs) != 16 {
+		t.Fatalf("decoded %d beliefs, want 16", len(got.Beliefs))
+	}
+}
