@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-short test-campaign test-fleet test-fsc check vet fmt lint docs-check fuzz-smoke bench bench-smoke table1 fig5bounds
+.PHONY: build test test-short test-campaign test-fleet test-fsc test-tree check vet fmt lint docs-check fuzz-smoke bench bench-smoke table1 fig5bounds
 
 build:
 	$(GO) build ./...
@@ -47,6 +47,16 @@ test-fleet:
 	$(GO) test -race -run 'Fleet|Chaos' ./...
 	$(GO) test -race ./internal/fleet/
 	$(GO) test -race -run 'TestImproveOnlineConcurrentEpisodes' ./internal/client/
+
+# Tree-decision parity under the race detector: the one Max-Avg expansion
+# against its reference recursion, the capacity-capped bootstrap golden pin,
+# and the shared decision table in front of the tree (exact against a
+# table-less tree, bound-set generations, read-only exclusions, concurrent
+# deciders with an online improver) — the fast gate for changes to the
+# engine, the bounded controller or the bound set's mutators.
+test-tree:
+	$(GO) test -race -run '^(TestDedup|TestBootstrapCapacityGolden$$)' ./internal/controller/ ./internal/core/
+	$(GO) test -race -count=3 -run '^(TestDecisionTable|TestSetGeneration)' ./internal/controller/ ./internal/bounds/ ./internal/core/
 
 # FSC-tier equality gate under the race detector: compiled-controller
 # campaigns must match the tree's mean cost exactly on EMN and on random

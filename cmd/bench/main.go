@@ -21,7 +21,11 @@
 //     belief distinct, so it is the overhead guard for duplicate merging)
 //   - batch_decide_reachable — the same over 64 beliefs recorded from a
 //     seeded batched campaign, with their natural repeats (the merged
-//     expansion's common case)
+//     expansion's common case). Both tree entries run a controller without
+//     the shared decision table, so they time the expansion itself
+//   - batch_decide_table — the same 64 reachable beliefs through
+//     core.Prepared.NewController's controller with a warm decision table:
+//     every belief is a table hit
 //   - fsc_decide — controller.FSCDecider.DecideBatch over a batch of
 //     compiled-table beliefs (the table-lookup fast path; compare per
 //     decision against batch_decide for the compilation speedup)
@@ -170,7 +174,7 @@ func main() {
 		for _, w := range scalingWorkers {
 			names = append(names, fmt.Sprintf("campaign_seq_w%d", w), fmt.Sprintf("campaign_batched_w%d", w))
 		}
-		names = append(names, "belief_update", "gs_sweep", "ra_solve", "set_value_batch", "batch_decide", "batch_decide_reachable", "fsc_decide")
+		names = append(names, "belief_update", "gs_sweep", "ra_solve", "set_value_batch", "batch_decide", "batch_decide_reachable", "batch_decide_table", "fsc_decide")
 		for _, name := range names {
 			e, ok := rep.Bench[name]
 			if !ok {
@@ -498,18 +502,26 @@ func benchBatch(rep *Report, compiled *arch.Compiled, prep *core.Prepared) error
 		}
 	}))
 
-	ctrl, err := prep.NewController(core.ControllerConfig{Depth: 1})
+	// The tree entries time the bare expansion: a controller without the
+	// shared decision table, which would answer every iteration after the
+	// first from memory.
+	cfg := core.ControllerConfig{Depth: 1}
+	tree, err := controller.NewBounded(prep.Model, prep.Set, prep.BoundedConfig(cfg))
 	if err != nil {
 		return err
 	}
-	reachable, err := campaignBeliefs(compiled, prep, ctrl, batch)
+	reachable, err := campaignBeliefs(compiled, prep, tree, batch)
+	if err != nil {
+		return err
+	}
+	tabled, err := prep.NewController(cfg)
 	if err != nil {
 		return err
 	}
 	decisions := make([]controller.Decision, batch)
-	measure := func(beliefs []pomdp.Belief) (Entry, error) {
+	measure := func(ctrl *controller.Bounded, beliefs []pomdp.Belief) (Entry, error) {
 		// Warm once outside the timed region so the engine's per-level
-		// scratch is sized before measurement.
+		// scratch is sized (and the table filled) before measurement.
 		if err := ctrl.DecideBatch(beliefs, decisions); err != nil {
 			return Entry{}, err
 		}
@@ -522,10 +534,13 @@ func benchBatch(rep *Report, compiled *arch.Compiled, prep *core.Prepared) error
 			}
 		})), nil
 	}
-	if rep.Bench["batch_decide"], err = measure(beliefs); err != nil {
+	if rep.Bench["batch_decide"], err = measure(tree, beliefs); err != nil {
 		return err
 	}
-	if rep.Bench["batch_decide_reachable"], err = measure(reachable); err != nil {
+	if rep.Bench["batch_decide_reachable"], err = measure(tree, reachable); err != nil {
+		return err
+	}
+	if rep.Bench["batch_decide_table"], err = measure(tabled, reachable); err != nil {
 		return err
 	}
 	return nil

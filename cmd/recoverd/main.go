@@ -206,6 +206,18 @@ func run(ctx context.Context, args []string) error {
 			func() float64 { return float64(t.NumNodes()) })
 	}
 
+	// Every tree controller below that decides read-only (pooled batch
+	// deciders, episodes without online improvement, the FSC decider's
+	// fallback) shares one exact decision table over the final bound set;
+	// its counters are read straight off the table.
+	table := prep.DecisionTable(*depth)
+	metrics.CounterFunc("recoverd_decision_table_hits_total",
+		"Tree decisions answered from the shared decision table.",
+		func() float64 { return float64(table.Hits()) })
+	metrics.CounterFunc("recoverd_decision_table_misses_total",
+		"Tree decisions that missed the shared decision table and expanded the Max-Avg tree.",
+		func() float64 { return float64(table.Misses()) })
+
 	if *expvarOn && *pprofAddr == "" && *metricsAddr == "" {
 		return fmt.Errorf("-expvar needs a -pprof or -metrics-addr listener address")
 	}

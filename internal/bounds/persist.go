@@ -129,5 +129,6 @@ func (s *Set) UnmarshalJSON(data []byte) error {
 	s.maxLen = in.Capacity
 	s.cols = cols
 	s.uses = make([]uint64, np)
+	s.gen++
 	return nil
 }

@@ -69,6 +69,7 @@ type Set struct {
 	maxLen    int       // 0 = unlimited
 	n         int       // state count
 	evictions uint64    // capacity evictions performed; read atomically by Evictions
+	gen       uint64    // plane-slab mutations so far; see Generation
 }
 
 // accPool holds scan's per-plane accumulator scratch. It lives at package
@@ -109,10 +110,21 @@ func NewSet(n int, base ...linalg.Vector) (*Set, error) {
 // callers.
 func (s *Set) Mutex() *sync.RWMutex { return &s.lock }
 
+// Generation counts the mutations of the plane slab so far: every plane
+// appended or removed (by Add, pruning, eviction or CompactLP) and every
+// UnmarshalJSON advances it, and nothing else does, so V_B⁻ — and every
+// decision made over the set — is a pure function of the belief while it
+// stays put. Read it where the planes are read: under Mutex when
+// controllers share the set.
+func (s *Set) Generation() uint64 { return s.gen }
+
 // SetCapacity bounds the number of stored hyperplanes; when an Add would
 // exceed it, the least-used plane (other than the first, which is kept as
 // the always-valid base) is evicted. Zero removes the limit.
 func (s *Set) SetCapacity(maxLen int) { s.maxLen = maxLen }
+
+// Capacity returns the plane cap, 0 when the set is unlimited.
+func (s *Set) Capacity() int { return s.maxLen }
 
 // Size returns the number of stored hyperplanes.
 func (s *Set) Size() int { return len(s.uses) }
@@ -331,6 +343,7 @@ func (s *Set) appendPlane(b []float64) {
 	}
 	s.cols = dst
 	s.uses = append(s.uses, 0)
+	s.gen++
 }
 
 // removeAt deletes plane i, restriding every column from P to P−1 entries
@@ -345,6 +358,7 @@ func (s *Set) removeAt(i int) {
 	}
 	s.cols = s.cols[:w]
 	s.uses = append(s.uses[:i], s.uses[i+1:]...)
+	s.gen++
 }
 
 func (s *Set) evictLeastUsed() {

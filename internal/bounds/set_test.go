@@ -219,3 +219,73 @@ func TestSetEvictionsCounter(t *testing.T) {
 		t.Errorf("Evictions = %d, want 3", got)
 	}
 }
+
+// TestSetGeneration: every mutation of the plane slab — a kept Add, an Add
+// that prunes, a capacity eviction, a CompactLP removal and UnmarshalJSON —
+// advances Generation, and a discarded (dominated) Add, evaluation and
+// SetCapacity leave it alone. Decision tables key their entries on it.
+func TestSetGeneration(t *testing.T) {
+	s, err := NewSet(2, linalg.Vector{1, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := func(what string, bumps bool, mutate func()) {
+		t.Helper()
+		before := s.Generation()
+		mutate()
+		if moved := s.Generation() != before; moved != bumps {
+			t.Errorf("%s: generation %d -> %d, want a bump: %v", what, before, s.Generation(), bumps)
+		}
+	}
+	add := func(v linalg.Vector, wantKept bool) func() {
+		return func() {
+			t.Helper()
+			kept, err := s.Add(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if kept != wantKept {
+				t.Fatalf("Add(%v) kept=%v, want %v", v, kept, wantKept)
+			}
+		}
+	}
+	step("kept Add", true, add(linalg.Vector{0, 0.5}, true))
+	step("discarded Add", false, add(linalg.Vector{-1, -1}, false))
+	step("pruning Add", true, add(linalg.Vector{0, 1}, true))
+	if s.Size() != 2 {
+		t.Fatalf("size after pruning Add = %d, want 2", s.Size())
+	}
+	step("evaluation", false, func() {
+		s.Value(pomdp.Belief{0.5, 0.5})
+		s.ValueBatch([]pomdp.Belief{{1, 0}}, nil, nil)
+		s.Peek(pomdp.Belief{0, 1})
+	})
+	step("SetCapacity", false, func() { s.SetCapacity(2) })
+	step("eviction Add", true, add(linalg.Vector{0.6, 0.6}, true))
+	if s.Evictions() != 1 || s.Size() != 2 {
+		t.Fatalf("evictions %d, size %d; want 1 eviction, size 2", s.Evictions(), s.Size())
+	}
+	s.SetCapacity(0)
+	// (0, 2) lifts max{(1,0), (0,2)} above (0.6, 0.6) everywhere without
+	// dominating it pointwise, so only CompactLP can remove it.
+	step("kept Add", true, add(linalg.Vector{0, 2}, true))
+	step("CompactLP removal", true, func() {
+		if removed, err := s.CompactLP(); err != nil || removed == 0 {
+			t.Fatalf("CompactLP removed %d (err %v), want a removal", removed, err)
+		}
+	})
+	step("CompactLP keeping every plane", false, func() {
+		if removed, err := s.CompactLP(); err != nil || removed != 0 {
+			t.Fatalf("CompactLP removed %d (err %v), want none", removed, err)
+		}
+	})
+	data, err := s.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	step("UnmarshalJSON", true, func() {
+		if err := s.UnmarshalJSON(data); err != nil {
+			t.Fatal(err)
+		}
+	})
+}

@@ -50,14 +50,16 @@ type Bounded struct {
 	set     *bounds.Set
 	updater *bounds.Updater
 	nullSet []int
+	table   *DecisionTable // see UseTable; nil when none is attached
 
 	one    [1]pomdp.Belief // decideOne's one-belief batch
 	oneOut [1]Decision
 
 	// DecideBatch scratch, reused across calls.
-	batchIdx []int
-	batchPis []pomdp.Belief
-	batchRes []pomdp.BackupResult // root backups; a run decided from batch position j writes from j on
+	batchIdx  []int
+	batchPis  []pomdp.Belief
+	batchHash []uint64             // hashBelief of each batchPis entry, on the table path
+	batchRes  []pomdp.BackupResult // root backups; a run decided from batch position j writes from j on
 
 	// Per-belief stats of the last decision call, indexed by batch
 	// position; populated only with cfg.CollectStats. Their QValues alias
@@ -234,7 +236,8 @@ func (b *Bounded) toDecision(res *pomdp.BackupResult) Decision {
 // independently of the tracked episode belief, writing Decision j into
 // out[j]. It is the controller's one decision path — Decide and the FSC
 // compiler come through it too. Certainty-terminated beliefs (recovery
-// notification) are answered directly; the rest share one batched tree
+// notification) are answered directly, then beliefs held by an attached
+// decision table (see UseTable); the rest share one batched tree
 // expansion, with results bit-identical to deciding each belief alone.
 //
 // With ImproveOnline or CheckConsistency configured it decides in chunks of
@@ -313,13 +316,20 @@ func (b *Bounded) prepare(pi pomdp.Belief) error {
 }
 
 // decide answers pis, the beliefs at batch positions off, off+1, … of the
-// current DecideBatch call, with one shared tree expansion. Root backups
+// current DecideBatch call: from the decision table where it may be used
+// and holds them, the rest with one shared tree expansion. Root backups
 // land in batchRes from position off on, so the stats QValues of every
 // position stay valid until the next call without copying.
 func (b *Bounded) decide(pis []pomdp.Belief, out []Decision, off int) error {
 	collect := b.cfg.CollectStats
+	tbl := b.readTable()
+	var gen, hits uint64
+	if tbl != nil {
+		gen = b.set.Generation()
+	}
 	b.batchIdx = b.batchIdx[:0]
 	b.batchPis = b.batchPis[:0]
+	b.batchHash = b.batchHash[:0]
 	for j, pi := range pis {
 		// Recovery-notification regime: stop as soon as the belief
 		// certifies Sφ.
@@ -330,8 +340,20 @@ func (b *Bounded) decide(pis []pomdp.Belief, out []Decision, off int) error {
 			}
 			continue
 		}
+		if tbl != nil {
+			h := hashBelief(pi)
+			if d, ok := tbl.lookup(gen, h, pi); ok {
+				out[j] = d
+				hits++
+				continue
+			}
+			b.batchHash = append(b.batchHash, h)
+		}
 		b.batchIdx = append(b.batchIdx, j)
 		b.batchPis = append(b.batchPis, pi)
+	}
+	if tbl != nil {
+		tbl.count(hits, uint64(len(b.batchIdx)))
 	}
 	if len(b.batchIdx) == 0 {
 		return nil
@@ -343,6 +365,9 @@ func (b *Bounded) decide(pis []pomdp.Belief, out []Decision, off int) error {
 	}
 	for k, j := range b.batchIdx {
 		out[j] = b.toDecision(&res[k])
+		if tbl != nil {
+			tbl.insert(gen, b.batchHash[k], b.batchPis[k], out[j])
+		}
 	}
 	if collect {
 		// One shared expansion served the run: attribute the engine-counter

@@ -16,6 +16,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"bpomdp/internal/bounds"
 	"bpomdp/internal/controller"
@@ -216,6 +217,16 @@ type Prepared struct {
 	Upper *bounds.UpperBound
 
 	opts PrepareOptions
+
+	tablesMu sync.Mutex
+	tables   map[tableKey]*controller.DecisionTable
+}
+
+// tableKey names one shared decision table: the tree's decisions are a
+// pure function of the belief only over one bound set at one depth.
+type tableKey struct {
+	set   *bounds.Set
+	depth int
 }
 
 // Prepare validates the recovery model, picks (or honours) the regime,
@@ -324,10 +335,12 @@ type ControllerConfig struct {
 	CollectStats bool
 }
 
-// NewController builds the bounded recovery controller over the prepared
-// model, sharing (and with ImproveOnline refining) the prepared bound set.
-func (p *Prepared) NewController(cfg ControllerConfig) (*controller.Bounded, error) {
-	return controller.NewBounded(p.Model, p.Set, controller.BoundedConfig{
+// BoundedConfig is the bounded-controller configuration NewController
+// builds its controllers with. controller.NewBounded over p.Model and p.Set
+// with it gives the same controller without the shared decision table —
+// the bare tree expansion, as benchmarks time it.
+func (p *Prepared) BoundedConfig(cfg ControllerConfig) controller.BoundedConfig {
+	return controller.BoundedConfig{
 		Depth:            cfg.Depth,
 		Beta:             p.opts.Bounds.Beta,
 		TerminateAction:  p.Terminate.Action,
@@ -335,7 +348,44 @@ func (p *Prepared) NewController(cfg ControllerConfig) (*controller.Bounded, err
 		ImproveOnline:    cfg.ImproveOnline,
 		CheckConsistency: cfg.CheckConsistency,
 		CollectStats:     cfg.CollectStats,
-	})
+	}
+}
+
+// NewController builds the bounded recovery controller over the prepared
+// model, sharing (and with ImproveOnline refining) the prepared bound set.
+// Every controller it builds over the same set and depth shares one
+// decision table (see DecisionTable), which answers recurring beliefs
+// exactly as the tree would.
+func (p *Prepared) NewController(cfg ControllerConfig) (*controller.Bounded, error) {
+	b, err := controller.NewBounded(p.Model, p.Set, p.BoundedConfig(cfg))
+	if err != nil {
+		return nil, err
+	}
+	if err := b.UseTable(p.DecisionTable(cfg.Depth)); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// DecisionTable returns the decision table NewController shares among its
+// controllers over the current p.Set at the given depth (0 means 1, as for
+// controllers), creating it on first use.
+func (p *Prepared) DecisionTable(depth int) *controller.DecisionTable {
+	if depth == 0 {
+		depth = 1
+	}
+	k := tableKey{set: p.Set, depth: depth}
+	p.tablesMu.Lock()
+	defer p.tablesMu.Unlock()
+	t := p.tables[k]
+	if t == nil {
+		if p.tables == nil {
+			p.tables = make(map[tableKey]*controller.DecisionTable)
+		}
+		t = controller.NewDecisionTable()
+		p.tables[k] = t
+	}
+	return t
 }
 
 // FSCConfig trims the FSC-compiler knobs exposed at this level.
