@@ -26,15 +26,17 @@
 //   - batch_decide_table — the same 64 reachable beliefs through
 //     core.Prepared.NewController's controller with a warm decision table:
 //     every belief is a table hit
-//   - fsc_decide — controller.FSCDecider.DecideBatch over a batch of
-//     compiled-table beliefs (the table-lookup fast path; compare per
+//   - fsc_decide — controller.Bounded.DecideBatch, with a compiled FSC
+//     attached by UseFSC, over a batch of compiled-node beliefs: every
+//     belief is answered by the FSC tier before any set lock (compare per
 //     decision against batch_decide for the compilation speedup)
-//   - campaign_fsc — the batched campaign decided by the tiered FSC decider
-//     (table hits plus tree fallbacks), same figures as campaign_batched
+//   - campaign_fsc — the batched campaign decided by an FSC-fronted
+//     controller (FSC hits plus the other tiers' answers to its misses),
+//     same figures as campaign_batched
 //   - bounds_refine — one full HSVI-style offline bound-refinement run to
 //     convergence on the bootstrapped EMN set (core.Prepared.RefineBounds)
 //   - campaign_tiered_seed_bounds / campaign_tiered_refined_bounds — the
-//     bound-quality pair: tiered FSC+tree campaigns at the strictest gap
+//     bound-quality pair: FSC-fronted campaigns at the strictest gap
 //     threshold (0) over the bootstrapped seed set vs the HSVI-refined set;
 //     their tree_nodes_expanded and ns_per_decision figures quantify how
 //     much online tree work tighter offline bounds remove
@@ -280,10 +282,10 @@ func run(episodes, workers int) (*Report, error) {
 }
 
 // benchBounds measures offline HSVI bound refinement and its effect on
-// online tree work: two tiered (FSC table + tree fallback) campaigns at the
-// strictest gap threshold, one over the bootstrapped seed set and one over
-// the refined set. Refinement drives compile-time node gaps to ~0, so the
-// refined variant serves most decisions from the table and expands far fewer
+// online tree work: two FSC-fronted campaigns at the strictest gap
+// threshold, one over the bootstrapped seed set and one over the refined
+// set. Refinement drives compile-time node gaps to ~0, so the refined
+// variant serves most decisions from the table and expands far fewer
 // Max-Avg tree nodes per decision — tree_nodes_expanded and ns_per_decision
 // are the bound-quality figures the ROADMAP asks the gate to watch.
 func benchBounds(rep *Report, compiled *arch.Compiled, episodes int) error {
@@ -395,8 +397,8 @@ func benchBounds(rep *Report, compiled *arch.Compiled, episodes int) error {
 
 // benchFSC measures the compiled finite-state-controller fast path: batched
 // decisions answered from the table (fsc_decide — the per-decision number to
-// hold against batch_decide), and a full batched campaign decided by the
-// tiered FSC decider (campaign_fsc). The table is compiled once outside the
+// hold against batch_decide), and a full batched campaign decided by an
+// FSC-fronted controller (campaign_fsc). The table is compiled once outside the
 // timed regions with a permissive gap threshold, so the campaign splits
 // decisions across both tiers the way a deployed daemon would.
 func benchFSC(rep *Report, compiled *arch.Compiled, prep *core.Prepared, episodes int) error {

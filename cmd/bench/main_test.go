@@ -39,17 +39,12 @@ func TestRunProducesReport(t *testing.T) {
 	if e := rep.Bench["belief_update"]; e.AllocsPerOp != 0 {
 		t.Errorf("belief_update allocates (%d allocs/op); the reuse path must be allocation-free", e.AllocsPerOp)
 	}
-	// The batched expansion, with and without duplicate beliefs to merge,
-	// must run from reused scratch, and a warm decision table must answer
-	// without allocating.
+	// The batched-decision entries are present; TestBatchDecideAllocs holds
+	// them to zero allocations, without the race detector, whose
+	// instrumentation allocates on its own.
 	for _, name := range []string{"batch_decide", "batch_decide_reachable", "batch_decide_table"} {
-		e, ok := rep.Bench[name]
-		if !ok {
+		if _, ok := rep.Bench[name]; !ok {
 			t.Errorf("missing benchmark %q", name)
-			continue
-		}
-		if e.AllocsPerOp != 0 {
-			t.Errorf("%s allocates (%d allocs/op); it must run from reused scratch", name, e.AllocsPerOp)
 		}
 	}
 	for _, name := range []string{"campaign_sequential", "campaign_parallel"} {

@@ -169,8 +169,8 @@ func run(ctx context.Context, args []string) error {
 			func() float64 { return r.Wall.Seconds() })
 	}
 
-	// The compiled FSC fast path: one shared immutable table, per-episode
-	// FSCDecider wrappers around the usual tree controllers. Its hit/fallback
+	// The compiled FSC fast path: one shared immutable table that every
+	// controller below consults before its other tiers. Its hit/fallback
 	// counters are scraped straight off the shared table via the metrics
 	// registry, so serving pays nothing beyond the atomic increments the
 	// table keeps anyway.
@@ -199,7 +199,7 @@ func run(ctx context.Context, args []string) error {
 			"Decisions served from the compiled FSC table.",
 			func() float64 { return float64(t.Hits()) })
 		metrics.CounterFunc("recoverd_fsc_fallbacks_total",
-			"Decisions that fell back to the Max-Avg tree.",
+			"Decisions the compiled FSC table did not serve.",
 			func() float64 { return float64(t.Fallbacks()) })
 		metrics.GaugeFunc("recoverd_fsc_nodes",
 			"Nodes in the loaded compiled FSC.",
@@ -207,8 +207,8 @@ func run(ctx context.Context, args []string) error {
 	}
 
 	// Every tree controller below that decides read-only (pooled batch
-	// deciders, episodes without online improvement, the FSC decider's
-	// fallback) shares one exact decision table over the final bound set;
+	// deciders, episodes without online improvement, FSC misses included)
+	// shares one exact decision table over the final bound set;
 	// its counters are read straight off the table.
 	table := prep.DecisionTable(*depth)
 	metrics.CounterFunc("recoverd_decision_table_hits_total",

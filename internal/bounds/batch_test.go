@@ -482,8 +482,8 @@ func TestSlabLayoutSurvivesMutation(t *testing.T) {
 }
 
 // TestSetConcurrentReaders shares one set between goroutines that all call
-// ValueBatch, ValueArg and Peek on it, as the server's batch deciders and
-// FSC decider do. Every result must equal the single-threaded run bit for
+// ValueBatch, ValueArg and Peek on it, as the server's batch and episode
+// controllers do. Every result must equal the single-threaded run bit for
 // bit, and the usage counters must total exactly the bumps made. Run it
 // under -race: the scan scratch must never be shared between callers.
 func TestSetConcurrentReaders(t *testing.T) {

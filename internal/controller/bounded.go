@@ -51,6 +51,8 @@ type Bounded struct {
 	updater *bounds.Updater
 	nullSet []int
 	table   *DecisionTable // see UseTable; nil when none is attached
+	fsc     *FSC           // see UseFSC; nil when none is attached
+	fscGap  float64        // UseFSC's gap threshold
 
 	one    [1]pomdp.Belief // decideOne's one-belief batch
 	oneOut [1]Decision
@@ -60,6 +62,7 @@ type Bounded struct {
 	batchPis  []pomdp.Belief
 	batchHash []uint64             // hashBelief of each batchPis entry, on the table path
 	batchRes  []pomdp.BackupResult // root backups; a run decided from batch position j writes from j on
+	fscHit    []bool               // per batch position: answered by the FSC
 
 	// Per-belief stats of the last decision call, indexed by batch
 	// position; populated only with cfg.CollectStats. Their QValues alias
@@ -129,7 +132,11 @@ func NewBounded(p *pomdp.POMDP, set *bounds.Set, cfg BoundedConfig) (*Bounded, e
 
 // Name implements Controller.
 func (b *Bounded) Name() string {
-	return fmt.Sprintf("bounded(depth=%d)", b.cfg.Depth)
+	name := fmt.Sprintf("bounded(depth=%d)", b.cfg.Depth)
+	if b.fsc != nil {
+		return fmt.Sprintf("fsc(%d nodes, gap<=%g)+%s", len(b.fsc.nodes), b.fscGap, name)
+	}
+	return name
 }
 
 // Set returns the hyperplane set used at the leaves.
@@ -197,9 +204,15 @@ func (b *Bounded) statsFor(pi pomdp.Belief, d Decision, q []float64) DecisionSta
 // StatsEnabled implements StatsSource.
 func (b *Bounded) StatsEnabled() bool { return b.cfg.CollectStats }
 
-// LastTier implements TierSource: every Bounded decision is a Max-Avg tree
-// expansion.
-func (b *Bounded) LastTier() string { return TierTree }
+// LastTier implements TierSource: TierFSC when the attached FSC answered
+// entry 0 of the last decision call (the most recent Decide), TierTree
+// otherwise.
+func (b *Bounded) LastTier() string {
+	if len(b.fscHit) > 0 && b.fscHit[0] {
+		return TierFSC
+	}
+	return TierTree
+}
 
 // DecisionStats implements StatsSource: the stats of the most recent Decide
 // (entry 0 of the last decision call). Valid until the next decision call;
@@ -235,28 +248,23 @@ func (b *Bounded) toDecision(res *pomdp.BackupResult) Decision {
 // DecideBatch implements BatchDecider: it decides for every belief in pis
 // independently of the tracked episode belief, writing Decision j into
 // out[j]. It is the controller's one decision path — Decide and the FSC
-// compiler come through it too. Certainty-terminated beliefs (recovery
-// notification) are answered directly, then beliefs held by an attached
-// decision table (see UseTable); the rest share one batched tree
-// expansion, with results bit-identical to deciding each belief alone.
+// compiler come through it too. Its tiers answer in order: nodes of an
+// attached FSC (see UseFSC), certainty termination (recovery
+// notification), an attached decision table (see UseTable), and one
+// batched tree expansion shared by the rest, with results bit-identical to
+// deciding each belief alone. Every belief's length is checked before any
+// tier answers.
 //
-// With ImproveOnline or CheckConsistency configured it decides in chunks of
-// one belief, in batch order: both mutate or audit the shared bound set
-// before each belief's own expansion, and a batched expansion would observe
-// a different set than that order does.
+// With ImproveOnline or CheckConsistency configured it decides the beliefs
+// the FSC left in chunks of one, in batch order: both mutate or audit the
+// shared bound set before each belief's own expansion, and a batched
+// expansion would observe a different set than that order does.
 //
-// The call holds the set's Mutex throughout, for writing with
+// Past the FSC the call holds the set's Mutex, for writing with
 // ImproveOnline and for reading otherwise, so controllers sharing the set
 // may decide from several goroutines.
 func (b *Bounded) DecideBatch(pis []pomdp.Belief, out []Decision) error {
-	mu := b.set.Mutex()
-	if b.updater != nil {
-		mu.Lock()
-		defer mu.Unlock()
-	} else {
-		mu.RLock()
-		defer mu.RUnlock()
-	}
+	b.fscHit = b.fscHit[:0]
 	if len(out) < len(pis) {
 		return fmt.Errorf("controller: batch decision buffer length %d < %d beliefs", len(out), len(pis))
 	}
@@ -266,6 +274,23 @@ func (b *Bounded) DecideBatch(pis []pomdp.Belief, out []Decision) error {
 			return fmt.Errorf("controller: batch belief %d length %d, want %d", j, len(pi), n)
 		}
 	}
+	if b.cfg.CollectStats {
+		if cap(b.batchStats) < len(pis) {
+			b.batchStats = make([]DecisionStats, len(pis))
+		}
+		b.batchStats = b.batchStats[:len(pis)]
+	}
+	if b.serveFSC(pis, out) == len(pis) {
+		return nil
+	}
+	mu := b.set.Mutex()
+	if b.updater != nil {
+		mu.Lock()
+		defer mu.Unlock()
+	} else {
+		mu.RLock()
+		defer mu.RUnlock()
+	}
 	// Grow the result buffer while keeping the QValues slices already
 	// allocated in earlier calls, so the steady state allocates nothing.
 	if cap(b.batchRes) < len(pis) {
@@ -274,16 +299,13 @@ func (b *Bounded) DecideBatch(pis []pomdp.Belief, out []Decision) error {
 		b.batchRes = grown
 	}
 	b.batchRes = b.batchRes[:len(pis)]
-	if b.cfg.CollectStats {
-		if cap(b.batchStats) < len(pis) {
-			b.batchStats = make([]DecisionStats, len(pis))
-		}
-		b.batchStats = b.batchStats[:len(pis)]
-	}
 	if b.updater == nil && !b.cfg.CheckConsistency {
 		return b.decide(pis, out, 0)
 	}
 	for j, pi := range pis {
+		if b.servedFSC(j) {
+			continue
+		}
 		if err := b.prepare(pi); err != nil {
 			return err
 		}
@@ -316,10 +338,11 @@ func (b *Bounded) prepare(pi pomdp.Belief) error {
 }
 
 // decide answers pis, the beliefs at batch positions off, off+1, … of the
-// current DecideBatch call: from the decision table where it may be used
-// and holds them, the rest with one shared tree expansion. Root backups
-// land in batchRes from position off on, so the stats QValues of every
-// position stay valid until the next call without copying.
+// current DecideBatch call that the FSC did not: by certainty termination,
+// from the decision table where it may be used and holds them, the rest
+// with one shared tree expansion. Root backups land in batchRes from
+// position off on, so the stats QValues of every position stay valid until
+// the next call without copying.
 func (b *Bounded) decide(pis []pomdp.Belief, out []Decision, off int) error {
 	collect := b.cfg.CollectStats
 	tbl := b.readTable()
@@ -331,6 +354,9 @@ func (b *Bounded) decide(pis []pomdp.Belief, out []Decision, off int) error {
 	b.batchPis = b.batchPis[:0]
 	b.batchHash = b.batchHash[:0]
 	for j, pi := range pis {
+		if b.servedFSC(off + j) {
+			continue
+		}
 		// Recovery-notification regime: stop as soon as the belief
 		// certifies Sφ.
 		if b.cfg.TerminateAction < 0 && pi.Mass(b.nullSet) >= certainty {

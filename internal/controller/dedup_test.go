@@ -308,9 +308,9 @@ func TestDedupDecideBatchParity(t *testing.T) {
 	}
 }
 
-// TestDedupFSCMissParity: an FSC decider whose small table serves only
-// part of a batch with repeats must answer every entry — hits and the
-// merged fallback misses alike — exactly as the per-belief tree does.
+// TestDedupFSCMissParity: an FSC-fronted controller whose small table
+// serves only part of a batch with repeats must answer every entry — hits
+// and the merged misses alike — exactly as the per-belief tree does.
 func TestDedupFSCMissParity(t *testing.T) {
 	for _, rg := range dedupRegimes(t) {
 		pool := beliefPool(t, rg)
@@ -334,10 +334,7 @@ func TestDedupFSCMissParity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				dec, err := NewFSCDecider(fsc, fallback, FSCDeciderConfig{GapThreshold: fsc.MaxGap() + 1})
-				if err != nil {
-					t.Fatal(err)
-				}
+				dec := useFSC(t, fallback, fsc, fsc.MaxGap()+1)
 				// Half the pool again as compiled beliefs, so the batch
 				// mixes table hits with repeated misses.
 				mixed := append([]pomdp.Belief(nil), pool...)

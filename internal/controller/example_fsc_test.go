@@ -10,13 +10,13 @@ import (
 	"bpomdp/internal/rng"
 )
 
-// ExampleFSCDecider compiles the bounded controller's policy over a frozen
-// bound set into a finite-state controller and serves a decision from the
-// table tier. At gap threshold 0 only nodes whose bound was already tight at
+// ExampleBounded_UseFSC compiles the bounded controller's policy over a
+// frozen bound set into a finite-state controller and serves a decision from
+// the table tier. At gap threshold 0 only nodes whose bound was already tight at
 // compile time are served, so every table hit is bit-identical to the
 // Max-Avg tree's decision; everything else — off-graph beliefs, wide-gap
 // nodes — falls back to the tree over the same bounds.
-func ExampleFSCDecider() {
+func ExampleBounded_UseFSC() {
 	rm, err := modelload.Load("emn")
 	if err != nil {
 		log.Fatal(err)

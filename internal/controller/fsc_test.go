@@ -2,15 +2,27 @@ package controller
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"bpomdp/internal/bounds"
 	"bpomdp/internal/models"
 	"bpomdp/internal/pomdp"
 	"bpomdp/internal/rng"
 )
+
+// useFSC attaches fsc to ctrl at the given gap threshold and returns ctrl.
+func useFSC(t *testing.T, ctrl *Bounded, fsc *FSC, gapThreshold float64) *Bounded {
+	t.Helper()
+	if err := ctrl.UseFSC(fsc, gapThreshold); err != nil {
+		t.Fatal(err)
+	}
+	return ctrl
+}
 
 // compileFixtureFSC compiles the two-server termination fixture's FSC from
 // the uniform-over-original-states root, through a depth-1 tree over the
@@ -136,10 +148,10 @@ func TestCompileFSCNotificationCertainty(t *testing.T) {
 	}
 }
 
-// TestFSCDeciderEpisodeParity drives the tiered decider and a twin tree
-// controller through identical episodes (same RNG streams) and requires
-// bit-identical decisions throughout, at the strictest and the loosest gap
-// thresholds. The set is frozen (no online improvement), so the table is an
+// TestFSCDeciderEpisodeParity drives an FSC-fronted controller and a twin
+// tree controller through identical episodes (same RNG streams) and
+// requires bit-identical decisions throughout, at the strictest and the
+// loosest gap thresholds. The set is frozen (no online improvement), so the table is an
 // amortization of the tree, never an approximation.
 func TestFSCDeciderEpisodeParity(t *testing.T) {
 	f := newFixture(t)
@@ -165,10 +177,7 @@ func TestFSCDeciderEpisodeParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, threshold := range []float64{0, fsc.MaxGap() + 1} {
-		dec, err := NewFSCDecider(fsc, newTree(), FSCDeciderConfig{GapThreshold: threshold})
-		if err != nil {
-			t.Fatal(err)
-		}
+		dec := useFSC(t, newTree(), fsc, threshold)
 		tree := newTree()
 		for trial := 0; trial < 30; trial++ {
 			seed := uint64(1000 + trial)
@@ -207,10 +216,7 @@ func TestFSCDeciderStatsTiers(t *testing.T) {
 
 	// Loose threshold: the root decision is a table hit tagged TierFSC, with
 	// the compile-time gap.
-	dec, err := NewFSCDecider(fsc, newTree(), FSCDeciderConfig{GapThreshold: fsc.MaxGap() + 1, CollectStats: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	dec := useFSC(t, newTree(), fsc, fsc.MaxGap()+1)
 	if err := dec.Reset(root.Belief); err != nil {
 		t.Fatal(err)
 	}
@@ -238,10 +244,7 @@ func TestFSCDeciderStatsTiers(t *testing.T) {
 	if wide < 0 {
 		t.Fatal("no positive-gap node to force a fallback with")
 	}
-	dec2, err := NewFSCDecider(fsc, newTree(), FSCDeciderConfig{GapThreshold: 0, CollectStats: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	dec2 := useFSC(t, newTree(), fsc, 0)
 	if err := dec2.Reset(fsc.Node(wide).Belief); err != nil {
 		t.Fatal(err)
 	}
@@ -277,10 +280,7 @@ func TestFSCDecideBatchMatchesTree(t *testing.T) {
 	for i := 0; i < fsc.NumNodes() && i < 8; i++ {
 		pis = append(pis, fsc.Node(i).Belief)
 	}
-	dec, err := NewFSCDecider(fsc, newTree(true), FSCDeciderConfig{GapThreshold: fsc.MaxGap() + 1, CollectStats: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	dec := useFSC(t, newTree(true), fsc, fsc.MaxGap()+1)
 	h0, f0 := fsc.Hits(), fsc.Fallbacks()
 	got := make([]Decision, len(pis))
 	if err := dec.DecideBatch(pis, got); err != nil {
@@ -380,35 +380,260 @@ func TestFSCDecodeRejectsCorruption(t *testing.T) {
 	})
 }
 
-func TestNewFSCDeciderValidation(t *testing.T) {
+// fixtureTree builds a depth-1 controller over the two-server fixture's
+// termination model and RA-Bound set, with cfg's switches on top.
+func fixtureTree(t *testing.T, f *fixture, cfg BoundedConfig) *Bounded {
+	t.Helper()
+	cfg.Depth, cfg.TerminateAction, cfg.NullStates = 1, f.idx.Action, []int{0}
+	ctrl, err := NewBounded(f.term, f.set, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ctrl
+}
+
+// fscBeliefs returns the beliefs of all of fsc's nodes.
+func fscBeliefs(fsc *FSC) []pomdp.Belief {
+	pis := make([]pomdp.Belief, fsc.NumNodes())
+	for i := range pis {
+		pis[i] = fsc.Node(i).Belief
+	}
+	return pis
+}
+
+// within fails the test unless fn returns, without error, within ten
+// seconds.
+func within(t *testing.T, what string, fn func() error) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- fn() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s: still blocked after 10s", what)
+	}
+}
+
+// TestFSCHitTakesNoSetLock: a batch the FSC answers in full completes while
+// another goroutine holds the set's write lock, on a read-only, an auditing
+// and an online-improving controller. A mixed batch on an improving
+// controller that collects stats completes too: the hits' stats read-lock
+// the set before the misses write-lock it, never inside.
+func TestFSCHitTakesNoSetLock(t *testing.T) {
 	f := newFixture(t)
 	fsc := compileFixtureFSC(t, f, FSCCompileConfig{})
-	tree := func(stats bool) *Bounded {
-		ctrl, err := NewBounded(f.term, f.set, BoundedConfig{
-			Depth: 1, TerminateAction: f.idx.Action, NullStates: []int{0}, CollectStats: stats,
-		})
+	pis := fscBeliefs(fsc)
+	out := make([]Decision, len(pis)+4)
+	for _, cfg := range []BoundedConfig{{}, {CheckConsistency: true}, {ImproveOnline: true}} {
+		dec := useFSC(t, fixtureTree(t, f, cfg), fsc, fsc.MaxGap()+1)
+		func() {
+			mu := f.set.Mutex()
+			mu.Lock()
+			defer mu.Unlock()
+			within(t, fmt.Sprintf("all-hit batch under the write lock (%+v)", cfg), func() error {
+				return dec.DecideBatch(pis, out)
+			})
+		}()
+	}
+	dec := useFSC(t, fixtureTree(t, f, BoundedConfig{ImproveOnline: true, CollectStats: true}), fsc, fsc.MaxGap()+1)
+	mixed := append(append([]pomdp.Belief(nil), pis...), batchBeliefs(rng.New(5), 4, f.term.NumStates())...)
+	h0, f0 := fsc.Hits(), fsc.Fallbacks()
+	within(t, "mixed batch on an improving, stats-collecting controller", func() error {
+		return dec.DecideBatch(mixed, out)
+	})
+	if fsc.Hits()-h0 != uint64(len(pis)) || fsc.Fallbacks()-f0 != 4 {
+		t.Errorf("mixed batch counted %d hits and %d fallbacks, want %d and 4", fsc.Hits()-h0, fsc.Fallbacks()-f0, len(pis))
+	}
+}
+
+// TestFSCHitRunsNoOnlineUpdate: on an online-improving controller, batches
+// and per-episode decisions the FSC answers leave the bound set's
+// generation alone; the same beliefs decided without the FSC change it. In
+// a batch mixing hits and misses, only the misses update the set: it ends
+// where a twin set ends after deciding the misses alone.
+func TestFSCHitRunsNoOnlineUpdate(t *testing.T) {
+	f := newFixture(t)
+	fsc := compileFixtureFSC(t, f, FSCCompileConfig{})
+	pis := fscBeliefs(fsc)
+	out := make([]Decision, len(pis))
+	gen := f.set.Generation()
+	dec := useFSC(t, fixtureTree(t, f, BoundedConfig{ImproveOnline: true}), fsc, fsc.MaxGap()+1)
+	if err := dec.DecideBatch(pis, out); err != nil {
+		t.Fatal(err)
+	}
+	if err := dec.Reset(pis[0]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dec.Decide(); err != nil {
+		t.Fatal(err)
+	}
+	if f.set.Generation() != gen {
+		t.Errorf("FSC hits moved the set from generation %d to %d", gen, f.set.Generation())
+	}
+	if err := fixtureTree(t, f, BoundedConfig{ImproveOnline: true}).DecideBatch(pis, out); err != nil {
+		t.Fatal(err)
+	}
+	if f.set.Generation() == gen {
+		t.Fatal("online updates at the FSC's beliefs never change the set; the test shows nothing")
+	}
+
+	f, twin := newFixture(t), newFixture(t)
+	fsc = compileFixtureFSC(t, f, FSCCompileConfig{})
+	misses := batchBeliefs(rng.New(9), 4, f.term.NumStates())
+	var mixed []pomdp.Belief
+	for k, pi := range misses {
+		mixed = append(mixed, fsc.Node(k).Belief, pi)
+	}
+	dec = useFSC(t, fixtureTree(t, f, BoundedConfig{ImproveOnline: true}), fsc, fsc.MaxGap()+1)
+	got := make([]Decision, len(mixed))
+	if err := dec.DecideBatch(mixed, got); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]Decision, len(misses))
+	if err := fixtureTree(t, twin, BoundedConfig{ImproveOnline: true}).DecideBatch(misses, want); err != nil {
+		t.Fatal(err)
+	}
+	if f.set.Generation() != twin.set.Generation() || f.set.Size() != twin.set.Size() {
+		t.Errorf("mixed batch left the set at generation %d (%d planes), deciding its misses alone at %d (%d)",
+			f.set.Generation(), f.set.Size(), twin.set.Generation(), twin.set.Size())
+	}
+	for k := range misses {
+		if got[2*k+1] != want[k] {
+			t.Errorf("miss %d decided %+v in the mixed batch, %+v alone", k, got[2*k+1], want[k])
+		}
+	}
+}
+
+// TestFSCTierAttribution: LastTier and DecisionStats().Tier read fsc
+// exactly when the FSC answered the most recent Decide, or entry 0 of the
+// most recent batch, and tree otherwise.
+func TestFSCTierAttribution(t *testing.T) {
+	f := newFixture(t)
+	fsc := compileFixtureFSC(t, f, FSCCompileConfig{})
+	// Serve up to the smallest non-terminating gap, so a wider node falls
+	// back.
+	tight, wide := -1, -1
+	for i := 0; i < fsc.NumNodes(); i++ {
+		if n := fsc.Node(i); !n.Terminate && (tight < 0 || n.Gap < fsc.Node(tight).Gap) {
+			tight = i
+		}
+	}
+	for i := 0; i < fsc.NumNodes(); i++ {
+		if n := fsc.Node(i); !n.Terminate && n.Gap > fsc.Node(tight).Gap {
+			wide = i
+		}
+	}
+	if tight < 0 || wide < 0 {
+		t.Fatal("no two non-terminating nodes with different gaps")
+	}
+	tp, wp := fsc.Node(tight).Belief, fsc.Node(wide).Belief
+	for _, stats := range []bool{false, true} {
+		dec := useFSC(t, fixtureTree(t, f, BoundedConfig{CollectStats: stats}), fsc, fsc.Node(tight).Gap)
+		check := func(label, want string) {
+			t.Helper()
+			if got := dec.LastTier(); got != want {
+				t.Errorf("stats=%v %s: LastTier %q, want %q", stats, label, got, want)
+			}
+			if got := dec.DecisionStats().Tier; stats && got != want {
+				t.Errorf("stats=%v %s: DecisionStats().Tier %q, want %q", stats, label, got, want)
+			}
+		}
+		for _, c := range []struct {
+			label string
+			pi    pomdp.Belief
+			want  string
+		}{{"Decide at a servable node", tp, TierFSC}, {"Decide at a wide node", wp, TierTree}} {
+			if err := dec.Reset(c.pi); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := dec.Decide(); err != nil {
+				t.Fatal(err)
+			}
+			check(c.label, c.want)
+		}
+		out := make([]Decision, 2)
+		for _, c := range []struct {
+			label string
+			pis   []pomdp.Belief
+			want  string
+		}{{"batch led by a hit", []pomdp.Belief{tp, wp}, TierFSC}, {"batch led by a miss", []pomdp.Belief{wp, tp}, TierTree}} {
+			if err := dec.DecideBatch(c.pis, out); err != nil {
+				t.Fatal(err)
+			}
+			check(c.label, c.want)
+			if stats {
+				other := map[string]string{TierFSC: TierTree, TierTree: TierFSC}[c.want]
+				if got := dec.BatchDecisionStats()[1].Tier; got != other {
+					t.Errorf("%s: entry 1 tier %q, want %q", c.label, got, other)
+				}
+			}
+		}
+	}
+	if got := fixtureTree(t, f, BoundedConfig{}).LastTier(); got != TierTree {
+		t.Errorf("controller without an FSC: LastTier %q, want %q", got, TierTree)
+	}
+}
+
+// TestFSCDecideBatchErrorIndex: a batch that mixes an FSC hit with a
+// wrong-length belief is refused naming the caller's index of the bad
+// belief, before any belief is counted as a hit or a fallback.
+func TestFSCDecideBatchErrorIndex(t *testing.T) {
+	f := newFixture(t)
+	fsc := compileFixtureFSC(t, f, FSCCompileConfig{})
+	dec := useFSC(t, fixtureTree(t, f, BoundedConfig{}), fsc, fsc.MaxGap()+1)
+	h0, f0 := fsc.Hits(), fsc.Fallbacks()
+	err := dec.DecideBatch([]pomdp.Belief{fsc.Node(0).Belief, {1, 0}}, make([]Decision, 2))
+	if err == nil || !strings.Contains(err.Error(), "batch belief 1 ") {
+		t.Fatalf("short belief at index 1: error %v, want one naming batch belief 1", err)
+	}
+	if fsc.Hits() != h0 || fsc.Fallbacks() != f0 {
+		t.Errorf("refused batch counted %d hits and %d fallbacks", fsc.Hits()-h0, fsc.Fallbacks()-f0)
+	}
+}
+
+// TestFSCDecodeRejectsDuplicateBeliefs: an artifact in which two nodes
+// carry the same belief bits is not a function from belief to decision,
+// and decoding it fails.
+func TestFSCDecodeRejectsDuplicateBeliefs(t *testing.T) {
+	f := newFixture(t)
+	fsc := compileFixtureFSC(t, f, FSCCompileConfig{})
+	if fsc.NumNodes() < 3 {
+		t.Fatalf("compiled only %d nodes", fsc.NumNodes())
+	}
+	fsc.nodes[2].Belief = fsc.nodes[1].Belief.Clone()
+	var buf bytes.Buffer
+	if err := fsc.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeFSC(&buf); err == nil || !strings.Contains(err.Error(), "nodes 1 and 2 share a belief") {
+		t.Errorf("duplicate beliefs: decode error %v, want nodes 1 and 2 sharing a belief", err)
+	}
+}
+
+func TestUseFSCValidation(t *testing.T) {
+	f := newFixture(t)
+	fsc := compileFixtureFSC(t, f, FSCCompileConfig{})
+	tree := func() *Bounded {
+		ctrl, err := NewBounded(f.term, f.set, BoundedConfig{Depth: 1, TerminateAction: f.idx.Action, NullStates: []int{0}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return ctrl
 	}
-	if _, err := NewFSCDecider(nil, tree(false), FSCDeciderConfig{}); err == nil {
+	if err := tree().UseFSC(nil, 0); err == nil {
 		t.Error("nil FSC accepted")
 	}
-	if _, err := NewFSCDecider(fsc, nil, FSCDeciderConfig{}); err == nil {
-		t.Error("nil fallback accepted")
-	}
-	if _, err := NewFSCDecider(fsc, tree(false), FSCDeciderConfig{GapThreshold: -1}); err == nil {
+	if err := tree().UseFSC(fsc, -1); err == nil {
 		t.Error("negative gap threshold accepted")
 	}
-	if _, err := NewFSCDecider(fsc, tree(false), FSCDeciderConfig{GapThreshold: math.NaN()}); err == nil {
+	if err := tree().UseFSC(fsc, math.NaN()); err == nil {
 		t.Error("NaN gap threshold accepted")
 	}
-	if _, err := NewFSCDecider(fsc, tree(false), FSCDeciderConfig{CollectStats: true}); err == nil {
-		t.Error("stats-collecting decider over a bare fallback accepted")
-	}
-	// A fallback over a different model (the 3-state absorbed base instead of
-	// the 4-state termination transform) must be rejected on dimensions.
+	// A controller over a different model (the 3-state absorbed base instead
+	// of the 4-state termination transform) must be rejected on dimensions.
 	mod, err := pomdp.AbsorbNullStates(f.base, f.ts.NullStates)
 	if err != nil {
 		t.Fatal(err)
@@ -421,8 +646,16 @@ func TestNewFSCDeciderValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewFSCDecider(fsc, baseCtrl, FSCDeciderConfig{}); err == nil {
-		t.Error("dimension-mismatched fallback accepted")
+	if err := baseCtrl.UseFSC(fsc, 0); err == nil {
+		t.Error("dimension-mismatched controller accepted")
+	}
+	// Same dimensions, but recovery notification instead of a_T.
+	notify, err := NewBounded(f.term, f.set, BoundedConfig{Depth: 1, TerminateAction: -1, NullStates: []int{0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := notify.UseFSC(fsc, 0); err == nil {
+		t.Error("controller with another terminate action accepted")
 	}
 }
 

@@ -65,9 +65,8 @@ func CompileFSC(tree *Bounded, roots []pomdp.Belief, cfg FSCCompileConfig) (*FSC
 		depth:           tree.cfg.Depth,
 		beta:            tree.cfg.Beta,
 		terminateAction: tree.cfg.TerminateAction,
-		index:           make(map[string]int32),
+		index:           make(map[uint64][]int32),
 	}
-	var keyBuf []byte
 	for r, root := range roots {
 		if len(root) != f.states {
 			return nil, fmt.Errorf("controller: root belief %d length %d, want %d", r, len(root), f.states)
@@ -75,15 +74,13 @@ func CompileFSC(tree *Bounded, roots []pomdp.Belief, cfg FSCCompileConfig) (*FSC
 		if !root.IsDistribution() {
 			return nil, fmt.Errorf("controller: root belief %d is not a distribution", r)
 		}
-		keyBuf = appendBeliefKey(keyBuf[:0], root)
-		if _, ok := f.index[string(keyBuf)]; ok {
+		if f.lookup(root) >= 0 {
 			continue
 		}
 		if len(f.nodes) >= cfg.MaxNodes {
 			break
 		}
-		f.index[string(keyBuf)] = int32(len(f.nodes))
-		f.nodes = append(f.nodes, FSCNode{
+		f.addNode(FSCNode{
 			Belief: root.Clone(),
 			Action: -1,
 			// Episodes observe one monitor sweep before the first decision,
@@ -125,18 +122,14 @@ func CompileFSC(tree *Bounded, roots []pomdp.Belief, cfg FSCCompileConfig) (*FSC
 			if err != nil {
 				return nil, fmt.Errorf("controller: fsc compile successor of node %d under obs %d: %w", i, o, err)
 			}
-			keyBuf = appendBeliefKey(keyBuf[:0], next)
-			if j, ok := f.index[string(keyBuf)]; ok {
+			if j := f.lookup(next); j >= 0 {
 				edges[o] = j
 				continue
 			}
 			if len(f.nodes) >= cfg.MaxNodes {
 				continue
 			}
-			j := int32(len(f.nodes))
-			f.index[string(keyBuf)] = j
-			f.nodes = append(f.nodes, FSCNode{Belief: next, Action: -1, EdgeAction: -1})
-			edges[o] = j
+			edges[o] = f.addNode(FSCNode{Belief: next, Action: -1, EdgeAction: -1})
 		}
 		f.nodes[i].Edges = edges
 	}

@@ -34,7 +34,7 @@ type fscHeaderJSON struct {
 // fscNodeJSON is one node frame. Belief coordinates survive the JSON round
 // trip bit-exactly (Go emits the shortest representation that parses back
 // to the same float64), so a decoded table reproduces the compiler's
-// belief-key index verbatim.
+// belief index verbatim.
 type fscNodeJSON struct {
 	Belief     []float64 `json:"belief"`
 	Action     int       `json:"action"`
@@ -166,6 +166,7 @@ func DecodeFSC(r io.Reader) (*FSC, error) {
 		beta:            hdr.Beta,
 		terminateAction: hdr.TerminateAction,
 		nodes:           make([]FSCNode, 0, hdr.Nodes),
+		index:           make(map[uint64][]int32),
 	}
 	for i := 0; i < hdr.Nodes; i++ {
 		payload, err := readFSCFrame(r)
@@ -183,16 +184,17 @@ func DecodeFSC(r io.Reader) (*FSC, error) {
 		if err != nil {
 			return nil, fmt.Errorf("controller: fsc artifact: node %d: %w", i, err)
 		}
-		f.nodes = append(f.nodes, n)
+		// A compiled table must be a function from belief to decision.
+		if j := f.lookup(n.Belief); j >= 0 {
+			return nil, fmt.Errorf("controller: fsc artifact: nodes %d and %d share a belief", j, i)
+		}
+		f.addNode(n)
 	}
 	if _, err := readFSCFrame(r); err != io.EOF {
 		if err == nil {
 			return nil, fmt.Errorf("controller: fsc artifact: trailing data after %d nodes", hdr.Nodes)
 		}
 		return nil, fmt.Errorf("controller: fsc artifact: trailing data after %d nodes: %w", hdr.Nodes, err)
-	}
-	if err := f.buildIndex(); err != nil {
-		return nil, err
 	}
 	return f, nil
 }

@@ -3,8 +3,9 @@ package controller
 // Decider tiers, recorded in DecisionStats.Tier and carried on decide spans
 // so every explained decision attributes the serving tier.
 const (
-	// TierTree marks a decision produced by the Max-Avg tree expansion
-	// (Bounded), whether invoked directly or as an FSC fallback.
+	// TierTree marks a decision a Bounded controller made past its FSC: by
+	// certainty termination, from the decision table or by the Max-Avg
+	// tree expansion.
 	TierTree = "tree"
 	// TierFSC marks a decision served from a compiled finite-state
 	// controller node table without expanding the tree.
@@ -76,8 +77,8 @@ type DecisionStats struct {
 
 	// Tier identifies which decider tier served the decision (TierTree or
 	// TierFSC). Every stats-producing path sets it, so explained decisions
-	// never silently drop tier attribution — in particular the FSC fallback
-	// path reports TierTree with the tree's own bound gap.
+	// never silently drop tier attribution — in particular a decision the
+	// FSC did not serve reports TierTree with the tree's own bound gap.
 	Tier string
 }
 

@@ -112,8 +112,8 @@ func checkSame(t *testing.T, label string, got, want []controller.Decision) {
 
 // TestDecisionTableParityEMN: on beliefs of a batched EMN campaign, over
 // the bootstrapped and then the HSVI-refined bound set, the controllers
-// prep.NewController builds — cold and then warm, and the FSC decider's
-// fallback — decide exactly as a table-free controller does.
+// prep.NewController builds — cold and then warm, and an FSC-fronted one on
+// the beliefs its FSC misses — decide exactly as a table-free controller does.
 func TestDecisionTableParityEMN(t *testing.T) {
 	prep, runner, faults := emnTablePrep(t, 10)
 	pis := campaignBeliefs(t, prep, runner, faults, 256)
@@ -138,8 +138,8 @@ func TestDecisionTableParityEMN(t *testing.T) {
 			t.Errorf("%s: %d hits, %d misses over two passes of %d beliefs; want a warm second pass",
 				stage, tbl.Hits()-hits, tbl.Misses()-misses, len(pis))
 		}
-		// An FSC compiled from nothing but the initial belief sends
-		// almost everything to its fallback, which shares the table.
+		// An FSC compiled from nothing but the initial belief misses
+		// almost everything, and the misses go to the shared table.
 		fsc, err := prep.CompileFSC(core.FSCConfig{Depth: 1, MaxNodes: 1})
 		if err != nil {
 			t.Fatal(err)

@@ -420,18 +420,19 @@ func (p *Prepared) CompileFSC(cfg FSCConfig) (*controller.FSC, error) {
 	})
 }
 
-// NewFSCDecider builds the tiered FSC-then-tree decider: table lookups for
-// beliefs the compiled FSC covers within gapThreshold, a bounded controller
-// built from cfg for everything else.
-func (p *Prepared) NewFSCDecider(fsc *controller.FSC, cfg ControllerConfig, gapThreshold float64) (*controller.FSCDecider, error) {
-	fallback, err := p.NewController(cfg)
+// NewFSCDecider builds NewController's controller with the compiled FSC in
+// front of its other tiers (see controller.Bounded.UseFSC): beliefs the FSC
+// covers within gapThreshold are answered from its nodes, the rest by the
+// decision table and the tree.
+func (p *Prepared) NewFSCDecider(fsc *controller.FSC, cfg ControllerConfig, gapThreshold float64) (*controller.Bounded, error) {
+	b, err := p.NewController(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return controller.NewFSCDecider(fsc, fallback, controller.FSCDeciderConfig{
-		GapThreshold: gapThreshold,
-		CollectStats: cfg.CollectStats,
-	})
+	if err := b.UseFSC(fsc, gapThreshold); err != nil {
+		return nil, err
+	}
+	return b, nil
 }
 
 // InitialBelief constructs the episode-start belief the paper's controller

@@ -30,7 +30,7 @@ func emnPrepared(t *testing.T, rm *core.RecoveryModel) *core.Prepared {
 }
 
 // TestFSCCampaignMatchesTreeEMN is the acceptance equality test on the
-// paper's EMN model: a campaign decided by the tiered FSC decider must
+// paper's EMN model: a campaign decided by the FSC-fronted controller must
 // reproduce the plain tree campaign bit-for-bit — mean cost included — at
 // the strictest gap threshold (per-decision parity by construction) and at a
 // threshold wide enough to serve every compiled node. Sets are frozen
@@ -95,9 +95,9 @@ func TestFSCCampaignMatchesTreeEMN(t *testing.T) {
 }
 
 // TestFSCBatchedCampaignMatchesTreeEMN runs the FSC tier through the batched
-// campaign engine (the FSCDecider is the shared BatchDecider) and pins
-// equality with the sequential tree campaign, plus the per-tier decision
-// split the campaign aggregates with stats enabled.
+// campaign engine (the FSC-fronted controller is the shared BatchDecider)
+// and pins equality with the sequential tree campaign, plus the per-tier
+// decision split the campaign aggregates with stats enabled.
 func TestFSCBatchedCampaignMatchesTreeEMN(t *testing.T) {
 	rm, err := modelload.Load("emn")
 	if err != nil {
@@ -169,6 +169,62 @@ func TestFSCBatchedCampaignMatchesTreeEMN(t *testing.T) {
 	a.TreeDecisions, b.TreeDecisions = 0, 0
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("batched fsc campaign diverges from tree:\ntree: %+v\nfsc:  %+v", a, b)
+	}
+}
+
+// TestFSCCampaignCountersEMN pins the FSC tier's counters on two EMN
+// campaigns: the shared FSC's hits and fallbacks, the campaign's per-tier
+// decision split and the decider's name. Parity tests compare decisions;
+// these figures show the tiers split the work as before.
+func TestFSCCampaignCountersEMN(t *testing.T) {
+	rm, err := modelload.Load("emn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner, err := NewRunner(rm, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep := emnPrepared(t, rm)
+	fsc, err := prep.CompileFSC(core.FSCConfig{Depth: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	initial, err := prep.InitialBelief()
+	if err != nil {
+		t.Fatal(err)
+	}
+	type counts struct {
+		name                     string
+		hits, fallbacks          uint64
+		fscDecisions, treeDecide int
+	}
+	for _, tc := range []struct {
+		label     string
+		threshold float64
+		batch     int
+		seed      uint64
+		want      counts
+	}{
+		{"per-episode strict", 0, 0, 101, counts{"fsc(41 nodes, gap<=0)+bounded(depth=1)", 57, 48, 57, 48}},
+		{"batched strict", 0, 8, 131, counts{"fsc(41 nodes, gap<=0)+bounded(depth=1)", 52, 54, 52, 54}},
+		{"batched permissive", 1e9, 8, 131, counts{"fsc(41 nodes, gap<=1e+09)+bounded(depth=1)", 106, 0, 106, 0}},
+	} {
+		dec, err := prep.NewFSCDecider(fsc, core.ControllerConfig{Depth: 1, CollectStats: true}, tc.threshold)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h0, f0 := fsc.Hits(), fsc.Fallbacks()
+		res, err := runner.RunCampaignOpts(dec, initial, rm.FaultStates(), 24, rng.New(tc.seed), CampaignOptions{
+			Workers: 1, BatchSize: tc.batch,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := counts{dec.Name(), fsc.Hits() - h0, fsc.Fallbacks() - f0, res.FSCDecisions, res.TreeDecisions}
+		if got != tc.want {
+			t.Errorf("%s: counters %+v, want %+v", tc.label, got, tc.want)
+		}
 	}
 }
 

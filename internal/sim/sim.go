@@ -72,8 +72,10 @@ type EpisodeResult struct {
 	EntropySum  float64
 	// FSCDecisions and TreeDecisions split Decisions by serving tier
 	// (controller.TierFSC table hits vs controller.TierTree expansions).
-	// Under a plain tree controller every decision is a TreeDecision; under
-	// a tiered FSC decider TreeDecisions counts the fallbacks.
+	// Under a controller without an FSC every decision is a TreeDecision;
+	// with one attached (controller.Bounded.UseFSC) FSCDecisions counts its
+	// hits and TreeDecisions everything else, certainty terminations and
+	// decision-table answers included.
 	FSCDecisions  int
 	TreeDecisions int
 }
