@@ -422,11 +422,20 @@ func (c *Client) doOnce(method, path string, hdr http.Header, payload []byte, ou
 		return se
 	}
 	if out != nil && resp.StatusCode != http.StatusNoContent {
-		if err := server.ReadJSON(resp.Body, out); err != nil {
+		if err := readBody(resp.Body, out); err != nil {
 			return fmt.Errorf("client: decode %s %s: %w", method, path, err)
 		}
 	}
 	return nil
+}
+
+// readBody decodes a response body into out; a batch round's scratch
+// decodes it into its own reused memory.
+func readBody(r io.Reader, out any) error {
+	if sc, ok := out.(*batchScratch); ok {
+		return sc.readBody(r)
+	}
+	return server.ReadJSON(r, out)
 }
 
 func drainClose(body io.ReadCloser) {

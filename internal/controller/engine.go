@@ -124,6 +124,21 @@ func (g *beliefGroups) group(pis []pomdp.Belief, w []uint64) {
 	}
 }
 
+// BeliefGroups merges the bit-identical beliefs of a batch by the
+// equivalence the engine, the decision table and the FSC decide by:
+// hashBelief plus pomdp.SameBits, so +0 and −0 stay apart. A caller that
+// sends a batch elsewhere to be decided can send each distinct belief once.
+// A reused BeliefGroups groups without allocating.
+type BeliefGroups struct{ g beliefGroups }
+
+// Group merges pis. It returns the distinct beliefs, in first-occurrence
+// order, and for each entry of pis the index of its distinct belief. Both
+// are valid until the next call.
+func (b *BeliefGroups) Group(pis []pomdp.Belief) (distinct []pomdp.Belief, of []int) {
+	b.g.group(pis, nil)
+	return b.g.pis, b.g.of
+}
+
 // hashBelief mixes the bits of every entry of pi. The index takes the top
 // bits of the result, which a multiplicative step makes depend on every
 // input bit.

@@ -2,6 +2,7 @@ package controller
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"reflect"
@@ -705,6 +706,34 @@ func TestCompileFSCMaxNodes(t *testing.T) {
 				t.Errorf("node %d obs %d: edge target %d out of range", i, o, e)
 			}
 		}
+	}
+}
+
+// hugeNodeCountFSC is a CRC-valid artifact whose header declares 2^50
+// nodes and that holds none.
+func hugeNodeCountFSC(t testing.TB) []byte {
+	t.Helper()
+	hdr, err := json.Marshal(fscHeaderJSON{
+		Schema: FSCSchema, States: 2, Actions: 2, Observations: 1,
+		Depth: 1, Beta: 1, TerminateAction: 1, Nodes: 1 << 50,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := writeFSCFrame(&buf, hdr); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestDecodeFSCHugeNodeCount: a header's node count is checked against the
+// nodes that follow, never used to size memory up front, so an artifact
+// claiming 2^50 nodes is refused instead of panicking the decoder.
+func TestDecodeFSCHugeNodeCount(t *testing.T) {
+	_, err := DecodeFSC(bytes.NewReader(hugeNodeCountFSC(t)))
+	if err == nil || !strings.Contains(err.Error(), "input ends after 0") {
+		t.Fatalf("DecodeFSC = %v, want the truncation error", err)
 	}
 }
 

@@ -165,9 +165,10 @@ func DecodeFSC(r io.Reader) (*FSC, error) {
 		depth:           hdr.Depth,
 		beta:            hdr.Beta,
 		terminateAction: hdr.TerminateAction,
-		nodes:           make([]FSCNode, 0, hdr.Nodes),
 		index:           make(map[uint64][]int32),
 	}
+	// Nodes are appended as they arrive: the header's count is a claim to
+	// check against the input, not a size to allocate.
 	for i := 0; i < hdr.Nodes; i++ {
 		payload, err := readFSCFrame(r)
 		if err != nil {

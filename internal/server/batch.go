@@ -44,7 +44,7 @@ func (s *Server) getBatchDecider() (controller.BatchDecider, error) {
 // batchScratch is the per-request memory of POST /v1/decide/batch. It is
 // pooled, so the steady state allocates no belief or decision storage.
 type batchScratch struct {
-	beliefs   beliefScratch
+	beliefs   DecodeScratch
 	pis       []pomdp.Belief
 	decisions []controller.Decision
 	resp      []DecisionResponse

@@ -69,7 +69,7 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 		dedupedStarts:    reg.Counter("recoverd_deduped_starts_total", "Duplicate episode starts answered from the idempotency key."),
 		dedupedObs:       reg.Counter("recoverd_deduped_observations_total", "Retransmitted observations acknowledged without reapplying."),
 		batchRequests:    reg.Counter("recoverd_batch_decide_requests_total", "Batch decide requests served."),
-		batchDecisions:   reg.Counter("recoverd_batch_decisions_total", "Decisions served by the batch endpoint."),
+		batchDecisions:   reg.Counter("recoverd_batch_decisions_total", "Decisions made by the batch endpoint, one per belief received."),
 		panics:           reg.Counter("recoverd_panics_total", "Handler panics converted to 500 responses."),
 		checkpointErrors: reg.Counter("recoverd_checkpoint_errors_total", "Checkpoint save/delete failures."),
 		redirects:        reg.Counter("recoverd_fleet_redirects_total", "Requests redirected to the owning fleet member."),

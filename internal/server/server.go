@@ -1219,7 +1219,7 @@ func (s *Server) deleteRecord(trace string, id uint64) error {
 // the scratch a *BatchDecideRequest decodes into (nil for fresh memory). On
 // failure it answers 413 for a body over the cap, else 400, with what
 // naming the body in the error, and returns false.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any, sc *beliefScratch, what string) bool {
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any, sc *DecodeScratch, what string) bool {
 	err := readJSON(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), v, sc)
 	if err == nil {
 		return true

@@ -132,6 +132,11 @@ func appendFloat(b []byte, f float64) ([]byte, error) {
 	if math.IsInf(f, 0) || math.IsNaN(f) {
 		return b, &json.UnsupportedValueError{Str: strconv.FormatFloat(f, 'g', -1, 64)}
 	}
+	if math.Float64bits(f) == 0 {
+		// +0, most of a sparse belief, is written without strconv; −0
+		// keeps the general path and its sign.
+		return append(b, '0'), nil
+	}
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
@@ -247,13 +252,54 @@ func ReadJSON(r io.Reader, v any) error {
 	return readJSON(r, v, nil)
 }
 
-// readJSON is ReadJSON with the scratch a *BatchDecideRequest decodes into
-// (nil for fresh memory). A body in canonical form for v is decoded
-// without reflection. Anything else — and any body whose read failed —
-// goes to encoding/json as the bytes read followed by the read's error, so
-// the outcome is the streaming decode's, a read past http.MaxBytesReader's
-// cap included.
-func readJSON(r io.Reader, v any, sc *beliefScratch) error {
+// DecodeScratch is memory the canonical decoder reuses for the batch
+// bodies: a BatchDecideRequest's beliefs become windows of one flat array,
+// and a BatchDecideResponse's decisions one reused slice whose action names
+// are interned. What a decode through it returns is valid until its next
+// decode, and a warm scratch decodes a canonical batch body without
+// allocating. The zero value is ready to use; a scratch is not safe for
+// concurrent use.
+type DecodeScratch struct {
+	flat      []float64
+	ends      []int // ends[i] is where belief i stops in flat
+	rows      [][]float64
+	decisions []DecisionResponse
+	names     map[string]string // interned action names
+}
+
+// maxInterned caps a scratch's interned names, so that a peer sending
+// ever new names cannot grow it without bound.
+const maxInterned = 64
+
+// ReadJSON is ReadJSON, decoding a canonical batch body into sc's memory.
+func (sc *DecodeScratch) ReadJSON(r io.Reader, v any) error {
+	return readJSON(r, v, sc)
+}
+
+// intern returns b as a string, the one sc returned for the same bytes
+// before when it still holds it. A nil sc allocates every string.
+func (sc *DecodeScratch) intern(b []byte) string {
+	if sc == nil {
+		return string(b)
+	}
+	if s, ok := sc.names[string(b)]; ok {
+		return s
+	}
+	if sc.names == nil || len(sc.names) >= maxInterned {
+		sc.names = make(map[string]string)
+	}
+	s := string(b)
+	sc.names[s] = s
+	return s
+}
+
+// readJSON is ReadJSON with the scratch a batch body decodes into (nil for
+// fresh memory). A body in canonical form for v is decoded without
+// reflection. Anything else — and any body whose read failed — goes to
+// encoding/json as the bytes read followed by the read's error, so the
+// outcome is the streaming decode's, a read past http.MaxBytesReader's cap
+// included.
+func readJSON(r io.Reader, v any, sc *DecodeScratch) error {
 	buf := getBody()
 	data, err := readAll((*buf)[:0], r)
 	defer putBody(buf, data)
@@ -293,24 +339,24 @@ func (r errReader) Read([]byte) (int, error) { return 0, r.err }
 // payloads and data is in its canonical form, and reports whether it did.
 // What it decodes equals what encoding/json decodes; v is untouched when
 // it did not.
-func decodeCanonical(data []byte, v any, sc *beliefScratch) bool {
+func decodeCanonical(data []byte, v any, sc *DecodeScratch) bool {
 	c := canon{data: data}
 	var commit func()
 	switch v := v.(type) {
 	case *BatchDecideRequest:
 		if sc == nil {
-			sc = new(beliefScratch)
+			sc = new(DecodeScratch)
 		}
 		beliefs := c.beliefs(sc)
 		commit = func() { v.Beliefs = beliefs }
 	case *BatchDecideResponse:
-		ds := c.decisions()
+		ds := c.decisions(sc)
 		commit = func() { v.Decisions = ds }
 	case *DecisionResponse:
-		d := c.decision()
+		d := c.decision(nil)
 		commit = func() { *v = d }
 	case **DecisionResponse:
-		d := c.decision()
+		d := c.decision(nil)
 		commit = func() {
 			if *v == nil {
 				*v = new(DecisionResponse)
@@ -345,14 +391,6 @@ func decodeCanonical(data []byte, v any, sc *beliefScratch) bool {
 	}
 	commit()
 	return true
-}
-
-// beliefScratch is the memory a canonical BatchDecideRequest decodes into:
-// every belief is a window of one flat backing array.
-type beliefScratch struct {
-	flat []float64
-	ends []int // ends[i] is where belief i stops in flat
-	rows [][]float64
 }
 
 // canon reads the canonical form — the bytes AppendJSON writes, then at
@@ -397,11 +435,27 @@ func (c *canon) list(elem func()) {
 	}
 	for !c.bad {
 		elem()
-		if c.opt("]") {
+		if !c.more() {
 			return
 		}
-		c.lit(",")
 	}
+}
+
+// more consumes what follows an array element: a comma, reporting that
+// another element comes, or the closing bracket.
+func (c *canon) more() bool {
+	if !c.bad && c.pos < len(c.data) {
+		switch c.data[c.pos] {
+		case ',':
+			c.pos++
+			return true
+		case ']':
+			c.pos++
+			return false
+		}
+	}
+	c.bad = true
+	return false
 }
 
 // number consumes the text of a JSON number:
@@ -499,10 +553,13 @@ func (c *canon) bool() bool {
 }
 
 // str consumes a string of printable ASCII without escapes.
-func (c *canon) str() string {
+func (c *canon) str() string { return string(c.rawStr()) }
+
+// rawStr is str's bytes, a window of the input.
+func (c *canon) rawStr() []byte {
 	if c.bad || c.pos >= len(c.data) || c.data[c.pos] != '"' {
 		c.bad = true
-		return ""
+		return nil
 	}
 	d := c.data
 	start := c.pos + 1
@@ -510,23 +567,24 @@ func (c *canon) str() string {
 		switch ch := d[i]; {
 		case ch == '"':
 			c.pos = i + 1
-			return string(d[start:i])
+			return d[start:i]
 		case ch < 0x20 || ch == '\\' || ch >= utf8.RuneSelf:
 			c.bad = true
-			return ""
+			return nil
 		}
 	}
 	c.bad = true
-	return ""
+	return nil
 }
 
-// decision consumes a DecisionResponse object.
-func (c *canon) decision() DecisionResponse {
+// decision consumes a DecisionResponse object, its action name interned
+// in sc.
+func (c *canon) decision(sc *DecodeScratch) DecisionResponse {
 	var d DecisionResponse
 	c.lit(`{"action":`)
 	d.Action = c.int()
 	c.lit(`,"actionName":`)
-	d.ActionName = c.str()
+	d.ActionName = sc.intern(c.rawStr())
 	c.lit(`,"terminate":`)
 	d.Terminate = c.bool()
 	c.lit(`,"value":`)
@@ -535,18 +593,29 @@ func (c *canon) decision() DecisionResponse {
 	return d
 }
 
-// decisions consumes a BatchDecideResponse object.
-func (c *canon) decisions() []DecisionResponse {
+// decisions consumes a BatchDecideResponse object, into sc's memory when
+// sc is not nil.
+func (c *canon) decisions(sc *DecodeScratch) []DecisionResponse {
 	c.lit(`{"decisions":`)
-	// Each decision opens one brace: size the slice by counting them.
-	ds := make([]DecisionResponse, 0, bytes.Count(c.data[c.pos:], []byte{'{'}))
-	c.list(func() { ds = append(ds, c.decision()) })
+	var ds []DecisionResponse
+	if sc != nil {
+		ds = sc.decisions[:0]
+	}
+	if ds == nil {
+		// Each decision opens one brace: size the slice by counting them.
+		// An empty list decodes as encoding/json decodes it: empty, not nil.
+		ds = make([]DecisionResponse, 0, bytes.Count(c.data[c.pos:], []byte{'{'}))
+	}
+	c.list(func() { ds = append(ds, c.decision(sc)) })
 	c.lit("}")
+	if sc != nil {
+		sc.decisions = ds
+	}
 	return ds
 }
 
 // beliefs consumes a BatchDecideRequest object into sc.
-func (c *canon) beliefs(sc *beliefScratch) [][]float64 {
+func (c *canon) beliefs(sc *DecodeScratch) [][]float64 {
 	flat, ends := sc.flat[:0], sc.ends[:0]
 	if flat == nil {
 		// An empty belief decodes as encoding/json decodes it: empty, not
@@ -555,7 +624,7 @@ func (c *canon) beliefs(sc *beliefScratch) [][]float64 {
 	}
 	c.lit(`{"beliefs":`)
 	c.list(func() {
-		c.list(func() { flat = append(flat, c.float()) })
+		flat = c.row(flat)
 		ends = append(ends, len(flat))
 	})
 	c.lit("}")
@@ -573,6 +642,29 @@ func (c *canon) beliefs(sc *beliefScratch) [][]float64 {
 	}
 	sc.flat, sc.ends, sc.rows = flat, ends, rows
 	return rows
+}
+
+// row consumes one belief, a JSON array of numbers, and appends them to
+// flat. A bare 0 — how +0, most of a sparse belief, is written — is read
+// without strconv; every other number, -0 included, is parsed by float.
+func (c *canon) row(flat []float64) []float64 {
+	c.lit("[")
+	if c.opt("]") {
+		return flat
+	}
+	d := c.data
+	for !c.bad {
+		if i := c.pos; i+1 < len(d) && d[i] == '0' && (d[i+1] == ',' || d[i+1] == ']') {
+			c.pos++
+			flat = append(flat, 0)
+		} else {
+			flat = append(flat, c.float())
+		}
+		if !c.more() {
+			break
+		}
+	}
+	return flat
 }
 
 // observation consumes an ObservationRequest object.

@@ -246,20 +246,23 @@ func sameBits(a, b reflect.Value) bool {
 // encoding/json decodes differently, or rejects them but touches v.
 func checkWireDecode(t *testing.T, data []byte) {
 	t.Helper()
-	for _, v := range wireTargets() {
-		var sc beliefScratch
-		if !decodeCanonical(data, v, &sc) {
-			if !reflect.ValueOf(v).Elem().IsZero() {
-				t.Fatalf("declined %q but wrote %T", data, v)
+	// The second pass decodes into the scratch the first pass warmed.
+	var sc DecodeScratch
+	for range 2 {
+		for _, v := range wireTargets() {
+			if !decodeCanonical(data, v, &sc) {
+				if !reflect.ValueOf(v).Elem().IsZero() {
+					t.Fatalf("declined %q but wrote %T", data, v)
+				}
+				continue
 			}
-			continue
-		}
-		ref := reflect.New(reflect.TypeOf(v).Elem()).Interface()
-		if err := json.NewDecoder(bytes.NewReader(data)).Decode(ref); err != nil {
-			t.Fatalf("fast path accepted %q as %T, encoding/json refuses it: %v", data, v, err)
-		}
-		if !sameBits(reflect.ValueOf(v).Elem(), reflect.ValueOf(ref).Elem()) {
-			t.Fatalf("%q as %T: fast path %#v, encoding/json %#v", data, v, reflect.ValueOf(v).Elem(), reflect.ValueOf(ref).Elem())
+			ref := reflect.New(reflect.TypeOf(v).Elem()).Interface()
+			if err := json.NewDecoder(bytes.NewReader(data)).Decode(ref); err != nil {
+				t.Fatalf("fast path accepted %q as %T, encoding/json refuses it: %v", data, v, err)
+			}
+			if !sameBits(reflect.ValueOf(v).Elem(), reflect.ValueOf(ref).Elem()) {
+				t.Fatalf("%q as %T: fast path %#v, encoding/json %#v", data, v, reflect.ValueOf(v).Elem(), reflect.ValueOf(ref).Elem())
+			}
 		}
 	}
 }
@@ -290,6 +293,9 @@ func FuzzWireDecode(f *testing.F) {
 		`{"action":-0,"observation":0,"stepIndex":-0,"decide":false}`,
 		`{"observation":0,"action":1}`, `{"clientKey":"aA"}`, `{"clientKey":"\u00e9"}`, `{"clientKey":null}`,
 		`{"episodeId":-1}`, `{"episodeId":18446744073709551616}`, `{"episodeId":1e3}`, `{}`, ``,
+		// The zero fast path: only a bare 0 before , or ] skips strconv.
+		`{"beliefs":[[0]]}`, `{"beliefs":[[-0]]}`, `{"beliefs":[[0.0]]}`, `{"beliefs":[[00]]}`,
+		`{"beliefs":[[0e0]]}`, `{"beliefs":[[0,-0,0]]}`, `{"beliefs":[[0],[]]}`, `{"beliefs":[[0`,
 	} {
 		f.Add([]byte(s))
 	}
