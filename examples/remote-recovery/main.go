@@ -97,11 +97,11 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		// One start, then one observation per monitor output, each answered
-		// with the next action.
+		// One round trip per monitor output, each answered with the next
+		// action: the first output opens the episode in the same request.
 		fmt.Printf("episode %d (%s): recovered=%v cost=%.1f actions=%d monitorCalls=%d httpRoundTrips=%d\n",
 			ep.ID(), faultName, res.Recovered, res.Cost, res.Actions, res.MonitorCalls,
-			res.MonitorCalls+1)
+			res.MonitorCalls)
 	}
 	return nil
 }

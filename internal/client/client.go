@@ -91,10 +91,11 @@ func (c *Client) Model() (server.ModelResponse, error) {
 	return out, err
 }
 
-// StartEpisode opens a recovery episode and returns its driver. The request
-// carries a fresh client-generated idempotency key, so a retried start that
-// raced a lost response resumes the already-created episode instead of
-// leaking a duplicate.
+// StartEpisode returns the driver of a new recovery episode, which its first
+// exchange opens on the server (see StartEpisodeKeyed). The episode carries
+// a fresh client-generated idempotency key, so a retried start that raced a
+// lost response resumes the already-created episode instead of leaking a
+// duplicate.
 func (c *Client) StartEpisode() (*Episode, error) {
 	key, err := newClientKey()
 	if err != nil {
@@ -103,23 +104,24 @@ func (c *Client) StartEpisode() (*Episode, error) {
 	return c.StartEpisodeKeyed(key)
 }
 
-// StartEpisodeKeyed opens an episode under a caller-chosen idempotency key.
-// In a fleet the key doubles as the episode's routing key; restarting the
-// same key on any member converges on the one episode (dedupe on the owner,
-// redirect elsewhere, adoption after a handoff). An empty key is refused
-// before anything is sent: the server dedupes only non-empty keys, so a
-// retried keyless start could open a second episode.
+// StartEpisodeKeyed returns the driver of an episode under a caller-chosen
+// idempotency key. In a fleet the key doubles as the episode's routing key;
+// restarting the same key on any member converges on the one episode (dedupe
+// on the owner, redirect elsewhere, adoption after a handoff). An empty key
+// is refused: the server dedupes only non-empty keys, so a retried keyless
+// start could open a second episode.
+//
+// Nothing is sent yet. The episode's first exchange opens it: a first
+// Observe sends the start and the observation in one request (a fused
+// start), answered with the episode id and the next decision; a first
+// Decide, ObserveNamed, Belief, Abandon or ID sends a plain start before its
+// own request. The start's errors — a 429 at the episode cap, retry
+// exhaustion — surface from that first call.
 func (c *Client) StartEpisodeKeyed(key string) (*Episode, error) {
 	if key == "" {
 		return nil, fmt.Errorf("client: empty episode key")
 	}
-	req := server.StartRequest{ClientKey: key}
-	var out server.StartResponse
-	hdr := episodeKeyHeader(key)
-	if err := c.do(http.MethodPost, "/v1/episodes", hdr, &req, &out); err != nil {
-		return nil, err
-	}
-	return &Episode{c: c, id: out.EpisodeID, key: key, hdr: hdr, open: true}, nil
+	return &Episode{c: c, key: key, hdr: episodeKeyHeader(key), open: true, pending: true}, nil
 }
 
 // Resume attaches to an episode already open on the server — typically one
@@ -166,6 +168,9 @@ type Episode struct {
 	hdr   http.Header // episode-key header sent with every request, nil if keyless
 	steps int
 	open  bool
+	// pending marks an episode from StartEpisodeKeyed that its first
+	// exchange has not opened on the server yet; id is 0 until then.
+	pending bool
 	// next is the decision the last Observe's answer carried, consumed by
 	// the following Decide; nil when there is none to use.
 	next *server.DecisionResponse
@@ -179,8 +184,13 @@ type Episode struct {
 var _ controller.Controller = (*Episode)(nil)
 
 // ID returns the server-assigned episode id (in a fleet, stable across
-// failovers while the episode's checkpoints survive).
-func (e *Episode) ID() uint64 { return e.id }
+// failovers while the episode's checkpoints survive). On an episode no
+// exchange has opened yet it sends the start first, and returns 0 if the
+// start fails.
+func (e *Episode) ID() uint64 {
+	_ = e.start()
+	return e.id
+}
 
 // Key returns the episode's idempotency/routing key ("" when started
 // without one).
@@ -206,6 +216,27 @@ func (e *Episode) Reset(pomdp.Belief) error {
 	return nil
 }
 
+// start opens a pending episode with a plain start; on an open one it does
+// nothing.
+func (e *Episode) start() error {
+	if !e.pending {
+		return nil
+	}
+	return e.sendStart(server.StartRequest{ClientKey: e.key})
+}
+
+// sendStart sends req, a start of this pending episode, binds the episode
+// to the answer's id and keeps the answer's decision for the next Decide:
+// none for a plain start, nor from a server that ignored req.First.
+func (e *Episode) sendStart(req server.StartRequest) error {
+	var out server.StartResponse
+	if err := e.c.do(http.MethodPost, "/v1/episodes", e.hdr, &req, &out); err != nil {
+		return err
+	}
+	e.id, e.pending, e.next = out.EpisodeID, false, out.Decision
+	return nil
+}
+
 // path returns the episode's resource path with suffix appended; it reads
 // the id at call time, so a call retried after a failover uses the new one.
 func (e *Episode) path(suffix string) string {
@@ -220,6 +251,9 @@ func (e *Episode) path(suffix string) string {
 // across a fleet handoff — returns the identical decision.
 func (e *Episode) Decide() (controller.Decision, error) {
 	var out server.DecisionResponse
+	if err := e.start(); err != nil {
+		return controller.Decision{}, err
+	}
 	if e.next != nil {
 		out, e.next = *e.next, nil
 	} else if err := e.withFailover(func() error {
@@ -240,7 +274,21 @@ func (e *Episode) Decide() (controller.Decision, error) {
 // decision, which the following Decide returns: a served step is one round
 // trip. A retransmit gets the same decision, including the terminal one of
 // an episode that ended while the first answer was lost.
+//
+// On an episode no exchange has opened yet the observation opens it: one
+// fused start carries it as step 0. A server that ignores the start's first
+// observation answers without a decision; the observation then goes out as
+// an ordinary step-0 POST.
 func (e *Episode) Observe(action, obs int) error {
+	if e.pending {
+		if err := e.sendStart(server.StartRequest{ClientKey: e.key, First: &server.Step{Action: action, Observation: obs}}); err != nil {
+			return err
+		}
+		if e.next != nil {
+			e.steps++
+			return nil
+		}
+	}
 	step := e.steps
 	req := server.ObservationRequest{Action: action, Observation: obs, StepIndex: &step, Decide: true}
 	var next *server.DecisionResponse // stays nil on a 204 from a server without decide
@@ -257,6 +305,9 @@ func (e *Episode) Observe(action, obs int) error {
 // ObserveNamed reports an observation by name. It does not ask for the next
 // decision; the following Decide fetches it.
 func (e *Episode) ObserveNamed(action, obs string) error {
+	if err := e.start(); err != nil {
+		return err
+	}
 	step := e.steps
 	req := server.ObservationRequest{ActionName: action, ObservationName: obs, StepIndex: &step}
 	if err := e.withFailover(func() error {
@@ -273,6 +324,9 @@ func (e *Episode) ObserveNamed(action, obs string) error {
 // nil when it cannot be fetched.
 func (e *Episode) Belief() pomdp.Belief {
 	var out server.BeliefResponse
+	if err := e.start(); err != nil {
+		return nil
+	}
 	if err := e.withFailover(func() error {
 		return e.c.do(http.MethodGet, e.path("/belief"), e.hdr, nil, &out)
 	}); err != nil {
@@ -283,7 +337,13 @@ func (e *Episode) Belief() pomdp.Belief {
 
 // Abandon deletes the episode on the server, wherever it currently lives.
 func (e *Episode) Abandon() error {
+	// A pending episode is started first: a fused start that failed may
+	// still have opened it on the server, and the start's dedupe finds it.
+	err := e.start()
 	e.open, e.next = false, nil
+	if err != nil {
+		return err
+	}
 	return e.withFailover(func() error {
 		return e.c.do(http.MethodDelete, e.path(""), e.hdr, nil, nil)
 	})

@@ -150,7 +150,11 @@ func (fc *FleetClient) startOnOwner(key string, syncFirst bool) (*Episode, strin
 		if syncFirst || hop > 0 {
 			fc.syncDown(owner.ID)
 		}
+		// Opened eagerly: failover needs to know the start's answer.
 		ep, err := fc.client(owner.ID).StartEpisodeKeyed(key)
+		if err == nil {
+			err = ep.start()
+		}
 		if err == nil {
 			return ep, owner.ID, nil
 		}

@@ -53,8 +53,12 @@ func TestWithSpansEmitsCallAttemptBackoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.StartEpisodeKeyed("ck-span"); err != nil {
+	ep, err := c.StartEpisodeKeyed("ck-span")
+	if err != nil {
 		t.Fatal(err)
+	}
+	if id := ep.ID(); id != 3 { // ID opens the episode: the plain start
+		t.Fatalf("episode id %d, want 3", id)
 	}
 
 	spans, err := obs.DecodeSpans(strings.NewReader(buf.String()))

@@ -147,18 +147,14 @@ func (m *CSR) RowSlice(r int) (cols []int, vals []float64) {
 	return m.colIdx[lo:hi], m.vals[lo:hi]
 }
 
-// RowSums returns the vector of per-row sums, useful for validating that a
-// stochastic matrix's rows sum to one.
-func (m *CSR) RowSums() Vector {
-	out := NewVector(m.rows)
-	for r := 0; r < m.rows; r++ {
-		var s float64
-		for i := m.rowPtr[r]; i < m.rowPtr[r+1]; i++ {
-			s += m.vals[i]
-		}
-		out[r] = s
+// RowSum returns the sum of row r's entries, for validating that a
+// stochastic matrix's rows sum to one without allocating.
+func (m *CSR) RowSum(r int) float64 {
+	var s float64
+	for i := m.rowPtr[r]; i < m.rowPtr[r+1]; i++ {
+		s += m.vals[i]
 	}
-	return out
+	return s
 }
 
 // Dense expands m to a dense row-major matrix, for tests and the LU

@@ -102,9 +102,8 @@ func TestCSRRowIterationAndSums(t *testing.T) {
 	if len(cols) != 2 || cols[0] != 0 || cols[1] != 1 {
 		t.Errorf("Row(0) cols = %v", cols)
 	}
-	sums := m.RowSums()
-	if !almostEqual(sums[0], 1, 1e-12) || !almostEqual(sums[1], 1, 1e-12) {
-		t.Errorf("RowSums = %v, want [1 1]", sums)
+	if s0, s1 := m.RowSum(0), m.RowSum(1); !almostEqual(s0, 1, 1e-12) || !almostEqual(s1, 1, 1e-12) {
+		t.Errorf("RowSum = %v, %v, want 1, 1", s0, s1)
 	}
 }
 

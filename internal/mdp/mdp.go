@@ -83,9 +83,8 @@ func (m *MDP) Validate() error {
 			return fmt.Errorf("%w: action %s transition matrix is %dx%d, want %dx%d",
 				ErrInvalidModel, m.ActionName(a), tr.Rows(), tr.Cols(), n, n)
 		}
-		sums := tr.RowSums()
-		for s, sum := range sums {
-			if math.Abs(sum-1) > stochasticTol {
+		for s := 0; s < n; s++ {
+			if sum := tr.RowSum(s); math.Abs(sum-1) > stochasticTol {
 				return fmt.Errorf("%w: action %s row %s sums to %v, want 1",
 					ErrInvalidModel, m.ActionName(a), m.StateName(s), sum)
 			}

@@ -215,9 +215,8 @@ func TestUniformChain(t *testing.T) {
 	if !almostEqual(r[0], -1.5, 1e-12) {
 		t.Errorf("uniform reward(bad) = %v, want -1.5", r[0])
 	}
-	sums := p.RowSums()
-	for s, sum := range sums {
-		if !almostEqual(sum, 1, 1e-9) {
+	for s := range p.Rows() {
+		if sum := p.RowSum(s); !almostEqual(sum, 1, 1e-9) {
 			t.Errorf("row %d sums to %v", s, sum)
 		}
 	}

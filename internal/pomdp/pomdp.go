@@ -84,9 +84,8 @@ func (p *POMDP) Validate() error {
 			return fmt.Errorf("%w: action %s observation matrix is %dx%d, want %dx%d",
 				ErrInvalidModel, p.M.ActionName(a), om.Rows(), om.Cols(), n, no)
 		}
-		sums := om.RowSums()
-		for s, sum := range sums {
-			if math.Abs(sum-1) > stochasticTol {
+		for s := 0; s < n; s++ {
+			if sum := om.RowSum(s); math.Abs(sum-1) > stochasticTol {
 				return fmt.Errorf("%w: action %s state %s observation row sums to %v, want 1",
 					ErrInvalidModel, p.M.ActionName(a), p.M.StateName(s), sum)
 			}

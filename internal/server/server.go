@@ -8,7 +8,10 @@
 //	GET    /healthz                        liveness
 //	GET    /metrics                        plain-text counters
 //	GET    /v1/model                       model summary (names, shapes)
-//	POST   /v1/episodes                    start an episode  -> {"episodeId": ...}
+//	POST   /v1/episodes                    start an episode  -> {"episodeId": ...};
+//	                                       with a "first" observation it is
+//	                                       applied as step 0 and the answer
+//	                                       carries the next Decision too
 //	GET    /v1/episodes/{id}               episode status (steps, open)
 //	GET    /v1/episodes/{id}/decision      next action       -> Decision
 //	POST   /v1/episodes/{id}/observations  report an observation; with
@@ -549,6 +552,9 @@ func (s *Server) Close() error {
 	// closed flag (set above) stops new ones from spawning.
 	close(s.repStop)
 	s.repWG.Wait()
+	if s.cfg.Checkpointer == nil {
+		return nil
+	}
 	var firstErr error
 	for _, ep := range eps {
 		st, err := ep.snapshot()
@@ -647,10 +653,17 @@ type (
 	// returns the same episode instead of creating a duplicate.
 	StartRequest struct {
 		ClientKey string `json:"clientKey,omitempty"`
+		// First, when set, is the episode's first observation — the initial
+		// monitor sweep — applied as step 0 with decide set: the start is
+		// answered with the decision for step 1 as well as the id. A
+		// duplicate start is that observation's retransmit.
+		First *Step `json:"first,omitempty"`
 	}
-	// StartResponse is returned by POST /v1/episodes.
+	// StartResponse is returned by POST /v1/episodes. Decision answers a
+	// start that carried a first observation.
 	StartResponse struct {
-		EpisodeID uint64 `json:"episodeId"`
+		EpisodeID uint64            `json:"episodeId"`
+		Decision  *DecisionResponse `json:"decision,omitempty"`
 	}
 	// StatusResponse is returned by GET /v1/episodes/{id}.
 	StatusResponse struct {
@@ -767,6 +780,12 @@ func (s *Server) handleStart(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	// A fused start is clientKey dedupe plus the observation at stepIndex 0.
+	var first *ObservationRequest
+	if req.First != nil {
+		step := 0
+		first = &ObservationRequest{Action: req.First.Action, Observation: req.First.Observation, StepIndex: &step, Decide: true}
+	}
 
 	// A key whose episode already terminated answers with the original id
 	// (not a fresh episode), which routes the client's retried final request
@@ -774,9 +793,9 @@ func (s *Server) handleStart(w http.ResponseWriter, r *http.Request) {
 	// recomputed.
 	s.mu.Lock()
 	if id, ok := s.table.keyed(req.ClientKey); ok {
+		ep, tb := s.table.find(id)
 		s.mu.Unlock()
-		s.m.dedupedStarts.Inc()
-		writeJSON(w, http.StatusOK, StartResponse{EpisodeID: id})
+		s.startDeduped(w, id, ep, tb, first)
 		return
 	}
 	if open, _ := s.table.size(); open >= s.cfg.MaxEpisodes {
@@ -800,26 +819,74 @@ func (s *Server) handleStart(w http.ResponseWriter, r *http.Request) {
 	ep := &episode{id: id, ctrl: ctrl, clientKey: req.ClientKey}
 	s.touch(ep)
 
-	s.mu.Lock()
-	if !s.table.admit(ep) {
+	var (
+		resp   = StartResponse{EpisodeID: id}
+		status = http.StatusInternalServerError
+	)
+	if first != nil {
+		resp.Decision, status, err = s.observe(w, id, ep, nil, first, true)
+	} else if !s.admit(ep) {
+		err = errStartRaced
+	} else if s.cfg.Checkpointer != nil {
+		var st EpisodeState
+		if st, err = ep.snapshot(); err == nil {
+			_ = s.save(req.ClientKey, st)
+		}
+	}
+	if errors.Is(err, errStartRaced) {
 		// A concurrent duplicate won the race while the factory ran — or even
 		// terminated already, leaving only a tombstone. The allocator never
 		// hands out a taken id, so the key is what collided.
-		existing, _ := s.table.keyed(req.ClientKey)
+		s.mu.Lock()
+		id, _ := s.table.keyed(req.ClientKey)
+		ep, tb := s.table.find(id)
 		s.mu.Unlock()
-		s.m.dedupedStarts.Inc()
-		writeJSON(w, http.StatusOK, StartResponse{EpisodeID: existing})
+		s.startDeduped(w, id, ep, tb, first)
 		return
 	}
-	s.mu.Unlock()
-	s.m.started.Inc()
-	st, err := ep.snapshot()
 	if err != nil {
-		s.fail(w, http.StatusInternalServerError, err)
+		s.fail(w, status, err)
 		return
 	}
-	_ = s.save(req.ClientKey, st)
-	writeJSON(w, http.StatusCreated, StartResponse{EpisodeID: id})
+	writeJSON(w, http.StatusCreated, resp)
+}
+
+// errStartRaced is observe's answer when the fresh episode it applied a
+// first observation to cannot be admitted: a concurrent start with the same
+// key was admitted first.
+var errStartRaced = errors.New("server: a concurrent start took the client key")
+
+// admit registers the fresh episode ep as live and counts it started. It
+// reports false when a concurrent start with the same key got there first.
+func (s *Server) admit(ep *episode) bool {
+	s.mu.Lock()
+	ok := s.table.admit(ep)
+	s.mu.Unlock()
+	if ok {
+		s.m.started.Inc()
+	}
+	return ok
+}
+
+// startDeduped answers a start whose key already names episode id, live as
+// ep or terminated as tb, with that id. A fused start's first observation
+// goes to that episode as a retransmit of step 0 (or as step 0 itself, on
+// an episode opened by a plain start and not yet observed), and its answer
+// is the decision an observation retransmit gets.
+func (s *Server) startDeduped(w http.ResponseWriter, id uint64, ep *episode, tb *tombstone, first *ObservationRequest) {
+	s.m.dedupedStarts.Inc()
+	resp := StartResponse{EpisodeID: id}
+	if first != nil {
+		var (
+			status int
+			err    error
+		)
+		if resp.Decision, status, err = s.observe(w, id, ep, tb, first, false); err != nil {
+			s.fail(w, status, err)
+			return
+		}
+	}
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // lookup resolves an episode-scoped request's {id} to the live episode or,
@@ -909,16 +976,21 @@ func (s *Server) handleDecision(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, tb.Final)
 		return
 	}
-	s.serveDecision(w, id, ep)
+	resp, err := s.decide(w, id, ep)
+	if err != nil {
+		s.fail(w, http.StatusInternalServerError, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, resp)
 }
 
-// serveDecision answers with the decision for ep's current step: the cached
-// one when this step was already decided, else a fresh one from the
-// controller, recorded in the per-tier latency histogram and, on a traced
-// request, explained on the handler span. A terminal decision retires the
-// episode through retire. Both GET .../decision and a POST .../observations
-// with decide set answer through here.
-func (s *Server) serveDecision(w http.ResponseWriter, id uint64, ep *episode) {
+// decide returns the decision for ep's current step: the cached one when
+// this step was already decided, else a fresh one from the controller,
+// recorded in the per-tier latency histogram and, on a traced request,
+// explained on the handler span w. A terminal decision retires the episode
+// through retire. GET .../decision, an observation with decide set and a
+// fused start all decide through here.
+func (s *Server) decide(w http.ResponseWriter, id uint64, ep *episode) (*DecisionResponse, error) {
 	var (
 		resp  DecisionResponse
 		fresh bool
@@ -957,8 +1029,7 @@ func (s *Server) serveDecision(w http.ResponseWriter, id uint64, ep *episode) {
 		return nil
 	})
 	if err != nil {
-		s.fail(w, http.StatusInternalServerError, err)
-		return
+		return nil, err
 	}
 	s.touch(ep)
 	if fresh {
@@ -969,7 +1040,7 @@ func (s *Server) serveDecision(w http.ResponseWriter, id uint64, ep *episode) {
 				TerminatedAtUnixNano: s.cfg.now().UnixNano()}, true)
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return &resp, nil
 }
 
 // retire makes ts its episode's last word, whether decided here (local) or
@@ -1043,31 +1114,54 @@ func (s *Server) handleObservation(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req, nil, "observation") {
 		return
 	}
+	d, status, err := s.observe(w, id, ep, tb, &req, false)
+	switch {
+	case err != nil:
+		s.fail(w, status, err)
+	case d != nil:
+		writeJSON(w, http.StatusOK, d)
+	default:
+		w.WriteHeader(http.StatusNoContent)
+	}
+}
+
+// observe applies req to episode id — live as ep, or terminated as tb — and
+// returns the decision to answer with: with decide set, the one for the
+// episode's new step; without, nil. A request whose stepIndex is below the
+// episode's count is a retransmit: it is acknowledged without being applied
+// again, and with decide set gets the decision cached for the current step.
+// On a terminated episode a retransmit of its final observation gets the
+// terminal decision from the tombstone. On failure the returned status is
+// the one to answer with.
+//
+// The observation endpoint and the fused start both observe through here.
+// fresh marks the fused start's new episode, not yet in the table: it is
+// admitted once its first observation is applied, so a refused observation
+// leaves no episode behind, and errStartRaced means a concurrent start with
+// the same key was admitted first.
+func (s *Server) observe(w http.ResponseWriter, id uint64, ep *episode, tb *tombstone, req *ObservationRequest, fresh bool) (*DecisionResponse, int, error) {
 	if ep == nil {
 		// The episode is over. A retransmit of its final observation whose
 		// first answer — the terminal decision — was lost gets that decision
 		// again; any other observation is for an episode that is gone.
-		if req.Decide && (req.StepIndex == nil || *req.StepIndex < tb.Steps) {
-			writeJSON(w, http.StatusOK, tb.Final)
-			return
+		if tb != nil && req.Decide && (req.StepIndex == nil || *req.StepIndex < tb.Steps) {
+			final := tb.Final
+			return &final, 0, nil
 		}
-		writeError(w, http.StatusNotFound, fmt.Errorf("episode %d not found", id))
-		return
+		return nil, http.StatusNotFound, fmt.Errorf("episode %d not found", id)
 	}
 	action, observation := req.Action, req.Observation
 	if req.ActionName != "" {
 		a, err := s.lookupAction(req.ActionName)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
+			return nil, http.StatusBadRequest, err
 		}
 		action = a
 	}
 	if req.ObservationName != "" {
 		o, err := s.lookupObservation(req.ObservationName)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
+			return nil, http.StatusBadRequest, err
 		}
 		observation = o
 	}
@@ -1098,27 +1192,33 @@ func (s *Server) handleObservation(w http.ResponseWriter, r *http.Request) {
 		ep.steps++
 		ep.history = append(ep.history, Step{Action: action, Observation: observation})
 		ep.lastDecision = nil
-		st, applied = ep.snapshotLocked(), true
+		applied = true
+		if s.cfg.Checkpointer != nil {
+			st = ep.snapshotLocked()
+		}
 		return nil
 	})
 	if err != nil {
-		s.fail(w, status, err)
-		return
+		return nil, status, err
 	}
 	s.touch(ep)
 	if applied {
+		if fresh && !s.admit(ep) {
+			return nil, 0, errStartRaced
+		}
 		s.m.observed.Inc()
 		_ = s.save(ep.clientKey, st)
 	} else {
 		s.m.dedupedObs.Inc()
 	}
-	// Applied or deduplicated: 204, or with decide set, 200 and the
-	// decision for the episode's new step.
-	if req.Decide {
-		s.serveDecision(w, id, ep)
-		return
+	if !req.Decide {
+		return nil, 0, nil
 	}
-	w.WriteHeader(http.StatusNoContent)
+	d, err := s.decide(w, id, ep)
+	if err != nil {
+		return nil, http.StatusInternalServerError, err
+	}
+	return d, 0, nil
 }
 
 func (s *Server) handleBelief(w http.ResponseWriter, r *http.Request) {

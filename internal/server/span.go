@@ -18,7 +18,7 @@ const HeaderTrace = "X-Bpomdp-Trace"
 // spanResponseWriter captures the status a handler writes so the span
 // wrapper can record it (and detect 307 redirect hops). A handler that
 // computes a fresh decision hands its tier and explanation to the span
-// through it (see serveDecision); nothing of either reaches the wire.
+// through it (see decide); nothing of either reaches the wire.
 type spanResponseWriter struct {
 	http.ResponseWriter
 	status   int

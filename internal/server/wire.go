@@ -90,6 +90,16 @@ func (r StartRequest) AppendJSON(b []byte) ([]byte, error) {
 		b = append(b, `"clientKey":`...)
 		b = appendString(b, r.ClientKey)
 	}
+	if r.First != nil {
+		if r.ClientKey != "" {
+			b = append(b, ',')
+		}
+		b = append(b, `"first":{"action":`...)
+		b = strconv.AppendInt(b, int64(r.First.Action), 10)
+		b = append(b, `,"observation":`...)
+		b = strconv.AppendInt(b, int64(r.First.Observation), 10)
+		b = append(b, '}')
+	}
 	return append(b, '}'), nil
 }
 
@@ -97,6 +107,12 @@ func (r StartRequest) AppendJSON(b []byte) ([]byte, error) {
 func (r StartResponse) AppendJSON(b []byte) ([]byte, error) {
 	b = append(b, `{"episodeId":`...)
 	b = strconv.AppendUint(b, r.EpisodeID, 10)
+	if r.Decision != nil {
+		var err error
+		if b, err = r.Decision.AppendJSON(append(b, `,"decision":`...)); err != nil {
+			return b, err
+		}
+	}
 	return append(b, '}'), nil
 }
 
@@ -372,19 +388,27 @@ func decodeCanonical(data []byte, v any, sc *DecodeScratch) bool {
 		}
 	case *StartRequest:
 		if *v == (StartRequest{}) {
-			var req StartRequest
-			c.lit("{")
-			if c.opt(`"clientKey":`) {
-				req.ClientKey = c.str()
-			}
-			c.lit("}")
+			req := c.start()
 			commit = func() { *v = req }
 		}
 	case *StartResponse:
 		c.lit(`{"episodeId":`)
 		id := c.uint()
+		decided := c.opt(`,"decision":`)
+		var d DecisionResponse
+		if decided {
+			d = c.decision(nil)
+		}
 		c.lit("}")
-		commit = func() { v.EpisodeID = id }
+		commit = func() {
+			v.EpisodeID = id
+			if decided {
+				if v.Decision == nil {
+					v.Decision = new(DecisionResponse)
+				}
+				*v.Decision = d
+			}
+		}
 	}
 	if commit == nil || !c.done() {
 		return false
@@ -665,6 +689,27 @@ func (c *canon) row(flat []float64) []float64 {
 		}
 	}
 	return flat
+}
+
+// start consumes a StartRequest object.
+func (c *canon) start() StartRequest {
+	var req StartRequest
+	c.lit("{")
+	keyed := c.opt(`"clientKey":`)
+	if keyed {
+		req.ClientKey = c.str()
+	}
+	if keyed && c.opt(`,"first":`) || !keyed && c.opt(`"first":`) {
+		var first Step
+		c.lit(`{"action":`)
+		first.Action = c.int()
+		c.lit(`,"observation":`)
+		first.Observation = c.int()
+		c.lit("}")
+		req.First = &first
+	}
+	c.lit("}")
+	return req
 }
 
 // observation consumes an ObservationRequest object.

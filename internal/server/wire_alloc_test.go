@@ -57,7 +57,9 @@ func emnBatch(t testing.TB) (BatchDecideRequest, BatchDecideResponse) {
 
 // TestWireAllocs pins the codec's steady state: encoding a batch request
 // or response into a warm buffer allocates nothing, and neither does
-// decoding a canonical request or response into a warm DecodeScratch.
+// decoding a canonical request or response into a warm DecodeScratch. A
+// fused start and its answer cost no more than the two exchanges they
+// replace.
 func TestWireAllocs(t *testing.T) {
 	req, resp := emnBatch(t)
 	buf := make([]byte, 0, 64<<10)
@@ -106,6 +108,54 @@ func TestWireAllocs(t *testing.T) {
 	}
 	if len(gotResp.Decisions) != 16 {
 		t.Fatalf("decoded %d decisions, want 16", len(gotResp.Decisions))
+	}
+
+	// A fused start — the start and the first observation in one body —
+	// decodes in no more allocations than the start and the observation it
+	// replaces, decoded apart.
+	step := 0
+	bodies := make([][]byte, 3)
+	for i, v := range []jsonAppender{
+		StartRequest{ClientKey: "0123456789abcdef0123456789abcdef", First: &Step{Action: 4, Observation: 2}},
+		StartRequest{ClientKey: "0123456789abcdef0123456789abcdef"},
+		ObservationRequest{Action: 4, Observation: 2, StepIndex: &step, Decide: true},
+	} {
+		bodies[i], _ = v.AppendJSON(nil)
+	}
+	decodes := func(body []byte, target func() any) float64 {
+		return testing.AllocsPerRun(100, func() {
+			if !decodeCanonical(body, target(), nil) {
+				t.Fatalf("canonical %s declined", body)
+			}
+		})
+	}
+	var (
+		start StartRequest
+		obs   ObservationRequest
+	)
+	fused := decodes(bodies[0], func() any { start = StartRequest{}; return &start })
+	plain := decodes(bodies[1], func() any { start = StartRequest{}; return &start })
+	observe := decodes(bodies[2], func() any { obs = ObservationRequest{}; return &obs })
+	if fused > plain+observe {
+		t.Errorf("a fused start decodes in %v allocations, a start and an observation in %v + %v", fused, plain, observe)
+	}
+
+	// The fused start's answer decodes in no more than the start's and the
+	// decision's answers apart.
+	answers := make([][]byte, 3)
+	d := DecisionResponse{Action: 1, ActionName: "observe", Value: -12.5}
+	for i, v := range []jsonAppender{StartResponse{EpisodeID: 7, Decision: &d}, StartResponse{EpisodeID: 7}, d} {
+		answers[i], _ = v.AppendJSON(nil)
+	}
+	var (
+		started StartResponse
+		next    *DecisionResponse
+	)
+	fusedAnswer := decodes(answers[0], func() any { started = StartResponse{}; return &started })
+	startAnswer := decodes(answers[1], func() any { started = StartResponse{}; return &started })
+	decideAnswer := decodes(answers[2], func() any { next = nil; return &next })
+	if fusedAnswer > startAnswer+decideAnswer {
+		t.Errorf("a fused start's answer decodes in %v allocations, a start's and a decision's in %v + %v", fusedAnswer, startAnswer, decideAnswer)
 	}
 }
 

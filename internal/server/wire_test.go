@@ -82,13 +82,22 @@ func wireValues(r *rng.Stream, n int) []any {
 		if r.IntN(2) == 0 {
 			key = name()
 		}
+		var first *Step
+		if r.IntN(2) == 0 {
+			first = &Step{Action: r.IntN(9) - 4, Observation: r.IntN(9) - 4}
+		}
+		var decided *DecisionResponse
+		if r.IntN(2) == 0 {
+			d := decision()
+			decided = &d
+		}
 		out = append(out,
 			BatchDecideRequest{Beliefs: beliefs},
 			BatchDecideResponse{Decisions: decisions},
 			decision(),
 			obs,
-			StartRequest{ClientKey: key},
-			StartResponse{EpisodeID: uint64(r.Float64()*(1<<53)) << uint(r.IntN(12))},
+			StartRequest{ClientKey: key, First: first},
+			StartResponse{EpisodeID: uint64(r.Float64()*(1<<53)) << uint(r.IntN(12)), Decision: decided},
 		)
 	}
 	return out
@@ -100,10 +109,13 @@ func wireValues(r *rng.Stream, n int) []any {
 func TestWireEncodeMatchesEncodingJSON(t *testing.T) {
 	values := wireValues(rng.New(11), 400)
 	for _, f := range wireFloats {
-		values = append(values, DecisionResponse{Value: f}, BatchDecideRequest{Beliefs: [][]float64{{f, -f}}})
+		values = append(values, DecisionResponse{Value: f}, BatchDecideRequest{Beliefs: [][]float64{{f, -f}}},
+			StartResponse{EpisodeID: 7, Decision: &DecisionResponse{Action: -1, Terminate: true, Value: f}})
 	}
 	for _, name := range wireNames {
 		values = append(values, DecisionResponse{ActionName: name}, StartRequest{ClientKey: name},
+			StartRequest{ClientKey: name, First: &Step{Action: 2, Observation: -1}},
+			StartResponse{Decision: &DecisionResponse{ActionName: name}},
 			ObservationRequest{ActionName: name, ObservationName: name})
 	}
 	values = append(values, BatchDecideRequest{Beliefs: [][]float64{}}, BatchDecideRequest{Beliefs: [][]float64{{}}},
@@ -143,6 +155,7 @@ func TestWireEncodeNonFinite(t *testing.T) {
 			DecisionResponse{Value: f},
 			BatchDecideResponse{Decisions: []DecisionResponse{{}, {Value: f}}},
 			BatchDecideRequest{Beliefs: [][]float64{{0.5, f}}},
+			StartResponse{EpisodeID: 1, Decision: &DecisionResponse{Value: f}},
 		} {
 			_, want := json.Marshal(v)
 			_, got := v.(jsonAppender).AppendJSON(nil)
@@ -296,6 +309,15 @@ func FuzzWireDecode(f *testing.F) {
 		// The zero fast path: only a bare 0 before , or ] skips strconv.
 		`{"beliefs":[[0]]}`, `{"beliefs":[[-0]]}`, `{"beliefs":[[0.0]]}`, `{"beliefs":[[00]]}`,
 		`{"beliefs":[[0e0]]}`, `{"beliefs":[[0,-0,0]]}`, `{"beliefs":[[0],[]]}`, `{"beliefs":[[0`,
+		// Fused starts and their answers: with and without a key, a first
+		// observation carrying a stepIndex (which a start ignores), and
+		// truncated or null parts.
+		`{"clientKey":"k","first":{"action":1,"observation":0}}`, `{"first":{"action":-2,"observation":3}}`,
+		`{"clientKey":"k","first":{"action":1,"observation":0,"stepIndex":0}}`, `{"first":{"observation":0,"action":1}}`,
+		`{"clientKey":"k","first":`, `{"clientKey":"k","first":{"action":1,"observation":0}`, `{"first":null}`,
+		`{"first":{"action":1,"observation":0},"clientKey":"k"}`, `{"clientKey":"k",,"first":{"action":1,"observation":0}}`,
+		`{"episodeId":7,"decision":{"action":1,"actionName":"a","terminate":false,"value":0.5}}`,
+		`{"episodeId":7,"decision":null}`, `{"episodeId":7,"decision":{"action":1}}`, `{"episodeId":7,"decision":`,
 	} {
 		f.Add([]byte(s))
 	}
@@ -330,9 +352,13 @@ func TestWireDecodeFallback(t *testing.T) {
 	// A key the body omits keeps its old value under encoding/json.
 	prefilled := func() []any {
 		step := 5
-		return []any{&ObservationRequest{ActionName: "a", StepIndex: &step, Decide: true}, &StartRequest{ClientKey: "k"}}
+		return []any{&ObservationRequest{ActionName: "a", StepIndex: &step, Decide: true}, &StartRequest{ClientKey: "k"},
+			&StartRequest{First: &Step{Action: 3, Observation: 4}},
+			&StartResponse{EpisodeID: 9, Decision: &DecisionResponse{ActionName: "old", Value: 2}}}
 	}
-	for _, body := range []string{`{"action":1,"observation":2}`, `{}`} {
+	for _, body := range []string{`{"action":1,"observation":2}`, `{}`, `{"episodeId":7}`,
+		`{"episodeId":7,"decision":{"action":1,"actionName":"a","terminate":true,"value":1}}`,
+		`{"clientKey":"k","first":{"action":1,"observation":0}}`} {
 		for i, v := range prefilled() {
 			ref := prefilled()[i]
 			wantErr := json.NewDecoder(strings.NewReader(body)).Decode(ref)
