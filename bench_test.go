@@ -13,7 +13,6 @@ package bpomdp
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -175,42 +174,6 @@ func preparedEMN(b *testing.B) *core.Prepared {
 		b.Fatal(err)
 	}
 	return prep
-}
-
-func BenchmarkRABoundSolve(b *testing.B) {
-	compiled, err := emn.Build(emn.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Prepare(compiled.Recovery, core.PrepareOptions{
-			OperatorResponseTime: emn.OperatorResponseTime,
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkBeliefUpdate(b *testing.B) {
-	prep := preparedEMN(b)
-	sc := pomdp.NewScratch(prep.Model)
-	pi, err := prep.InitialBelief()
-	if err != nil {
-		b.Fatal(err)
-	}
-	obsAction := prep.Source.MonitorAction
-	succs := prep.Model.Successors(sc, pi, obsAction)
-	if len(succs) == 0 {
-		b.Fatal("no successors")
-	}
-	o := succs[0].Obs
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := prep.Model.Update(sc, pi, obsAction, o); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 func BenchmarkBeliefMDPBackup(b *testing.B) {
@@ -603,124 +566,6 @@ func BenchmarkAblationBoundCapacity(b *testing.B) {
 			}
 			b.ReportMetric(experiments.UpperBoundOnCost(last.BoundAtUniform), "upperBoundCost")
 			b.ReportMetric(float64(last.Vectors), "vectors")
-		})
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Hot-path kernels of the unified campaign engine (also exported as
-// machine-readable JSON by cmd/bench / `make bench`).
-// ---------------------------------------------------------------------------
-
-// BenchmarkBeliefUpdateReuse measures the controller's steady-state Bayes
-// update — pomdp.UpdateInto with a reused destination buffer. It must stay
-// allocation-free: the belief tracker ping-pongs two buffers per episode.
-func BenchmarkBeliefUpdateReuse(b *testing.B) {
-	prep := preparedEMN(b)
-	sc := pomdp.NewScratch(prep.Model)
-	pi, err := prep.InitialBelief()
-	if err != nil {
-		b.Fatal(err)
-	}
-	obsAction := prep.Source.MonitorAction
-	succs := prep.Model.Successors(sc, pi, obsAction)
-	if len(succs) == 0 {
-		b.Fatal("no successors")
-	}
-	o := succs[0].Obs
-	dst := make(pomdp.Belief, len(pi))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := prep.Model.UpdateInto(sc, dst, pi, obsAction, o); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkGSSweep measures one Gauss-Seidel/SOR sweep of the RA-Bound
-// iteration matrix (Eq. 5's uniform chain) through linalg.SORKernel — the
-// inner loop of every fixed-point solve.
-func BenchmarkGSSweep(b *testing.B) {
-	compiled, err := emn.Build(emn.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	model, _, err := pomdp.WithTermination(compiled.Recovery.POMDP, pomdp.TerminationConfig{
-		NullStates:           compiled.Recovery.NullStates,
-		OperatorResponseTime: emn.OperatorResponseTime,
-		RateReward:           compiled.Recovery.RateRewards,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	chain, reward, err := model.M.UniformChain()
-	if err != nil {
-		b.Fatal(err)
-	}
-	kernel := linalg.NewSORKernel(chain)
-	v := make(linalg.Vector, chain.Rows())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		kernel.Sweep(v, reward, 1, 1)
-	}
-}
-
-// BenchmarkCampaignThroughput drives full campaigns through the unified
-// engine (sim.RunCampaignOpts) at worker counts 1 and 4 and reports
-// episodes/sec. Workers=1 is the sequential Table 1 loop.
-func BenchmarkCampaignThroughput(b *testing.B) {
-	const episodesPer = 16
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			compiled, err := emn.Build(emn.Config{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			prep, err := core.Prepare(compiled.Recovery, core.PrepareOptions{
-				OperatorResponseTime: emn.OperatorResponseTime,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := prep.Bootstrap(10, controller.VariantAverage, 1, rng.New(3)); err != nil {
-				b.Fatal(err)
-			}
-			initial, err := prep.InitialBelief()
-			if err != nil {
-				b.Fatal(err)
-			}
-			runner, err := sim.NewRunner(compiled.Recovery, 20000)
-			if err != nil {
-				b.Fatal(err)
-			}
-			pool := make([]controller.Controller, workers)
-			for i := range pool {
-				if pool[i], err = prep.NewController(core.ControllerConfig{Depth: 1}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			var next atomic.Uint64
-			factory := func() (controller.Controller, pomdp.Belief, error) {
-				return pool[int(next.Add(1)-1)%workers], initial, nil
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := runner.RunCampaignOpts(nil, nil, compiled.ZombieStates, episodesPer, rng.New(uint64(i)), sim.CampaignOptions{
-					Workers:       workers,
-					WorkerFactory: factory,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Episodes != episodesPer {
-					b.Fatalf("campaign completed %d/%d episodes", res.Episodes, episodesPer)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(episodesPer)*float64(b.N)/b.Elapsed().Seconds(), "episodes/sec")
 		})
 	}
 }

@@ -13,9 +13,10 @@ import (
 )
 
 // TestBatchDecideAllocs: the batched expansion, with and without duplicate
-// beliefs to merge, runs from reused scratch, and a warm decision table
-// answers without allocating. Each entry is measured over a fixed twenty
-// calls, so its allocs/op counts what one call allocates: at the report
+// beliefs to merge, runs from reused scratch, and a warm online region of
+// the decision store answers without allocating. Each entry is measured
+// over a fixed twenty calls, so its allocs/op counts what one call
+// allocates: at the report
 // smoke test's 1ms, batch_decide is a single call, and any allocation the
 // process makes meanwhile would be counted as that call's. The race
 // detector's instrumentation allocates on its own, hence the build tag.

@@ -22,14 +22,15 @@
 //   - batch_decide_reachable — the same over 64 beliefs recorded from a
 //     seeded batched campaign, with their natural repeats (the merged
 //     expansion's common case). Both tree entries run a controller without
-//     the shared decision table, so they time the expansion itself
+//     a decision store, so they time the expansion itself
 //   - batch_decide_table — the same 64 reachable beliefs through
-//     core.Prepared.NewController's controller with a warm decision table:
-//     every belief is a table hit
+//     core.Prepared.NewController's controller, whose shared store has no
+//     compiled nodes, with a warm online region: every belief is an online
+//     hit
 //   - fsc_decide — controller.Bounded.DecideBatch, with a compiled FSC
 //     attached by UseFSC, over a batch of compiled-node beliefs: every
-//     belief is answered by the FSC tier before any set lock (compare per
-//     decision against batch_decide for the compilation speedup)
+//     belief is answered by a compiled node before any set lock (compare
+//     per decision against batch_decide for the compilation speedup)
 //   - campaign_fsc — the batched campaign decided by an FSC-fronted
 //     controller (FSC hits plus the other tiers' answers to its misses),
 //     same figures as campaign_batched
@@ -504,9 +505,9 @@ func benchBatch(rep *Report, compiled *arch.Compiled, prep *core.Prepared) error
 		}
 	}))
 
-	// The tree entries time the bare expansion: a controller without the
-	// shared decision table, which would answer every iteration after the
-	// first from memory.
+	// The tree entries time the bare expansion: a controller without a
+	// decision store, whose online region would answer every iteration
+	// after the first from memory.
 	cfg := core.ControllerConfig{Depth: 1}
 	tree, err := controller.NewBounded(prep.Model, prep.Set, prep.BoundedConfig(cfg))
 	if err != nil {
@@ -523,7 +524,7 @@ func benchBatch(rep *Report, compiled *arch.Compiled, prep *core.Prepared) error
 	decisions := make([]controller.Decision, batch)
 	measure := func(ctrl *controller.Bounded, beliefs []pomdp.Belief) (Entry, error) {
 		// Warm once outside the timed region so the engine's per-level
-		// scratch is sized (and the table filled) before measurement.
+		// scratch is sized (and the online region filled) before measurement.
 		if err := ctrl.DecideBatch(beliefs, decisions); err != nil {
 			return Entry{}, err
 		}

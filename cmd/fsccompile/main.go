@@ -42,7 +42,7 @@ func run(args []string) error {
 		top        = fs.Float64("top", emn.OperatorResponseTime, "operator response time t_op in seconds")
 		bootstrap  = fs.Int("bootstrap", 10, "bootstrap episodes to warm the bound before compiling")
 		bootDepth  = fs.Int("bootstrap-depth", 2, "tree depth during bootstrap")
-		depth      = fs.Int("depth", 1, "tree depth the compiled decisions are computed at (must match serving depth for exactness)")
+		depth      = fs.Int("depth", 1, "tree depth the compiled decisions are computed at (recoverd refuses to serve the artifact at another -depth)")
 		seed       = fs.Uint64("seed", 1, "bootstrap RNG seed")
 		boundsPath = fs.String("bounds", "", "load the bound set from this JSON file instead of bootstrapping (and save it back after bootstrap when it does not exist)")
 		maxNodes   = fs.Int("max-nodes", 0, "cap on compiled FSC nodes (0 = default)")

@@ -169,54 +169,49 @@ func run(ctx context.Context, args []string) error {
 			func() float64 { return r.Wall.Seconds() })
 	}
 
-	// The compiled FSC fast path: one shared immutable table that every
-	// controller below consults before its other tiers. Its hit/fallback
-	// counters are scraped straight off the shared table via the metrics
-	// registry, so serving pays nothing beyond the atomic increments the
-	// table keeps anyway.
-	var fsc *controller.FSC
+	// One exact decision store serves every controller below: the loaded
+	// compiled FSC, or else the prepared store with no compiled nodes. Its
+	// online region answers the tree decisions of read-only controllers
+	// (pooled batch deciders, episodes without online improvement) over the
+	// final bound set. Its counters are scraped straight off the store via
+	// the metrics registry, so serving pays nothing beyond the atomic
+	// increments the store keeps anyway.
+	store := prep.DecisionStore(*depth)
 	if *fscPath != "" {
 		f, err := os.Open(*fscPath)
 		if err != nil {
 			return fmt.Errorf("open fsc: %w", err)
 		}
-		fsc, err = controller.DecodeFSC(f)
+		fsc, err := controller.DecodeFSC(f)
 		f.Close()
 		if err != nil {
 			return fmt.Errorf("load fsc %s: %w", *fscPath, err)
 		}
-		if fsc.NumStates() != prep.Model.NumStates() ||
-			fsc.NumActions() != prep.Model.NumActions() ||
-			fsc.NumObservations() != prep.Model.NumObservations() {
-			return fmt.Errorf("fsc %s compiled for a %d-state/%d-action/%d-observation model; loaded model has %d/%d/%d",
-				*fscPath, fsc.NumStates(), fsc.NumActions(), fsc.NumObservations(),
-				prep.Model.NumStates(), prep.Model.NumActions(), prep.Model.NumObservations())
-		}
 		log.Printf("loaded fsc from %s: %d nodes, %d edges, max gap %.3g (serving gap <= %.3g)",
 			*fscPath, fsc.NumNodes(), fsc.NumEdges(), fsc.MaxGap(), *fscGap)
-		t := fsc
 		metrics.CounterFunc("recoverd_fsc_hits_total",
 			"Decisions served from the compiled FSC table.",
-			func() float64 { return float64(t.Hits()) })
+			func() float64 { return float64(fsc.Hits()) })
 		metrics.CounterFunc("recoverd_fsc_fallbacks_total",
 			"Decisions the compiled FSC table did not serve.",
-			func() float64 { return float64(t.Fallbacks()) })
+			func() float64 { return float64(fsc.Fallbacks()) })
 		metrics.GaugeFunc("recoverd_fsc_nodes",
 			"Nodes in the loaded compiled FSC.",
-			func() float64 { return float64(t.NumNodes()) })
+			func() float64 { return float64(fsc.NumNodes()) })
+		store = fsc
 	}
-
-	// Every tree controller below that decides read-only (pooled batch
-	// deciders, episodes without online improvement, FSC misses included)
-	// shares one exact decision table over the final bound set;
-	// its counters are read straight off the table.
-	table := prep.DecisionTable(*depth)
+	// Building one decider up front makes every check the factories below
+	// make, so an artifact compiled for another model, depth, discount or
+	// terminate action fails startup instead of the first request.
+	if _, err := prep.NewFSCDecider(store, core.ControllerConfig{Depth: *depth}, *fscGap); err != nil {
+		return fmt.Errorf("decision store: %w", err)
+	}
 	metrics.CounterFunc("recoverd_decision_table_hits_total",
 		"Tree decisions answered from the shared decision table.",
-		func() float64 { return float64(table.Hits()) })
+		func() float64 { return float64(store.OnlineHits()) })
 	metrics.CounterFunc("recoverd_decision_table_misses_total",
 		"Tree decisions that missed the shared decision table and expanded the Max-Avg tree.",
-		func() float64 { return float64(table.Misses()) })
+		func() float64 { return float64(store.OnlineMisses()) })
 
 	if *expvarOn && *pprofAddr == "" && *metricsAddr == "" {
 		return fmt.Errorf("-expvar needs a -pprof or -metrics-addr listener address")
@@ -297,13 +292,7 @@ func run(ctx context.Context, args []string) error {
 		Metrics:           metrics,
 		NewController: func() (controller.Controller, pomdp.Belief, error) {
 			cfg := core.ControllerConfig{Depth: *depth, ImproveOnline: *improve, CollectStats: collectStats}
-			var ctrl controller.Controller
-			var err error
-			if fsc != nil {
-				ctrl, err = prep.NewFSCDecider(fsc, cfg, *fscGap)
-			} else {
-				ctrl, err = prep.NewController(cfg)
-			}
+			ctrl, err := prep.NewFSCDecider(store, cfg, *fscGap)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -312,13 +301,11 @@ func run(ctx context.Context, args []string) error {
 		},
 		// Batch deciders are pooled across concurrent requests and share the
 		// bound set, so they are always built with online improvement off —
-		// concurrent set mutation from pooled deciders would race. (The FSC
-		// table itself is immutable and safe to share.)
+		// concurrent set mutation from pooled deciders would race. (The
+		// store's compiled nodes are immutable and its online slots atomic,
+		// so it is safe to share.)
 		NewBatchDecider: func() (controller.BatchDecider, error) {
-			if fsc != nil {
-				return prep.NewFSCDecider(fsc, core.ControllerConfig{Depth: *depth}, *fscGap)
-			}
-			return prep.NewController(core.ControllerConfig{Depth: *depth})
+			return prep.NewFSCDecider(store, core.ControllerConfig{Depth: *depth}, *fscGap)
 		},
 	})
 	if err != nil {

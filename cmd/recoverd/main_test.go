@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"bpomdp/internal/bounds"
+	"bpomdp/internal/core"
+	"bpomdp/internal/modelload"
 )
 
 // cancelledCtx returns an already-cancelled context so run() takes the
@@ -77,6 +79,44 @@ func TestRunRejectsMismatchedBounds(t *testing.T) {
 	})
 	if err == nil {
 		t.Error("mismatched bound dimensions accepted")
+	}
+}
+
+// TestRunRefusesMismatchedFSC: an FSC artifact compiled at depth 1 serves
+// at -depth 1, and startup fails with an error naming the depths at
+// -depth 2, instead of serving depth-1 compiled decisions beside depth-2
+// tree decisions.
+func TestRunRefusesMismatchedFSC(t *testing.T) {
+	rm, err := modelload.Load("twoserver")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep, err := core.Prepare(rm, core.PrepareOptions{OperatorResponseTime: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fsc, err := prep.CompileFSC(core.FSCConfig{Depth: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "twoserver.fsc")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fsc.Encode(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	args := []string{"-addr", "127.0.0.1:0", "-model", "twoserver", "-top", "10", "-bootstrap", "0", "-fsc", path}
+	if err := run(cancelledCtx(), append(args, "-depth", "1")); err != nil {
+		t.Fatalf("matching depth: %v", err)
+	}
+	err = run(cancelledCtx(), append(args, "-depth", "2"))
+	if err == nil || !strings.Contains(err.Error(), "fsc decides at depth 1, controller at depth 2") {
+		t.Errorf("depth-1 artifact at -depth 2: error %v, want one naming both depths", err)
 	}
 }
 

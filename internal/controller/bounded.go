@@ -2,6 +2,7 @@ package controller
 
 import (
 	"fmt"
+	"slices"
 
 	"bpomdp/internal/bounds"
 	"bpomdp/internal/pomdp"
@@ -39,6 +40,17 @@ type BoundedConfig struct {
 	CollectStats bool
 }
 
+// withDefaults returns c with a zero Depth or Beta replaced by 1.
+func (c BoundedConfig) withDefaults() BoundedConfig {
+	if c.Depth == 0 {
+		c.Depth = 1
+	}
+	if c.Beta == 0 {
+		c.Beta = 1
+	}
+	return c
+}
+
 // Bounded is the paper's bounded recovery controller: a finite-depth
 // Max-Avg expansion with a lower-bound hyperplane set at the leaves. With
 // Property 1's preconditions (no free actions; V_B ≤ L_p V_B) it terminates
@@ -50,9 +62,8 @@ type Bounded struct {
 	set     *bounds.Set
 	updater *bounds.Updater
 	nullSet []int
-	table   *DecisionTable // see UseTable; nil when none is attached
-	fsc     *FSC           // see UseFSC; nil when none is attached
-	fscGap  float64        // UseFSC's gap threshold
+	fsc     *FSC    // see UseFSC; nil when none is attached
+	fscGap  float64 // UseFSC's gap threshold
 
 	one    [1]pomdp.Belief // decideOne's one-belief batch
 	oneOut [1]Decision
@@ -60,9 +71,9 @@ type Bounded struct {
 	// DecideBatch scratch, reused across calls.
 	batchIdx  []int
 	batchPis  []pomdp.Belief
-	batchHash []uint64             // hashBelief of each batchPis entry, on the table path
+	batchHash []uint64             // per batch position: hashBelief, with an FSC attached
 	batchRes  []pomdp.BackupResult // root backups; a run decided from batch position j writes from j on
-	fscHit    []bool               // per batch position: answered by the FSC
+	frozenHit []bool               // per batch position: answered by a compiled node
 
 	// Per-belief stats of the last decision call, indexed by batch
 	// position; populated only with cfg.CollectStats. Their QValues alias
@@ -82,12 +93,7 @@ var (
 // with ImproveOnline, refined) in place — share it with a Bootstrapper to
 // reuse bootstrap improvements.
 func NewBounded(p *pomdp.POMDP, set *bounds.Set, cfg BoundedConfig) (*Bounded, error) {
-	if cfg.Depth == 0 {
-		cfg.Depth = 1
-	}
-	if cfg.Beta == 0 {
-		cfg.Beta = 1
-	}
+	cfg = cfg.withDefaults()
 	if set == nil {
 		return nil, fmt.Errorf("controller: bounded controller needs a non-empty bound set (compute the RA-Bound first)")
 	}
@@ -133,7 +139,7 @@ func NewBounded(p *pomdp.POMDP, set *bounds.Set, cfg BoundedConfig) (*Bounded, e
 // Name implements Controller.
 func (b *Bounded) Name() string {
 	name := fmt.Sprintf("bounded(depth=%d)", b.cfg.Depth)
-	if b.fsc != nil {
+	if b.fsc != nil && len(b.fsc.nodes) > 0 {
 		return fmt.Sprintf("fsc(%d nodes, gap<=%g)+%s", len(b.fsc.nodes), b.fscGap, name)
 	}
 	return name
@@ -204,11 +210,11 @@ func (b *Bounded) statsFor(pi pomdp.Belief, d Decision, q []float64) DecisionSta
 // StatsEnabled implements StatsSource.
 func (b *Bounded) StatsEnabled() bool { return b.cfg.CollectStats }
 
-// LastTier implements TierSource: TierFSC when the attached FSC answered
-// entry 0 of the last decision call (the most recent Decide), TierTree
-// otherwise.
+// LastTier implements TierSource: TierFSC when a compiled node of the
+// attached FSC answered entry 0 of the last decision call (the most recent
+// Decide), TierTree otherwise, its online region included.
 func (b *Bounded) LastTier() string {
-	if len(b.fscHit) > 0 && b.fscHit[0] {
+	if b.servedFrozen(0) {
 		return TierFSC
 	}
 	return TierTree
@@ -248,23 +254,23 @@ func (b *Bounded) toDecision(res *pomdp.BackupResult) Decision {
 // DecideBatch implements BatchDecider: it decides for every belief in pis
 // independently of the tracked episode belief, writing Decision j into
 // out[j]. It is the controller's one decision path — Decide and the FSC
-// compiler come through it too. Its tiers answer in order: nodes of an
-// attached FSC (see UseFSC), certainty termination (recovery
-// notification), an attached decision table (see UseTable), and one
-// batched tree expansion shared by the rest, with results bit-identical to
-// deciding each belief alone. Every belief's length is checked before any
-// tier answers.
+// compiler come through it too. Its tiers answer in order: compiled nodes
+// of an attached FSC (see UseFSC), certainty termination (recovery
+// notification), the FSC's online region, and one batched tree expansion
+// shared by the rest, with results bit-identical to deciding each belief
+// alone. Every belief's length is checked before any tier answers, and
+// each belief is hashed once for both regions.
 //
 // With ImproveOnline or CheckConsistency configured it decides the beliefs
-// the FSC left in chunks of one, in batch order: both mutate or audit the
-// shared bound set before each belief's own expansion, and a batched
-// expansion would observe a different set than that order does.
+// the compiled nodes left in chunks of one, in batch order: both mutate or
+// audit the shared bound set before each belief's own expansion, and a
+// batched expansion would observe a different set than that order does.
 //
-// Past the FSC the call holds the set's Mutex, for writing with
+// Past the compiled nodes the call holds the set's Mutex, for writing with
 // ImproveOnline and for reading otherwise, so controllers sharing the set
 // may decide from several goroutines.
 func (b *Bounded) DecideBatch(pis []pomdp.Belief, out []Decision) error {
-	b.fscHit = b.fscHit[:0]
+	b.frozenHit = b.frozenHit[:0]
 	if len(out) < len(pis) {
 		return fmt.Errorf("controller: batch decision buffer length %d < %d beliefs", len(out), len(pis))
 	}
@@ -280,7 +286,13 @@ func (b *Bounded) DecideBatch(pis []pomdp.Belief, out []Decision) error {
 		}
 		b.batchStats = b.batchStats[:len(pis)]
 	}
-	if b.serveFSC(pis, out) == len(pis) {
+	if b.fsc != nil {
+		b.batchHash = slices.Grow(b.batchHash[:0], len(pis))[:len(pis)]
+		for j, pi := range pis {
+			b.batchHash[j] = hashBelief(pi)
+		}
+	}
+	if b.serveFrozen(pis, out) == len(pis) {
 		return nil
 	}
 	mu := b.set.Mutex()
@@ -303,7 +315,7 @@ func (b *Bounded) DecideBatch(pis []pomdp.Belief, out []Decision) error {
 		return b.decide(pis, out, 0)
 	}
 	for j, pi := range pis {
-		if b.servedFSC(j) {
+		if b.servedFrozen(j) {
 			continue
 		}
 		if err := b.prepare(pi); err != nil {
@@ -338,23 +350,22 @@ func (b *Bounded) prepare(pi pomdp.Belief) error {
 }
 
 // decide answers pis, the beliefs at batch positions off, off+1, … of the
-// current DecideBatch call that the FSC did not: by certainty termination,
-// from the decision table where it may be used and holds them, the rest
-// with one shared tree expansion. Root backups land in batchRes from
-// position off on, so the stats QValues of every position stay valid until
-// the next call without copying.
+// current DecideBatch call that no compiled node did: by certainty
+// termination, from the FSC's online region where it may be used and holds
+// them, the rest with one shared tree expansion. Root backups land in
+// batchRes from position off on, so the stats QValues of every position
+// stay valid until the next call without copying.
 func (b *Bounded) decide(pis []pomdp.Belief, out []Decision, off int) error {
 	collect := b.cfg.CollectStats
-	tbl := b.readTable()
+	online := b.online()
 	var gen, hits uint64
-	if tbl != nil {
+	if online != nil {
 		gen = b.set.Generation()
 	}
 	b.batchIdx = b.batchIdx[:0]
 	b.batchPis = b.batchPis[:0]
-	b.batchHash = b.batchHash[:0]
 	for j, pi := range pis {
-		if b.servedFSC(off + j) {
+		if b.servedFrozen(off + j) {
 			continue
 		}
 		// Recovery-notification regime: stop as soon as the belief
@@ -366,20 +377,23 @@ func (b *Bounded) decide(pis []pomdp.Belief, out []Decision, off int) error {
 			}
 			continue
 		}
-		if tbl != nil {
-			h := hashBelief(pi)
-			if d, ok := tbl.lookup(gen, h, pi); ok {
+		if online != nil {
+			if d, ok := online.recall(gen, b.batchHash[off+j], pi); ok {
 				out[j] = d
 				hits++
 				continue
 			}
-			b.batchHash = append(b.batchHash, h)
 		}
 		b.batchIdx = append(b.batchIdx, j)
 		b.batchPis = append(b.batchPis, pi)
 	}
-	if tbl != nil {
-		tbl.count(hits, uint64(len(b.batchIdx)))
+	if online != nil {
+		if hits > 0 {
+			online.onlineHits.Add(hits)
+		}
+		if misses := len(b.batchIdx); misses > 0 {
+			online.onlineMisses.Add(uint64(misses))
+		}
 	}
 	if len(b.batchIdx) == 0 {
 		return nil
@@ -391,8 +405,8 @@ func (b *Bounded) decide(pis []pomdp.Belief, out []Decision, off int) error {
 	}
 	for k, j := range b.batchIdx {
 		out[j] = b.toDecision(&res[k])
-		if tbl != nil {
-			tbl.insert(gen, b.batchHash[k], b.batchPis[k], out[j])
+		if online != nil {
+			online.remember(gen, b.batchHash[off+j], b.batchPis[k], out[j])
 		}
 	}
 	if collect {

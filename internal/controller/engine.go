@@ -125,7 +125,7 @@ func (g *beliefGroups) group(pis []pomdp.Belief, w []uint64) {
 }
 
 // BeliefGroups merges the bit-identical beliefs of a batch by the
-// equivalence the engine, the decision table and the FSC decide by:
+// equivalence the engine and both regions of the FSC decide by:
 // hashBelief plus pomdp.SameBits, so +0 and −0 stay apart. A caller that
 // sends a batch elsewhere to be decided can send each distinct belief once.
 // A reused BeliefGroups groups without allocating.

@@ -658,6 +658,38 @@ func TestUseFSCValidation(t *testing.T) {
 	if err := notify.UseFSC(fsc, 0); err == nil {
 		t.Error("controller with another terminate action accepted")
 	}
+	// Same model and set, but another depth or discount than the compiler
+	// decided with: compiled nodes would answer beside a different tree.
+	for _, c := range []struct {
+		cfg  BoundedConfig
+		want string
+	}{
+		{BoundedConfig{Depth: 2}, "depth 1, controller at depth 2"},
+		{BoundedConfig{Beta: 0.9}, "discount 1, controller uses 0.9"},
+	} {
+		c.cfg.TerminateAction, c.cfg.NullStates = f.idx.Action, []int{0}
+		ctrl, err := NewBounded(f.term, f.set, c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ctrl.UseFSC(fsc, 0); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%+v: error %v, want one naming %q", c.cfg, err, c.want)
+		}
+	}
+	// Same configuration over another bound set: the online region is keyed
+	// by one set's generations.
+	other, err := bounds.RASet(f.term, bounds.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	useFSC(t, tree(), fsc, 0) // binds fsc to f's model and set
+	ctrl, err := NewBounded(f.term, other, BoundedConfig{Depth: 1, TerminateAction: f.idx.Action, NullStates: []int{0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ctrl.UseFSC(fsc, 0); err == nil {
+		t.Error("controller over another bound set accepted")
+	}
 }
 
 func TestCompileFSCValidation(t *testing.T) {

@@ -58,15 +58,7 @@ func CompileFSC(tree *Bounded, roots []pomdp.Belief, cfg FSCCompileConfig) (*FSC
 		return nil, fmt.Errorf("controller: fsc compile needs at least one root belief")
 	}
 
-	f := &FSC{
-		states:          p.NumStates(),
-		actions:         p.NumActions(),
-		observations:    p.NumObservations(),
-		depth:           tree.cfg.Depth,
-		beta:            tree.cfg.Beta,
-		terminateAction: tree.cfg.TerminateAction,
-		index:           make(map[uint64][]int32),
-	}
+	f := newFSC(p.NumStates(), p.NumActions(), p.NumObservations(), tree.cfg.Depth, tree.cfg.Beta, tree.cfg.TerminateAction)
 	for r, root := range roots {
 		if len(root) != f.states {
 			return nil, fmt.Errorf("controller: root belief %d length %d, want %d", r, len(root), f.states)
@@ -74,7 +66,7 @@ func CompileFSC(tree *Bounded, roots []pomdp.Belief, cfg FSCCompileConfig) (*FSC
 		if !root.IsDistribution() {
 			return nil, fmt.Errorf("controller: root belief %d is not a distribution", r)
 		}
-		if f.lookup(root) >= 0 {
+		if f.findNode(hashBelief(root), root) >= 0 {
 			continue
 		}
 		if len(f.nodes) >= cfg.MaxNodes {
@@ -122,7 +114,7 @@ func CompileFSC(tree *Bounded, roots []pomdp.Belief, cfg FSCCompileConfig) (*FSC
 			if err != nil {
 				return nil, fmt.Errorf("controller: fsc compile successor of node %d under obs %d: %w", i, o, err)
 			}
-			if j := f.lookup(next); j >= 0 {
+			if j := f.findNode(hashBelief(next), next); j >= 0 {
 				edges[o] = j
 				continue
 			}

@@ -85,7 +85,8 @@ func readFSCFrame(r io.Reader) ([]byte, error) {
 
 // Encode writes the compiled table as a bpomdp.fsc/v1 artifact: a header
 // frame followed by one frame per node, each length-prefixed and
-// CRC-framed. Runtime hit/fallback counters are not part of the artifact.
+// CRC-framed. The online region and the runtime counters are not part of
+// the artifact.
 func (f *FSC) Encode(w io.Writer) error {
 	hdr, err := json.Marshal(fscHeaderJSON{
 		Schema:          FSCSchema,
@@ -158,15 +159,7 @@ func DecodeFSC(r io.Reader) (*FSC, error) {
 	if hdr.Nodes < 1 {
 		return nil, fmt.Errorf("controller: fsc artifact: no nodes")
 	}
-	f := &FSC{
-		states:          hdr.States,
-		actions:         hdr.Actions,
-		observations:    hdr.Observations,
-		depth:           hdr.Depth,
-		beta:            hdr.Beta,
-		terminateAction: hdr.TerminateAction,
-		index:           make(map[uint64][]int32),
-	}
+	f := newFSC(hdr.States, hdr.Actions, hdr.Observations, hdr.Depth, hdr.Beta, hdr.TerminateAction)
 	// Nodes are appended as they arrive: the header's count is a claim to
 	// check against the input, not a size to allocate.
 	for i := 0; i < hdr.Nodes; i++ {
@@ -186,7 +179,7 @@ func DecodeFSC(r io.Reader) (*FSC, error) {
 			return nil, fmt.Errorf("controller: fsc artifact: node %d: %w", i, err)
 		}
 		// A compiled table must be a function from belief to decision.
-		if j := f.lookup(n.Belief); j >= 0 {
+		if j := f.findNode(hashBelief(n.Belief), n.Belief); j >= 0 {
 			return nil, fmt.Errorf("controller: fsc artifact: nodes %d and %d share a belief", j, i)
 		}
 		f.addNode(n)

@@ -3,12 +3,12 @@ package controller
 // Decider tiers, recorded in DecisionStats.Tier and carried on decide spans
 // so every explained decision attributes the serving tier.
 const (
-	// TierTree marks a decision a Bounded controller made past its FSC: by
-	// certainty termination, from the decision table or by the Max-Avg
-	// tree expansion.
+	// TierTree marks a decision a Bounded controller made past its FSC's
+	// compiled nodes: by certainty termination, from the FSC's online
+	// region or by the Max-Avg tree expansion.
 	TierTree = "tree"
-	// TierFSC marks a decision served from a compiled finite-state
-	// controller node table without expanding the tree.
+	// TierFSC marks a decision served from a compiled node of a
+	// finite-state controller without expanding the tree.
 	TierFSC = "fsc"
 )
 

@@ -218,13 +218,13 @@ type Prepared struct {
 
 	opts PrepareOptions
 
-	tablesMu sync.Mutex
-	tables   map[tableKey]*controller.DecisionTable
+	storesMu sync.Mutex
+	stores   map[storeKey]*controller.FSC
 }
 
-// tableKey names one shared decision table: the tree's decisions are a
+// storeKey names one shared decision store: the tree's decisions are a
 // pure function of the belief only over one bound set at one depth.
-type tableKey struct {
+type storeKey struct {
 	set   *bounds.Set
 	depth int
 }
@@ -337,8 +337,8 @@ type ControllerConfig struct {
 
 // BoundedConfig is the bounded-controller configuration NewController
 // builds its controllers with. controller.NewBounded over p.Model and p.Set
-// with it gives the same controller without the shared decision table —
-// the bare tree expansion, as benchmarks time it.
+// with it gives the same controller without a decision store — the bare
+// tree expansion, as benchmarks time it.
 func (p *Prepared) BoundedConfig(cfg ControllerConfig) controller.BoundedConfig {
 	return controller.BoundedConfig{
 		Depth:            cfg.Depth,
@@ -353,46 +353,40 @@ func (p *Prepared) BoundedConfig(cfg ControllerConfig) controller.BoundedConfig 
 
 // NewController builds the bounded recovery controller over the prepared
 // model, sharing (and with ImproveOnline refining) the prepared bound set.
-// Every controller it builds over the same set and depth shares one
-// decision table (see DecisionTable), which answers recurring beliefs
-// exactly as the tree would.
+// It is NewFSCDecider over DecisionStore(cfg.Depth): every controller it
+// builds over the same set and depth shares one store with no compiled
+// nodes, whose online region answers recurring beliefs exactly as the tree
+// would.
 func (p *Prepared) NewController(cfg ControllerConfig) (*controller.Bounded, error) {
-	b, err := controller.NewBounded(p.Model, p.Set, p.BoundedConfig(cfg))
-	if err != nil {
-		return nil, err
-	}
-	if err := b.UseTable(p.DecisionTable(cfg.Depth)); err != nil {
-		return nil, err
-	}
-	return b, nil
+	return p.NewFSCDecider(p.DecisionStore(cfg.Depth), cfg, 0)
 }
 
-// DecisionTable returns the decision table NewController shares among its
-// controllers over the current p.Set at the given depth (0 means 1, as for
-// controllers), creating it on first use.
-func (p *Prepared) DecisionTable(depth int) *controller.DecisionTable {
+// DecisionStore returns the decision store with no compiled nodes that
+// NewController shares among its controllers over the current p.Set at the
+// given depth (0 means 1, as for controllers), creating it on first use.
+func (p *Prepared) DecisionStore(depth int) *controller.FSC {
 	if depth == 0 {
 		depth = 1
 	}
-	k := tableKey{set: p.Set, depth: depth}
-	p.tablesMu.Lock()
-	defer p.tablesMu.Unlock()
-	t := p.tables[k]
-	if t == nil {
-		if p.tables == nil {
-			p.tables = make(map[tableKey]*controller.DecisionTable)
+	k := storeKey{set: p.Set, depth: depth}
+	p.storesMu.Lock()
+	defer p.storesMu.Unlock()
+	f := p.stores[k]
+	if f == nil {
+		if p.stores == nil {
+			p.stores = make(map[storeKey]*controller.FSC)
 		}
-		t = controller.NewDecisionTable()
-		p.tables[k] = t
+		f = controller.NewFSC(p.Model, p.BoundedConfig(ControllerConfig{Depth: depth}))
+		p.stores[k] = f
 	}
-	return t
+	return f
 }
 
 // FSCConfig trims the FSC-compiler knobs exposed at this level.
 type FSCConfig struct {
 	// Depth is the Max-Avg expansion depth decisions are compiled with
-	// (default 1). It must match the fallback controller's depth for exact
-	// decision parity.
+	// (default 1). The artifact records it, and NewFSCDecider refuses a
+	// controller of another depth.
 	Depth int
 	// MaxNodes caps the compiled table; zero means the compiler default.
 	MaxNodes int
@@ -420,12 +414,14 @@ func (p *Prepared) CompileFSC(cfg FSCConfig) (*controller.FSC, error) {
 	})
 }
 
-// NewFSCDecider builds NewController's controller with the compiled FSC in
-// front of its other tiers (see controller.Bounded.UseFSC): beliefs the FSC
-// covers within gapThreshold are answered from its nodes, the rest by the
-// decision table and the tree.
+// NewFSCDecider builds a bounded controller over the prepared model and
+// bound set with the decision store fsc attached (see
+// controller.Bounded.UseFSC): beliefs its compiled nodes cover within
+// gapThreshold are answered from them, the rest by its online region and
+// the tree. It fails when fsc was built for another model, depth, discount
+// or terminate action, or already serves another bound set.
 func (p *Prepared) NewFSCDecider(fsc *controller.FSC, cfg ControllerConfig, gapThreshold float64) (*controller.Bounded, error) {
-	b, err := p.NewController(cfg)
+	b, err := controller.NewBounded(p.Model, p.Set, p.BoundedConfig(cfg))
 	if err != nil {
 		return nil, err
 	}

@@ -7,12 +7,12 @@ import (
 
 	"bpomdp/internal/core"
 	"bpomdp/internal/emn"
+	"bpomdp/internal/pomdp"
 )
 
-// TestValidateDoesNotAllocate: every engine build re-validates its model,
-// so validating the prepared EMN model — its MDP's transition rows and its
-// observation rows — allocates nothing.
-func TestValidateDoesNotAllocate(t *testing.T) {
+// preparedEMN returns the EMN recovery model prepared for control.
+func preparedEMN(t *testing.T) *core.Prepared {
+	t.Helper()
 	compiled, err := emn.Build(emn.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -21,7 +21,14 @@ func TestValidateDoesNotAllocate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := prep.Model
+	return prep
+}
+
+// TestValidateDoesNotAllocate: every engine build re-validates its model,
+// so validating the prepared EMN model — its MDP's transition rows and its
+// observation rows — allocates nothing.
+func TestValidateDoesNotAllocate(t *testing.T) {
+	m := preparedEMN(t).Model
 	if n := testing.AllocsPerRun(100, func() {
 		if err := m.Validate(); err != nil {
 			t.Fatal(err)
@@ -31,5 +38,37 @@ func TestValidateDoesNotAllocate(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { _ = m.M.Validate() }); n != 0 {
 		t.Errorf("validating the EMN MDP allocates %v times, want 0", n)
+	}
+}
+
+// TestUpdateIntoDoesNotAllocate: the belief filter's steady-state Bayes
+// update — pomdp.UpdateInto ping-ponging two reused buffers with one
+// scratch, as an episode's belief tracker does — allocates nothing.
+func TestUpdateIntoDoesNotAllocate(t *testing.T) {
+	prep := preparedEMN(t)
+	m := prep.Model
+	initial, err := prep.InitialBelief()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := pomdp.NewScratch(m)
+	a := prep.Source.MonitorAction
+	succs := m.Successors(sc, initial, a)
+	if len(succs) == 0 {
+		t.Fatal("no successors of the initial belief")
+	}
+	o := succs[0].Obs
+	cur, next := make(pomdp.Belief, len(initial)), make(pomdp.Belief, len(initial))
+	if n := testing.AllocsPerRun(100, func() {
+		copy(cur, initial)
+		for step := 0; step < 4; step++ {
+			out, err := m.UpdateInto(sc, next, cur, a, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cur, next = out, cur
+		}
+	}); n != 0 {
+		t.Errorf("four reused-buffer belief updates allocate %v times, want 0", n)
 	}
 }

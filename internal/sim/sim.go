@@ -71,11 +71,11 @@ type EpisodeResult struct {
 	BoundGapSum float64
 	EntropySum  float64
 	// FSCDecisions and TreeDecisions split Decisions by serving tier
-	// (controller.TierFSC table hits vs controller.TierTree expansions).
-	// Under a controller without an FSC every decision is a TreeDecision;
-	// with one attached (controller.Bounded.UseFSC) FSCDecisions counts its
-	// hits and TreeDecisions everything else, certainty terminations and
-	// decision-table answers included.
+	// (controller.TierFSC compiled-node hits vs controller.TierTree
+	// decisions). Under a controller without compiled nodes every decision
+	// is a TreeDecision; with an FSC attached (controller.Bounded.UseFSC)
+	// FSCDecisions counts its node hits and TreeDecisions everything else,
+	// certainty terminations and online-region answers included.
 	FSCDecisions  int
 	TreeDecisions int
 }
