@@ -14,11 +14,10 @@
 //	id=$(curl -s -X POST localhost:7947/v1/episodes | jq .episodeId)
 //	curl -s localhost:7947/v1/episodes/$id/decision
 //	curl -s -X POST localhost:7947/v1/episodes/$id/observations \
-//	     -d '{"actionName":"observe","observationName":"obs:HPathMon","stepIndex":0,"decide":true}'
+//	     -d '{"actionName":"observe","observationName":"obs:HPathMon","stepIndex":0}'
 //
-// With "decide": true the observation's answer is the next decision, so
-// each later step is one round trip; without it the answer is 204 and the
-// next decision is a separate GET.
+// The observation's answer is the next decision, so each later step is one
+// round trip.
 package main
 
 import (

@@ -205,8 +205,8 @@ func (f *Fleet) liveLocked(except string) []*FleetNode {
 }
 
 // ObserveBytes posts one observation straight to one member, no redirects
-// followed, and returns the raw status and body bytes. With req.Decide set
-// the body is the decision the member answered with. Chaos tests use it to
+// followed, and returns the raw status and body bytes: on success the body
+// is the decision the member answered with. Chaos tests use it to
 // pin down byte-identical replay of a terminal decision across an owner
 // kill — the FleetClient would decode and re-encode, hiding encoding drift.
 func (f *Fleet) ObserveBytes(memberID string, episodeID uint64, key string, req server.ObservationRequest) (int, []byte, error) {

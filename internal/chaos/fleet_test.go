@@ -233,7 +233,7 @@ type lostFinalEpisode struct {
 func (l *lostFinalEpisode) Observe(action, obs int) error {
 	if l.armed && !*l.fired {
 		step := l.Steps()
-		req := server.ObservationRequest{Action: action, Observation: obs, StepIndex: &step, Decide: true}
+		req := server.ObservationRequest{Action: action, Observation: obs, StepIndex: &step}
 		status, body, err := l.f.ObserveBytes(l.Owner(), l.ID(), l.Key(), req)
 		if err != nil {
 			return err

@@ -171,8 +171,8 @@ type Episode struct {
 	// pending marks an episode from StartEpisodeKeyed that its first
 	// exchange has not opened on the server yet; id is 0 until then.
 	pending bool
-	// next is the decision the last Observe's answer carried, consumed by
-	// the following Decide; nil when there is none to use.
+	// next is the decision the last observation's answer carried, consumed
+	// by the following Decide; nil when there is none to use.
 	next *server.DecisionResponse
 
 	// fc and owner are set for an episode started by a FleetClient: the
@@ -227,7 +227,7 @@ func (e *Episode) start() error {
 
 // sendStart sends req, a start of this pending episode, binds the episode
 // to the answer's id and keeps the answer's decision for the next Decide:
-// none for a plain start, nor from a server that ignored req.First.
+// a fused start's answer carries one, a plain start's none.
 func (e *Episode) sendStart(req server.StartRequest) error {
 	var out server.StartResponse
 	if err := e.c.do(http.MethodPost, "/v1/episodes", e.hdr, &req, &out); err != nil {
@@ -243,12 +243,12 @@ func (e *Episode) path(suffix string) string {
 	return fmt.Sprintf("/v1/episodes/%d%s", e.id, suffix)
 }
 
-// Decide implements controller.Controller. After Observe it returns the
-// decision that came back with the observation, with no round trip;
-// otherwise (first step, ObserveNamed, Resume, a server that answered the
-// observation with 204) it fetches the decision with GET. The server caches
-// the decision for the current step, so a retried call — also one retried
-// across a fleet handoff — returns the identical decision.
+// Decide implements controller.Controller. After an observation it returns
+// the decision that came back with it, with no round trip; otherwise (the
+// first step after a plain start, after Resume, a second Decide on one step)
+// it fetches the decision with GET. The server caches the decision for the
+// current step, so a retried call — also one retried across a fleet handoff
+// — returns the identical decision.
 func (e *Episode) Decide() (controller.Decision, error) {
 	var out server.DecisionResponse
 	if err := e.start(); err != nil {
@@ -267,56 +267,47 @@ func (e *Episode) Decide() (controller.Decision, error) {
 	return controller.Decision{Action: out.Action, Terminate: out.Terminate, Value: out.Value}, nil
 }
 
-// Observe implements controller.Controller. The request carries the
-// client's step index as a dedupe key, so a retransmit after a lost
-// response — also one sent to a new owner after a failover — is
-// acknowledged without being applied twice. It also asks for the next
-// decision, which the following Decide returns: a served step is one round
-// trip. A retransmit gets the same decision, including the terminal one of
-// an episode that ended while the first answer was lost.
-//
-// On an episode no exchange has opened yet the observation opens it: one
-// fused start carries it as step 0. A server that ignores the start's first
-// observation answers without a decision; the observation then goes out as
-// an ordinary step-0 POST.
+// Observe implements controller.Controller. The server answers an
+// observation with the next decision, which the following Decide returns: a
+// served step is one round trip. On an episode no exchange has opened yet
+// the observation opens it: one fused start carries it as step 0.
 func (e *Episode) Observe(action, obs int) error {
 	if e.pending {
 		if err := e.sendStart(server.StartRequest{ClientKey: e.key, First: &server.Step{Action: action, Observation: obs}}); err != nil {
 			return err
 		}
-		if e.next != nil {
-			e.steps++
-			return nil
-		}
+		e.steps++
+		return nil
 	}
+	return e.observe(server.ObservationRequest{Action: action, Observation: obs})
+}
+
+// ObserveNamed reports an observation by name; like Observe, its answer
+// carries the decision the following Decide returns.
+func (e *Episode) ObserveNamed(action, obs string) error {
+	if err := e.start(); err != nil {
+		return err
+	}
+	return e.observe(server.ObservationRequest{ActionName: action, ObservationName: obs})
+}
+
+// observe posts req as the episode's next step and keeps the answer's
+// decision for the next Decide. The request carries the client's step index
+// as a dedupe key, so a retransmit after a lost response — also one sent to
+// a new owner after a failover — is acknowledged without being applied
+// twice, and gets the same decision, including the terminal one of an
+// episode that ended while the first answer was lost.
+func (e *Episode) observe(req server.ObservationRequest) error {
 	step := e.steps
-	req := server.ObservationRequest{Action: action, Observation: obs, StepIndex: &step, Decide: true}
-	var next *server.DecisionResponse // stays nil on a 204 from a server without decide
+	req.StepIndex = &step
+	next := new(server.DecisionResponse)
 	if err := e.withFailover(func() error {
-		return e.c.do(http.MethodPost, e.path("/observations"), e.hdr, &req, &next)
+		return e.c.do(http.MethodPost, e.path("/observations"), e.hdr, &req, next)
 	}); err != nil {
 		return err
 	}
 	e.steps++
 	e.next = next
-	return nil
-}
-
-// ObserveNamed reports an observation by name. It does not ask for the next
-// decision; the following Decide fetches it.
-func (e *Episode) ObserveNamed(action, obs string) error {
-	if err := e.start(); err != nil {
-		return err
-	}
-	step := e.steps
-	req := server.ObservationRequest{ActionName: action, ObservationName: obs, StepIndex: &step}
-	if err := e.withFailover(func() error {
-		return e.c.do(http.MethodPost, e.path("/observations"), e.hdr, &req, nil)
-	}); err != nil {
-		return err
-	}
-	e.steps++
-	e.next = nil
 	return nil
 }
 
@@ -481,7 +472,7 @@ func (c *Client) doOnce(method, path string, hdr http.Header, payload []byte, ou
 		}
 		return se
 	}
-	if out != nil && resp.StatusCode != http.StatusNoContent {
+	if out != nil {
 		if err := readBody(resp.Body, out); err != nil {
 			return fmt.Errorf("client: decode %s %s: %w", method, path, err)
 		}

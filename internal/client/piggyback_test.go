@@ -2,7 +2,6 @@ package client
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -42,48 +41,9 @@ func (c *requestCounter) wrap(h http.Handler) http.Handler {
 	})
 }
 
-// stripField makes a server behave like one that predates a body field:
-// field is deleted from the body of every POST whose path match accepts.
-func stripField(t *testing.T, h http.Handler, match func(path string) bool, field string) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodPost && match(r.URL.Path) {
-			var req map[string]any
-			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-				t.Errorf("%s body: %v", r.URL.Path, err)
-			}
-			delete(req, field)
-			data, err := json.Marshal(req)
-			if err != nil {
-				t.Errorf("re-encode %s body: %v", r.URL.Path, err)
-			}
-			r.Body = io.NopCloser(bytes.NewReader(data))
-			r.ContentLength = int64(len(data))
-		}
-		h.ServeHTTP(w, r)
-	})
-}
-
-func isStart(path string) bool       { return path == "/v1/episodes" }
-func isObservation(path string) bool { return strings.HasSuffix(path, "/observations") }
-
-// withoutFirst makes a server behave like one that predates the fused
-// start: a start's first observation is stripped, so the start only opens
-// the episode and answers without a decision.
-func withoutFirst(t *testing.T, h http.Handler) http.Handler {
-	return stripField(t, h, isStart, "first")
-}
-
-// withoutDecide makes a server behave like one that predates the decide
-// field, and so the fused start too: the field is stripped from every
-// observation body, so each observation is answered 204.
-func withoutDecide(t *testing.T, h http.Handler) http.Handler {
-	return stripField(t, withoutFirst(t, h), isObservation, "decide")
-}
-
-// piggybackHarness serves the two-server model behind wrap and returns a
-// client, the request counts of the handler wrap serves, and a campaign
-// runner.
-func piggybackHarness(t *testing.T, wrap func(http.Handler) http.Handler) (*Client, *requestCounter, *sim.Runner) {
+// piggybackHarness serves the two-server model and returns a client, the
+// request counts of its handler, and a campaign runner.
+func piggybackHarness(t *testing.T) (*Client, *requestCounter, *sim.Runner) {
 	t.Helper()
 	prep, rm := twoServerPrep(t)
 	srv, err := server.New(server.Config{Model: prep.Model, NewController: boundedFactory(prep)})
@@ -91,7 +51,7 @@ func piggybackHarness(t *testing.T, wrap func(http.Handler) http.Handler) (*Clie
 		t.Fatal(err)
 	}
 	counts := &requestCounter{}
-	hs := httptest.NewServer(wrap(counts.wrap(srv)))
+	hs := httptest.NewServer(counts.wrap(srv))
 	t.Cleanup(hs.Close)
 	c, err := New(hs.URL, hs.Client())
 	if err != nil {
@@ -104,12 +64,10 @@ func piggybackHarness(t *testing.T, wrap func(http.Handler) http.Handler) (*Clie
 	return c, counts, runner
 }
 
-// runEpisodes drives n simulated episodes through c and returns their
-// results.
-func runEpisodes(t *testing.T, c *Client, runner *sim.Runner, n int) []sim.EpisodeResult {
+// runEpisodes drives n simulated episodes through c; each must recover.
+func runEpisodes(t *testing.T, c *Client, runner *sim.Runner, n int) {
 	t.Helper()
 	root := rng.New(29)
-	var out []sim.EpisodeResult
 	for i := 0; i < n; i++ {
 		ep, err := c.StartEpisode()
 		if err != nil {
@@ -123,76 +81,25 @@ func runEpisodes(t *testing.T, c *Client, runner *sim.Runner, n int) []sim.Episo
 		if !res.Recovered {
 			t.Errorf("episode %d did not recover", i)
 		}
-		res.AlgoTime = 0 // wall time, not part of the trajectory
-		out = append(out, res)
 	}
-	return out
 }
 
-// TestObservePiggybacksDecision: against a server that answers decide, a
-// simulated episode is one round trip per step — the handler never sees a
-// decision GET — and the episodes match, step for step, those driven
-// against a server that answers every observation 204, where the client
-// falls back to GET for each decision.
+// TestObservePiggybacksDecision: a simulated episode is one round trip per
+// step — its fused start carries the first observation, each later
+// observation's answer carries the next decision — so the handler sees one
+// start per episode, one request per observation and never a decision GET.
 func TestObservePiggybacksDecision(t *testing.T) {
 	const n = 6
-	c, counts, runner := piggybackHarness(t, func(h http.Handler) http.Handler { return h })
-	got := runEpisodes(t, c, runner, n)
+	c, counts, runner := piggybackHarness(t)
+	runEpisodes(t, c, runner, n)
 	if g := counts.decisionGETs.Load(); g != 0 {
-		t.Errorf("piggybacking server saw %d decision GETs, want 0", g)
-	}
-	if counts.observations.Load() == 0 {
-		t.Fatal("no observations reached the server")
-	}
-
-	old, oldCounts, _ := piggybackHarness(t, func(h http.Handler) http.Handler { return withoutDecide(t, h) })
-	want := runEpisodes(t, old, runner, n)
-	// The sim reports every monitor output before each decision, so against
-	// a 204-only server each observation is followed by one GET. That
-	// server also predates the fused start, so each observation is a POST.
-	if g, o := oldCounts.decisionGETs.Load(), oldCounts.observations.Load(); g != o {
-		t.Errorf("204-only server: %d decision GETs for %d observations, want one each", g, o)
-	}
-	if counts.observations.Load() != oldCounts.observations.Load() {
-		t.Errorf("observations: %d with decide, %d without", counts.observations.Load(), oldCounts.observations.Load())
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("episode %d: %+v with decide, %+v without", i, got[i], want[i])
-		}
-	}
-}
-
-// TestFusedStartFallsBackOnOldServer: against a server that ignores a
-// start's first observation, the client sends that observation as an
-// ordinary step-0 POST and the episodes come out equal to those a fused
-// start opens — at one request more each, and still without a decision
-// GET.
-func TestFusedStartFallsBackOnOldServer(t *testing.T) {
-	const n = 6
-	c, counts, runner := piggybackHarness(t, func(h http.Handler) http.Handler { return h })
-	got := runEpisodes(t, c, runner, n)
-	old, oldCounts, _ := piggybackHarness(t, func(h http.Handler) http.Handler { return withoutFirst(t, h) })
-	want := runEpisodes(t, old, runner, n)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("episode %d: %+v fused, %+v on a server without first", i, got[i], want[i])
-		}
+		t.Errorf("%d decision GETs, want 0", g)
 	}
 	if s := counts.starts.Load(); s != n {
 		t.Errorf("%d starts for %d episodes", s, n)
 	}
-	if s := oldCounts.starts.Load(); s != n {
-		t.Errorf("server without first: %d starts for %d episodes", s, n)
-	}
-	if o, oo := counts.observations.Load(), oldCounts.observations.Load(); o != oo {
-		t.Errorf("observations: %d fused, %d without first", o, oo)
-	}
-	if r, or := counts.requests.Load(), oldCounts.requests.Load(); or != r+n {
-		t.Errorf("requests: %d fused, %d without first; want exactly %d more", r, or, n)
-	}
-	if g := counts.decisionGETs.Load() + oldCounts.decisionGETs.Load(); g != 0 {
-		t.Errorf("%d decision GETs, want 0", g)
+	if r, o := counts.requests.Load(), counts.observations.Load(); o == 0 || r != o {
+		t.Errorf("%d requests for %d observations, want one each", r, o)
 	}
 }
 
@@ -235,10 +142,11 @@ func TestStartErrorSurfacesAtFirstExchange(t *testing.T) {
 }
 
 // TestDecideFallsBackToGET: a decision is fetched with GET whenever no
-// observation answer carried one — the first step, after ObserveNamed, and
-// after Resume — and exactly once per such step.
+// observation answer carried one — the first step after a plain start, a
+// second Decide on one step, and after Resume — and exactly once per such
+// step. ObserveNamed's answer carries the decision, as Observe's does.
 func TestDecideFallsBackToGET(t *testing.T) {
-	c, counts, _ := piggybackHarness(t, func(h http.Handler) http.Handler { return h })
+	c, counts, _ := piggybackHarness(t)
 	ep, err := c.StartEpisode()
 	if err != nil {
 		t.Fatal(err)
@@ -256,8 +164,8 @@ func TestDecideFallsBackToGET(t *testing.T) {
 	if _, err := ep.Decide(); err != nil {
 		t.Fatal(err)
 	}
-	if g := counts.decisionGETs.Load(); g != 2 {
-		t.Fatalf("Decide after ObserveNamed: %d GETs in all, want 2", g)
+	if g := counts.decisionGETs.Load(); g != 1 {
+		t.Fatalf("Decide after ObserveNamed: %d GETs in all, want still 1", g)
 	}
 	if err := ep.Observe(d.Action, 0); err != nil {
 		t.Fatal(err)
@@ -265,16 +173,16 @@ func TestDecideFallsBackToGET(t *testing.T) {
 	if _, err := ep.Decide(); err != nil {
 		t.Fatal(err)
 	}
-	if g := counts.decisionGETs.Load(); g != 2 {
-		t.Fatalf("Decide after Observe: %d GETs in all, want still 2", g)
+	if g := counts.decisionGETs.Load(); g != 1 {
+		t.Fatalf("Decide after Observe: %d GETs in all, want still 1", g)
 	}
 	// The piggybacked decision is consumed: asking again goes to the server,
 	// which answers from its per-step cache.
 	if _, err := ep.Decide(); err != nil {
 		t.Fatal(err)
 	}
-	if g := counts.decisionGETs.Load(); g != 3 {
-		t.Fatalf("second Decide on one step: %d GETs in all, want 3", g)
+	if g := counts.decisionGETs.Load(); g != 2 {
+		t.Fatalf("second Decide on one step: %d GETs in all, want 2", g)
 	}
 	resumed, err := c.Resume(ep.ID())
 	if err != nil {
@@ -286,8 +194,8 @@ func TestDecideFallsBackToGET(t *testing.T) {
 	if _, err := resumed.Decide(); err != nil {
 		t.Fatal(err)
 	}
-	if g := counts.decisionGETs.Load(); g != 4 {
-		t.Fatalf("Decide after Resume: %d GETs in all, want 4", g)
+	if g := counts.decisionGETs.Load(); g != 3 {
+		t.Fatalf("Decide after Resume: %d GETs in all, want 3", g)
 	}
 	// Abandoning drops a decision still held from the last observation.
 	if err := ep.Observe(d.Action, 0); err != nil {

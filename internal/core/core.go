@@ -398,13 +398,15 @@ type FSCConfig struct {
 
 // CompileFSC compiles a finite-state controller over the prepared model
 // from the episode initial belief, deciding every node through a bounded
-// controller over the current (typically bootstrapped) bound set.
+// controller over the current (typically bootstrapped) bound set. That
+// controller has no decision store: nothing reads what compiling decides
+// besides the artifact, so it leaves DecisionStore's online region empty.
 func (p *Prepared) CompileFSC(cfg FSCConfig) (*controller.FSC, error) {
 	initial, err := p.InitialBelief()
 	if err != nil {
 		return nil, err
 	}
-	tree, err := p.NewController(ControllerConfig{Depth: cfg.Depth, ImproveOnline: cfg.Improve})
+	tree, err := controller.NewBounded(p.Model, p.Set, p.BoundedConfig(ControllerConfig{Depth: cfg.Depth, ImproveOnline: cfg.Improve}))
 	if err != nil {
 		return nil, err
 	}

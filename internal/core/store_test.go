@@ -83,6 +83,27 @@ func TestDecisionTableSharedPerSetAndDepth(t *testing.T) {
 	}
 }
 
+// TestCompileFSCLeavesDecisionStoreUntouched: the compiler decides through
+// a tree of its own, not through a NewController controller, so compiling
+// leaves nothing in the shared decision store for serving never to read.
+func TestCompileFSCLeavesDecisionStoreUntouched(t *testing.T) {
+	prep, err := Prepare(twoServerModel(t, 0.9, 0.05), PrepareOptions{OperatorResponseTime: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fsc, err := prep.CompileFSC(FSCConfig{Depth: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fsc.NumNodes() == 0 {
+		t.Fatal("compiled no nodes")
+	}
+	if store := prep.DecisionStore(1); store.OnlineHits() != 0 || store.OnlineMisses() != 0 {
+		t.Errorf("compiling %d nodes left %d online hits and %d misses in the decision store; want none",
+			fsc.NumNodes(), store.OnlineHits(), store.OnlineMisses())
+	}
+}
+
 // TestDecisionTableCapacityFromBoundsFile: a set whose bounds file carries
 // a capacity never consults the online region, so least-used eviction sees
 // every leaf use: its use counters advance exactly as a store-free twin's.

@@ -326,7 +326,7 @@ func TestCrashRestartResume(t *testing.T) {
 			t.Fatal(err)
 		}
 		or.Body.Close()
-		if or.StatusCode != http.StatusNoContent {
+		if or.StatusCode != http.StatusOK {
 			t.Fatalf("observation status %d", or.StatusCode)
 		}
 		var beforeBelief BeliefResponse

@@ -46,11 +46,14 @@ func rawCall(t *testing.T, method, url, body string) (int, []byte) {
 }
 
 // observeBody is one observation request body with a step index.
-func observeBody(action, obs, step int, decide bool) string {
-	if decide {
-		return fmt.Sprintf(`{"action":%d,"observation":%d,"stepIndex":%d,"decide":true}`, action, obs, step)
-	}
+func observeBody(action, obs, step int) string {
 	return fmt.Sprintf(`{"action":%d,"observation":%d,"stepIndex":%d}`, action, obs, step)
+}
+
+// withDecide is body with a legacy "decide" key spliced in before its
+// closing brace, as a client written for servers that had the key sends it.
+func withDecide(body string, decide bool) string {
+	return fmt.Sprintf(`%s,"decide":%t}`, strings.TrimSuffix(body, "}"), decide)
 }
 
 // healthyObs is the first successor observation of action from the healthy
@@ -60,9 +63,9 @@ func healthyObs(model *pomdp.POMDP, sc *pomdp.Scratch, action int) int {
 }
 
 // driveTerminalDecide walks a keyed episode to termination one round trip
-// per step — each observation asks for the next decision — and returns the
-// episode id, the final observation's request body, and the terminal
-// decision's bytes as the server first wrote them.
+// per step — each observation is answered with the next decision — and
+// returns the episode id, the final observation's request body, and the
+// terminal decision's bytes as the server first wrote them.
 func driveTerminalDecide(t *testing.T, url string, model *pomdp.POMDP, key string) (uint64, string, []byte) {
 	t.Helper()
 	id, req, body, err := terminateByDecide(url, model, pomdp.NewScratch(model), key)
@@ -96,7 +99,7 @@ func terminateByDecide(url string, model *pomdp.POMDP, sc *pomdp.Scratch, key st
 		if d.Terminate {
 			return 0, "", nil, fmt.Errorf("episode %d terminated before any observation", id)
 		}
-		req := observeBody(d.Action, healthyObs(model, sc, d.Action), step, true)
+		req := observeBody(d.Action, healthyObs(model, sc, d.Action), step)
 		status, body, err = rawDo(http.MethodPost, fmt.Sprintf("%s/v1/episodes/%d/observations", url, id), req)
 		if err != nil || status != http.StatusOK {
 			return 0, "", nil, fmt.Errorf("episode %d step %d: status %d (%s): %v", id, step, status, body, err)
@@ -112,11 +115,11 @@ func terminateByDecide(url string, model *pomdp.POMDP, sc *pomdp.Scratch, key st
 }
 
 // TestObservationDecideMatchesDecisionGET pins the one-round-trip contract:
-// an observation with decide set answers 200 with exactly the bytes a later
-// GET .../decision returns for the new step, a retransmit gets the cached
-// decision without re-running the controller, a retransmit of the final
-// observation gets the terminal decision back from the tombstone, and an
-// observation without decide still answers 204.
+// an observation answers 200 with exactly the bytes a later GET .../decision
+// returns for the new step, a retransmit gets the cached decision without
+// re-running the controller, and a retransmit of the final observation —
+// with or without a legacy decide key — gets the terminal decision back
+// from the tombstone.
 func TestObservationDecideMatchesDecisionGET(t *testing.T) {
 	prep := testPrepared(t)
 	srv, err := New(Config{Model: prep.Model, NewController: boundedFactory(prep)})
@@ -151,16 +154,7 @@ func TestObservationDecideMatchesDecisionGET(t *testing.T) {
 		if err := json.Unmarshal(body, &d); err != nil {
 			t.Fatal(err)
 		}
-		obs := healthyObs(model, sc, d.Action)
-		if step == 0 {
-			// Without decide the observation is acknowledged as before: 204,
-			// no body. Its decide retransmit then asks for the decision.
-			st, b := rawCall(t, http.MethodPost, epURL+"/observations", observeBody(d.Action, obs, step, false))
-			if st != http.StatusNoContent || len(b) != 0 {
-				t.Fatalf("observation without decide: status %d body %q, want 204 and no body", st, b)
-			}
-		}
-		req := observeBody(d.Action, obs, step, true)
+		req := observeBody(d.Action, healthyObs(model, sc, d.Action), step)
 		status, body = rawCall(t, http.MethodPost, epURL+"/observations", req)
 		if status != http.StatusOK {
 			t.Fatalf("step %d: status %d (%s), want 200", step, status, body)
@@ -186,27 +180,120 @@ func TestObservationDecideMatchesDecisionGET(t *testing.T) {
 		t.Fatalf("%d episodes open after the terminal decision", srv.OpenEpisodes())
 	}
 	// The final observation's answer was the one the network could lose: its
-	// retransmit hits the tombstone and gets the same bytes.
-	if st, got := rawCall(t, http.MethodPost, epURL+"/observations", finalReq); st != http.StatusOK || !bytes.Equal(got, finalBody) {
-		t.Errorf("final retransmit after termination: status %d body %s, want 200 %s", st, got, finalBody)
+	// retransmit hits the tombstone and gets the same bytes, whatever a
+	// legacy decide key in it says.
+	for _, retransmit := range []string{finalReq, withDecide(finalReq, false), withDecide(finalReq, true)} {
+		if st, got := rawCall(t, http.MethodPost, epURL+"/observations", retransmit); st != http.StatusOK || !bytes.Equal(got, finalBody) {
+			t.Errorf("final retransmit %s after termination: status %d body %s, want 200 %s", retransmit, st, got, finalBody)
+		}
 	}
-	// Only the final observation is a retransmit; a later step, or one that
-	// does not ask for the decision, is for an episode that is gone.
+	// Only the final observation is a retransmit; a later step is for an
+	// episode that is gone.
 	var fr ObservationRequest
 	if err := json.Unmarshal([]byte(finalReq), &fr); err != nil {
 		t.Fatal(err)
 	}
-	if st, _ := rawCall(t, http.MethodPost, epURL+"/observations", observeBody(fr.Action, fr.Observation, *fr.StepIndex+1, true)); st != http.StatusNotFound {
+	if st, _ := rawCall(t, http.MethodPost, epURL+"/observations", observeBody(fr.Action, fr.Observation, *fr.StepIndex+1)); st != http.StatusNotFound {
 		t.Errorf("observation past the terminal step: status %d, want 404", st)
-	}
-	if st, _ := rawCall(t, http.MethodPost, epURL+"/observations", observeBody(fr.Action, fr.Observation, *fr.StepIndex, false)); st != http.StatusNotFound {
-		t.Errorf("final retransmit without decide: status %d, want 404", st)
 	}
 	// Retransmits and GETs were served from the caches: the controller ran
 	// once per step.
 	if got := metricValue(t, metricsBody(t, hs.URL), "recoverd_decisions_total"); got != float64(decided) {
 		t.Errorf("recoverd_decisions_total = %v, want %d (one per step)", got, decided)
 	}
+}
+
+// TestObservationIgnoresLegacyDecideKey: one step sent three times —
+// without a decide key, with "decide":false and with "decide":true — is
+// applied once and answered 200 with the same decision bytes each time,
+// the ones GET .../decision then returns.
+func TestObservationIgnoresLegacyDecideKey(t *testing.T) {
+	prep := testPrepared(t)
+	srv, err := New(Config{Model: prep.Model, NewController: boundedFactory(prep)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	hs := httptest.NewServer(srv)
+	defer hs.Close()
+
+	status, body := rawCall(t, http.MethodPost, hs.URL+"/v1/episodes", `{"clientKey":"ck-legacy"}`)
+	if status != http.StatusCreated {
+		t.Fatalf("start: status %d", status)
+	}
+	var started StartResponse
+	if err := json.Unmarshal(body, &started); err != nil {
+		t.Fatal(err)
+	}
+	epURL := fmt.Sprintf("%s/v1/episodes/%d", hs.URL, started.EpisodeID)
+	if status, body = rawCall(t, http.MethodGet, epURL+"/decision", ""); status != http.StatusOK {
+		t.Fatalf("first decision: status %d", status)
+	}
+	var d DecisionResponse
+	if err := json.Unmarshal(body, &d); err != nil {
+		t.Fatal(err)
+	}
+	req := observeBody(d.Action, healthyObs(prep.Model, pomdp.NewScratch(prep.Model), d.Action), 0)
+	var first []byte
+	for _, body := range []string{req, withDecide(req, false), withDecide(req, true)} {
+		st, got := rawCall(t, http.MethodPost, epURL+"/observations", body)
+		if st != http.StatusOK || len(got) == 0 {
+			t.Fatalf("%s: status %d body %q, want 200 and a decision", body, st, got)
+		}
+		if first == nil {
+			first = got
+		} else if !bytes.Equal(got, first) {
+			t.Errorf("%s: answered %s, the first send %s", body, got, first)
+		}
+	}
+	if st, got := rawCall(t, http.MethodGet, epURL+"/decision", ""); st != http.StatusOK || !bytes.Equal(got, first) {
+		t.Errorf("GET decision %d %s, the observation answered %s", st, got, first)
+	}
+	if st, got := rawCall(t, http.MethodGet, epURL, ""); st != http.StatusOK || !strings.Contains(string(got), `"steps":1,`) {
+		t.Errorf("status %d %s, want the step applied once", st, got)
+	}
+}
+
+// TestFinalRetransmitWithoutDecideKey: a client that drove its episode with
+// legacy "decide":true bodies and retransmits the final observation without
+// the key — the answer to the first send was lost — gets the tombstone's
+// terminal decision, byte for byte.
+func TestFinalRetransmitWithoutDecideKey(t *testing.T) {
+	prep := testPrepared(t)
+	srv, err := New(Config{Model: prep.Model, NewController: boundedFactory(prep)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	hs := httptest.NewServer(srv)
+	defer hs.Close()
+	sc := pomdp.NewScratch(prep.Model)
+
+	if status, _ := rawCall(t, http.MethodPost, hs.URL+"/v1/episodes", `{"clientKey":"ck-final"}`); status != http.StatusCreated {
+		t.Fatalf("start: status %d", status)
+	}
+	epURL := hs.URL + "/v1/episodes/1"
+	status, body := rawCall(t, http.MethodGet, epURL+"/decision", "")
+	for step := 0; step < 50 && status == http.StatusOK; step++ {
+		var d DecisionResponse
+		if err := json.Unmarshal(body, &d); err != nil {
+			t.Fatal(err)
+		}
+		req := observeBody(d.Action, healthyObs(prep.Model, sc, d.Action), step)
+		if status, body = rawCall(t, http.MethodPost, epURL+"/observations", withDecide(req, true)); status != http.StatusOK {
+			break
+		}
+		if err := json.Unmarshal(body, &d); err != nil {
+			t.Fatal(err)
+		}
+		if d.Terminate {
+			if st, got := rawCall(t, http.MethodPost, epURL+"/observations", req); st != http.StatusOK || !bytes.Equal(got, body) {
+				t.Errorf("final retransmit without decide: status %d body %s, want 200 %s", st, got, body)
+			}
+			return
+		}
+	}
+	t.Fatalf("episode did not terminate: last status %d (%s)", status, body)
 }
 
 // fillTombstoneCache inserts maxTombstones cache-only tombstones for fresh

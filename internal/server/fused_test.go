@@ -76,7 +76,7 @@ func (e *rawEpisode) Observe(action, observation int) error {
 		}
 	}
 	e.next = new(DecisionResponse)
-	err := e.call(http.MethodPost, fmt.Sprintf("/v1/episodes/%d/observations", e.id), observeBody(action, observation, e.steps, true), e.next)
+	err := e.call(http.MethodPost, fmt.Sprintf("/v1/episodes/%d/observations", e.id), observeBody(action, observation, e.steps), e.next)
 	e.steps++
 	return err
 }

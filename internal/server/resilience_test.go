@@ -340,14 +340,14 @@ func TestObservationStepIndexDedupe(t *testing.T) {
 	}
 
 	obs := `{"actionName":"observe","observationName":"obs-a-failed","stepIndex":0}`
-	if code := post(obs); code != http.StatusNoContent {
+	if code := post(obs); code != http.StatusOK {
 		t.Fatalf("first observation status %d", code)
 	}
 	if got := steps(); got != 1 {
 		t.Fatalf("steps after first observation = %d", got)
 	}
 	// Retransmit of step 0: acknowledged, not re-applied.
-	if code := post(obs); code != http.StatusNoContent {
+	if code := post(obs); code != http.StatusOK {
 		t.Errorf("retransmit status %d", code)
 	}
 	if got := steps(); got != 1 {

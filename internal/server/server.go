@@ -14,8 +14,7 @@
 //	                                       carries the next Decision too
 //	GET    /v1/episodes/{id}               episode status (steps, open)
 //	GET    /v1/episodes/{id}/decision      next action       -> Decision
-//	POST   /v1/episodes/{id}/observations  report an observation; with
-//	                                       "decide": true the answer is the
+//	POST   /v1/episodes/{id}/observations  report an observation -> the
 //	                                       next Decision (one round trip
 //	                                       per step)
 //	GET    /v1/episodes/{id}/belief        current belief
@@ -44,13 +43,13 @@
 //     restarted server replays each history through a fresh controller from
 //     the factory and resumes all open episodes under their original ids.
 //   - Retried requests: decisions are cached per step, so a retried
-//     GET .../decision (or a retried observation POST with decide set)
-//     returns the identical bytes without re-running the controller;
-//     observation POSTs carry a client-generated stepIndex and duplicates
-//     are acknowledged without being applied twice; episode starts carry a
-//     client-generated clientKey and duplicates return the already-created
-//     episode. Terminal decisions survive as tombstones so a client whose
-//     final response was lost can still learn the outcome.
+//     GET .../decision or observation POST returns the identical bytes
+//     without re-running the controller; observation POSTs carry a
+//     client-generated stepIndex and duplicates are acknowledged without
+//     being applied twice; episode starts carry a client-generated clientKey
+//     and duplicates return the already-created episode. Terminal decisions
+//     survive as tombstones so a client whose final response was lost can
+//     still learn the outcome.
 //   - Abandoned monitors: episodes idle longer than EpisodeTTL are evicted
 //     (counted in recoverd_episodes_evicted_total) so a hung monitor cannot
 //     leak controllers forever.
@@ -654,8 +653,8 @@ type (
 	StartRequest struct {
 		ClientKey string `json:"clientKey,omitempty"`
 		// First, when set, is the episode's first observation — the initial
-		// monitor sweep — applied as step 0 with decide set: the start is
-		// answered with the decision for step 1 as well as the id. A
+		// monitor sweep — applied as step 0, so the start is answered
+		// with the decision for step 1 as well as the id. A
 		// duplicate start is that observation's retransmit.
 		First *Step `json:"first,omitempty"`
 	}
@@ -672,7 +671,7 @@ type (
 		Open      bool   `json:"open"`
 	}
 	// DecisionResponse is returned by GET .../decision and by
-	// POST .../observations with decide set.
+	// POST .../observations.
 	DecisionResponse struct {
 		Action     int     `json:"action"`
 		ActionName string  `json:"actionName"`
@@ -683,20 +682,16 @@ type (
 	// numeric indices or the names may be used; names win when both are set.
 	// StepIndex, when set, is the client's count of observations already
 	// applied: a request with StepIndex below the server's count is a
-	// retransmit and is acknowledged without being applied again.
+	// retransmit and is acknowledged without being applied again. Either
+	// way the answer is the DecisionResponse that GET .../decision would
+	// return for the episode's current step; a retransmit of an episode's
+	// final observation gets its terminal decision from the tombstone.
 	ObservationRequest struct {
 		Action          int    `json:"action"`
 		Observation     int    `json:"observation"`
 		ActionName      string `json:"actionName,omitempty"`
 		ObservationName string `json:"observationName,omitempty"`
 		StepIndex       *int   `json:"stepIndex,omitempty"`
-		// Decide asks for the next decision in the same exchange: the
-		// server answers 200 with the DecisionResponse that GET .../decision
-		// would return for the new step, instead of 204. A retransmit gets
-		// the decision cached for the current step, and a retransmit of an
-		// episode's final observation gets its terminal decision from the
-		// tombstone.
-		Decide bool `json:"decide,omitempty"`
 	}
 	// BeliefResponse is returned by GET .../belief.
 	BeliefResponse struct {
@@ -784,7 +779,7 @@ func (s *Server) handleStart(w http.ResponseWriter, r *http.Request) {
 	var first *ObservationRequest
 	if req.First != nil {
 		step := 0
-		first = &ObservationRequest{Action: req.First.Action, Observation: req.First.Observation, StepIndex: &step, Decide: true}
+		first = &ObservationRequest{Action: req.First.Action, Observation: req.First.Observation, StepIndex: &step}
 	}
 
 	// A key whose episode already terminated answers with the original id
@@ -988,8 +983,8 @@ func (s *Server) handleDecision(w http.ResponseWriter, r *http.Request) {
 // this step was already decided, else a fresh one from the controller,
 // recorded in the per-tier latency histogram and, on a traced request,
 // explained on the handler span w. A terminal decision retires the episode
-// through retire. GET .../decision, an observation with decide set and a
-// fused start all decide through here.
+// through retire. GET .../decision, an observation and a fused start all
+// decide through here.
 func (s *Server) decide(w http.ResponseWriter, id uint64, ep *episode) (*DecisionResponse, error) {
 	var (
 		resp  DecisionResponse
@@ -1115,24 +1110,20 @@ func (s *Server) handleObservation(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	d, status, err := s.observe(w, id, ep, tb, &req, false)
-	switch {
-	case err != nil:
+	if err != nil {
 		s.fail(w, status, err)
-	case d != nil:
-		writeJSON(w, http.StatusOK, d)
-	default:
-		w.WriteHeader(http.StatusNoContent)
+		return
 	}
+	writeJSON(w, http.StatusOK, d)
 }
 
 // observe applies req to episode id — live as ep, or terminated as tb — and
-// returns the decision to answer with: with decide set, the one for the
-// episode's new step; without, nil. A request whose stepIndex is below the
-// episode's count is a retransmit: it is acknowledged without being applied
-// again, and with decide set gets the decision cached for the current step.
-// On a terminated episode a retransmit of its final observation gets the
-// terminal decision from the tombstone. On failure the returned status is
-// the one to answer with.
+// returns the decision to answer with, the one for the episode's new step. A
+// request whose stepIndex is below the episode's count is a retransmit: it
+// is acknowledged without being applied again and gets the decision cached
+// for the current step. On a terminated episode a retransmit of its final
+// observation gets the terminal decision from the tombstone. On failure the
+// returned status is the one to answer with.
 //
 // The observation endpoint and the fused start both observe through here.
 // fresh marks the fused start's new episode, not yet in the table: it is
@@ -1144,7 +1135,7 @@ func (s *Server) observe(w http.ResponseWriter, id uint64, ep *episode, tb *tomb
 		// The episode is over. A retransmit of its final observation whose
 		// first answer — the terminal decision — was lost gets that decision
 		// again; any other observation is for an episode that is gone.
-		if tb != nil && req.Decide && (req.StepIndex == nil || *req.StepIndex < tb.Steps) {
+		if tb != nil && (req.StepIndex == nil || *req.StepIndex < tb.Steps) {
 			final := tb.Final
 			return &final, 0, nil
 		}
@@ -1210,9 +1201,6 @@ func (s *Server) observe(w http.ResponseWriter, id uint64, ep *episode, tb *tomb
 		_ = s.save(ep.clientKey, st)
 	} else {
 		s.m.dedupedObs.Inc()
-	}
-	if !req.Decide {
-		return nil, 0, nil
 	}
 	d, err := s.decide(w, id, ep)
 	if err != nil {

@@ -181,7 +181,7 @@ func TestObservationValidation(t *testing.T) {
 	if code := post(`{"actionName":"observe","observationName":"made-up"}`); code != http.StatusBadRequest {
 		t.Errorf("unknown observation status %d", code)
 	}
-	if code := post(`{"actionName":"observe","observationName":"obs-a-failed"}`); code != http.StatusNoContent {
+	if code := post(`{"actionName":"observe","observationName":"obs-a-failed"}`); code != http.StatusOK {
 		t.Errorf("valid observation status %d", code)
 	}
 }
@@ -237,7 +237,7 @@ func TestDecisionDrivenEpisodeLifecycle(t *testing.T) {
 			t.Fatal(err)
 		}
 		or.Body.Close()
-		if or.StatusCode != http.StatusNoContent {
+		if or.StatusCode != http.StatusOK {
 			t.Fatalf("observation status %d at step %d", or.StatusCode, step)
 		}
 	}

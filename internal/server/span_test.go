@@ -243,7 +243,7 @@ func TestSpannedHandlersEmitSpans(t *testing.T) {
 	resp = do("POST", fmt.Sprintf("/v1/episodes/%d/observations", out.EpisodeID),
 		fmt.Sprintf(`{"action":%d,"observation":%d,"stepIndex":0}`, d.Action, succs[0].Obs))
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
+	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("observation status %d", resp.StatusCode)
 	}
 
@@ -294,7 +294,7 @@ func TestSpannedHandlersEmitSpans(t *testing.T) {
 				t.Errorf("decide span decision %+v, want step 0 action %d", sp.Decision, d.Action)
 			}
 		case obs.SpanServerObserve:
-			if sp.Status != http.StatusNoContent {
+			if sp.Status != http.StatusOK {
 				t.Errorf("observe span status %d", sp.Status)
 			}
 		}
@@ -403,9 +403,10 @@ func assertNoTierHeader(t *testing.T, resp *http.Response) {
 // TestDecisionSpanRoundTrip: on a span-enabled server, the handler span
 // that computed each fresh decision carries that decision's explanation, and
 // the spans round-trip through obs.DecodeSpans. Every step of a keyed
-// episode is traced; even steps are decided by GET .../decision, odd ones by
-// an observation POST with decide set, and each is then asked again and
-// served from the per-step cache, which must add no explanation. With a
+// episode is traced; the first decision comes from GET .../decision, every
+// later one from the observation POST, and each is then asked again — by a
+// retransmit on even steps, by two GETs on odd ones — and served from the
+// per-step cache, which must add no explanation. With a
 // stats-collecting controller the explanation carries the bound gap; with
 // stats off, only the base fields.
 func TestDecisionSpanRoundTrip(t *testing.T) {
@@ -473,20 +474,17 @@ func TestDecisionSpanRoundTrip(t *testing.T) {
 					t.Fatal("episode did not terminate")
 				}
 				succs := model.Successors(sc, pomdp.PointBelief(model.NumStates(), 0), d.Action)
+				body := fmt.Sprintf(`{"action":%d,"observation":%d,"stepIndex":%d}`, d.Action, succs[0].Obs, step)
+				do("POST", obsPath, body, &d)
 				if step%2 == 0 {
-					body := fmt.Sprintf(`{"action":%d,"observation":%d,"stepIndex":%d,"decide":true}`, d.Action, succs[0].Obs, step)
 					// The retransmit is answered with the cached decision.
 					do("POST", obsPath, body, &d)
-					do("POST", obsPath, body, &d)
-					piggybacked++
 				} else {
-					body := fmt.Sprintf(`{"action":%d,"observation":%d,"stepIndex":%d}`, d.Action, succs[0].Obs, step)
-					if got := do("POST", obsPath, body, nil); got != http.StatusNoContent {
-						t.Fatalf("observation status %d", got)
-					}
+					// So are GETs of the new step's decision.
 					do("GET", decisionPath, "", &d)
 					do("GET", decisionPath, "", &d)
 				}
+				piggybacked++
 				fresh++
 			}
 			if piggybacked == 0 {

@@ -77,9 +77,6 @@ func (r ObservationRequest) AppendJSON(b []byte) ([]byte, error) {
 		b = append(b, `,"stepIndex":`...)
 		b = strconv.AppendInt(b, int64(*r.StepIndex), 10)
 	}
-	if r.Decide {
-		b = append(b, `,"decide":true`...)
-	}
 	return append(b, '}'), nil
 }
 
@@ -371,14 +368,6 @@ func decodeCanonical(data []byte, v any, sc *DecodeScratch) bool {
 	case *DecisionResponse:
 		d := c.decision(nil)
 		commit = func() { *v = d }
-	case **DecisionResponse:
-		d := c.decision(nil)
-		commit = func() {
-			if *v == nil {
-				*v = new(DecisionResponse)
-			}
-			**v = d
-		}
 	case *ObservationRequest:
 		// Keys a body omits keep their old values under encoding/json; the
 		// fast path serves only the zero value, where that is the zero.
@@ -728,9 +717,6 @@ func (c *canon) observation() ObservationRequest {
 	if c.opt(`,"stepIndex":`) {
 		step := c.int()
 		o.StepIndex = &step
-	}
-	if c.opt(`,"decide":`) {
-		o.Decide = c.bool()
 	}
 	c.lit("}")
 	return o

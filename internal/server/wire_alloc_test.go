@@ -118,7 +118,7 @@ func TestWireAllocs(t *testing.T) {
 	for i, v := range []jsonAppender{
 		StartRequest{ClientKey: "0123456789abcdef0123456789abcdef", First: &Step{Action: 4, Observation: 2}},
 		StartRequest{ClientKey: "0123456789abcdef0123456789abcdef"},
-		ObservationRequest{Action: 4, Observation: 2, StepIndex: &step, Decide: true},
+		ObservationRequest{Action: 4, Observation: 2, StepIndex: &step},
 	} {
 		bodies[i], _ = v.AppendJSON(nil)
 	}
@@ -141,19 +141,17 @@ func TestWireAllocs(t *testing.T) {
 	}
 
 	// The fused start's answer decodes in no more than the start's and the
-	// decision's answers apart.
+	// decision's answers apart, the decision into a fresh value as the
+	// client's observation reads it.
 	answers := make([][]byte, 3)
 	d := DecisionResponse{Action: 1, ActionName: "observe", Value: -12.5}
 	for i, v := range []jsonAppender{StartResponse{EpisodeID: 7, Decision: &d}, StartResponse{EpisodeID: 7}, d} {
 		answers[i], _ = v.AppendJSON(nil)
 	}
-	var (
-		started StartResponse
-		next    *DecisionResponse
-	)
+	var started StartResponse
 	fusedAnswer := decodes(answers[0], func() any { started = StartResponse{}; return &started })
 	startAnswer := decodes(answers[1], func() any { started = StartResponse{}; return &started })
-	decideAnswer := decodes(answers[2], func() any { next = nil; return &next })
+	decideAnswer := decodes(answers[2], func() any { return new(DecisionResponse) })
 	if fusedAnswer > startAnswer+decideAnswer {
 		t.Errorf("a fused start's answer decodes in %v allocations, a start's and a decision's in %v + %v", fusedAnswer, startAnswer, decideAnswer)
 	}

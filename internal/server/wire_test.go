@@ -70,7 +70,7 @@ func wireValues(r *rng.Stream, n int) []any {
 				decisions[i] = decision()
 			}
 		}
-		obs := ObservationRequest{Action: r.IntN(9) - 4, Observation: r.IntN(9) - 4, Decide: r.IntN(2) == 0}
+		obs := ObservationRequest{Action: r.IntN(9) - 4, Observation: r.IntN(9) - 4}
 		if r.IntN(2) == 0 {
 			obs.ActionName, obs.ObservationName = name(), name()
 		}
@@ -213,8 +213,7 @@ func TestBatchDecideUnencodableAnswers500(t *testing.T) {
 
 // wireTargets returns a fresh zero value of every decode target.
 func wireTargets() []any {
-	var next *DecisionResponse
-	return []any{new(BatchDecideRequest), new(BatchDecideResponse), new(DecisionResponse), &next,
+	return []any{new(BatchDecideRequest), new(BatchDecideResponse), new(DecisionResponse),
 		new(ObservationRequest), new(StartRequest), new(StartResponse)}
 }
 
@@ -352,7 +351,7 @@ func TestWireDecodeFallback(t *testing.T) {
 	// A key the body omits keeps its old value under encoding/json.
 	prefilled := func() []any {
 		step := 5
-		return []any{&ObservationRequest{ActionName: "a", StepIndex: &step, Decide: true}, &StartRequest{ClientKey: "k"},
+		return []any{&ObservationRequest{ActionName: "a", StepIndex: &step}, &StartRequest{ClientKey: "k"},
 			&StartRequest{First: &Step{Action: 3, Observation: 4}},
 			&StartResponse{EpisodeID: 9, Decision: &DecisionResponse{ActionName: "old", Value: 2}}}
 	}
