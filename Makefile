@@ -88,14 +88,34 @@ check: fmt
 	$(MAKE) test-fsc
 	$(MAKE) fuzz-smoke
 
-# Benchmark smoke: short measurements diffed against the committed baseline.
-# Hard-fails, but only on regressions that reproduce in both measurement
-# passes (-runs 2) — single-pass noise on shared runners is exonerated.
+# Benchmark gate: builds cmd/bench at BENCH_BASE (HEAD by default; CI passes
+# HEAD^1) from a git archive and from the working tree, and measures every
+# entry on both in five alternating pairs (DESIGN.md §6). It fails on an
+# entry whose median paired ns/op ratio is over 1.3 with the candidate
+# slower in at least 4 of 5 pairs, or whose allocations grow. Both binaries
+# are built without file paths or VCS stamps, so one source gives one
+# binary, and run pinned to one CPU where taskset exists, so a busy sibling
+# of one vCPU slows both sides. A base older than the paired gate has no
+# worker to pair with; the gate says so and passes.
+BENCH_BASE ?= HEAD
+BENCH_DIR ?= /tmp/bpomdp-bench-smoke
+BENCH_BUILD = -trimpath -buildvcs=false
+BENCH_PIN ?= $(shell command -v taskset >/dev/null 2>&1 && echo taskset -c 0)
 bench-smoke:
-	$(GO) run ./cmd/bench -mintime 50ms -out /tmp/bench_smoke.json -compare BENCH_campaign.json -runs 2
+	rm -rf $(BENCH_DIR) && mkdir -p $(BENCH_DIR)/base
+	git archive $(BENCH_BASE) | tar -x -C $(BENCH_DIR)/base
+	cd $(BENCH_DIR)/base && $(GO) build $(BENCH_BUILD) -o ../bench-base ./cmd/bench
+	$(GO) build $(BENCH_BUILD) -o $(BENCH_DIR)/bench ./cmd/bench
+	@if grep -q '"serve"' $(BENCH_DIR)/base/cmd/bench/main.go; then \
+		echo "$(BENCH_PIN) $(BENCH_DIR)/bench -mintime 50ms -out $(BENCH_DIR)/smoke.json -compare $(BENCH_DIR)/bench-base"; \
+		$(BENCH_PIN) $(BENCH_DIR)/bench -mintime 50ms -out $(BENCH_DIR)/smoke.json -compare $(BENCH_DIR)/bench-base; \
+	else \
+		echo "bench-smoke: cmd/bench at $(BENCH_BASE) has no -serve worker, so there is nothing to pair with"; \
+	fi
 
 # Measure the campaign engine's hot paths on EMN and write the results as
-# machine-readable JSON (schema bpomdp.bench/v1; see DESIGN.md).
+# machine-readable JSON (schema bpomdp.bench/v1; see DESIGN.md): a record of
+# this host's figures, not a bound any gate reads.
 bench:
 	$(GO) run ./cmd/bench -out BENCH_campaign.json
 	@echo "wrote BENCH_campaign.json"

@@ -176,40 +176,6 @@ func preparedEMN(b *testing.B) *core.Prepared {
 	return prep
 }
 
-func BenchmarkBeliefMDPBackup(b *testing.B) {
-	prep := preparedEMN(b)
-	sc := pomdp.NewScratch(prep.Model)
-	pi, err := prep.InitialBelief()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := pomdp.Backup(prep.Model, sc, pi, 1, prep.Set); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkIncrementalBoundUpdate(b *testing.B) {
-	prep := preparedEMN(b)
-	u, err := bounds.NewUpdater(prep.Model, prep.Set, bounds.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	pi, err := prep.InitialBelief()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := u.UpdateAt(pi); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(prep.Set.Size()), "vectors")
-}
-
 func BenchmarkTreeExpansion(b *testing.B) {
 	for depth := 1; depth <= 3; depth++ {
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {

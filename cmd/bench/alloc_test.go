@@ -5,11 +5,6 @@ package main
 import (
 	"flag"
 	"testing"
-
-	"bpomdp/internal/controller"
-	"bpomdp/internal/core"
-	"bpomdp/internal/emn"
-	"bpomdp/internal/rng"
 )
 
 // TestBatchDecideAllocs: the batched expansion, with and without duplicate
@@ -27,27 +22,17 @@ func TestBatchDecideAllocs(t *testing.T) {
 	}
 	defer flag.Set("test.benchtime", old)
 
-	compiled, err := emn.Build(emn.Config{})
+	_, s, err := setup()
 	if err != nil {
-		t.Fatal(err)
-	}
-	prep, err := core.Prepare(compiled.Recovery, core.PrepareOptions{OperatorResponseTime: emn.OperatorResponseTime})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := prep.Bootstrap(10, controller.VariantAverage, 1, rng.New(3)); err != nil {
-		t.Fatal(err)
-	}
-	rep := &Report{Bench: map[string]Entry{}}
-	if err := benchBatch(rep, compiled, prep); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"batch_decide", "batch_decide_reachable", "batch_decide_table"} {
-		e, ok := rep.Bench[name]
+		measure, ok := s.measure[name]
 		if !ok {
 			t.Errorf("missing benchmark %q", name)
 			continue
 		}
+		e := measure()
 		if e.AllocsPerOp != 0 {
 			t.Errorf("%s allocates (%d allocs/op); it must run from reused scratch", name, e.AllocsPerOp)
 		}

@@ -1,11 +1,22 @@
 package main
 
 import (
-	"encoding/json"
+	"cmp"
 	"fmt"
 	"io"
-	"os"
+	"math"
+	"slices"
 	"sort"
+)
+
+// The paired gate's rule: over pairs back-to-back measurements of the base
+// and the candidate, an entry's ns/op regresses when the median of the
+// pairs' candidate/base ratios exceeds 1+threshold and the candidate was
+// the slower side in at least minLosses pairs.
+const (
+	pairs     = 5
+	minLosses = 4
+	threshold = 0.30
 )
 
 // Regression is one benchmark that got worse than the baseline allows.
@@ -14,7 +25,8 @@ type Regression struct {
 	Metric string  // "ns_per_op", "allocs_per_op", or "allocs_per_episode"
 	Old    float64 // baseline value
 	New    float64 // current value
-	Ratio  float64 // new/old (time metric only)
+	Ratio  float64 // new/old; the median pair's ratio in the paired gate (time metric only)
+	Losses int     // pairs the candidate ran slower in (paired gate, time metric only)
 }
 
 func (r Regression) String() string {
@@ -24,28 +36,7 @@ func (r Regression) String() string {
 	case "allocs_per_episode":
 		return fmt.Sprintf("%s: allocs/episode %v -> %v", r.Name, int64(r.Old), int64(r.New))
 	}
-	return fmt.Sprintf("%s: ns/op %.0f -> %.0f (%.2fx)", r.Name, r.Old, r.New, r.Ratio)
-}
-
-// loadReport reads a previously written BENCH_campaign.json.
-func loadReport(path string) (*Report, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	data, err := io.ReadAll(f)
-	if err != nil {
-		return nil, err
-	}
-	var rep Report
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, fmt.Errorf("decode %s: %w", path, err)
-	}
-	if rep.Schema != benchSchema {
-		return nil, fmt.Errorf("%s has schema %q, want %q", path, rep.Schema, benchSchema)
-	}
-	return &rep, nil
+	return fmt.Sprintf("%s: ns/op %.0f -> %.0f (paired %.2fx, slower in %d/%d pairs)", r.Name, r.Old, r.New, r.Ratio, r.Losses, pairs)
 }
 
 // compareReports diffs the current run against a baseline: a benchmark
@@ -97,28 +88,73 @@ func compareReports(old, cur *Report, threshold float64) []Regression {
 	return out
 }
 
-// intersectRegressions keeps the regressions of a that reproduce (same
-// benchmark, same metric) in b — the noise-tolerance rule of the bench gate:
-// a slowdown only fails the build when every measurement pass sees it. Of
-// the two sightings it reports the milder one, so the failure message never
-// overstates a reproducible regression.
-func intersectRegressions(a, b []Regression) []Regression {
-	byKey := make(map[string]Regression, len(b))
-	for _, r := range b {
-		byKey[r.Name+"\x00"+r.Metric] = r
+// comparePairs rules on paired measurements, base[i] and cand[i] taken
+// back to back. Allocations go through compareReports on the two sides'
+// medians: their counts are exact, so median growth needs no win count.
+// Time is ruled on per pair, since a burst of host load slows both sides
+// of a pair alike but not two pairs alike: ns/op regresses when the median
+// of the pairs' cand/base ratios exceeds 1+threshold and the candidate was
+// slower in at least minLosses pairs.
+func comparePairs(base, cand []*Report) []Regression {
+	old, cur := medianReport(base), medianReport(cand)
+	out := compareReports(old, cur, math.Inf(1))
+	names := make([]string, 0, len(cur.Bench))
+	for name := range cur.Bench {
+		if _, ok := old.Bench[name]; ok {
+			names = append(names, name)
+		}
 	}
-	var out []Regression
-	for _, r := range a {
-		other, ok := byKey[r.Name+"\x00"+r.Metric]
-		if !ok {
-			continue
+	sort.Strings(names)
+	for _, name := range names {
+		r := Regression{Name: name, Metric: "ns_per_op", Old: old.Bench[name].NsPerOp, New: cur.Bench[name].NsPerOp}
+		ratios := make([]float64, len(base))
+		for i := range base {
+			b, c := base[i].Bench[name].NsPerOp, cand[i].Bench[name].NsPerOp
+			ratios[i] = c / b
+			if c > b {
+				r.Losses++
+			}
 		}
-		if other.New < r.New {
-			r = other
+		if r.Ratio = median(ratios); r.Ratio > 1+threshold && r.Losses >= minLosses {
+			out = append(out, r)
 		}
-		out = append(out, r)
 	}
 	return out
+}
+
+// medianReport is reps' first report with each benchmark's ns/op, allocs/op
+// and B/op replaced by their medians over the reports; a benchmark missing
+// from any of them is dropped.
+func medianReport(reps []*Report) *Report {
+	med := *reps[0]
+	med.Bench = make(map[string]Entry, len(med.Bench))
+	for name, e := range reps[0].Bench {
+		var ns []float64
+		var allocs, bytes []int64
+		for _, r := range reps {
+			x, ok := r.Bench[name]
+			if !ok {
+				break
+			}
+			ns = append(ns, x.NsPerOp)
+			allocs = append(allocs, x.AllocsPerOp)
+			bytes = append(bytes, x.BytesPerOp)
+		}
+		if len(ns) < len(reps) {
+			continue
+		}
+		e.NsPerOp, e.AllocsPerOp, e.BytesPerOp = median(ns), median(allocs), median(bytes)
+		e.derive()
+		med.Bench[name] = e
+	}
+	return &med
+}
+
+// median returns the middle of xs (the upper middle for an even count),
+// sorting xs in place.
+func median[T cmp.Ordered](xs []T) T {
+	slices.Sort(xs)
+	return xs[len(xs)/2]
 }
 
 // printComparison renders a per-benchmark old/new table to w.
@@ -128,12 +164,12 @@ func printComparison(w io.Writer, old, cur *Report) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	fmt.Fprintf(w, "%-24s %14s %14s %8s %10s\n", "benchmark", "old ns/op", "new ns/op", "delta", "allocs/op")
+	fmt.Fprintf(w, "%-30s %14s %14s %8s %10s\n", "benchmark", "old ns/op", "new ns/op", "delta", "allocs/op")
 	for _, name := range names {
 		n := cur.Bench[name]
 		o, ok := old.Bench[name]
 		if !ok {
-			fmt.Fprintf(w, "%-24s %14s %14.0f %8s %10d\n", name, "-", n.NsPerOp, "new", n.AllocsPerOp)
+			fmt.Fprintf(w, "%-30s %14s %14.0f %8s %10d\n", name, "-", n.NsPerOp, "new", n.AllocsPerOp)
 			continue
 		}
 		delta := "0%"
@@ -144,6 +180,6 @@ func printComparison(w io.Writer, old, cur *Report) {
 		if n.AllocsPerOp != o.AllocsPerOp {
 			allocs = fmt.Sprintf("%d->%d", o.AllocsPerOp, n.AllocsPerOp)
 		}
-		fmt.Fprintf(w, "%-24s %14.0f %14.0f %8s %10s\n", name, o.NsPerOp, n.NsPerOp, delta, allocs)
+		fmt.Fprintf(w, "%-30s %14.0f %14.0f %8s %10s\n", name, o.NsPerOp, n.NsPerOp, delta, allocs)
 	}
 }

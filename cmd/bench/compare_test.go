@@ -1,9 +1,6 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -45,36 +42,6 @@ func TestCompareReportsWithinThreshold(t *testing.T) {
 	}
 }
 
-func TestLoadReport(t *testing.T) {
-	dir := t.TempDir()
-	good := filepath.Join(dir, "good.json")
-	data, err := json.Marshal(report(map[string]Entry{"b": {NsPerOp: 1}}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(good, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := loadReport(good)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Bench["b"].NsPerOp != 1 {
-		t.Errorf("loaded report %+v", rep.Bench)
-	}
-
-	bad := filepath.Join(dir, "bad.json")
-	if err := os.WriteFile(bad, []byte(`{"schema":"other/v9"}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loadReport(bad); err == nil || !strings.Contains(err.Error(), "schema") {
-		t.Errorf("wrong-schema report accepted: %v", err)
-	}
-	if _, err := loadReport(filepath.Join(dir, "missing.json")); err == nil {
-		t.Error("missing file accepted")
-	}
-}
-
 func TestPrintComparison(t *testing.T) {
 	old := report(map[string]Entry{"b": {NsPerOp: 100, AllocsPerOp: 5}})
 	cur := report(map[string]Entry{
@@ -91,35 +58,59 @@ func TestPrintComparison(t *testing.T) {
 	}
 }
 
-func TestIntersectRegressions(t *testing.T) {
-	first := []Regression{
-		{Name: "slow", Metric: "ns_per_op", Old: 100, New: 160, Ratio: 1.6},
-		{Name: "flaky", Metric: "ns_per_op", Old: 100, New: 150, Ratio: 1.5},
-		{Name: "allocs", Metric: "allocs_per_op", Old: 2, New: 3},
+// pairedRuns returns five base and five candidate reports of entry name,
+// the base always at 100 ns/op and 2 allocs/op and the candidate at the
+// given ns/op and allocs/op in each pair.
+func pairedRuns(name string, candNs []float64, candAllocs int64) (base, cand []*Report) {
+	for _, ns := range candNs {
+		base = append(base, report(map[string]Entry{name: {NsPerOp: 100, AllocsPerOp: 2}}))
+		cand = append(cand, report(map[string]Entry{name: {NsPerOp: ns, AllocsPerOp: candAllocs}}))
 	}
-	second := []Regression{
-		{Name: "slow", Metric: "ns_per_op", Old: 100, New: 140, Ratio: 1.4},
-		{Name: "allocs", Metric: "allocs_per_op", Old: 2, New: 3},
-		{Name: "other", Metric: "ns_per_op", Old: 100, New: 200, Ratio: 2},
-	}
-	got := intersectRegressions(first, second)
-	if len(got) != 2 {
-		t.Fatalf("got %d regressions %+v, want 2 (flaky exonerated, other absent from first pass)", len(got), got)
-	}
-	// The milder of the two sightings is reported.
-	if got[0].Name != "slow" || got[0].New != 140 {
-		t.Errorf("first survivor %+v, want slow at its milder 140 ns/op", got[0])
-	}
-	if got[1].Name != "allocs" || got[1].Metric != "allocs_per_op" {
-		t.Errorf("second survivor %+v, want allocs/allocs_per_op", got[1])
-	}
+	return base, cand
 }
 
-func TestIntersectRegressionsCleanPass(t *testing.T) {
-	first := []Regression{{Name: "slow", Metric: "ns_per_op", Old: 100, New: 150, Ratio: 1.5}}
-	if got := intersectRegressions(first, nil); len(got) != 0 {
-		t.Errorf("clean second pass left survivors: %+v", got)
+// TestComparePairs: the paired gate flags an ns/op slowdown only when the
+// median exceeds the threshold and the candidate lost at least four of five
+// pairs, flags any allocs/op growth of the median whatever the pairs say,
+// and ignores entries measured on one side only.
+func TestComparePairs(t *testing.T) {
+	cases := []struct {
+		name   string
+		candNs []float64
+		allocs int64
+		want   []string // Metric of each regression, in order
+	}{
+		{"31% slower, loses 4 of 5", []float64{131, 140, 131, 90, 135}, 2, []string{"ns_per_op"}},
+		{"31% slower, loses 3 of 5", []float64{131, 140, 131, 90, 95}, 2, nil},
+		{"one extra alloc, wins every pair", []float64{90, 90, 90, 90, 90}, 3, []string{"allocs_per_op"}},
+		{"one extra alloc, loses every pair", []float64{110, 110, 110, 110, 110}, 3, []string{"allocs_per_op"}},
+		{"29% slower everywhere", []float64{129, 129, 129, 129, 129}, 2, nil},
 	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			base, cand := pairedRuns("b", c.candNs, c.allocs)
+			regs := comparePairs(base, cand)
+			if len(regs) != len(c.want) {
+				t.Fatalf("got %+v, want metrics %v", regs, c.want)
+			}
+			for i, r := range regs {
+				if r.Name != "b" || r.Metric != c.want[i] {
+					t.Errorf("regression %d = %+v, want b/%s", i, r, c.want[i])
+				}
+			}
+		})
+	}
+
+	t.Run("one side only", func(t *testing.T) {
+		base, cand := pairedRuns("b", []float64{100, 100, 100, 100, 100}, 2)
+		for i := range base {
+			base[i].Bench["retired"] = Entry{NsPerOp: 1}
+			cand[i].Bench["new"] = Entry{NsPerOp: 1e9, AllocsPerOp: 9}
+		}
+		if regs := comparePairs(base, cand); len(regs) != 0 {
+			t.Errorf("entries on one side flagged: %+v", regs)
+		}
+	})
 }
 
 func TestCompareReportsCampaignAllocSlack(t *testing.T) {

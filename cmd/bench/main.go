@@ -3,70 +3,35 @@
 // (BENCH_campaign.json by default) so CI and benchstat-style tooling can
 // track regressions without scraping `go test -bench` text output.
 //
-// Reported benchmarks:
+// The entries time the paper's §5 Table 1 fault-injection campaign with
+// and without the decision store and on one and on several workers
+// (campaign_*), the belief update, the RA-Bound sweep and solve, the
+// batched leaf evaluation and Max-Avg expansion, the compiled FSC tier and
+// offline bound refinement. docs/FORMATS.md (bpomdp.bench/v1) lists each
+// entry and its fields.
 //
-//   - campaign_sequential / campaign_parallel — full fault-injection
-//     campaigns through sim.RunCampaignOpts with the paper's bounded
-//     controller (episodes/sec, ns/episode, allocs/episode)
-//   - belief_update — pomdp.UpdateInto with reused buffers, the kernel the
-//     controller runs on every observation (ns/op, allocs/op, B/op)
-//   - belief_update_alloc — the allocating pomdp.Update path, for comparison
-//   - gs_sweep — one Gauss-Seidel/SOR sweep of the RA-Bound iteration
-//     (linalg.SORKernel.Sweep on the Eq. 5 uniform chain)
-//   - ra_solve — the full RA-Bound fixed-point solve (bounds.RA)
-//   - set_value_batch — bounds.Set.ValueBatch over a batch of beliefs with a
-//     preallocated output slice (the batched engine's leaf evaluation)
-//   - batch_decide — controller.Bounded.DecideBatch over the same batch with
-//     reused decision buffers (the full batched Max-Avg expansion; every
-//     belief distinct, so it is the overhead guard for duplicate merging)
-//   - batch_decide_reachable — the same over 64 beliefs recorded from a
-//     seeded batched campaign, with their natural repeats (the merged
-//     expansion's common case). Both tree entries run a controller without
-//     a decision store, so they time the expansion itself
-//   - batch_decide_table — the same 64 reachable beliefs through
-//     core.Prepared.NewController's controller, whose shared store has no
-//     compiled nodes, with a warm online region: every belief is an online
-//     hit
-//   - fsc_decide — controller.Bounded.DecideBatch, with a compiled FSC
-//     attached by UseFSC, over a batch of compiled-node beliefs: every
-//     belief is answered by a compiled node before any set lock (compare
-//     per decision against batch_decide for the compilation speedup)
-//   - campaign_fsc — the batched campaign decided by an FSC-fronted
-//     controller (FSC hits plus the other tiers' answers to its misses),
-//     same figures as campaign_batched
-//   - bounds_refine — one full HSVI-style offline bound-refinement run to
-//     convergence on the bootstrapped EMN set (core.Prepared.RefineBounds)
-//   - campaign_tiered_seed_bounds / campaign_tiered_refined_bounds — the
-//     bound-quality pair: FSC-fronted campaigns at the strictest gap
-//     threshold (0) over the bootstrapped seed set vs the HSVI-refined set;
-//     their tree_nodes_expanded and ns_per_decision figures quantify how
-//     much online tree work tighter offline bounds remove
-//   - campaign_batched — the campaign engine in batched stepping mode
-//     (CampaignOptions.BatchSize), same figures as campaign_sequential
-//   - campaign_seq_w{1,2,4,8} / campaign_batched_w{1,2,4,8} — the
-//     worker-scaling matrix: both stepping modes at 1/2/4/8 workers, so
-//     scaling shape (not just single-point throughput) is tracked
-//
-// With -compare the report is also diffed against a previously committed
-// baseline: any benchmark whose ns/op regresses by more than -threshold, or
-// whose allocs/op grow at all, fails the run (exit 1) unless -report-only is
-// set. With -runs N a candidate regression must reproduce in N independent
-// measurement passes to fail — one clean pass exonerates it — which is what
-// lets noisy CI runners hard-fail instead of report-only. This is the CI
-// benchmark gate.
+// With -compare the run is the CI benchmark gate instead: gate pairs this
+// binary with the named bench binary, built at the base revision, entry by
+// entry, through -serve workers of both, and comparePairs rules on each
+// entry. The candidate's median report is written to -out and any
+// regression exits 1.
 //
 // Usage:
 //
 //	go run ./cmd/bench -out BENCH_campaign.json -mintime 1s
-//	go run ./cmd/bench -mintime 50ms -out /tmp/b.json -compare BENCH_campaign.json -runs 2
+//	go run ./cmd/bench -mintime 50ms -out /tmp/b.json -compare <base bench binary>
+//	make bench-smoke BENCH_BASE=HEAD^1   # builds the base binary, then gates
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
+	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -82,12 +47,17 @@ import (
 	"bpomdp/internal/sim"
 )
 
-// benchSchema identifies the BENCH_campaign.json document format.
-const benchSchema = "bpomdp.bench/v1"
-
-// scalingWorkers is the worker-count matrix measured for both stepping
-// modes (campaign_seq_wN / campaign_batched_wN).
-var scalingWorkers = []int{1, 2, 4, 8}
+const (
+	// benchSchema identifies the BENCH_campaign.json document format.
+	benchSchema = "bpomdp.bench/v1"
+	// episodes is the campaign length of campaign_fsc and the
+	// campaign_tiered_* pair.
+	episodes = 64
+	// campaignEpisodes is the campaign length of the campaign_store,
+	// campaign_tree and worker-scaling entries: long enough that a
+	// store-hit campaign takes over a millisecond.
+	campaignEpisodes = 1024
+)
 
 // Report is the BENCH_campaign.json document ("bpomdp.bench/v1").
 type Report struct {
@@ -139,88 +109,70 @@ func entryOf(r testing.BenchmarkResult) Entry {
 	}
 }
 
+// derive fills the per-episode and per-decision figures of a campaign
+// entry from its per-op ones.
+func (e *Entry) derive() {
+	if e.Episodes > 0 {
+		e.NsPerEpisode = e.NsPerOp / float64(e.Episodes)
+		e.EpisodesPerSec = 1e9 / e.NsPerEpisode
+		e.AllocsPerEp = e.AllocsPerOp / int64(e.Episodes)
+	}
+	if e.Decisions > 0 {
+		e.NsPerDecision = e.NsPerOp / float64(e.Decisions)
+	}
+}
+
+// suite holds every benchmark, in report order, as the function that
+// measures it against fixtures built once.
+type suite struct {
+	names   []string
+	measure map[string]func() Entry
+}
+
+func (s *suite) add(name string, measure func() Entry) {
+	s.names = append(s.names, name)
+	s.measure[name] = measure
+}
+
+// timed measures f with testing.Benchmark.
+func timed(f func(b *testing.B)) func() Entry {
+	return func() Entry { return entryOf(testing.Benchmark(f)) }
+}
+
 func main() {
 	testing.Init()
-	out := flag.String("out", "BENCH_campaign.json", "output JSON path (- for stdout)")
+	out := flag.String("out", "BENCH_campaign.json", "output JSON path")
 	mintime := flag.Duration("mintime", time.Second, "minimum measuring time per benchmark")
-	episodes := flag.Int("episodes", 64, "episodes per campaign iteration")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "workers for the parallel campaign benchmark")
-	compare := flag.String("compare", "", "baseline BENCH_campaign.json to diff against")
-	reportOnly := flag.Bool("report-only", false, "with -compare, print regressions but do not fail")
-	threshold := flag.Float64("threshold", 0.30, "with -compare, fractional ns/op regression tolerated before failing")
-	runs := flag.Int("runs", 1, "with -compare, measurement passes a regression must appear in to fail; passes after a clean one are skipped")
+	compare := flag.String("compare", "", "bench binary built at the base revision: measure each entry on it and on this binary in alternating pairs, write this binary's median report, and fail on a regression")
+	serveMode := flag.Bool("serve", false, "measure the entries named one per line on stdin, answering each with its JSON entry on stdout (the -compare gate's worker)")
 	flag.Parse()
 
 	if err := flag.Set("test.benchtime", mintime.String()); err != nil {
 		fatal(err)
 	}
-	rep, err := run(*episodes, *workers)
-	if err != nil {
-		fatal(err)
-	}
-	rep.Timestamp = time.Now().UTC().Format(time.RFC3339)
-
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	buf = append(buf, '\n')
-	if *out == "-" {
-		_, _ = os.Stdout.Write(buf)
-	} else {
-		if err := os.WriteFile(*out, buf, 0o644); err != nil {
+	switch {
+	case *serveMode:
+		if err := serve(os.Stdin, os.Stdout); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("wrote %s (%d benchmarks)\n", *out, len(rep.Bench))
-		names := []string{"campaign_sequential", "campaign_batched", "campaign_fsc",
-			"campaign_tiered_seed_bounds", "campaign_tiered_refined_bounds", "bounds_refine", "campaign_parallel"}
-		for _, w := range scalingWorkers {
-			names = append(names, fmt.Sprintf("campaign_seq_w%d", w), fmt.Sprintf("campaign_batched_w%d", w))
-		}
-		names = append(names, "belief_update", "gs_sweep", "ra_solve", "set_value_batch", "batch_decide", "batch_decide_reachable", "batch_decide_table", "fsc_decide")
-		for _, name := range names {
-			e, ok := rep.Bench[name]
-			if !ok {
-				continue
-			}
-			if e.EpisodesPerSec > 0 {
-				fmt.Printf("  %-22s %10.1f episodes/sec  %8d allocs/episode\n", name, e.EpisodesPerSec, e.AllocsPerEp)
-			} else {
-				fmt.Printf("  %-22s %10.0f ns/op  %8d allocs/op  %8d B/op\n", name, e.NsPerOp, e.AllocsPerOp, e.BytesPerOp)
-			}
-		}
-	}
-
-	if *compare != "" {
-		old, err := loadReport(*compare)
+	case *compare != "":
+		regressions, err := gate(*compare, *mintime, *out)
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("comparison against %s (threshold %+.0f%% ns/op, any alloc growth):\n", *compare, *threshold*100)
-		printComparison(os.Stdout, old, rep)
-		regressions := compareReports(old, rep, *threshold)
-		// Noise tolerance: a candidate regression must reproduce in every
-		// remaining measurement pass to count. A clean pass clears everything,
-		// so the extra passes only run while candidates are alive.
-		for pass := 2; pass <= *runs && len(regressions) > 0; pass++ {
-			fmt.Printf("%d candidate regression(s); re-measuring (pass %d/%d)\n", len(regressions), pass, *runs)
-			rerun, err := run(*episodes, *workers)
-			if err != nil {
-				fatal(err)
-			}
-			regressions = intersectRegressions(regressions, compareReports(old, rerun, *threshold))
-		}
 		if len(regressions) > 0 {
-			fmt.Printf("%d regression(s) reproduced in all %d pass(es):\n", len(regressions), *runs)
-			for _, r := range regressions {
-				fmt.Println("  " + r.String())
-			}
-			if !*reportOnly {
-				os.Exit(1)
-			}
-		} else {
-			fmt.Println("no regressions")
+			os.Exit(1)
 		}
+	default:
+		rep, err := run()
+		if err != nil {
+			fatal(err)
+		}
+		if err := writeReport(*out, rep); err != nil {
+			fatal(err)
+		}
+		fmt.Printf("wrote %s (%d benchmarks)\n", *out, len(rep.Bench))
+		printReport(os.Stdout, rep)
 	}
 }
 
@@ -229,11 +181,78 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// run builds the EMN model once and measures every benchmark against it.
-func run(episodes, workers int) (*Report, error) {
-	compiled, err := emn.Build(emn.Config{})
+// writeReport stamps rep and writes it as indented JSON to path.
+func writeReport(path string, rep *Report) error {
+	rep.Timestamp = time.Now().UTC().Format(time.RFC3339)
+	buf, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(buf, '\n'), 0o644)
+}
+
+// printReport lists rep's entries by name, campaigns per episode.
+func printReport(w io.Writer, rep *Report) {
+	names := make([]string, 0, len(rep.Bench))
+	for name := range rep.Bench {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		e := rep.Bench[name]
+		if e.EpisodesPerSec > 0 {
+			fmt.Fprintf(w, "  %-30s %10.1f episodes/sec  %8d allocs/episode\n", name, e.EpisodesPerSec, e.AllocsPerEp)
+		} else {
+			fmt.Fprintf(w, "  %-30s %10.0f ns/op  %8d allocs/op  %8d B/op\n", name, e.NsPerOp, e.AllocsPerOp, e.BytesPerOp)
+		}
+	}
+}
+
+// run measures every benchmark once, in report order.
+func run() (*Report, error) {
+	rep, s, err := setup()
 	if err != nil {
 		return nil, err
+	}
+	for _, name := range s.names {
+		rep.Bench[name] = s.measure[name]()
+	}
+	return rep, nil
+}
+
+// serve is the -serve worker: it builds the fixtures, writes the names of
+// its entries as one JSON line to say it is ready, and then answers each
+// entry name read from in with that entry's measurement as one JSON line,
+// or null for a name it has no entry for, until in ends.
+func serve(in io.Reader, out io.Writer) error {
+	_, s, err := setup()
+	if err != nil {
+		return err
+	}
+	enc := json.NewEncoder(out)
+	if err := enc.Encode(s.names); err != nil {
+		return err
+	}
+	sc := bufio.NewScanner(in)
+	for sc.Scan() {
+		var e *Entry
+		if measure, ok := s.measure[sc.Text()]; ok {
+			e = new(Entry)
+			*e = measure()
+		}
+		if err := enc.Encode(e); err != nil {
+			return err
+		}
+	}
+	return sc.Err()
+}
+
+// setup builds the EMN model and every benchmark's fixtures, and returns
+// the report header and the suite.
+func setup() (*Report, *suite, error) {
+	compiled, err := emn.Build(emn.Config{})
+	if err != nil {
+		return nil, nil, err
 	}
 	base := compiled.Recovery.POMDP
 	rep := &Report{
@@ -251,35 +270,71 @@ func run(episodes, workers int) (*Report, error) {
 		Bench: map[string]Entry{},
 	}
 
-	prep, err := core.Prepare(compiled.Recovery, core.PrepareOptions{
+	fx := &fixtures{compiled: compiled}
+	if fx.prep, err = bootstrapped(compiled); err != nil {
+		return nil, nil, err
+	}
+	if fx.runner, err = sim.NewRunner(compiled.Recovery, 20000); err != nil {
+		return nil, nil, err
+	}
+	if fx.initial, err = fx.prep.InitialBelief(); err != nil {
+		return nil, nil, err
+	}
+	s := &suite{measure: map[string]func() Entry{}}
+	for _, add := range []func(*suite, *fixtures) error{
+		benchBeliefUpdate, benchSolver, benchBatch, benchFSC, benchBounds, benchCampaigns,
+	} {
+		if err := add(s, fx); err != nil {
+			return nil, nil, err
+		}
+	}
+	return rep, s, nil
+}
+
+// fixtures are what the benchmarks share: the compiled EMN model, its
+// bootstrapped prepared set, a campaign runner and the initial belief.
+type fixtures struct {
+	compiled *arch.Compiled
+	prep     *core.Prepared
+	runner   *sim.Runner
+	initial  pomdp.Belief
+}
+
+// bootstrapped prepares the EMN model and bootstraps its bound set.
+func bootstrapped(compiled *arch.Compiled) (*core.Prepared, error) {
+	p, err := core.Prepare(compiled.Recovery, core.PrepareOptions{
 		OperatorResponseTime: emn.OperatorResponseTime,
 	})
 	if err != nil {
 		return nil, err
 	}
-	if _, err := prep.Bootstrap(10, controller.VariantAverage, 1, rng.New(3)); err != nil {
+	if _, err := p.Bootstrap(10, controller.VariantAverage, 1, rng.New(3)); err != nil {
 		return nil, err
 	}
+	return p, nil
+}
 
-	if err := benchBeliefUpdate(rep, prep); err != nil {
-		return nil, err
+// campaign times fault-injection campaigns of n episodes run with opts, one
+// campaign per iteration seeded by its index.
+func (fx *fixtures) campaign(n int, opts sim.CampaignOptions) func() Entry {
+	return func() Entry {
+		e := entryOf(testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := fx.runner.RunCampaignOpts(nil, nil, fx.compiled.ZombieStates, n, rng.New(uint64(i)), opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Episodes != n {
+					b.Fatalf("campaign completed %d/%d episodes", res.Episodes, n)
+				}
+			}
+		}))
+		e.Workers = opts.Workers
+		e.Episodes = n
+		e.derive()
+		return e
 	}
-	if err := benchSolver(rep, compiled); err != nil {
-		return nil, err
-	}
-	if err := benchBatch(rep, compiled, prep); err != nil {
-		return nil, err
-	}
-	if err := benchFSC(rep, compiled, prep, episodes); err != nil {
-		return nil, err
-	}
-	if err := benchBounds(rep, compiled, episodes); err != nil {
-		return nil, err
-	}
-	if err := benchCampaigns(rep, compiled, prep, episodes, workers); err != nil {
-		return nil, err
-	}
-	return rep, nil
 }
 
 // benchBounds measures offline HSVI bound refinement and its effect on
@@ -289,28 +344,15 @@ func run(episodes, workers int) (*Report, error) {
 // variant serves most decisions from the table and expands far fewer
 // Max-Avg tree nodes per decision — tree_nodes_expanded and ns_per_decision
 // are the bound-quality figures the ROADMAP asks the gate to watch.
-func benchBounds(rep *Report, compiled *arch.Compiled, episodes int) error {
-	seedPrep := func() (*core.Prepared, error) {
-		p, err := core.Prepare(compiled.Recovery, core.PrepareOptions{
-			OperatorResponseTime: emn.OperatorResponseTime,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.Bootstrap(10, controller.VariantAverage, 1, rng.New(3)); err != nil {
-			return nil, err
-		}
-		return p, nil
-	}
-
+func benchBounds(s *suite, fx *fixtures) error {
 	// bounds_refine: one full offline refinement run to convergence. Each
 	// iteration refines a fresh bootstrapped set; the rebuild is excluded
 	// from the timed region.
-	rep.Bench["bounds_refine"] = entryOf(testing.Benchmark(func(b *testing.B) {
+	s.add("bounds_refine", timed(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			p, err := seedPrep()
+			p, err := bootstrapped(fx.compiled)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -321,79 +363,54 @@ func benchBounds(rep *Report, compiled *arch.Compiled, episodes int) error {
 		}
 	}))
 
-	runner, err := sim.NewRunner(compiled.Recovery, 20000)
-	if err != nil {
-		return err
-	}
-	faults := compiled.ZombieStates
-	measure := func(p *core.Prepared) (Entry, error) {
+	tiered := func(name string, p *core.Prepared) error {
 		fsc, err := p.CompileFSC(core.FSCConfig{Depth: 1})
 		if err != nil {
-			return Entry{}, err
+			return err
 		}
 		dec, err := p.NewFSCDecider(fsc, core.ControllerConfig{Depth: 1, CollectStats: true}, 0)
 		if err != nil {
-			return Entry{}, err
-		}
-		initial, err := p.InitialBelief()
-		if err != nil {
-			return Entry{}, err
+			return err
 		}
 		factory := func() (controller.Controller, pomdp.Belief, error) {
-			return dec, initial, nil
+			return dec, fx.initial, nil
 		}
 		opts := sim.CampaignOptions{Workers: 1, WorkerFactory: factory, BatchSize: 16}
 		// Decision-work profile from one fixed-seed campaign, outside the
 		// timed region.
-		profile, err := runner.RunCampaignOpts(nil, nil, faults, episodes, rng.New(0), opts)
+		profile, err := fx.runner.RunCampaignOpts(nil, nil, fx.compiled.ZombieStates, episodes, rng.New(0), opts)
 		if err != nil {
-			return Entry{}, err
+			return err
 		}
 		if profile.Decisions == 0 {
-			return Entry{}, fmt.Errorf("tiered profiling campaign recorded no decisions")
+			return fmt.Errorf("tiered profiling campaign recorded no decisions")
 		}
-		e := entryOf(testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := runner.RunCampaignOpts(nil, nil, faults, episodes, rng.New(uint64(i)), opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Episodes != episodes {
-					b.Fatalf("campaign completed %d/%d episodes", res.Episodes, episodes)
-				}
-			}
-		}))
-		e.Workers = 1
-		e.Episodes = episodes
-		e.NsPerEpisode = e.NsPerOp / float64(episodes)
-		e.EpisodesPerSec = 1e9 / e.NsPerEpisode
-		e.AllocsPerEp = e.AllocsPerOp / int64(episodes)
-		e.Decisions = profile.Decisions
-		e.NsPerDecision = e.NsPerOp / float64(profile.Decisions)
-		e.TreeNodesExpanded = float64(profile.TreeNodes) / float64(profile.Decisions)
-		return e, nil
+		timeIt := fx.campaign(episodes, opts)
+		s.add(name, func() Entry {
+			e := timeIt()
+			e.Decisions = profile.Decisions
+			e.TreeNodesExpanded = float64(profile.TreeNodes) / float64(profile.Decisions)
+			e.derive()
+			return e
+		})
+		return nil
 	}
 
-	seed, err := seedPrep()
+	seed, err := bootstrapped(fx.compiled)
 	if err != nil {
 		return err
 	}
-	if rep.Bench["campaign_tiered_seed_bounds"], err = measure(seed); err != nil {
+	if err := tiered("campaign_tiered_seed_bounds", seed); err != nil {
 		return err
 	}
-	refined, err := seedPrep()
+	refined, err := bootstrapped(fx.compiled)
 	if err != nil {
 		return err
 	}
 	if _, err := refined.RefineBounds(core.RefineConfig{}); err != nil {
 		return err
 	}
-	if rep.Bench["campaign_tiered_refined_bounds"], err = measure(refined); err != nil {
-		return err
-	}
-	return nil
+	return tiered("campaign_tiered_refined_bounds", refined)
 }
 
 // benchFSC measures the compiled finite-state-controller fast path: batched
@@ -402,7 +419,8 @@ func benchBounds(rep *Report, compiled *arch.Compiled, episodes int) error {
 // FSC-fronted controller (campaign_fsc). The table is compiled once outside the
 // timed regions with a permissive gap threshold, so the campaign splits
 // decisions across both tiers the way a deployed daemon would.
-func benchFSC(rep *Report, compiled *arch.Compiled, prep *core.Prepared, episodes int) error {
+func benchFSC(s *suite, fx *fixtures) error {
+	prep := fx.prep
 	fsc, err := prep.CompileFSC(core.FSCConfig{Depth: 1})
 	if err != nil {
 		return err
@@ -423,7 +441,7 @@ func benchFSC(rep *Report, compiled *arch.Compiled, prep *core.Prepared, episode
 	if err := dec.DecideBatch(beliefs, decisions); err != nil {
 		return err
 	}
-	rep.Bench["fsc_decide"] = entryOf(testing.Benchmark(func(b *testing.B) {
+	s.add("fsc_decide", timed(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if err := dec.DecideBatch(beliefs, decisions); err != nil {
@@ -432,44 +450,14 @@ func benchFSC(rep *Report, compiled *arch.Compiled, prep *core.Prepared, episode
 		}
 	}))
 
-	runner, err := sim.NewRunner(compiled.Recovery, 20000)
-	if err != nil {
-		return err
+	factory := func() (controller.Controller, pomdp.Belief, error) {
+		return dec, fx.initial, nil
 	}
-	initial, err := prep.InitialBelief()
-	if err != nil {
-		return err
-	}
-	faults := compiled.ZombieStates
-	rep.Bench["campaign_fsc"] = func() Entry {
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			factory := func() (controller.Controller, pomdp.Belief, error) {
-				return dec, initial, nil
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := runner.RunCampaignOpts(nil, nil, faults, episodes, rng.New(uint64(i)), sim.CampaignOptions{
-					Workers:       1,
-					WorkerFactory: factory,
-					BatchSize:     16,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Episodes != episodes {
-					b.Fatalf("campaign completed %d/%d episodes", res.Episodes, episodes)
-				}
-			}
-		})
-		e := entryOf(r)
-		e.Workers = 1
-		e.Episodes = episodes
-		e.NsPerEpisode = e.NsPerOp / float64(episodes)
-		e.EpisodesPerSec = 1e9 / e.NsPerEpisode
-		e.AllocsPerEp = e.AllocsPerOp / int64(episodes)
-		return e
-	}()
+	s.add("campaign_fsc", fx.campaign(episodes, sim.CampaignOptions{
+		Workers:       1,
+		WorkerFactory: factory,
+		BatchSize:     16,
+	}))
 	return nil
 }
 
@@ -479,7 +467,8 @@ func benchFSC(rep *Report, compiled *arch.Compiled, prep *core.Prepared, episode
 // over beliefs a batched campaign actually decides. All run with
 // preallocated output buffers — the campaign's steady state — so allocs/op
 // should be zero.
-func benchBatch(rep *Report, compiled *arch.Compiled, prep *core.Prepared) error {
+func benchBatch(s *suite, fx *fixtures) error {
+	prep := fx.prep
 	const batch = 64
 	n := prep.Model.NumStates()
 	stream := rng.New(7)
@@ -487,18 +476,18 @@ func benchBatch(rep *Report, compiled *arch.Compiled, prep *core.Prepared) error
 	for i := range beliefs {
 		pi := make(pomdp.Belief, n)
 		sum := 0.0
-		for s := range pi {
-			pi[s] = stream.Float64()
-			sum += pi[s]
+		for j := range pi {
+			pi[j] = stream.Float64()
+			sum += pi[j]
 		}
-		for s := range pi {
-			pi[s] /= sum
+		for j := range pi {
+			pi[j] /= sum
 		}
 		beliefs[i] = pi
 	}
 
 	vals := make([]float64, batch)
-	rep.Bench["set_value_batch"] = entryOf(testing.Benchmark(func(b *testing.B) {
+	s.add("set_value_batch", timed(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			vals = prep.Set.ValueBatch(beliefs, nil, vals)
@@ -513,7 +502,7 @@ func benchBatch(rep *Report, compiled *arch.Compiled, prep *core.Prepared) error
 	if err != nil {
 		return err
 	}
-	reachable, err := campaignBeliefs(compiled, prep, tree, batch)
+	reachable, err := fx.campaignBeliefs(tree, batch)
 	if err != nil {
 		return err
 	}
@@ -522,30 +511,26 @@ func benchBatch(rep *Report, compiled *arch.Compiled, prep *core.Prepared) error
 		return err
 	}
 	decisions := make([]controller.Decision, batch)
-	measure := func(ctrl *controller.Bounded, beliefs []pomdp.Belief) (Entry, error) {
-		// Warm once outside the timed region so the engine's per-level
-		// scratch is sized (and the online region filled) before measurement.
-		if err := ctrl.DecideBatch(beliefs, decisions); err != nil {
-			return Entry{}, err
-		}
-		return entryOf(testing.Benchmark(func(b *testing.B) {
+	decide := func(ctrl *controller.Bounded, beliefs []pomdp.Belief) func() Entry {
+		return timed(func(b *testing.B) {
 			b.ReportAllocs()
+			// Warm once outside the timed region so the engine's per-level
+			// scratch is sized (and the online region filled) before
+			// measurement.
+			if err := ctrl.DecideBatch(beliefs, decisions); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := ctrl.DecideBatch(beliefs, decisions); err != nil {
 					b.Fatal(err)
 				}
 			}
-		})), nil
+		})
 	}
-	if rep.Bench["batch_decide"], err = measure(tree, beliefs); err != nil {
-		return err
-	}
-	if rep.Bench["batch_decide_reachable"], err = measure(tree, reachable); err != nil {
-		return err
-	}
-	if rep.Bench["batch_decide_table"], err = measure(tabled, reachable); err != nil {
-		return err
-	}
+	s.add("batch_decide", decide(tree, beliefs))
+	s.add("batch_decide_reachable", decide(tree, reachable))
+	s.add("batch_decide_table", decide(tabled, reachable))
 	return nil
 }
 
@@ -569,17 +554,9 @@ func (r *beliefRecorder) DecideBatch(pis []pomdp.Belief, out []controller.Decisi
 
 // campaignBeliefs returns the first m beliefs a seeded batched campaign
 // (batch size 16, one worker) asks ctrl to decide.
-func campaignBeliefs(compiled *arch.Compiled, prep *core.Prepared, ctrl *controller.Bounded, m int) ([]pomdp.Belief, error) {
-	runner, err := sim.NewRunner(compiled.Recovery, 20000)
-	if err != nil {
-		return nil, err
-	}
-	initial, err := prep.InitialBelief()
-	if err != nil {
-		return nil, err
-	}
+func (fx *fixtures) campaignBeliefs(ctrl *controller.Bounded, m int) ([]pomdp.Belief, error) {
 	rec := &beliefRecorder{Bounded: ctrl, limit: m}
-	if _, err := runner.RunCampaignOpts(ctrl, initial, compiled.ZombieStates, 64, rng.New(11), sim.CampaignOptions{
+	if _, err := fx.runner.RunCampaignOpts(ctrl, fx.initial, fx.compiled.ZombieStates, 64, rng.New(11), sim.CampaignOptions{
 		Workers:      1,
 		BatchSize:    16,
 		BatchDecider: rec,
@@ -594,12 +571,9 @@ func campaignBeliefs(compiled *arch.Compiled, prep *core.Prepared, ctrl *control
 
 // benchBeliefUpdate measures the Bayes update (Eq. 4) with reused buffers
 // (the controller's steady-state path) and with per-call allocation.
-func benchBeliefUpdate(rep *Report, prep *core.Prepared) error {
+func benchBeliefUpdate(s *suite, fx *fixtures) error {
+	prep, pi := fx.prep, fx.initial
 	sc := pomdp.NewScratch(prep.Model)
-	pi, err := prep.InitialBelief()
-	if err != nil {
-		return err
-	}
 	obsAction := prep.Source.MonitorAction
 	succs := prep.Model.Successors(sc, pi, obsAction)
 	if len(succs) == 0 {
@@ -608,7 +582,7 @@ func benchBeliefUpdate(rep *Report, prep *core.Prepared) error {
 	o := succs[0].Obs
 
 	dst := make(pomdp.Belief, len(pi))
-	rep.Bench["belief_update"] = entryOf(testing.Benchmark(func(b *testing.B) {
+	s.add("belief_update", timed(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := prep.Model.UpdateInto(sc, dst, pi, obsAction, o); err != nil {
@@ -616,7 +590,7 @@ func benchBeliefUpdate(rep *Report, prep *core.Prepared) error {
 			}
 		}
 	}))
-	rep.Bench["belief_update_alloc"] = entryOf(testing.Benchmark(func(b *testing.B) {
+	s.add("belief_update_alloc", timed(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := prep.Model.Update(sc, pi, obsAction, o); err != nil {
@@ -629,7 +603,8 @@ func benchBeliefUpdate(rep *Report, prep *core.Prepared) error {
 
 // benchSolver measures one SOR sweep of the RA-Bound iteration matrix and
 // the complete Eq. 5 fixed-point solve.
-func benchSolver(rep *Report, compiled *arch.Compiled) error {
+func benchSolver(s *suite, fx *fixtures) error {
+	compiled := fx.compiled
 	model, _, err := pomdp.WithTermination(compiled.Recovery.POMDP, pomdp.TerminationConfig{
 		NullStates:           compiled.Recovery.NullStates,
 		OperatorResponseTime: emn.OperatorResponseTime,
@@ -644,13 +619,13 @@ func benchSolver(rep *Report, compiled *arch.Compiled) error {
 	}
 	kernel := linalg.NewSORKernel(chain)
 	v := make(linalg.Vector, chain.Rows())
-	rep.Bench["gs_sweep"] = entryOf(testing.Benchmark(func(b *testing.B) {
+	s.add("gs_sweep", timed(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			kernel.Sweep(v, reward, 1, 1)
 		}
 	}))
-	rep.Bench["ra_solve"] = entryOf(testing.Benchmark(func(b *testing.B) {
+	s.add("ra_solve", timed(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := bounds.RA(model, bounds.Options{}); err != nil {
@@ -661,136 +636,42 @@ func benchSolver(rep *Report, compiled *arch.Compiled) error {
 	return nil
 }
 
-// benchCampaigns measures full fault-injection campaigns through the unified
-// engine, sequentially and with the requested worker count. Controllers are
-// pooled outside the timed region (they are reusable across campaigns: every
-// episode begins with Reset), so the numbers isolate the engine and episode
-// loop.
-func benchCampaigns(rep *Report, compiled *arch.Compiled, prep *core.Prepared, episodes, workers int) error {
-	runner, err := sim.NewRunner(compiled.Recovery, 20000)
+// benchCampaigns times the paper's §5 Table 1 fault-injection loop over
+// campaignEpisodes episodes: in batched stepping through the prepared
+// store's controller (campaign_store) and through a store-less one
+// (campaign_tree), and in per-episode stepping on one worker and on
+// max(2, GOMAXPROCS) workers (campaign_w1, campaign_wN). Controllers are
+// built outside the timed region; they are reusable across campaigns,
+// since every episode begins with Reset.
+func benchCampaigns(s *suite, fx *fixtures) error {
+	prep := fx.prep
+	cfg := core.ControllerConfig{Depth: 1}
+	tree, err := controller.NewBounded(prep.Model, prep.Set, prep.BoundedConfig(cfg))
 	if err != nil {
 		return err
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	// The scaling matrix below needs a controller per worker up to its
-	// largest rung, whatever -workers says.
-	poolSize := workers
-	for _, w := range scalingWorkers {
-		if w > poolSize {
-			poolSize = w
-		}
-	}
-	pool := make([]controller.Controller, poolSize)
-	initial, err := prep.InitialBelief()
-	if err != nil {
-		return err
-	}
+	workers := max(2, runtime.GOMAXPROCS(0))
+	pool := make([]controller.Controller, workers)
 	for i := range pool {
-		if pool[i], err = prep.NewController(core.ControllerConfig{Depth: 1}); err != nil {
+		if pool[i], err = prep.NewController(cfg); err != nil {
 			return err
 		}
 	}
-	faults := compiled.ZombieStates
-
-	campaign := func(b *testing.B, w int) {
-		b.Helper()
-		b.ReportAllocs()
+	// pooled hands each worker the next controller of ctrls, round robin,
+	// so concurrent workers never share one.
+	pooled := func(workers, batch int, ctrls ...controller.Controller) func() Entry {
 		var next atomic.Uint64
-		factory := func() (controller.Controller, pomdp.Belief, error) {
-			idx := int(next.Add(1)-1) % len(pool)
-			return pool[idx], initial, nil
-		}
-		// Exclude the closure setup from the measurement, so allocs/op does
-		// not depend on the iteration count (short -mintime runs must match
-		// the committed long-run baseline exactly).
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			res, err := runner.RunCampaignOpts(nil, nil, faults, episodes, rng.New(uint64(i)), sim.CampaignOptions{
-				Workers:       w,
-				WorkerFactory: factory,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Episodes != episodes {
-				b.Fatalf("campaign completed %d/%d episodes", res.Episodes, episodes)
-			}
-		}
+		return fx.campaign(campaignEpisodes, sim.CampaignOptions{
+			Workers:   workers,
+			BatchSize: batch,
+			WorkerFactory: func() (controller.Controller, pomdp.Belief, error) {
+				return ctrls[(next.Add(1)-1)%uint64(len(ctrls))], fx.initial, nil
+			},
+		})
 	}
-	finish := func(r testing.BenchmarkResult, w int) Entry {
-		e := entryOf(r)
-		e.Workers = w
-		e.Episodes = episodes
-		e.NsPerEpisode = e.NsPerOp / float64(episodes)
-		e.EpisodesPerSec = 1e9 / e.NsPerEpisode
-		e.AllocsPerEp = e.AllocsPerOp / int64(episodes)
-		return e
-	}
-	rep.Bench["campaign_sequential"] = finish(testing.Benchmark(func(b *testing.B) { campaign(b, 1) }), 1)
-	if workers > 1 {
-		rep.Bench["campaign_parallel"] = finish(testing.Benchmark(func(b *testing.B) { campaign(b, workers) }), workers)
-	}
-
-	// Worker-scaling matrix: per-episode stepping and batched stepping at
-	// 1/2/4/8 workers. On a single-core runner the rungs mostly measure
-	// scheduling overhead, but the committed matrix lets multi-core machines
-	// diff scaling shape, not just single-point throughput.
-	batched := func(b *testing.B, w int) {
-		b.Helper()
-		b.ReportAllocs()
-		var next atomic.Uint64
-		factory := func() (controller.Controller, pomdp.Belief, error) {
-			idx := int(next.Add(1)-1) % len(pool)
-			return pool[idx], initial, nil
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			res, err := runner.RunCampaignOpts(nil, nil, faults, episodes, rng.New(uint64(i)), sim.CampaignOptions{
-				Workers:       w,
-				WorkerFactory: factory,
-				BatchSize:     16,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Episodes != episodes {
-				b.Fatalf("campaign completed %d/%d episodes", res.Episodes, episodes)
-			}
-		}
-	}
-	for _, w := range scalingWorkers {
-		w := w
-		rep.Bench[fmt.Sprintf("campaign_seq_w%d", w)] = finish(testing.Benchmark(func(b *testing.B) { campaign(b, w) }), w)
-		rep.Bench[fmt.Sprintf("campaign_batched_w%d", w)] = finish(testing.Benchmark(func(b *testing.B) { batched(b, w) }), w)
-	}
-
-	// Batched stepping: one worker advances a stripe of live episodes
-	// through DecideBatch, sharing the Max-Avg tree expansion across them.
-	batchCtrl, err := prep.NewController(core.ControllerConfig{Depth: 1})
-	if err != nil {
-		return err
-	}
-	rep.Bench["campaign_batched"] = finish(testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		factory := func() (controller.Controller, pomdp.Belief, error) {
-			return batchCtrl, initial, nil
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			res, err := runner.RunCampaignOpts(nil, nil, faults, episodes, rng.New(uint64(i)), sim.CampaignOptions{
-				Workers:       1,
-				WorkerFactory: factory,
-				BatchSize:     16,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Episodes != episodes {
-				b.Fatalf("campaign completed %d/%d episodes", res.Episodes, episodes)
-			}
-		}
-	}), 1)
+	s.add("campaign_store", pooled(1, 16, pool[0]))
+	s.add("campaign_tree", pooled(1, 16, tree))
+	s.add("campaign_w1", pooled(1, 0, pool[0]))
+	s.add("campaign_wN", pooled(workers, 0, pool...))
 	return nil
 }

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -16,7 +19,7 @@ func TestRunProducesReport(t *testing.T) {
 	}
 	defer flag.Set("test.benchtime", old)
 
-	rep, err := run(4, 2)
+	rep, err := run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +29,8 @@ func TestRunProducesReport(t *testing.T) {
 	if rep.Model.Name != "emn" || rep.Model.States == 0 {
 		t.Errorf("model info incomplete: %+v", rep.Model)
 	}
-	for _, name := range []string{"belief_update", "belief_update_alloc", "gs_sweep", "ra_solve", "campaign_sequential", "campaign_parallel"} {
+	campaigns := []string{"campaign_store", "campaign_tree", "campaign_w1", "campaign_wN"}
+	for _, name := range append([]string{"belief_update", "belief_update_alloc", "gs_sweep", "ra_solve"}, campaigns...) {
 		e, ok := rep.Bench[name]
 		if !ok {
 			t.Errorf("missing benchmark %q", name)
@@ -47,16 +51,52 @@ func TestRunProducesReport(t *testing.T) {
 			t.Errorf("missing benchmark %q", name)
 		}
 	}
-	for _, name := range []string{"campaign_sequential", "campaign_parallel"} {
+	for _, name := range campaigns {
 		e := rep.Bench[name]
-		if e.EpisodesPerSec <= 0 || e.Episodes != 4 {
+		if e.EpisodesPerSec <= 0 || e.Episodes != campaignEpisodes {
 			t.Errorf("%s: campaign fields incomplete: %+v", name, e)
 		}
 	}
-	if rep.Bench["campaign_parallel"].Workers != 2 {
-		t.Errorf("parallel workers = %d, want 2", rep.Bench["campaign_parallel"].Workers)
+	if got, want := rep.Bench["campaign_wN"].Workers, max(2, runtime.GOMAXPROCS(0)); got != want {
+		t.Errorf("campaign_wN workers = %d, want %d", got, want)
 	}
 	if _, err := json.Marshal(rep); err != nil {
 		t.Fatalf("report not serializable: %v", err)
+	}
+}
+
+// TestServeAnswersRequests: a -serve worker names its entries once set up,
+// then answers each requested entry with its measurement, in order, and a
+// name it has no entry for with null.
+func TestServeAnswersRequests(t *testing.T) {
+	old := flag.Lookup("test.benchtime").Value.String()
+	if err := flag.Set("test.benchtime", "1ms"); err != nil {
+		t.Fatal(err)
+	}
+	defer flag.Set("test.benchtime", old)
+
+	var out bytes.Buffer
+	if err := serve(strings.NewReader("gs_sweep\nno_such_entry\ncampaign_store\n"), &out); err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(&out)
+	var names []string
+	if err := dec.Decode(&names); err != nil || len(names) != 17 {
+		t.Fatalf("ready line names %d entries (%v), want 17", len(names), err)
+	}
+	var sweep, missing, store *Entry
+	for _, e := range []**Entry{&sweep, &missing, &store} {
+		if err := dec.Decode(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sweep == nil || sweep.Iterations <= 0 || sweep.Episodes != 0 {
+		t.Errorf("gs_sweep answer %+v", sweep)
+	}
+	if missing != nil {
+		t.Errorf("unknown entry answered %+v, want null", missing)
+	}
+	if store == nil || store.Episodes != campaignEpisodes {
+		t.Errorf("campaign_store answer %+v", store)
 	}
 }

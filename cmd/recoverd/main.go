@@ -84,9 +84,7 @@ func run(ctx context.Context, args []string) error {
 		fleetPeers  = fs.String("fleet-peers", "", `static fleet membership as comma-separated id=addr pairs, e.g. "n1=http://10.0.0.1:7947,n2=http://10.0.0.2:7947"`)
 		fleetVnodes = fs.Int("fleet-vnodes", 0, "virtual nodes per member on the hash ring (0 = default; must match on every member and client)")
 
-		pprofAddr   = fs.String("pprof", "", "serve net/http/pprof on this separate address (empty = off)")
-		metricsAddr = fs.String("metrics-addr", "", "serve /metrics plus the pprof endpoints on this separate address, keeping scrapers off the API port (empty = off)")
-		expvarOn    = fs.Bool("expvar", false, "also serve expvar under /debug/vars on the -pprof and -metrics-addr listeners")
+		metricsAddr = fs.String("metrics-addr", "", "serve /metrics, the pprof endpoints and expvar's /debug/vars on this separate address, keeping scrapers off the API port (empty = off)")
 		logRequests = fs.Bool("log-requests", false, "log every API request (method, path, status, duration) via slog")
 		spanPath    = fs.String("span-trace", "", "append one bpomdp.span/v1 JSONL span per traced operation to this file, each freshly computed decision explained on its handler span (enables per-decision stats collection); stitch files from every node with cmd/tracestats")
 
@@ -212,9 +210,6 @@ func run(ctx context.Context, args []string) error {
 		"Tree decisions that missed the shared decision table and expanded the Max-Avg tree.",
 		func() float64 { return float64(store.OnlineMisses()) })
 
-	if *expvarOn && *pprofAddr == "" && *metricsAddr == "" {
-		return fmt.Errorf("-expvar needs a -pprof or -metrics-addr listener address")
-	}
 	var spanFile *os.File
 	if *spanPath != "" {
 		f, err := os.OpenFile(*spanPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -338,40 +333,18 @@ func run(ctx context.Context, args []string) error {
 	ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	var debugSrv *http.Server
-	if *pprofAddr != "" {
-		// The profiling endpoints live on their own listener so they are
-		// never exposed on the API port.
-		debugSrv = &http.Server{
-			Addr:              *pprofAddr,
-			Handler:           debugMux(*expvarOn),
-			ReadHeaderTimeout: *readHeaderTimeout,
-		}
-		go func() {
-			log.Printf("debug listener (pprof%s) on %s", map[bool]string{true: "+expvar"}[*expvarOn], *pprofAddr)
-			if err := debugSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				log.Printf("debug listener: %v", err)
-			}
-		}()
-	}
-
 	var metricsSrv *http.Server
 	if *metricsAddr != "" {
 		// A dedicated observability listener: scrapers and profilers reach
-		// /metrics and the pprof endpoints without touching the API port's
+		// /metrics, pprof and expvar without touching the API port's
 		// request path, timeouts, or access logs.
-		mux := debugMux(*expvarOn)
-		mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-			_ = metrics.WritePrometheus(w)
-		})
 		metricsSrv = &http.Server{
 			Addr:              *metricsAddr,
-			Handler:           mux,
+			Handler:           metricsMux(metrics),
 			ReadHeaderTimeout: *readHeaderTimeout,
 		}
 		go func() {
-			log.Printf("metrics listener (/metrics+pprof%s) on %s", map[bool]string{true: "+expvar"}[*expvarOn], *metricsAddr)
+			log.Printf("metrics listener (/metrics, pprof, expvar) on %s", *metricsAddr)
 			if err := metricsSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				log.Printf("metrics listener: %v", err)
 			}
@@ -385,9 +358,6 @@ func run(ctx context.Context, args []string) error {
 	}()
 	select {
 	case err := <-errCh:
-		if debugSrv != nil {
-			_ = debugSrv.Close()
-		}
 		if metricsSrv != nil {
 			_ = metricsSrv.Close()
 		}
@@ -403,9 +373,6 @@ func run(ctx context.Context, args []string) error {
 		// Drain in-flight requests first, then checkpoint every still-open
 		// episode so a restart resumes them.
 		shutdownErr := hs.Shutdown(shutdownCtx)
-		if debugSrv != nil {
-			_ = debugSrv.Close()
-		}
 		if metricsSrv != nil {
 			_ = metricsSrv.Close()
 		}
@@ -416,19 +383,21 @@ func run(ctx context.Context, args []string) error {
 	}
 }
 
-// debugMux serves the pprof profiling endpoints (and optionally expvar)
-// without relying on http.DefaultServeMux, so nothing else registered there
-// leaks onto the debug listener.
-func debugMux(withExpvar bool) *http.ServeMux {
+// metricsMux serves reg's /metrics page, the pprof profiling endpoints and
+// expvar's /debug/vars without relying on http.DefaultServeMux, so nothing
+// else registered there leaks onto the metrics listener.
+func metricsMux(reg *obs.Registry) *http.ServeMux {
 	mux := http.NewServeMux()
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+		_ = reg.WritePrometheus(w)
+	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	if withExpvar {
-		mux.Handle("/debug/vars", expvar.Handler())
-	}
+	mux.Handle("/debug/vars", expvar.Handler())
 	return mux
 }
 

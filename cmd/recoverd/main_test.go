@@ -3,6 +3,9 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,6 +14,7 @@ import (
 	"bpomdp/internal/bounds"
 	"bpomdp/internal/core"
 	"bpomdp/internal/modelload"
+	"bpomdp/internal/obs"
 )
 
 // cancelledCtx returns an already-cancelled context so run() takes the
@@ -246,8 +250,7 @@ func TestRunObservabilityFlags(t *testing.T) {
 		"-top", "10",
 		"-bootstrap", "2",
 		"-bootstrap-depth", "1",
-		"-pprof", "127.0.0.1:0",
-		"-expvar",
+		"-metrics-addr", "127.0.0.1:0",
 		"-log-requests",
 		"-span-trace", spans,
 	}); err != nil {
@@ -256,22 +259,6 @@ func TestRunObservabilityFlags(t *testing.T) {
 	// The span trace file is created eagerly so a bad path fails at startup.
 	if _, err := os.Stat(spans); err != nil {
 		t.Errorf("span trace file not created: %v", err)
-	}
-
-	// expvar is served on the pprof/metrics listeners; without either it is
-	// an error.
-	if err := run(cancelledCtx(), []string{
-		"-addr", "127.0.0.1:0", "-model", "twoserver", "-top", "10",
-		"-bootstrap", "0", "-expvar",
-	}); err == nil {
-		t.Error("-expvar without -pprof accepted")
-	}
-	// ... but a -metrics-addr listener alone satisfies it.
-	if err := run(cancelledCtx(), []string{
-		"-addr", "127.0.0.1:0", "-model", "twoserver", "-top", "10",
-		"-bootstrap", "0", "-expvar", "-metrics-addr", "127.0.0.1:0",
-	}); err != nil {
-		t.Errorf("-expvar with -metrics-addr rejected: %v", err)
 	}
 
 	// An unwritable span trace path fails at startup, not at the first
@@ -310,5 +297,29 @@ func TestRunRejectsShortTombstoneTTL(t *testing.T) {
 		"-tombstone-ttl", "30s", "-client-retry-budget", "30s",
 	}); err != nil {
 		t.Errorf("TTL == budget rejected: %v", err)
+	}
+}
+
+// TestMetricsListenerServesDebugEndpoints: the -metrics-addr listener is the
+// one debug listener, answering the metrics page, pprof and expvar.
+func TestMetricsListenerServesDebugEndpoints(t *testing.T) {
+	reg := obs.NewRegistry()
+	reg.CounterFunc("recoverd_test_total", "A test counter.", func() float64 { return 7 })
+	hs := httptest.NewServer(metricsMux(reg))
+	defer hs.Close()
+	for path, want := range map[string]string{
+		"/metrics":      "recoverd_test_total 7",
+		"/debug/pprof/": "goroutine",
+		"/debug/vars":   "memstats",
+	} {
+		resp, err := http.Get(hs.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), want) {
+			t.Errorf("GET %s: status %d, body without %q", path, resp.StatusCode, want)
+		}
 	}
 }

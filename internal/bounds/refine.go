@@ -71,12 +71,6 @@ func (u *UpperBound) Corner() linalg.Vector {
 	return append(linalg.Vector(nil), u.corner...)
 }
 
-// Point returns (a copy of) interior point i and its stored value.
-func (u *UpperBound) Point(i int) (pomdp.Belief, float64) {
-	c := append(pomdp.Belief(nil), u.pts[i*u.n:(i+1)*u.n]...)
-	return c, u.vals[i]
-}
-
 // Value evaluates the sawtooth upper bound at a belief. It panics on
 // dimension mismatch (beliefs are validated upstream), mirroring Set.Value.
 func (u *UpperBound) Value(pi pomdp.Belief) float64 {

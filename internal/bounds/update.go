@@ -74,9 +74,6 @@ type UpdateResult struct {
 	Action int
 }
 
-// Improvement returns After − Before, the bound tightening achieved at π.
-func (r UpdateResult) Improvement() float64 { return r.After - r.Before }
-
 // UpdateAt performs one incremental bound update at belief π, adding the
 // backed-up hyperplane to the set if it is not dominated, and returns the
 // before/after bound values at π.

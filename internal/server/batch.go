@@ -67,8 +67,8 @@ func (s *Server) handleBatchDecide(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, errors.New("no beliefs in batch"))
 		return
 	}
-	if len(req.Beliefs) > s.cfg.MaxBatchBeliefs {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("batch of %d beliefs over cap %d", len(req.Beliefs), s.cfg.MaxBatchBeliefs))
+	if len(req.Beliefs) > maxBatchBeliefs {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("batch of %d beliefs over cap %d", len(req.Beliefs), maxBatchBeliefs))
 		return
 	}
 	n := s.cfg.Model.NumStates()

@@ -153,12 +153,16 @@ func TestBatchDecideRouteAbsentWithoutFactory(t *testing.T) {
 }
 
 func TestBatchDecideValidation(t *testing.T) {
-	srv, prep := newBatchTestServer(t, func(cfg *Config) { cfg.MaxBatchBeliefs = 4 })
+	srv, prep := newBatchTestServer(t, nil)
 	hs := httptest.NewServer(srv)
 	defer hs.Close()
 	n := prep.Model.NumStates()
 	good := make([]float64, n)
 	good[0] = 1
+	overCap := make([][]float64, maxBatchBeliefs+1)
+	for i := range overCap {
+		overCap[i] = good
+	}
 
 	cases := []struct {
 		name   string
@@ -167,8 +171,8 @@ func TestBatchDecideValidation(t *testing.T) {
 		want   string
 	}{
 		{"empty", BatchDecideRequest{}, http.StatusBadRequest, "no beliefs"},
-		{"over cap", BatchDecideRequest{Beliefs: [][]float64{good, good, good, good, good}},
-			http.StatusBadRequest, "over cap 4"},
+		{"over cap", BatchDecideRequest{Beliefs: overCap},
+			http.StatusBadRequest, "over cap 1024"},
 		{"wrong length", BatchDecideRequest{Beliefs: [][]float64{{1, 0}}},
 			http.StatusBadRequest, "has length 2"},
 		{"not a distribution", BatchDecideRequest{Beliefs: [][]float64{{2, -1, 0, 0}}},
@@ -221,22 +225,5 @@ func TestBatchDecideMetrics(t *testing.T) {
 	}
 	if !strings.Contains(body, "recoverd_batch_decisions_total 6") {
 		t.Errorf("metrics missing batch decision count:\n%s", body)
-	}
-}
-
-func TestNewRejectsNegativeMaxBatchBeliefs(t *testing.T) {
-	ts, err := models.NewTwoServer(models.TwoServerConfig{Coverage: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = New(Config{
-		Model: &pomdp.POMDP{M: ts.Model.M, Obs: ts.Model.Obs},
-		NewController: func() (controller.Controller, pomdp.Belief, error) {
-			return nil, nil, nil
-		},
-		MaxBatchBeliefs: -1,
-	})
-	if err == nil {
-		t.Error("negative MaxBatchBeliefs accepted")
 	}
 }

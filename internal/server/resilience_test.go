@@ -237,7 +237,6 @@ func TestRetryAfterOnEpisodeCap(t *testing.T) {
 		Model:         prep.Model,
 		NewController: boundedFactory(prep),
 		MaxEpisodes:   1,
-		RetryAfter:    3 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -258,8 +257,8 @@ func TestRetryAfterOnEpisodeCap(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("over-cap status %d", resp.StatusCode)
 	}
-	if got := resp.Header.Get("Retry-After"); got != "3" {
-		t.Errorf("Retry-After %q, want 3", got)
+	if got := resp.Header.Get("Retry-After"); got != "1" {
+		t.Errorf("Retry-After %q, want 1", got)
 	}
 }
 

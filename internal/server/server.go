@@ -76,6 +76,14 @@ import (
 	"bpomdp/internal/pomdp"
 )
 
+const (
+	// maxBatchBeliefs caps the beliefs accepted per batch request.
+	maxBatchBeliefs = 1024
+	// retryAfterSeconds is the Retry-After hint returned with 429
+	// responses when MaxEpisodes is hit.
+	retryAfterSeconds = "1"
+)
+
 // Factory builds an independent controller and its initial belief for one
 // episode.
 type Factory func() (controller.Controller, pomdp.Belief, error)
@@ -114,12 +122,6 @@ type Config struct {
 	// none may mutate shared state such as an online-improved bound set).
 	// When nil the endpoint is not registered and returns 404.
 	NewBatchDecider func() (controller.BatchDecider, error)
-	// MaxBatchBeliefs caps the beliefs accepted per batch request
-	// (0 means 1024).
-	MaxBatchBeliefs int
-	// RetryAfter is the Retry-After hint returned with 429 responses when
-	// MaxEpisodes is hit (0 means 1 second).
-	RetryAfter time.Duration
 	// Metrics, when non-nil, is the registry the server registers its
 	// instruments on — share one registry to co-expose several components on
 	// one /metrics page. Nil creates a private registry.
@@ -311,15 +313,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if ttl := cfg.effectiveTombstoneTTL(); ttl > 0 && cfg.ClientRetryBudget > 0 && ttl < cfg.ClientRetryBudget {
 		return nil, fmt.Errorf("server: tombstone TTL %v is below the client retry budget %v — a still-retrying client could lose its terminal decision", ttl, cfg.ClientRetryBudget)
-	}
-	if cfg.RetryAfter == 0 {
-		cfg.RetryAfter = time.Second
-	}
-	if cfg.MaxBatchBeliefs == 0 {
-		cfg.MaxBatchBeliefs = 1024
-	}
-	if cfg.MaxBatchBeliefs < 0 {
-		return nil, fmt.Errorf("server: negative batch belief cap %d", cfg.MaxBatchBeliefs)
 	}
 	if cfg.now == nil {
 		cfg.now = time.Now
@@ -795,7 +788,7 @@ func (s *Server) handleStart(w http.ResponseWriter, r *http.Request) {
 	}
 	if open, _ := s.table.size(); open >= s.cfg.MaxEpisodes {
 		s.mu.Unlock()
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfter)))
+		w.Header().Set("Retry-After", retryAfterSeconds)
 		writeError(w, http.StatusTooManyRequests, fmt.Errorf("episode cap %d reached", s.cfg.MaxEpisodes))
 		return
 	}
@@ -1337,14 +1330,6 @@ func (s *Server) lookupObservation(name string) (int, error) {
 		}
 	}
 	return 0, fmt.Errorf("unknown observation %q", name)
-}
-
-func retryAfterSeconds(d time.Duration) int {
-	secs := int(math.Ceil(d.Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	return secs
 }
 
 // writeJSON answers status with v's JSON encoding and the Encoder's
