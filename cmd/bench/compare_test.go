@@ -69,6 +69,48 @@ func pairedRuns(name string, candNs []float64, candAllocs int64) (base, cand []*
 	return base, cand
 }
 
+// TestIntersectRegressions: a regression must be seen across the repeated
+// runs to be reported. A slowdown in every pair and an allocation growth
+// survive; a slowdown in two pairs of five is exonerated; an entry only the
+// candidate measured is ignored. The reported ratio is the median pair's.
+func TestIntersectRegressions(t *testing.T) {
+	slow := []float64{160, 140, 150, 145, 155}
+	flaky := []float64{150, 100, 100, 150, 100}
+	var base, cand []*Report
+	for i := range slow {
+		base = append(base, report(map[string]Entry{
+			"slow":   {NsPerOp: 100, AllocsPerOp: 2},
+			"flaky":  {NsPerOp: 100, AllocsPerOp: 2},
+			"allocs": {NsPerOp: 100, AllocsPerOp: 2},
+		}))
+		cand = append(cand, report(map[string]Entry{
+			"slow":   {NsPerOp: slow[i], AllocsPerOp: 2},
+			"flaky":  {NsPerOp: flaky[i], AllocsPerOp: 2},
+			"allocs": {NsPerOp: 100, AllocsPerOp: 3},
+			"other":  {NsPerOp: 200, AllocsPerOp: 2},
+		}))
+	}
+	got := comparePairs(base, cand)
+	if len(got) != 2 {
+		t.Fatalf("got %d regressions %+v, want 2 (flaky exonerated, other absent from base)", len(got), got)
+	}
+	if got[0].Name != "allocs" || got[0].Metric != "allocs_per_op" {
+		t.Errorf("first survivor %+v, want allocs/allocs_per_op", got[0])
+	}
+	if got[1].Name != "slow" || got[1].Metric != "ns_per_op" || got[1].Ratio != 1.5 || got[1].Losses != pairs {
+		t.Errorf("second survivor %+v, want slow/ns_per_op at the median 1.5x, slower in every pair", got[1])
+	}
+}
+
+// TestIntersectRegressionsCleanPass: a slowdown seen in the first pair only
+// is cleared by the clean pairs after it.
+func TestIntersectRegressionsCleanPass(t *testing.T) {
+	base, cand := pairedRuns("slow", []float64{150, 100, 100, 100, 100}, 2)
+	if got := comparePairs(base, cand); len(got) != 0 {
+		t.Errorf("clean later pairs left survivors: %+v", got)
+	}
+}
+
 // TestComparePairs: the paired gate flags an ns/op slowdown only when the
 // median exceeds the threshold and the candidate lost at least four of five
 // pairs, flags any allocs/op growth of the median whatever the pairs say,
