@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-short test-campaign test-fleet test-fsc test-tree check vet fmt lint docs-check fuzz-smoke bench bench-smoke table1 fig5bounds
+.PHONY: build test test-short test-campaign test-fleet test-fsc test-tree check vet fmt lint docs-check repro-smoke fuzz-smoke bench bench-smoke table1 fig5bounds
 
 build:
 	$(GO) build ./...
@@ -64,6 +64,13 @@ test-tree:
 test-fsc:
 	$(GO) test -race -run 'FSC' ./internal/controller/ ./internal/sim/
 
+# Reproduction smoke: the shape tests behind every figure EXPERIMENTS.md
+# quotes for Table 1, Figure 5 and the ablations (leaf evaluator, free
+# monitors, bound capacity, seed plane), run by name at their fixed seeds
+# and counts, so their logged figures are the quoted ones.
+repro-smoke:
+	$(GO) test -count=1 -v -run '^(TestTable1SmallCampaignShape|TestFig5SeriesShape|TestAblationLeaf|TestAblationFreeMonitors|TestAblationBoundCapacity|TestAblationSeedPlane)$$' ./internal/experiments/
+
 # Fuzz smoke: a few seconds per fuzz target over the trust boundaries —
 # checkpoint EpisodeState JSON decode, TombstoneState JSON decode (store files
 # and the fleet tombstone endpoint), the compiled FSC artifact decoder, and
@@ -80,12 +87,13 @@ fuzz-smoke:
 
 # The full gate: formatting, vet, the docs gate, the complete test suite
 # (chaos campaign included) under the race detector, the FSC
-# campaign-equality gate, and the fuzz smoke.
+# campaign-equality gate, the reproduction smoke and the fuzz smoke.
 check: fmt
 	$(GO) vet ./...
 	$(MAKE) docs-check
 	$(GO) test -race ./...
 	$(MAKE) test-fsc
+	$(MAKE) repro-smoke
 	$(MAKE) fuzz-smoke
 
 # Benchmark gate: builds cmd/bench at BENCH_BASE (HEAD by default; CI passes

@@ -6,8 +6,9 @@
 // The entries time the paper's §5 Table 1 fault-injection campaign with
 // and without the decision store and on one and on several workers
 // (campaign_*), the belief update, the RA-Bound sweep and solve, the
-// batched leaf evaluation and Max-Avg expansion, the compiled FSC tier and
-// offline bound refinement. docs/FORMATS.md (bpomdp.bench/v1) lists each
+// batched leaf evaluation and Max-Avg expansion, one tree decision at
+// depths 1–3, the compiled FSC tier, offline bound refinement, and the
+// RA-Bound solve and a decision on the larger replica models. docs/FORMATS.md (bpomdp.bench/v1) lists each
 // entry and its fields.
 //
 // With -compare the run is the CI benchmark gate instead: gate pairs this
@@ -50,12 +51,8 @@ import (
 const (
 	// benchSchema identifies the BENCH_campaign.json document format.
 	benchSchema = "bpomdp.bench/v1"
-	// episodes is the campaign length of campaign_fsc and the
-	// campaign_tiered_* pair.
-	episodes = 64
-	// campaignEpisodes is the campaign length of the campaign_store,
-	// campaign_tree and worker-scaling entries: long enough that a
-	// store-hit campaign takes over a millisecond.
+	// campaignEpisodes is the length of every campaign entry: long enough
+	// that a store-hit campaign takes over a millisecond.
 	campaignEpisodes = 1024
 )
 
@@ -282,7 +279,7 @@ func setup() (*Report, *suite, error) {
 	}
 	s := &suite{measure: map[string]func() Entry{}}
 	for _, add := range []func(*suite, *fixtures) error{
-		benchBeliefUpdate, benchSolver, benchBatch, benchFSC, benchBounds, benchCampaigns,
+		benchBeliefUpdate, benchSolver, benchBatch, benchTree, benchFSC, benchBounds, benchCampaigns, benchScaling,
 	} {
 		if err := add(s, fx); err != nil {
 			return nil, nil, err
@@ -378,14 +375,14 @@ func benchBounds(s *suite, fx *fixtures) error {
 		opts := sim.CampaignOptions{Workers: 1, WorkerFactory: factory, BatchSize: 16}
 		// Decision-work profile from one fixed-seed campaign, outside the
 		// timed region.
-		profile, err := fx.runner.RunCampaignOpts(nil, nil, fx.compiled.ZombieStates, episodes, rng.New(0), opts)
+		profile, err := fx.runner.RunCampaignOpts(nil, nil, fx.compiled.ZombieStates, campaignEpisodes, rng.New(0), opts)
 		if err != nil {
 			return err
 		}
 		if profile.Decisions == 0 {
 			return fmt.Errorf("tiered profiling campaign recorded no decisions")
 		}
-		timeIt := fx.campaign(episodes, opts)
+		timeIt := fx.campaign(campaignEpisodes, opts)
 		s.add(name, func() Entry {
 			e := timeIt()
 			e.Decisions = profile.Decisions
@@ -400,7 +397,7 @@ func benchBounds(s *suite, fx *fixtures) error {
 	if err != nil {
 		return err
 	}
-	if err := tiered("campaign_tiered_seed_bounds", seed); err != nil {
+	if err := tiered("campaign_tiered_seed", seed); err != nil {
 		return err
 	}
 	refined, err := bootstrapped(fx.compiled)
@@ -410,13 +407,13 @@ func benchBounds(s *suite, fx *fixtures) error {
 	if _, err := refined.RefineBounds(core.RefineConfig{}); err != nil {
 		return err
 	}
-	return tiered("campaign_tiered_refined_bounds", refined)
+	return tiered("campaign_tiered_refined", refined)
 }
 
 // benchFSC measures the compiled finite-state-controller fast path: batched
 // decisions answered from the table (fsc_decide — the per-decision number to
 // hold against batch_decide), and a full batched campaign decided by an
-// FSC-fronted controller (campaign_fsc). The table is compiled once outside the
+// FSC-fronted controller (campaign_fsc_tier). The table is compiled once outside the
 // timed regions with a permissive gap threshold, so the campaign splits
 // decisions across both tiers the way a deployed daemon would.
 func benchFSC(s *suite, fx *fixtures) error {
@@ -453,7 +450,7 @@ func benchFSC(s *suite, fx *fixtures) error {
 	factory := func() (controller.Controller, pomdp.Belief, error) {
 		return dec, fx.initial, nil
 	}
-	s.add("campaign_fsc", fx.campaign(episodes, sim.CampaignOptions{
+	s.add("campaign_fsc_tier", fx.campaign(campaignEpisodes, sim.CampaignOptions{
 		Workers:       1,
 		WorkerFactory: factory,
 		BatchSize:     16,
@@ -531,6 +528,78 @@ func benchBatch(s *suite, fx *fixtures) error {
 	s.add("batch_decide", decide(tree, beliefs))
 	s.add("batch_decide_reachable", decide(tree, reachable))
 	s.add("batch_decide_table", decide(tabled, reachable))
+	return nil
+}
+
+// benchTree times one Max-Avg decision (Engine.Choose) at the initial
+// belief over the RA-seeded EMN set at depths 1, 2 and 3 (tree_depth1,
+// tree_depth2, tree_depth3): the tree's growth with depth.
+func benchTree(s *suite, fx *fixtures) error {
+	prep, err := core.Prepare(fx.compiled.Recovery, core.PrepareOptions{
+		OperatorResponseTime: emn.OperatorResponseTime,
+	})
+	if err != nil {
+		return err
+	}
+	for depth := 1; depth <= 3; depth++ {
+		if err := addChoose(s, fmt.Sprintf("tree_depth%d", depth), prep, depth); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// benchScaling times core.Prepare, whose cost is the RA-Bound solve
+// (prepare_replica16, prepare_replica64), and a depth-1 decision at the
+// initial belief (decide_replica16, decide_replica64) on the replica
+// models of 16 and 64 hosts, 49 and 193 states: the off-line and on-line
+// costs that Section 4.3 weighs as the system grows.
+func benchScaling(s *suite, _ *fixtures) error {
+	opts := core.PrepareOptions{OperatorResponseTime: 3600}
+	for _, n := range []int{16, 64} {
+		compiled, err := arch.Replicas(n).Compile()
+		if err != nil {
+			return err
+		}
+		rm := compiled.Recovery
+		s.add(fmt.Sprintf("prepare_replica%d", n), timed(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.Prepare(rm, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}))
+		prep, err := core.Prepare(rm, opts)
+		if err != nil {
+			return err
+		}
+		if err := addChoose(s, fmt.Sprintf("decide_replica%d", n), prep, 1); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// addChoose adds the entry name, which times Engine.Choose at depth over
+// prep's set at its initial belief.
+func addChoose(s *suite, name string, prep *core.Prepared, depth int) error {
+	engine, err := controller.NewEngine(prep.Model, depth, 1, prep.Set)
+	if err != nil {
+		return err
+	}
+	pi, err := prep.InitialBelief()
+	if err != nil {
+		return err
+	}
+	s.add(name, timed(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := engine.Choose(pi); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}))
 	return nil
 }
 

@@ -29,8 +29,15 @@ func TestRunProducesReport(t *testing.T) {
 	if rep.Model.Name != "emn" || rep.Model.States == 0 {
 		t.Errorf("model info incomplete: %+v", rep.Model)
 	}
-	campaigns := []string{"campaign_store", "campaign_tree", "campaign_w1", "campaign_wN"}
-	for _, name := range append([]string{"belief_update", "belief_update_alloc", "gs_sweep", "ra_solve"}, campaigns...) {
+	campaigns := []string{
+		"campaign_store", "campaign_tree", "campaign_w1", "campaign_wN",
+		"campaign_fsc_tier", "campaign_tiered_seed", "campaign_tiered_refined",
+	}
+	for _, name := range append([]string{
+		"belief_update", "belief_update_alloc", "gs_sweep", "ra_solve",
+		"tree_depth1", "tree_depth2", "tree_depth3",
+		"prepare_replica16", "prepare_replica64", "decide_replica16", "decide_replica64",
+	}, campaigns...) {
 		e, ok := rep.Bench[name]
 		if !ok {
 			t.Errorf("missing benchmark %q", name)
@@ -51,10 +58,10 @@ func TestRunProducesReport(t *testing.T) {
 			t.Errorf("missing benchmark %q", name)
 		}
 	}
-	for _, name := range campaigns {
-		e := rep.Bench[name]
-		if e.EpisodesPerSec <= 0 || e.Episodes != campaignEpisodes {
-			t.Errorf("%s: campaign fields incomplete: %+v", name, e)
+	// Every campaign entry runs the one campaign length.
+	for name, e := range rep.Bench {
+		if strings.HasPrefix(name, "campaign_") && (e.EpisodesPerSec <= 0 || e.Episodes != 1024) {
+			t.Errorf("%s: campaign fields incomplete or not over 1,024 episodes: %+v", name, e)
 		}
 	}
 	if got, want := rep.Bench["campaign_wN"].Workers, max(2, runtime.GOMAXPROCS(0)); got != want {
@@ -81,8 +88,8 @@ func TestServeAnswersRequests(t *testing.T) {
 	}
 	dec := json.NewDecoder(&out)
 	var names []string
-	if err := dec.Decode(&names); err != nil || len(names) != 17 {
-		t.Fatalf("ready line names %d entries (%v), want 17", len(names), err)
+	if err := dec.Decode(&names); err != nil || len(names) != 24 {
+		t.Fatalf("ready line names %d entries (%v), want 24", len(names), err)
 	}
 	var sweep, missing, store *Entry
 	for _, e := range []**Entry{&sweep, &missing, &store} {

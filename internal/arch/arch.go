@@ -145,6 +145,33 @@ const (
 	hostPrefix   = "hostdown:"
 )
 
+// Replicas is the replica model of n hosts: each runs one component, the
+// components are the n load-balanced alternatives of one path's single
+// stage, and every component has a ping monitor and the path one probe.
+// Crash, zombie and host faults are modelled, so the compiled model has
+// 3n+1 states. It is the system-size axis of the scaling measurements.
+func Replicas(n int) *System {
+	sys := &System{
+		Name:            fmt.Sprintf("replica-%d", n),
+		MonitorDuration: 5,
+		MonitorCost:     0.5,
+		CrashFaults:     true,
+		ZombieFaults:    true,
+		HostFaults:      true,
+	}
+	stage := Stage{}
+	for i := 0; i < n; i++ {
+		host, comp := fmt.Sprintf("h%d", i), fmt.Sprintf("app%d", i)
+		sys.Hosts = append(sys.Hosts, Host{Name: host, RebootDuration: 300})
+		sys.Components = append(sys.Components, Component{Name: comp, Host: host, RestartDuration: 60})
+		sys.ComponentMonitors = append(sys.ComponentMonitors, ComponentMonitor{Name: "mon" + comp, Target: comp})
+		stage = append(stage, Alternative{Component: comp, Weight: 1})
+	}
+	sys.Paths = []Path{{Name: "p", TrafficShare: 1, Stages: []Stage{stage}}}
+	sys.PathMonitors = []PathMonitor{{Name: "probe", Path: "p"}}
+	return sys
+}
+
 // Validate checks referential integrity, probability ranges, traffic shares
 // and durations.
 func (s *System) Validate() error {

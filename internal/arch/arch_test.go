@@ -112,6 +112,21 @@ func TestCompileTinyShape(t *testing.T) {
 	}
 }
 
+func TestReplicasShape(t *testing.T) {
+	for _, n := range []int{4, 16} {
+		c, err := Replicas(n).Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := c.Recovery.POMDP.NumStates(); got != 3*n+1 {
+			t.Errorf("replica-%d: states = %d, want %d", n, got, 3*n+1)
+		}
+		if len(c.ZombieStates) != n || len(c.MonitorNames) != n+1 {
+			t.Errorf("replica-%d: %d zombie states, monitors %v", n, len(c.ZombieStates), c.MonitorNames)
+		}
+	}
+}
+
 func TestCompileTinyDynamics(t *testing.T) {
 	c, err := tinySystem().Compile()
 	if err != nil {

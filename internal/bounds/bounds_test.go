@@ -277,26 +277,3 @@ func TestTrivialUpper(t *testing.T) {
 		t.Error("positive-reward model accepted")
 	}
 }
-
-func TestGap(t *testing.T) {
-	mod := withNotification(t)
-	set, err := RASet(mod, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	up, err := QMDP(mod, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pi := pomdp.UniformBelief(mod.NumStates())
-	g, err := Gap(up, set, pi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g < 0 {
-		t.Errorf("gap = %v < 0", g)
-	}
-	if _, err := Gap(linalg.Vector{0}, set, pi); err == nil {
-		t.Error("short upper bound accepted")
-	}
-}

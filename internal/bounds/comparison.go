@@ -113,17 +113,3 @@ func QMDP(p *pomdp.POMDP, opts Options) (linalg.Vector, error) {
 	}
 	return res.Values, nil
 }
-
-// Gap evaluates the distance between an upper-bound hyperplane and a
-// lower-bound set at a belief: upper(π) − V_B⁻(π). A gap of zero certifies
-// the bound is exact at π; the paper notes no such certificate is decidable
-// in general, but the gap still quantifies progress of iterative refinement.
-func Gap(upper linalg.Vector, set *Set, pi pomdp.Belief) (float64, error) {
-	if len(upper) != set.NumStates() {
-		return 0, fmt.Errorf("bounds: upper bound length %d, want %d", len(upper), set.NumStates())
-	}
-	if set.Size() == 0 {
-		return 0, ErrEmptySet
-	}
-	return linalg.Vector(pi).Dot(upper) - set.Value(pi), nil
-}

@@ -1,8 +1,7 @@
 // Package experiments regenerates the paper's evaluation artifacts — Table 1
-// and Figures 5(a)/5(b) — from the EMN model. The cmd tools, the root
-// benchmark suite, and the integration tests all share these harnesses, so
-// "the number in the report" and "the number in the test" cannot drift
-// apart.
+// and Figures 5(a)/5(b) — from the EMN model. The cmd tools and the shape
+// tests share these harnesses, so "the number in the report" and "the
+// number in the test" cannot drift apart.
 package experiments
 
 import (
@@ -134,7 +133,7 @@ func Table1(cfg Table1Config) (*Table1Result, error) {
 
 	out := &Table1Result{}
 	for _, name := range c.Algorithms {
-		ctrl, initial, err := BuildAlgorithm(name, compiled, c, root)
+		ctrl, initial, err := buildAlgorithm(name, compiled, c, root)
 		if err != nil {
 			return nil, err
 		}
@@ -148,9 +147,9 @@ func Table1(cfg Table1Config) (*Table1Result, error) {
 	return out, nil
 }
 
-// BuildAlgorithm instantiates one Table 1 row's controller with its initial
-// belief; exported for the root benchmark suite.
-func BuildAlgorithm(name string, compiled *arch.Compiled, c Table1Config, root *rng.Stream) (controller.Controller, pomdp.Belief, error) {
+// buildAlgorithm instantiates one Table 1 row's controller with its initial
+// belief.
+func buildAlgorithm(name string, compiled *arch.Compiled, c Table1Config, root *rng.Stream) (controller.Controller, pomdp.Belief, error) {
 	rm := compiled.Recovery
 	uniform := pomdp.UniformBelief(rm.POMDP.NumStates())
 	switch name {

@@ -23,6 +23,7 @@ func TestTable1SmallCampaignShape(t *testing.T) {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
 	for _, row := range res.Rows {
+		t.Logf("%s: cost/fault %.2f over %d injections", row.Name, row.Cost.Mean(), row.Episodes)
 		// The paper's §5 observation: in all injections, no controller ever
 		// quit without recovering the system.
 		if row.Recovered != row.Episodes {

@@ -87,14 +87,13 @@ func TestHistogramInfNaNObservations(t *testing.T) {
 	}
 }
 
-// TestWritePrometheusConcurrentUpdates scrapes the registry while counters,
-// gauges, histograms, and a GaugeFunc are hammered from other goroutines.
+// TestWritePrometheusConcurrentUpdates scrapes the registry while a counter,
+// a histogram, and a GaugeFunc are hammered from other goroutines.
 // The assertion is the race detector plus render integrity: every scrape
 // must produce structurally valid exposition text.
 func TestWritePrometheusConcurrentUpdates(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("cc_total", "concurrent counter")
-	g := reg.Gauge("cg", "concurrent gauge")
 	h := reg.Histogram("ch_seconds", "concurrent histogram", []float64{0.001, 0.01, 0.1})
 	var fnVal sync.Map
 	fnVal.Store("v", 0.0)
@@ -116,7 +115,6 @@ func TestWritePrometheusConcurrentUpdates(t *testing.T) {
 				default:
 				}
 				c.Inc()
-				g.Set(float64(n))
 				h.Observe(float64(n%100) / 1000)
 				fnVal.Store("v", float64(n))
 				// New registrations during a scrape must be safe too;

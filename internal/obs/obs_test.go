@@ -12,8 +12,7 @@ func TestCounterGaugeRender(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("recoverd_decisions_total", "decisions served")
 	c.Add(3)
-	g := r.Gauge("recoverd_queue_depth", "")
-	g.Set(2.5)
+	r.GaugeFunc("recoverd_queue_depth", "", func() float64 { return 2.5 })
 	r.GaugeFunc("recoverd_episodes_open", "open episodes", func() float64 { return 7 })
 
 	var buf bytes.Buffer
@@ -57,7 +56,7 @@ func TestRegistryIdempotentRegistration(t *testing.T) {
 			t.Error("conflicting kind registration did not panic")
 		}
 	}()
-	r.Gauge("x_total", "")
+	r.GaugeFunc("x_total", "", func() float64 { return 0 })
 }
 
 func TestHistogramBucketsAndRender(t *testing.T) {

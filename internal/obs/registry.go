@@ -106,12 +106,6 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	return r.register(c, labels).(*Counter)
 }
 
-// Gauge registers (or returns the existing) settable gauge.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	g := &Gauge{name: name, helpText: help, labels: labels}
-	return r.register(g, labels).(*Gauge)
-}
-
 // GaugeFunc registers a gauge whose value is computed by fn at scrape time —
 // the right shape for values that already live elsewhere (e.g. the size of a
 // map guarded by its own lock). fn must be safe to call from any goroutine.
@@ -187,8 +181,6 @@ func (r *Registry) Gather() map[string]float64 {
 		switch v := m.(type) {
 		case *Counter:
 			out[key(v.name, v.labels)] = float64(v.Value())
-		case *Gauge:
-			out[key(v.name, v.labels)] = v.Value()
 		case *gaugeFunc:
 			out[key(v.name, v.labels)] = v.fn()
 		case *counterFunc:
@@ -225,40 +217,6 @@ func (c *Counter) kind() string   { return "counter" }
 func (c *Counter) help() string   { return c.helpText }
 func (c *Counter) render(w io.Writer) error {
 	_, err := fmt.Fprintf(w, "%s %d\n", key(c.name, c.labels), c.Value())
-	return err
-}
-
-// Gauge is a settable instantaneous value. All methods are safe for
-// concurrent use.
-type Gauge struct {
-	bits     atomic.Uint64 // float64 bits
-	name     string
-	helpText string
-	labels   []Label
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add atomically adds d to the gauge.
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + d)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-func (g *Gauge) family() string { return g.name }
-func (g *Gauge) kind() string   { return "gauge" }
-func (g *Gauge) help() string   { return g.helpText }
-func (g *Gauge) render(w io.Writer) error {
-	_, err := fmt.Fprintf(w, "%s %s\n", key(g.name, g.labels), formatFloat(g.Value()))
 	return err
 }
 

@@ -177,64 +177,43 @@ func TestBatchedCampaignFatalErrorParity(t *testing.T) {
 	}
 }
 
-func TestAutoWorkers(t *testing.T) {
-	cases := []struct{ episodes, procs, want int }{
-		{1, 8, 1},
-		{3, 8, 1},
-		{4, 8, 1},
-		{8, 8, 2},
-		{40, 8, 8},
-		{40, 4, 4},
-		{1000, 16, 16},
-		{2, 1, 1},
-	}
-	for _, c := range cases {
-		if got := autoWorkers(c.episodes, c.procs); got != c.want {
-			t.Errorf("autoWorkers(%d, %d) = %d, want %d", c.episodes, c.procs, got, c.want)
-		}
-	}
-}
-
-// TestAutoWorkersOnlyWithFactory: Workers == 0 with just a shared controller
-// must stay sequential (a shared controller cannot be parallelized), and the
-// result must equal the explicit Workers: 1 run.
+// TestAutoWorkersOnlyWithFactory: Workers == 0 is the sequential campaign
+// whatever the core count — with a shared controller, an EpisodeFactory or
+// a WorkerFactory, the result equals the explicit Workers: 1 run. Raising
+// GOMAXPROCS makes the check independent of the host.
 func TestAutoWorkersOnlyWithFactory(t *testing.T) {
 	rm, _ := twoServerRecovery(t)
 	runner, err := NewRunner(rm, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(opts CampaignOptions) CampaignResult {
-		ctrl, initial := preparedBounded(t, rm)
-		res, err := runner.RunCampaignOpts(ctrl, initial, []int{1, 2}, 40, rng.New(5), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res.AlgoTimeMs = statsAcc{}
-		return res
-	}
-	auto, pinned := run(CampaignOptions{}), run(CampaignOptions{Workers: 1})
-	if !reflect.DeepEqual(auto, pinned) {
-		t.Errorf("Workers=0 without a factory is not the sequential campaign:\nauto:   %+v\npinned: %+v", auto, pinned)
-	}
-
-	// An EpisodeFactory alone must not auto-parallelize either, whatever the
-	// core count: it need be concurrency-safe only when Workers > 1 is asked
-	// for. Raising GOMAXPROCS makes the check independent of the host.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	factoryRun := func(opts CampaignOptions) CampaignResult {
-		ctrl, initial := preparedBounded(t, rm)
-		opts.EpisodeFactory = func(int) (controller.Controller, func(error), error) { return ctrl, nil, nil }
-		res, err := runner.RunCampaignOpts(nil, initial, []int{1, 2}, 40, rng.New(5), opts)
-		if err != nil {
-			t.Fatal(err)
+	for _, mode := range []struct {
+		name string
+		set  func(*CampaignOptions, controller.Controller)
+	}{
+		{"shared controller", func(*CampaignOptions, controller.Controller) {}},
+		{"episode factory", func(o *CampaignOptions, ctrl controller.Controller) {
+			o.EpisodeFactory = func(int) (controller.Controller, func(error), error) { return ctrl, nil, nil }
+		}},
+		{"worker factory", func(o *CampaignOptions, _ controller.Controller) {
+			o.WorkerFactory = boundedFactory(t, rm)
+		}},
+	} {
+		run := func(workers int) CampaignResult {
+			ctrl, initial := preparedBounded(t, rm)
+			opts := CampaignOptions{Workers: workers}
+			mode.set(&opts, ctrl)
+			res, err := runner.RunCampaignOpts(ctrl, initial, []int{1, 2}, 40, rng.New(5), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res.AlgoTimeMs = statsAcc{}
+			return res
 		}
-		res.AlgoTimeMs = statsAcc{}
-		return res
-	}
-	auto, pinned = factoryRun(CampaignOptions{}), factoryRun(CampaignOptions{Workers: 1})
-	if !reflect.DeepEqual(auto, pinned) {
-		t.Errorf("Workers=0 with an EpisodeFactory is not the sequential campaign:\nauto:   %+v\npinned: %+v", auto, pinned)
+		if auto, pinned := run(0), run(1); !reflect.DeepEqual(auto, pinned) {
+			t.Errorf("%s: Workers=0 is not the sequential campaign:\nauto:   %+v\npinned: %+v", mode.name, auto, pinned)
+		}
 	}
 }
 

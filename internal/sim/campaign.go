@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -111,21 +110,13 @@ type CampaignOptions struct {
 	// for abandoning remote episodes. With Workers > 1 the factory is called
 	// concurrently from worker goroutines and must be safe for that.
 	EpisodeFactory func(episode int) (controller.Controller, func(error), error)
-	// Workers is the number of campaign goroutines; 1 runs the campaign
-	// sequentially on the calling goroutine. Episode i is assigned to
-	// worker i mod Workers and uses the same derived RNG stream at any
-	// worker count, so for a fixed Workers value the campaign is exactly
-	// reproducible; the merged statistics with Workers == 1 are bit-for-bit
-	// the sequential result.
-	//
-	// Workers == 0 auto-tunes only with a WorkerFactory and no
-	// EpisodeFactory: the count is then picked from the episode count and
-	// GOMAXPROCS (never more than one worker per four episodes, never more
-	// than GOMAXPROCS). With a shared controller or an EpisodeFactory it
-	// stays sequential, so an EpisodeFactory need be concurrency-safe only
-	// when the caller asks for Workers > 1. Auto-tuned campaigns are
-	// reproducible only on a fixed GOMAXPROCS — pass an explicit count when
-	// determinism across machines matters.
+	// Workers is the number of campaign goroutines; 0 or 1 runs the
+	// campaign sequentially on the calling goroutine, so an EpisodeFactory
+	// need be concurrency-safe only when the caller asks for Workers > 1.
+	// Episode i is assigned to worker i mod Workers and uses the same
+	// derived RNG stream at any worker count, so for a fixed Workers value
+	// the campaign is exactly reproducible on any GOMAXPROCS; the merged
+	// statistics with Workers == 1 are bit-for-bit the sequential result.
 	Workers int
 	// WorkerFactory supplies each worker's private controller and initial
 	// belief. Required when Workers > 1 and no EpisodeFactory is set: a
@@ -191,16 +182,7 @@ func (r *Runner) RunCampaignOpts(ctrl controller.Controller, initial pomdp.Belie
 	if opts.BatchDecider != nil && opts.BatchSize == 0 {
 		return out, fmt.Errorf("sim: BatchDecider set without a positive BatchSize")
 	}
-	workers := opts.Workers
-	if workers == 0 && opts.WorkerFactory != nil && opts.EpisodeFactory == nil {
-		workers = autoWorkers(episodes, runtime.GOMAXPROCS(0))
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > episodes {
-		workers = episodes
-	}
+	workers := max(1, min(opts.Workers, episodes))
 	if workers > 1 && opts.BatchDecider != nil {
 		return out, fmt.Errorf("sim: shared batch decider cannot run %d workers; use a WorkerFactory of batch-capable controllers", workers)
 	}
@@ -256,20 +238,6 @@ func firstNonEmpty(a, b string) string {
 		return a
 	}
 	return b
-}
-
-// autoWorkers picks the worker count for Workers == 0: one worker per four
-// episodes (a worker with fewer episodes spends more time starting up than
-// simulating), capped at GOMAXPROCS, and never below one.
-func autoWorkers(episodes, procs int) int {
-	w := episodes / 4
-	if w < 1 {
-		w = 1
-	}
-	if w > procs {
-		w = procs
-	}
-	return w
 }
 
 // doneEpisode is a finished episode's outcome, held by value until every
