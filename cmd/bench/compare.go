@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"io"
-	"math"
 	"slices"
 	"sort"
 )
@@ -25,8 +24,8 @@ type Regression struct {
 	Metric string  // "ns_per_op", "allocs_per_op", or "allocs_per_episode"
 	Old    float64 // baseline value
 	New    float64 // current value
-	Ratio  float64 // new/old; the median pair's ratio in the paired gate (time metric only)
-	Losses int     // pairs the candidate ran slower in (paired gate, time metric only)
+	Ratio  float64 // the median pair's new/old ratio (time metric only)
+	Losses int     // pairs the candidate ran slower in (time metric only)
 }
 
 func (r Regression) String() string {
@@ -39,10 +38,10 @@ func (r Regression) String() string {
 	return fmt.Sprintf("%s: ns/op %.0f -> %.0f (paired %.2fx, slower in %d/%d pairs)", r.Name, r.Old, r.New, r.Ratio, r.Losses, pairs)
 }
 
-// compareReports diffs the current run against a baseline: a benchmark
-// regresses when its ns/op exceeds the baseline by more than the fractional
-// threshold, or when its allocations grow. For the micro kernels allocation
-// counts are exact, so any allocs/op growth is a real regression, not noise.
+// compareReports diffs the current run's allocations against a baseline's:
+// a benchmark regresses when its allocations grow. For the micro kernels
+// allocation counts are exact, so any allocs/op growth is a real
+// regression, not noise.
 // Campaign entries run whole fault-injection campaigns whose totals carry a
 // little runtime jitter (first-iteration warmup, goroutine machinery), so
 // they are gated on allocs/episode instead, with slack of one alloc/episode
@@ -52,7 +51,7 @@ func (r Regression) String() string {
 // get proportional room instead of flaking.
 // Benchmarks present in only one report are ignored — new benchmarks are not
 // regressions, and retired ones have nothing to compare against.
-func compareReports(old, cur *Report, threshold float64) []Regression {
+func compareReports(old, cur *Report) []Regression {
 	var out []Regression
 	names := make([]string, 0, len(cur.Bench))
 	for name := range cur.Bench {
@@ -63,12 +62,6 @@ func compareReports(old, cur *Report, threshold float64) []Regression {
 	sort.Strings(names)
 	for _, name := range names {
 		o, n := old.Bench[name], cur.Bench[name]
-		if o.NsPerOp > 0 && n.NsPerOp > o.NsPerOp*(1+threshold) {
-			out = append(out, Regression{
-				Name: name, Metric: "ns_per_op",
-				Old: o.NsPerOp, New: n.NsPerOp, Ratio: n.NsPerOp / o.NsPerOp,
-			})
-		}
 		switch {
 		case o.Episodes > 0 && n.Episodes > 0:
 			slack := max(int64(1), o.AllocsPerEp/100)
@@ -97,7 +90,7 @@ func compareReports(old, cur *Report, threshold float64) []Regression {
 // slower in at least minLosses pairs.
 func comparePairs(base, cand []*Report) []Regression {
 	old, cur := medianReport(base), medianReport(cand)
-	out := compareReports(old, cur, math.Inf(1))
+	out := compareReports(old, cur)
 	names := make([]string, 0, len(cur.Bench))
 	for name := range cur.Bench {
 		if _, ok := old.Bench[name]; ok {

@@ -12,33 +12,20 @@ func report(bench map[string]Entry) *Report {
 func TestCompareReports(t *testing.T) {
 	old := report(map[string]Entry{
 		"fast":    {NsPerOp: 100, AllocsPerOp: 2},
-		"slow":    {NsPerOp: 100, AllocsPerOp: 2},
 		"allocs":  {NsPerOp: 100, AllocsPerOp: 2},
 		"retired": {NsPerOp: 100},
 	})
 	cur := report(map[string]Entry{
 		"fast":   {NsPerOp: 90, AllocsPerOp: 2},  // improved
-		"slow":   {NsPerOp: 150, AllocsPerOp: 2}, // +50% over a 30% threshold
 		"allocs": {NsPerOp: 100, AllocsPerOp: 3}, // any alloc growth regresses
 		"new":    {NsPerOp: 1e9, AllocsPerOp: 9}, // no baseline — ignored
 	})
-	regs := compareReports(old, cur, 0.30)
-	if len(regs) != 2 {
-		t.Fatalf("got %d regressions %+v, want 2", len(regs), regs)
+	regs := compareReports(old, cur)
+	if len(regs) != 1 {
+		t.Fatalf("got %d regressions %+v, want 1", len(regs), regs)
 	}
 	if regs[0].Name != "allocs" || regs[0].Metric != "allocs_per_op" {
-		t.Errorf("first regression %+v, want allocs/allocs_per_op", regs[0])
-	}
-	if regs[1].Name != "slow" || regs[1].Metric != "ns_per_op" || regs[1].Ratio != 1.5 {
-		t.Errorf("second regression %+v, want slow/ns_per_op at 1.5x", regs[1])
-	}
-}
-
-func TestCompareReportsWithinThreshold(t *testing.T) {
-	old := report(map[string]Entry{"b": {NsPerOp: 100, AllocsPerOp: 5}})
-	cur := report(map[string]Entry{"b": {NsPerOp: 129, AllocsPerOp: 5}})
-	if regs := compareReports(old, cur, 0.30); len(regs) != 0 {
-		t.Errorf("29%% slowdown under a 30%% threshold flagged: %+v", regs)
+		t.Errorf("regression %+v, want allocs/allocs_per_op", regs[0])
 	}
 }
 
@@ -164,13 +151,13 @@ func TestCompareReportsCampaignAllocSlack(t *testing.T) {
 	within := report(map[string]Entry{
 		"campaign": {NsPerOp: 1e6, AllocsPerOp: 896, Episodes: 64, AllocsPerEp: 14},
 	})
-	if regs := compareReports(old, within, 0.30); len(regs) != 0 {
+	if regs := compareReports(old, within); len(regs) != 0 {
 		t.Errorf("one alloc/episode of growth flagged: %+v", regs)
 	}
 	leak := report(map[string]Entry{
 		"campaign": {NsPerOp: 1e6, AllocsPerOp: 960, Episodes: 64, AllocsPerEp: 15},
 	})
-	regs := compareReports(old, leak, 0.30)
+	regs := compareReports(old, leak)
 	if len(regs) != 1 || regs[0].Metric != "allocs_per_episode" {
 		t.Fatalf("two allocs/episode of growth not flagged: %+v", regs)
 	}
@@ -189,13 +176,13 @@ func TestCompareReportsCampaignAllocSlackProportional(t *testing.T) {
 	within := report(map[string]Entry{
 		"campaign": {NsPerOp: 1e6, AllocsPerOp: 28200, Episodes: 64, AllocsPerEp: 441},
 	})
-	if regs := compareReports(old, within, 0.30); len(regs) != 0 {
+	if regs := compareReports(old, within); len(regs) != 0 {
 		t.Errorf("jitter within 1%% flagged: %+v", regs)
 	}
 	leak := report(map[string]Entry{
 		"campaign": {NsPerOp: 1e6, AllocsPerOp: 28500, Episodes: 64, AllocsPerEp: 443},
 	})
-	regs := compareReports(old, leak, 0.30)
+	regs := compareReports(old, leak)
 	if len(regs) != 1 || regs[0].Metric != "allocs_per_episode" {
 		t.Fatalf("growth beyond the proportional slack not flagged: %+v", regs)
 	}

@@ -24,11 +24,8 @@ import (
 	"os"
 	"time"
 
-	"bpomdp/internal/controller"
 	"bpomdp/internal/core"
-	"bpomdp/internal/emn"
 	"bpomdp/internal/modelload"
-	"bpomdp/internal/rng"
 )
 
 func main() {
@@ -40,52 +37,22 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("boundsrefine", flag.ContinueOnError)
+	var offline modelload.Flags
+	offline.Register(fs)
 	var (
-		modelName = fs.String("model", "emn", `model: "emn", "twoserver", or a path to a model JSON`)
-		top       = fs.Float64("top", emn.OperatorResponseTime, "operator response time t_op in seconds")
-		bootstrap = fs.Int("bootstrap", 10, "bootstrap episodes to warm the lower bound before refining (0 = refine from the raw RA-Bound)")
-		bootDepth = fs.Int("bootstrap-depth", 2, "tree depth during bootstrap")
-		seed      = fs.Uint64("seed", 1, "bootstrap RNG seed")
-		inPath    = fs.String("bounds", "", "load the lower-bound set from this JSON file instead of bootstrapping")
-		gap       = fs.Float64("gap", 1e-6, "target root bound gap refinement converges to")
-		trials    = fs.Int("trials", 0, "cap on exploration trials (0 = default)")
-		depth     = fs.Int("depth", 0, "cap on per-trial exploration depth (0 = default)")
-		out       = fs.String("out", "bounds.json", "write the refined lower-bound set here")
-		upperOut  = fs.String("upper-out", "", "also write the refined sawtooth upper bound here (optional)")
+		gap      = fs.Float64("gap", 1e-6, "target root bound gap refinement converges to")
+		trials   = fs.Int("trials", 0, "cap on exploration trials (0 = default)")
+		depth    = fs.Int("depth", 0, "cap on per-trial exploration depth (0 = default)")
+		out      = fs.String("out", "bounds.json", "write the refined lower-bound set here")
+		upperOut = fs.String("upper-out", "", "also write the refined sawtooth upper bound here (optional)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	rm, err := modelload.Load(*modelName)
+	prep, err := offline.Prepare()
 	if err != nil {
 		return err
-	}
-	prep, err := core.Prepare(rm, core.PrepareOptions{OperatorResponseTime: *top})
-	if err != nil {
-		return err
-	}
-	log.Printf("model %q: %d states, %d actions, %d observations; regime %s",
-		*modelName, prep.Model.NumStates(), prep.Model.NumActions(), prep.Model.NumObservations(), prep.Regime)
-
-	loaded := false
-	if *inPath != "" {
-		if loaded, err = prep.LoadBounds(*inPath); err != nil {
-			return err
-		}
-		if loaded {
-			log.Printf("loaded %d bound vectors from %s", prep.Set.Size(), *inPath)
-		}
-	}
-	if !loaded && *bootstrap > 0 {
-		start := time.Now()
-		stats, err := prep.Bootstrap(*bootstrap, controller.VariantAverage, *bootDepth, rng.New(*seed))
-		if err != nil {
-			return err
-		}
-		last := stats[len(stats)-1]
-		log.Printf("bootstrapped %d episodes in %v: bound at uniform %.2f, %d vectors",
-			*bootstrap, time.Since(start).Round(time.Millisecond), last.BoundAtUniform, last.Vectors)
 	}
 
 	rep, err := prep.RefineBounds(core.RefineConfig{Epsilon: *gap, MaxTrials: *trials, MaxDepth: *depth})

@@ -23,9 +23,7 @@ import (
 
 	"bpomdp/internal/controller"
 	"bpomdp/internal/core"
-	"bpomdp/internal/emn"
 	"bpomdp/internal/modelload"
-	"bpomdp/internal/rng"
 )
 
 func main() {
@@ -37,57 +35,21 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("fsccompile", flag.ContinueOnError)
+	offline := modelload.Flags{SaveBootstrap: true}
+	offline.Register(fs)
 	var (
-		modelName  = fs.String("model", "emn", `model: "emn", "twoserver", or a path to a model JSON`)
-		top        = fs.Float64("top", emn.OperatorResponseTime, "operator response time t_op in seconds")
-		bootstrap  = fs.Int("bootstrap", 10, "bootstrap episodes to warm the bound before compiling")
-		bootDepth  = fs.Int("bootstrap-depth", 2, "tree depth during bootstrap")
-		depth      = fs.Int("depth", 1, "tree depth the compiled decisions are computed at (recoverd refuses to serve the artifact at another -depth)")
-		seed       = fs.Uint64("seed", 1, "bootstrap RNG seed")
-		boundsPath = fs.String("bounds", "", "load the bound set from this JSON file instead of bootstrapping (and save it back after bootstrap when it does not exist)")
-		maxNodes   = fs.Int("max-nodes", 0, "cap on compiled FSC nodes (0 = default)")
-		improve    = fs.Bool("improve", false, "keep improving the bound during compilation (tighter gaps, but served decisions are then only mean-cost-equivalent, not per-decision identical, to a tree over the frozen set)")
-		out        = fs.String("out", "model.fsc", "write the compiled artifact here")
+		depth    = fs.Int("depth", 1, "tree depth the compiled decisions are computed at (recoverd refuses to serve the artifact at another -depth)")
+		maxNodes = fs.Int("max-nodes", 0, "cap on compiled FSC nodes (0 = default)")
+		improve  = fs.Bool("improve", false, "keep improving the bound during compilation (tighter gaps, but served decisions are then only mean-cost-equivalent, not per-decision identical, to a tree over the frozen set)")
+		out      = fs.String("out", "model.fsc", "write the compiled artifact here")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	rm, err := modelload.Load(*modelName)
+	prep, err := offline.Prepare()
 	if err != nil {
 		return err
-	}
-	prep, err := core.Prepare(rm, core.PrepareOptions{OperatorResponseTime: *top})
-	if err != nil {
-		return err
-	}
-	log.Printf("model %q: %d states, %d actions, %d observations; regime %s",
-		*modelName, prep.Model.NumStates(), prep.Model.NumActions(), prep.Model.NumObservations(), prep.Regime)
-
-	loaded := false
-	if *boundsPath != "" {
-		if loaded, err = prep.LoadBounds(*boundsPath); err != nil {
-			return err
-		}
-		if loaded {
-			log.Printf("loaded %d bound vectors from %s", prep.Set.Size(), *boundsPath)
-		}
-	}
-	if !loaded && *bootstrap > 0 {
-		start := time.Now()
-		stats, err := prep.Bootstrap(*bootstrap, controller.VariantAverage, *bootDepth, rng.New(*seed))
-		if err != nil {
-			return err
-		}
-		last := stats[len(stats)-1]
-		log.Printf("bootstrapped %d episodes in %v: bound at uniform %.2f, %d vectors",
-			*bootstrap, time.Since(start).Round(time.Millisecond), last.BoundAtUniform, last.Vectors)
-		if *boundsPath != "" {
-			if err := prep.SaveBounds(*boundsPath); err != nil {
-				return err
-			}
-			log.Printf("saved bound set to %s", *boundsPath)
-		}
 	}
 
 	start := time.Now()

@@ -20,7 +20,6 @@ import (
 
 	"bpomdp/internal/bounds"
 	"bpomdp/internal/core"
-	"bpomdp/internal/emn"
 	"bpomdp/internal/linalg"
 	"bpomdp/internal/modelload"
 	"bpomdp/internal/pomdp"
@@ -36,16 +35,14 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("modelinfo", flag.ContinueOnError)
-	var (
-		modelName = fs.String("model", "emn", `model: "emn", "twoserver", or a path to a model JSON`)
-		top       = fs.Float64("top", emn.OperatorResponseTime, "operator response time t_op in seconds")
-		export    = fs.String("export", "", "write the model JSON to this path and exit")
-	)
+	var m modelload.ModelFlags
+	m.Register(fs)
+	export := fs.String("export", "", "write the model JSON to this path and exit")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	rm, err := loadModel(*modelName)
+	rm, err := modelload.Load(m.Model)
 	if err != nil {
 		return err
 	}
@@ -60,11 +57,7 @@ func run(args []string) error {
 		fmt.Printf("wrote %s (%d bytes)\n", *export, len(data))
 		return nil
 	}
-	return report(os.Stdout, rm, *top)
-}
-
-func loadModel(name string) (*core.RecoveryModel, error) {
-	return modelload.Load(name)
+	return report(os.Stdout, rm, m.Top)
 }
 
 func report(w *os.File, rm *core.RecoveryModel, top float64) error {

@@ -4,6 +4,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"bpomdp/internal/modelload"
 )
 
 func TestRunTwoServer(t *testing.T) {
@@ -52,7 +54,7 @@ func TestLoadModelRejectsNoNullState(t *testing.T) {
 	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := loadModel(path); err == nil {
+	if _, err := modelload.Load(path); err == nil {
 		t.Error("model without a null state accepted")
 	}
 }

@@ -40,12 +40,10 @@ import (
 	"bpomdp/internal/client"
 	"bpomdp/internal/controller"
 	"bpomdp/internal/core"
-	"bpomdp/internal/emn"
 	"bpomdp/internal/fleet"
 	"bpomdp/internal/modelload"
 	"bpomdp/internal/obs"
 	"bpomdp/internal/pomdp"
-	"bpomdp/internal/rng"
 	"bpomdp/internal/server"
 )
 
@@ -58,16 +56,12 @@ func main() {
 
 func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("recoverd", flag.ContinueOnError)
+	offline := modelload.Flags{SaveBootstrap: true}
+	offline.Register(fs)
 	var (
 		addr        = fs.String("addr", ":7947", "listen address")
-		modelName   = fs.String("model", "emn", `model: "emn", "twoserver", or a path to a model JSON`)
-		top         = fs.Float64("top", emn.OperatorResponseTime, "operator response time t_op in seconds")
-		bootstrap   = fs.Int("bootstrap", 10, "bootstrap episodes before serving")
-		bootDepth   = fs.Int("bootstrap-depth", 2, "tree depth during bootstrap")
 		depth       = fs.Int("depth", 1, "online tree depth")
 		improve     = fs.Bool("improve-online", true, "keep improving the bound during real recovery")
-		seed        = fs.Uint64("seed", 1, "bootstrap RNG seed")
-		boundsPath  = fs.String("bounds", "", "load the bound set from this JSON file if it exists, and save it back after bootstrap")
 		fscPath     = fs.String("fsc", "", "load a compiled finite-state controller (see cmd/fsccompile) and serve table hits from it, falling back to the tree")
 		fscGap      = fs.Float64("fsc-gap-threshold", 1e-6, "serve an FSC node only when its compile-time bound gap is at most this; larger nodes fall back to the tree")
 		refine      = fs.Bool("refine-bounds", false, "run HSVI-style offline bound refinement (paired upper/lower bounds) after bootstrap, before serving")
@@ -97,41 +91,9 @@ func run(ctx context.Context, args []string) error {
 		return err
 	}
 
-	rm, err := modelload.Load(*modelName)
+	prep, err := offline.Prepare()
 	if err != nil {
 		return err
-	}
-	prep, err := core.Prepare(rm, core.PrepareOptions{OperatorResponseTime: *top})
-	if err != nil {
-		return err
-	}
-	log.Printf("model %q: %d states, %d actions, %d observations; regime %s",
-		*modelName, prep.Model.NumStates(), prep.Model.NumActions(), prep.Model.NumObservations(), prep.Regime)
-
-	loaded := false
-	if *boundsPath != "" {
-		if loaded, err = prep.LoadBounds(*boundsPath); err != nil {
-			return err
-		}
-		if loaded {
-			log.Printf("loaded %d bound vectors from %s", prep.Set.Size(), *boundsPath)
-		}
-	}
-	if !loaded && *bootstrap > 0 {
-		start := time.Now()
-		stats, err := prep.Bootstrap(*bootstrap, controller.VariantAverage, *bootDepth, rng.New(*seed))
-		if err != nil {
-			return err
-		}
-		last := stats[len(stats)-1]
-		log.Printf("bootstrapped %d episodes in %v: bound at uniform %.2f, %d vectors",
-			*bootstrap, time.Since(start).Round(time.Millisecond), last.BoundAtUniform, last.Vectors)
-		if *boundsPath != "" {
-			if err := prep.SaveBounds(*boundsPath); err != nil {
-				return err
-			}
-			log.Printf("saved bound set to %s", *boundsPath)
-		}
 	}
 
 	metrics := obs.NewRegistry()
@@ -148,11 +110,11 @@ func run(ctx context.Context, args []string) error {
 		log.Printf("refined bounds in %v: root gap %.3g -> %.3g (%d trials, %d backups, +%d planes, +%d points, converged=%v)",
 			rep.Wall.Round(time.Millisecond), rep.InitialGap, rep.FinalGap,
 			rep.Trials, rep.Backups, rep.PlanesAdded, rep.PointsAdded, rep.Converged)
-		if *boundsPath != "" {
-			if err := prep.SaveBounds(*boundsPath); err != nil {
+		if offline.Bounds != "" {
+			if err := prep.SaveBounds(offline.Bounds); err != nil {
 				return err
 			}
-			log.Printf("saved refined bound set to %s", *boundsPath)
+			log.Printf("saved refined bound set to %s", offline.Bounds)
 		}
 		r := rep
 		metrics.GaugeFunc("recoverd_refine_root_gap",

@@ -246,9 +246,6 @@ func NewRefiner(p *pomdp.POMDP, set *Set, upper *UpperBound, cfg RefineConfig) (
 // Set returns the lower-bound hyperplane set being refined.
 func (r *Refiner) Set() *Set { return r.lower.Set() }
 
-// Upper returns the upper bound being refined.
-func (r *Refiner) Upper() *UpperBound { return r.upper }
-
 // GapAt evaluates the bound gap V̄(π) − V_B⁻(π), clamped at zero, reading
 // the lower bound through Peek so inspection cannot perturb least-used
 // eviction. A gap below −CrossTol is reported as ErrBoundCrossing.

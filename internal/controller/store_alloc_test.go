@@ -8,6 +8,7 @@ import (
 	"bpomdp/internal/controller"
 	"bpomdp/internal/core"
 	"bpomdp/internal/pomdp"
+	"bpomdp/internal/rng"
 )
 
 // TestDecisionTableWarmHitAllocs: a DecideBatch of 16 reachable EMN beliefs
@@ -36,6 +37,63 @@ func TestDecisionTableWarmHitAllocs(t *testing.T) {
 	}
 	if tbl.OnlineMisses() != misses {
 		t.Errorf("warm batches missed the online region %d times", tbl.OnlineMisses()-misses)
+	}
+}
+
+// TestBareTreeWarmAllocs: a warm controller with no decision store, the
+// bare Max-Avg tree, allocates nothing on a DecideBatch of 16 reachable EMN
+// beliefs, on one of 64 dense random beliefs, or on an episode's Reset and
+// Decide.
+func TestBareTreeWarmAllocs(t *testing.T) {
+	prep, runner, faults := emnTablePrep(t, 10)
+	ctrl := tableFree(t, prep, core.ControllerConfig{Depth: 1})
+	stream := rng.New(7)
+	dense := make([]pomdp.Belief, 64)
+	for i := range dense {
+		pi := make(pomdp.Belief, prep.Model.NumStates())
+		sum := 0.0
+		for s := range pi {
+			pi[s] = stream.Float64()
+			sum += pi[s]
+		}
+		for s := range pi {
+			pi[s] /= sum
+		}
+		dense[i] = pi
+	}
+	for _, c := range []struct {
+		name string
+		pis  []pomdp.Belief
+	}{
+		{"16 reachable beliefs", campaignBeliefs(t, prep, runner, faults, 16)},
+		{"64 dense beliefs", dense},
+	} {
+		out := make([]controller.Decision, len(c.pis))
+		batch := func() {
+			if err := ctrl.DecideBatch(c.pis, out); err != nil {
+				t.Fatal(err)
+			}
+		}
+		batch()
+		if allocs := testing.AllocsPerRun(20, batch); allocs != 0 {
+			t.Errorf("bare-tree DecideBatch over %s: %v allocs/op, want 0", c.name, allocs)
+		}
+	}
+	initial, err := prep.InitialBelief()
+	if err != nil {
+		t.Fatal(err)
+	}
+	decide := func() {
+		if err := ctrl.Reset(initial); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ctrl.Decide(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decide()
+	if allocs := testing.AllocsPerRun(20, decide); allocs != 0 {
+		t.Errorf("bare-tree Reset and Decide: %v allocs/op, want 0", allocs)
 	}
 }
 

@@ -82,9 +82,6 @@ func NewRing(members []string, vnodes int) (*Ring, error) {
 	return r, nil
 }
 
-// Size returns the number of virtual nodes on the ring.
-func (r *Ring) Size() int { return len(r.points) }
-
 // OwnerOf returns the member owning key: the first virtual node at or after
 // the key's hash, wrapping around the ring. ok is false on an empty ring.
 func (r *Ring) OwnerOf(key string) (member string, ok bool) {

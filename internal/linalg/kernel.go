@@ -61,9 +61,6 @@ func NewSORKernel(p *CSR) *SORKernel {
 	return k
 }
 
-// N returns the kernel's dimension.
-func (k *SORKernel) N() int { return k.n }
-
 // Diag returns the matrix diagonal extracted at build time. The slice
 // aliases kernel storage and must not be modified.
 func (k *SORKernel) Diag() Vector { return k.diag }

@@ -1,6 +1,9 @@
-// Package modelload resolves model names shared by the command-line tools:
-// the built-in "emn" and "twoserver" models, or a path to a model JSON file
-// (as produced by modelinfo -export / pomdp.MarshalModel).
+// Package modelload is the command-line tools' offline front end. Load
+// resolves a model name: the built-in "emn" and "twoserver" models, or a
+// path to a model JSON file (as produced by modelinfo -export /
+// pomdp.MarshalModel). Flags declares the flags the tools share and runs
+// the offline phase they share: load the model, prepare its RA-Bound, and
+// load or bootstrap the bound set.
 package modelload
 
 import (

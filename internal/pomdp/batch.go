@@ -51,9 +51,6 @@ func (b *SuccessorBuf) Reset() {
 	b.probs = b.probs[:0]
 }
 
-// Len returns the number of accumulated successors.
-func (b *SuccessorBuf) Len() int { return len(b.probs) }
-
 // Probs returns the observation probabilities γ(o) of the accumulated
 // successors, in append order. The slice is valid until the next Reset.
 func (b *SuccessorBuf) Probs() []float64 { return b.probs }

@@ -224,9 +224,6 @@ func NewDirCheckpointer(dir string) (*DirCheckpointer, error) {
 	return &DirCheckpointer{dir: dir, sync: (*os.File).Sync}, nil
 }
 
-// Dir returns the checkpoint directory.
-func (c *DirCheckpointer) Dir() string { return c.dir }
-
 func (c *DirCheckpointer) path(id uint64) string {
 	return filepath.Join(c.dir, fmt.Sprintf("episode-%d.json", id))
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -541,7 +542,12 @@ func (s *Server) postTombstone(to fleet.Member, ts TombstoneState) error {
 func (s *Server) handleTombstoneReplica(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	data, err := io.ReadAll(body)
-	if err != nil {
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("tombstone body exceeds %d bytes", tooLarge.Limit))
+		return
+	case err != nil:
 		writeError(w, http.StatusBadRequest, fmt.Errorf("read tombstone body: %w", err))
 		return
 	}

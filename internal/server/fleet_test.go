@@ -500,3 +500,43 @@ func TestFleetReplicatedTombstoneRetiresLiveCopy(t *testing.T) {
 		t.Errorf("%d episodes open after their tombstone arrived", n)
 	}
 }
+
+// TestTombstoneReplicaBodyLimit: a replicated tombstone past MaxBodyBytes
+// is answered 413, as every other POST body is; one under the cap that does
+// not decode stays 400.
+func TestTombstoneReplicaBodyLimit(t *testing.T) {
+	prep := testPrepared(t)
+	view, err := fleet.NewMembership([]fleet.Member{{ID: "a", Addr: "http://127.0.0.1:1"}}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := NewDirCheckpointer(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{Model: prep.Model, NewController: boundedFactory(prep), Checkpointer: store,
+		MaxBodyBytes: 128, Fleet: &FleetConfig{Self: "a", Membership: view}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	hs := httptest.NewServer(srv)
+	defer hs.Close()
+
+	for _, c := range []struct {
+		name, body string
+		want       int
+	}{
+		{"over the cap", fmt.Sprintf(`{"episodeId":1,"clientKey":%q}`, strings.Repeat("k", 4096)), http.StatusRequestEntityTooLarge},
+		{"under the cap", `{"episodeId":1}`, http.StatusBadRequest},
+	} {
+		resp, err := http.Post(hs.URL+tombstoneReplicaPath, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("%s: status %d, want %d", c.name, resp.StatusCode, c.want)
+		}
+	}
+}
