@@ -549,11 +549,19 @@ func benchTree(s *suite, fx *fixtures) error {
 	return nil
 }
 
+// refineReplicaTrials is refine_replica16's trial budget, fixed so that one
+// op stays under half a second (about 0.4 s on 2 vCPUs). Trials grow
+// costlier as the sets grow: 35 took about 2 s.
+const refineReplicaTrials = 12
+
 // benchScaling times core.Prepare, whose cost is the RA-Bound solve
 // (prepare_replica16, prepare_replica64), and a depth-1 decision at the
 // initial belief (decide_replica16, decide_replica64) on the replica
 // models of 16 and 64 hosts, 49 and 193 states: the off-line and on-line
-// costs that Section 4.3 weighs as the system grows.
+// costs that Section 4.3 weighs as the system grows. refine_replica16
+// times offline refinement past EMN: RefineBounds for refineReplicaTrials
+// trials on a set bootstrapped by 10 depth-2 episodes (seed 1), rebuilt
+// outside the timed region each iteration as bounds_refine does.
 func benchScaling(s *suite, _ *fixtures) error {
 	opts := core.PrepareOptions{OperatorResponseTime: 3600}
 	for _, n := range []int{16, 64} {
@@ -570,6 +578,25 @@ func benchScaling(s *suite, _ *fixtures) error {
 				}
 			}
 		}))
+		if n == 16 {
+			s.add("refine_replica16", timed(func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					p, err := core.Prepare(rm, opts)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := p.Bootstrap(10, controller.VariantAverage, 2, rng.New(1)); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+					if _, err := p.RefineBounds(core.RefineConfig{MaxTrials: refineReplicaTrials}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}))
+		}
 		prep, err := core.Prepare(rm, opts)
 		if err != nil {
 			return err

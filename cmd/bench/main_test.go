@@ -36,7 +36,7 @@ func TestRunProducesReport(t *testing.T) {
 	for _, name := range append([]string{
 		"belief_update", "belief_update_alloc", "gs_sweep", "ra_solve",
 		"tree_depth1", "tree_depth2", "tree_depth3",
-		"prepare_replica16", "prepare_replica64", "decide_replica16", "decide_replica64",
+		"prepare_replica16", "prepare_replica64", "refine_replica16", "decide_replica16", "decide_replica64",
 	}, campaigns...) {
 		e, ok := rep.Bench[name]
 		if !ok {
@@ -88,8 +88,8 @@ func TestServeAnswersRequests(t *testing.T) {
 	}
 	dec := json.NewDecoder(&out)
 	var names []string
-	if err := dec.Decode(&names); err != nil || len(names) != 24 {
-		t.Fatalf("ready line names %d entries (%v), want 24", len(names), err)
+	if err := dec.Decode(&names); err != nil || len(names) != 25 {
+		t.Fatalf("ready line names %d entries (%v), want 25", len(names), err)
 	}
 	var sweep, missing, store *Entry
 	for _, e := range []**Entry{&sweep, &missing, &store} {

@@ -9,22 +9,17 @@ import (
 	"testing"
 )
 
-// TestRunBootstrapThenLoad: a bootstrapped run writes -out and -upper-out
-// but never -bounds; a run that loads its refined set from -bounds leaves
-// the file alone and skips the bootstrap, so -bootstrap does not change
-// what it writes.
+// TestRunBootstrapThenLoad: a bootstrapped run writes -out and -upper-out;
+// a run that loads its refined set from -bounds leaves the file alone and
+// skips the bootstrap, so -bootstrap does not change what it writes.
 func TestRunBootstrapThenLoad(t *testing.T) {
 	dir := t.TempDir()
-	bounds := filepath.Join(dir, "bounds.json")
 	out := filepath.Join(dir, "refined.json")
 	upper := filepath.Join(dir, "upper.json")
 	base := []string{"-model", "twoserver", "-top", "10", "-bootstrap-depth", "1"}
 
-	if err := run(append(base, "-bootstrap", "3", "-bounds", bounds, "-out", out, "-upper-out", upper)); err != nil {
+	if err := run(append(base, "-bootstrap", "3", "-out", out, "-upper-out", upper)); err != nil {
 		t.Fatal(err)
-	}
-	if _, err := os.Stat(bounds); !errors.Is(err, os.ErrNotExist) {
-		t.Errorf("boundsrefine wrote -bounds (stat error %v)", err)
 	}
 	for _, p := range []string{out, upper} {
 		if _, err := os.Stat(p); err != nil {
@@ -53,6 +48,25 @@ func TestRunBootstrapThenLoad(t *testing.T) {
 	}
 	if b, err := os.ReadFile(noBoot); err != nil || !bytes.Equal(a, b) {
 		t.Errorf("-bootstrap 10 changed the refinement of a loaded set (read error %v)", err)
+	}
+}
+
+// TestRunRefusesMissingBounds: boundsrefine never writes -bounds, so a
+// -bounds file that does not exist (a typo) is refused with an error
+// naming it, instead of refining a freshly bootstrapped set; neither
+// -bounds nor -out is written.
+func TestRunRefusesMissingBounds(t *testing.T) {
+	dir := t.TempDir()
+	missing := filepath.Join(dir, "missing.json")
+	out := filepath.Join(dir, "out.json")
+	err := run([]string{"-model", "twoserver", "-top", "10", "-bootstrap-depth", "1", "-bounds", missing, "-out", out})
+	if err == nil || !strings.Contains(err.Error(), missing) {
+		t.Fatalf("error %v, want one naming %s", err, missing)
+	}
+	for _, p := range []string{missing, out} {
+		if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("a refused run wrote %s (stat error %v)", p, err)
+		}
 	}
 }
 

@@ -92,9 +92,7 @@ func (u *UpperBound) UnmarshalJSON(data []byte) error {
 		if !linalg.Vector(pt).IsFinite() {
 			return fmt.Errorf("bounds: decode upper bound: point %d is not finite", i)
 		}
-		dec.pts = append(dec.pts, pt...)
-		dec.vals = append(dec.vals, in.Values[i])
-		dec.cornerAt = append(dec.cornerAt, linalg.DotUnrolled(pt, dec.corner))
+		dec.appendPoint(pt, in.Values[i])
 	}
 	*u = *dec
 	return nil

@@ -31,8 +31,12 @@ const pointTol = 1e-12
 //	μ_i  = min_{s : c_i(s)>0} π(s)/c_i(s)
 //
 // which is valid by convexity of the optimal value function. Like Set, the
-// points are stored structure-of-arrays style in one contiguous slab so
-// Value streams it linearly.
+// points are stored structure-of-arrays style in one contiguous slab. Value
+// reads each point through its support index instead: the (s, c_i(s))
+// pairs with c_i(s) > 0, in ascending s, which are the only entries μ_i
+// depends on, and the same support as a bitset. A point whose support
+// meets a state where π(s) ≤ 0 costs Value one AND per 64 states; the rest
+// cost their support size, not n.
 //
 // An UpperBound is not safe for concurrent mutation, but Value is safe from
 // several goroutines on a bound nobody is mutating.
@@ -41,7 +45,16 @@ type UpperBound struct {
 	pts      []float64 // point i is pts[i*n : (i+1)*n]
 	vals     []float64 // vals[i] is the stored value at point i
 	cornerAt []float64 // cornerAt[i] = U₀·c_i, precomputed at insertion
+	supp     []suppEntry
+	suppOff  []int    // point i's support is supp[suppOff[i]:suppOff[i+1]]
+	suppBits []uint64 // point i's support as a bitset: words i*w … i*w+w−1, w = ⌈n/64⌉
 	n        int
+}
+
+// suppEntry is one support entry of a sawtooth point: state s and c_i(s).
+type suppEntry struct {
+	s int
+	c float64
 }
 
 // NewUpperBound creates a point-set upper bound anchored to the given corner
@@ -55,8 +68,9 @@ func NewUpperBound(corner linalg.Vector) (*UpperBound, error) {
 		return nil, fmt.Errorf("bounds: upper-bound corner vector is not finite")
 	}
 	return &UpperBound{
-		corner: append(linalg.Vector(nil), corner...),
-		n:      len(corner),
+		corner:  append(linalg.Vector(nil), corner...),
+		suppOff: []int{0},
+		n:       len(corner),
 	}, nil
 }
 
@@ -73,21 +87,46 @@ func (u *UpperBound) Corner() linalg.Vector {
 
 // Value evaluates the sawtooth upper bound at a belief. It panics on
 // dimension mismatch (beliefs are validated upstream), mirroring Set.Value.
+//
+// Both steps below are exact: the result is bit-identical to a scan of all
+// n entries of every point.
+//   - A point whose support meets {s : π(s) ≤ 0} is skipped. A scan would
+//     find r = π(s)/c_i(s) ≤ 0 there, so its μ_i ends ≤ 0 (μ only falls,
+//     or stops at r == 0) and the point is skipped anyway.
+//   - μ_i of the other points is taken over the support index. The entries
+//     with c_i(s) ≤ 0 (or NaN) are the ones a scan would skip or could not
+//     lower μ_i with, and the rest are visited in the same ascending order
+//     with the same comparisons and the same stop at r == 0.
 func (u *UpperBound) Value(pi pomdp.Belief) float64 {
 	base := linalg.DotUnrolled(pi, u.corner)
 	best := base
+	w := words(u.n)
+	var buf [4]uint64
+	var empty []uint64 // {s : π(s) ≤ 0} as a bitset
+	if w <= len(buf) {
+		empty = buf[:w]
+	} else {
+		empty = make([]uint64, w)
+	}
+	for s, x := range pi {
+		if x <= 0 {
+			empty[s>>6] |= 1 << (s & 63)
+		}
+	}
+points:
 	for i := range u.vals {
+		for k, e := range empty {
+			if u.suppBits[i*w+k]&e != 0 {
+				continue points // π has no mass on some support state of c_i
+			}
+		}
 		drop := u.vals[i] - u.cornerAt[i]
 		if drop >= 0 {
 			continue // the point does not improve on the corner plane
 		}
-		c := u.pts[i*u.n : (i+1)*u.n]
 		mu := math.Inf(1)
-		for s, cs := range c {
-			if cs <= 0 {
-				continue
-			}
-			if r := pi[s] / cs; r < mu {
+		for _, e := range u.supp[u.suppOff[i]:u.suppOff[i+1]] {
+			if r := pi[e.s] / e.c; r < mu {
 				mu = r
 				if r == 0 {
 					break
@@ -129,11 +168,28 @@ func (u *UpperBound) AddPoint(pi pomdp.Belief, v float64) (bool, error) {
 	if v >= u.Value(pi)-pointTol {
 		return false, nil
 	}
-	u.pts = append(u.pts, pi...)
-	u.vals = append(u.vals, v)
-	u.cornerAt = append(u.cornerAt, linalg.DotUnrolled(pi, u.corner))
+	u.appendPoint(pi, v)
 	return true, nil
 }
+
+// appendPoint stores point c with value v, and its support index.
+func (u *UpperBound) appendPoint(c []float64, v float64) {
+	u.pts = append(u.pts, c...)
+	u.vals = append(u.vals, v)
+	u.cornerAt = append(u.cornerAt, linalg.DotUnrolled(c, u.corner))
+	bits := len(u.suppBits)
+	u.suppBits = append(u.suppBits, make([]uint64, words(u.n))...)
+	for s, cs := range c {
+		if cs > 0 {
+			u.supp = append(u.supp, suppEntry{s, cs})
+			u.suppBits[bits+s>>6] |= 1 << (s & 63)
+		}
+	}
+	u.suppOff = append(u.suppOff, len(u.supp))
+}
+
+// words is the number of 64-bit words in a bitset over n states.
+func words(n int) int { return (n + 63) / 64 }
 
 // The upper bound is usable directly as a leaf evaluator.
 var _ pomdp.ValueFn = (*UpperBound)(nil)
@@ -211,8 +267,9 @@ type Refiner struct {
 	upper *UpperBound
 	cfg   RefineConfig
 	sc    *pomdp.Scratch
+	buf   *pomdp.SuccessorBuf // successor beliefs of the current backup or expansion
 	q     []float64
-	path  []pomdp.Belief
+	path  []float64 // the current trial's beliefs, back to back
 }
 
 // NewRefiner builds a refiner improving set and upper in place on model p.
@@ -240,6 +297,7 @@ func NewRefiner(p *pomdp.POMDP, set *Set, upper *UpperBound, cfg RefineConfig) (
 		upper: upper,
 		cfg:   cfg,
 		sc:    pomdp.NewScratch(p),
+		buf:   pomdp.NewSuccessorBuf(p),
 	}, nil
 }
 
@@ -308,40 +366,44 @@ func (r *Refiner) Run(root pomdp.Belief) (RefineReport, error) {
 // visited belief, deepest first (so shallower backups see the already-
 // tightened bounds of their successors).
 func (r *Refiner) trial(root pomdp.Belief, rep *RefineReport) error {
-	r.path = append(r.path[:0], root)
-	cur := root
+	n := len(root)
+	r.path = append(r.path[:0], root...)
+	cur := pomdp.Belief(r.path)
 	for depth := 1; depth < r.cfg.MaxDepth; depth++ {
 		// Greedy action under the upper bound (IE-MAX): explore where the
 		// optimistic value says the optimum might still hide.
-		res, err := pomdp.BackupInto(r.p, r.sc, cur, r.cfg.Beta, r.upper, r.q)
+		res, err := pomdp.BackupInto(r.p, r.sc, r.buf, cur, r.cfg.Beta, r.upper, r.q)
 		if err != nil {
 			return err
 		}
 		r.q = res.QValues
 		// Successor with the largest probability-weighted excess gap; stop
 		// when every successor is already within epsilon.
+		r.buf.Reset()
+		r.p.AppendSuccessors(r.sc, r.buf, cur, res.Action)
+		probs := r.buf.Probs()
 		var next pomdp.Belief
 		bestW := 0.0
-		for _, succ := range r.p.Successors(r.sc, cur, res.Action) {
-			g, err := r.GapAt(succ.Belief)
+		for k, succ := range r.buf.Beliefs() {
+			g, err := r.GapAt(succ)
 			if err != nil {
 				return err
 			}
-			if w := succ.Prob * (g - r.cfg.Epsilon); w > bestW {
-				bestW, next = w, succ.Belief
+			if w := probs[k] * (g - r.cfg.Epsilon); w > bestW {
+				bestW, next = w, succ
 			}
 		}
 		if next == nil {
 			break
 		}
-		r.path = append(r.path, next)
-		cur = next
+		r.path = append(r.path, next...)
+		cur = r.path[len(r.path)-n:]
 		if depth+1 > rep.DeepestDepth {
 			rep.DeepestDepth = depth + 1
 		}
 	}
-	for i := len(r.path) - 1; i >= 0; i-- {
-		if err := r.backupAt(r.path[i], rep); err != nil {
+	for end := len(r.path); end > 0; end -= n {
+		if err := r.backupAt(r.path[end-n:end], rep); err != nil {
 			return err
 		}
 	}
@@ -360,7 +422,7 @@ func (r *Refiner) backupAt(pi pomdp.Belief, rep *RefineReport) error {
 	if lres.Added {
 		rep.PlanesAdded++
 	}
-	ures, err := pomdp.BackupInto(r.p, r.sc, pi, r.cfg.Beta, r.upper, r.q)
+	ures, err := pomdp.BackupInto(r.p, r.sc, r.buf, pi, r.cfg.Beta, r.upper, r.q)
 	if err != nil {
 		return err
 	}

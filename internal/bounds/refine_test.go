@@ -1,7 +1,9 @@
 package bounds
 
 import (
+	"encoding/json"
 	"errors"
+	"math"
 	"testing"
 
 	"bpomdp/internal/linalg"
@@ -72,6 +74,141 @@ func TestUpperBoundValidation(t *testing.T) {
 }
 
 func naN() float64 { z := 0.0; return z / z }
+
+// denseUpperValue is the sawtooth interpolation scanned over all n entries
+// of every stored point, as UpperBound.Value computed it before the support
+// index: the reference the indexed Value must match bit for bit.
+func denseUpperValue(u *UpperBound, pi pomdp.Belief) float64 {
+	base := linalg.DotUnrolled(pi, u.corner)
+	best := base
+	for i := range u.vals {
+		drop := u.vals[i] - u.cornerAt[i]
+		if drop >= 0 {
+			continue
+		}
+		c := u.pts[i*u.n : (i+1)*u.n]
+		mu := math.Inf(1)
+		for s, cs := range c {
+			if cs <= 0 {
+				continue
+			}
+			if r := pi[s] / cs; r < mu {
+				mu = r
+				if r == 0 {
+					break
+				}
+			}
+		}
+		if mu <= 0 || math.IsInf(mu, 1) {
+			continue
+		}
+		if v := base + mu*drop; v < best {
+			best = v
+		}
+	}
+	return best
+}
+
+// sawtoothQuery draws a belief to evaluate a sawtooth at: a scanBelief, a
+// stored point, or a stored point with mass added on other states, now and
+// then with a negative entry or one small enough that π(s)/c(s) underflows.
+func sawtoothQuery(r *rng.Stream, n int, pts []pomdp.Belief) pomdp.Belief {
+	switch r.IntN(4) {
+	case 0:
+		return scanBelief(r, n)
+	case 1:
+		return pts[r.IntN(len(pts))].Clone()
+	}
+	pi := pts[r.IntN(len(pts))].Clone()
+	for s := range pi {
+		if r.IntN(3) == 0 {
+			pi[s] += r.Float64()
+		}
+	}
+	if r.IntN(8) == 0 {
+		pi[r.IntN(n)] = -1e-3
+	}
+	if r.IntN(8) == 0 {
+		pi[r.IntN(n)] = 1e-300
+	}
+	return pi
+}
+
+// TestUpperBoundValueMatchesDense pins the support-indexed Value to the
+// dense scan bit for bit (math.Float64bits) on random sawtooth bounds over
+// 3 to 300 states: points dense or sparse, with +0 and −0 entries and now
+// and then a 1e300 entry; queries at stored points, on supersets of their
+// supports, and elsewhere. It checks a fresh bound, the same bound after
+// in-place lowering, and its JSON round trip, whose decoder must rebuild
+// the index.
+func TestUpperBoundValueMatchesDense(t *testing.T) {
+	r := rng.New(34)
+	for _, n := range []int{3, 15, 64, 65, 300} {
+		corner := make(linalg.Vector, n)
+		for s := range corner {
+			if r.IntN(5) > 0 {
+				corner[s] = -10 * r.Float64()
+			}
+		}
+		u, err := NewUpperBound(corner)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pts []pomdp.Belief
+		for k := 0; k < 80; k++ {
+			c := scanBelief(r, n)
+			if r.IntN(8) == 0 {
+				c[r.IntN(n)] = 1e300
+			}
+			v := u.Value(c)
+			if _, err := u.AddPoint(c, v-1-math.Abs(v)*r.Float64()); err != nil {
+				t.Fatal(err)
+			}
+			if u.NumPoints() > len(pts) {
+				pts = append(pts, c)
+			}
+		}
+		contributed := 0
+		check := func(stage string, b *UpperBound) {
+			t.Helper()
+			for k := 0; k < 500; k++ {
+				pi := sawtoothQuery(r, n, pts)
+				got, want := b.Value(pi), denseUpperValue(b, pi)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("n=%d %s: Value %v (%#x), dense scan %v (%#x) at %v",
+						n, stage, got, math.Float64bits(got), want, math.Float64bits(want), pi)
+				}
+				if got < linalg.DotUnrolled(pi, b.corner) {
+					contributed++
+				}
+			}
+		}
+		check("fresh", u)
+		for k := 0; k < 20; k++ {
+			c := pts[r.IntN(len(pts))]
+			v := u.Value(c)
+			if lowered, err := u.AddPoint(c.Clone(), v-1-math.Abs(v)/2); err != nil || !lowered {
+				t.Fatalf("n=%d: in-place lowering: changed %v, error %v", n, lowered, err)
+			}
+		}
+		if u.NumPoints() != len(pts) {
+			t.Fatalf("n=%d: %d points after lowering, want %d", n, u.NumPoints(), len(pts))
+		}
+		check("lowered", u)
+		data, err := json.Marshal(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back UpperBound
+		if err := json.Unmarshal(data, &back); err != nil {
+			t.Fatal(err)
+		}
+		check("decoded", &back)
+		if contributed == 0 {
+			t.Errorf("n=%d: no query was lowered by a point; the pin is vacuous", n)
+		}
+	}
+}
 
 // TestRefinerBoundCrossing is the table test for the inversion refusal: a
 // refiner handed a corrupt pair — upper below lower anywhere it looks — must

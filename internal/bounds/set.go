@@ -135,6 +135,12 @@ func (s *Set) NumStates() int { return s.n }
 // at returns entry k of plane i.
 func (s *Set) at(i, k int) float64 { return s.cols[k*len(s.uses)+i] }
 
+// column returns column k: entry k of every plane, in plane order.
+func (s *Set) column(k int) []float64 {
+	p := len(s.uses)
+	return s.cols[k*p : (k+1)*p]
+}
+
 // scan is the set's one max-of-hyperplanes loop. It returns max_i π·plane_i
 // and the first maximizing plane (-Inf and -1 for an empty set), using acc
 // (capacity at least Size()) for the per-plane sums.

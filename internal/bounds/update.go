@@ -24,12 +24,13 @@ type Updater struct {
 	beta float64
 	set  *Set
 
-	pred  linalg.Vector   // Σ_s p(s'|s,a)·π(s)
-	g     linalg.Vector   // Σ_o q(o|s',a)·b_{a,o}(s')
-	cand  linalg.Vector   // candidate plane b_a
-	best  linalg.Vector   // best candidate so far
-	sel   []int           // chosen plane index per observation
-	score []linalg.Vector // score[i][o] = Σ_s' pred(s')·q(o|s',a)·plane_i(s')
+	pred  linalg.Vector // Σ_s p(s'|s,a)·π(s)
+	g     linalg.Vector // Σ_o q(o|s',a)·b_{a,o}(s')
+	cand  linalg.Vector // candidate plane b_a
+	best  linalg.Vector // best candidate so far
+	sel   []int         // chosen plane index per observation
+	score []float64     // score[o·P+i] = Σ_s' pred(s')·q(o|s',a)·plane_i(s')
+	seen  []bool        // seen[o]: row o of score was written this action
 }
 
 // NewUpdater creates an Updater that improves set in place on model p.
@@ -57,6 +58,7 @@ func NewUpdater(p *pomdp.POMDP, set *Set, opts Options) (*Updater, error) {
 		cand: linalg.NewVector(n),
 		best: linalg.NewVector(n),
 		sel:  make([]int, no),
+		seen: make([]bool, no),
 	}, nil
 }
 
@@ -112,38 +114,53 @@ func (u *Updater) backupAction(pi pomdp.Belief, a int) {
 	// pred(s') = Σ_s p(s'|s,a)·π(s).
 	p.Predict(u.pred, pi, a)
 
-	// Grow the per-plane score matrix lazily (the set grows over time).
-	for len(u.score) < u.set.Size() {
-		u.score = append(u.score, linalg.NewVector(no))
+	// score[o·P+i] = Σ_s' pred(s')·q(o|s',a)·plane_i(s'), one slab grown
+	// lazily (the set grows over time) and accumulated against the set's
+	// state-major columns. Each (i, o) entry still sums its terms in
+	// ascending s', so the scores are those of a per-plane loop. A row is
+	// zeroed when first written; rows of unreachable observations are
+	// neither zeroed nor read.
+	np := u.set.Size()
+	if cap(u.score) < no*np {
+		u.score = make([]float64, no*np, 2*no*np)
 	}
-	// score[i][o] = Σ_s' pred(s')·q(o|s',a)·plane_i(s').
-	for i := 0; i < u.set.Size(); i++ {
-		u.score[i].Fill(0)
-	}
+	score := u.score[:no*np]
+	clear(u.seen)
 	for s := 0; s < n; s++ {
 		ps := u.pred[s]
 		if ps == 0 {
 			continue
 		}
+		col := u.set.column(s)
 		p.Obs[a].Row(s, func(o int, q float64) {
 			w := ps * q
 			if w == 0 {
 				return
 			}
-			for i := 0; i < u.set.Size(); i++ {
-				u.score[i][o] += w * u.set.at(i, s)
+			row := score[o*np : (o+1)*np]
+			if !u.seen[o] {
+				u.seen[o] = true
+				clear(row)
+			}
+			for i, c := range col {
+				row[i] += w * c
 			}
 		})
 	}
-	// b^{π,a,o} = argmax_i score[i][o]. For observations unreachable from π
-	// the choice does not affect the value at π and any plane in B keeps the
-	// result a valid bound; we use the base plane (index 0).
+	// b^{π,a,o} = argmax_i score[o·P+i], the first maximum. For observations
+	// unreachable from π the choice does not affect the value at π and any
+	// plane in B keeps the result a valid bound; we use the base plane
+	// (index 0), which is also the first maximum of their all-zero rows.
 	for o := 0; o < no; o++ {
 		u.sel[o] = 0
-		best := u.score[0][o]
-		for i := 1; i < u.set.Size(); i++ {
-			if u.score[i][o] > best {
-				best = u.score[i][o]
+		if !u.seen[o] {
+			continue
+		}
+		row := score[o*np : (o+1)*np]
+		best := row[0]
+		for i := 1; i < np; i++ {
+			if row[i] > best {
+				best = row[i]
 				u.sel[o] = i
 			}
 		}

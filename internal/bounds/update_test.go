@@ -180,3 +180,123 @@ func TestUpdateAtRejectsShortBelief(t *testing.T) {
 		t.Error("short belief accepted")
 	}
 }
+
+// refBackupPlane is UpdateAt's choice of plane computed with one score
+// vector per plane, as the Updater computed it before its single
+// observation-major slab: the reference the slab must match bit for bit.
+// It returns the backed-up plane and its action.
+func refBackupPlane(p *pomdp.POMDP, set *Set, beta float64, pi pomdp.Belief) (linalg.Vector, int) {
+	n, no, np := p.NumStates(), p.NumObservations(), set.Size()
+	pred, g, cand, best := linalg.NewVector(n), linalg.NewVector(n), linalg.NewVector(n), linalg.NewVector(n)
+	sel := make([]int, no)
+	score := make([]linalg.Vector, np)
+	for i := range score {
+		score[i] = linalg.NewVector(no)
+	}
+	bestVal, bestAction := 0.0, -1
+	for a := 0; a < p.NumActions(); a++ {
+		p.Predict(pred, pi, a)
+		for i := range score {
+			score[i].Fill(0)
+		}
+		for s := 0; s < n; s++ {
+			ps := pred[s]
+			if ps == 0 {
+				continue
+			}
+			p.Obs[a].Row(s, func(o int, q float64) {
+				w := ps * q
+				if w == 0 {
+					return
+				}
+				for i := 0; i < np; i++ {
+					score[i][o] += w * set.at(i, s)
+				}
+			})
+		}
+		for o := 0; o < no; o++ {
+			sel[o] = 0
+			top := score[0][o]
+			for i := 1; i < np; i++ {
+				if score[i][o] > top {
+					top = score[i][o]
+					sel[o] = i
+				}
+			}
+		}
+		g.Fill(0)
+		for s := 0; s < n; s++ {
+			p.Obs[a].Row(s, func(o int, q float64) {
+				g[s] += q * set.at(sel[o], s)
+			})
+		}
+		p.M.Trans[a].MulVec(cand, g)
+		cand.Scale(beta)
+		cand.AddScaled(1, p.M.Reward[a])
+		if v := linalg.Vector(pi).Dot(cand); bestAction < 0 || v > bestVal {
+			bestVal, bestAction = v, a
+			copy(best, cand)
+		}
+	}
+	return best, bestAction
+}
+
+// TestUpdateAtMatchesPerPlaneReference pins UpdateAt to refBackupPlane on
+// random recovery models, undiscounted and discounted: at every step the
+// backed-up plane has the same bits, the same action and the same Added,
+// and the two sets stay plane-for-plane identical. The sets start with
+// planes that differ from the base on one state each, so sparse beliefs
+// score several planes equal and the first-maximum rule decides.
+func TestUpdateAtMatchesPerPlaneReference(t *testing.T) {
+	r := rng.New(71)
+	for trial := 0; trial < 8; trial++ {
+		mod := randomRecoveryModel(t, r, 3+r.IntN(6), 2+r.IntN(3), 2+r.IntN(4))
+		n := mod.NumStates()
+		for _, beta := range []float64{1, 0.9} {
+			set, err := RASet(mod, Options{Beta: beta})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := RASet(mod, Options{Beta: beta})
+			if err != nil {
+				t.Fatal(err)
+			}
+			base := set.Plane(0)
+			for k := 0; k < 3; k++ {
+				b := base.Clone()
+				b[r.IntN(n)] += r.Float64()
+				for _, s := range []*Set{set, ref} {
+					if _, err := s.Add(b); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			u, err := NewUpdater(mod, set, Options{Beta: beta})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for step := 0; step < 40; step++ {
+				pi := scanBelief(r, n)
+				plane, action := refBackupPlane(mod, ref, beta, pi)
+				refAdded, err := ref.Add(plane)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := u.UpdateAt(pi)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Action != action || res.Added != refAdded {
+					t.Fatalf("trial %d β=%v step %d: action %d added %v, reference %d %v",
+						trial, beta, step, res.Action, res.Added, action, refAdded)
+				}
+				if !pomdp.SameBits(pomdp.Belief(u.best), pomdp.Belief(plane)) {
+					t.Fatalf("trial %d β=%v step %d: plane %v, reference %v", trial, beta, step, u.best, plane)
+				}
+				if set.Size() != ref.Size() || !pomdp.SameBits(set.cols, ref.cols) {
+					t.Fatalf("trial %d β=%v step %d: sets diverged (%d vs %d planes)", trial, beta, step, set.Size(), ref.Size())
+				}
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package modelload
 
 import (
 	"flag"
+	"fmt"
 	"log"
 	"time"
 
@@ -45,13 +46,15 @@ func (f *Flags) Register(fs *flag.FlagSet) {
 	fs.IntVar(&f.Bootstrap, "bootstrap", 10, "bootstrap episodes that warm the RA-Bound when -bounds loads no set (0 = keep the raw RA-Bound)")
 	fs.IntVar(&f.BootstrapDepth, "bootstrap-depth", 2, "tree depth during bootstrap")
 	fs.Uint64Var(&f.Seed, "seed", 1, "bootstrap RNG seed")
-	fs.StringVar(&f.Bounds, "bounds", "", "load the bound set from this JSON file if it exists instead of bootstrapping; recoverd and fsccompile save a bootstrapped set back to it")
+	fs.StringVar(&f.Bounds, "bounds", "", "load the bound set from this JSON file instead of bootstrapping; when it is missing, recoverd and fsccompile bootstrap and save the set to it, boundsrefine refuses")
 }
 
 // Prepare loads the model, prepares its RA-Bound, and then loads the bound
 // set from -bounds when that file exists, or else runs -bootstrap episodes
-// (saving the result to -bounds when SaveBootstrap is set). It logs each
-// step.
+// (saving the result to -bounds when SaveBootstrap is set). A -bounds file
+// that is missing without SaveBootstrap is refused: the run would never
+// create it, so the name is more likely a typo than a file to come. It logs
+// each step.
 func (f *Flags) Prepare() (*core.Prepared, error) {
 	rm, err := Load(f.Model)
 	if err != nil {
@@ -72,6 +75,9 @@ func (f *Flags) Prepare() (*core.Prepared, error) {
 		if loaded {
 			log.Printf("loaded %d bound vectors from %s", prep.Set.Size(), f.Bounds)
 			return prep, nil
+		}
+		if !f.SaveBootstrap {
+			return nil, fmt.Errorf("bound set %s does not exist", f.Bounds)
 		}
 	}
 	if f.Bootstrap <= 0 {

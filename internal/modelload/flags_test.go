@@ -62,8 +62,8 @@ func TestPrepare(t *testing.T) {
 			file: ra, wantFile: "same", wantPlanes: raPlanes},
 		{name: "bootstrap saves to a missing file", args: []string{"-bootstrap", "3"}, save: true,
 			wantFile: "written"},
-		{name: "bootstrap without SaveBootstrap leaves -bounds alone", args: []string{"-bootstrap", "3"},
-			wantFile: "absent"},
+		{name: "missing file without SaveBootstrap is refused", args: []string{"-bootstrap", "3"},
+			wantErr: "bounds.json does not exist", wantFile: "absent"},
 		{name: "no bootstrap writes nothing", args: []string{"-bootstrap", "0"}, save: true,
 			wantFile: "absent", wantPlanes: raPlanes},
 		{name: "set over the wrong number of states", save: true,
@@ -93,12 +93,9 @@ func TestPrepare(t *testing.T) {
 				if err == nil || !strings.Contains(err.Error(), c.wantErr) {
 					t.Fatalf("error %v, want one containing %q", err, c.wantErr)
 				}
-				return
-			}
-			if err != nil {
+			} else if err != nil {
 				t.Fatal(err)
-			}
-			if got := prep.Set.Size(); c.wantPlanes > 0 && got != c.wantPlanes || c.wantPlanes == 0 && got <= raPlanes {
+			} else if got := prep.Set.Size(); c.wantPlanes > 0 && got != c.wantPlanes || c.wantPlanes == 0 && got <= raPlanes {
 				t.Errorf("prepared set has %d planes, want %d (0 = more than the RA-Bound's %d)", got, c.wantPlanes, raPlanes)
 			}
 			data, err := os.ReadFile(path)

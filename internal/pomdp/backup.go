@@ -29,17 +29,25 @@ type BackupResult struct {
 // Backup applies the belief-MDP dynamic-programming operator L_p of
 // Equation 2 once at belief π, using leaf to evaluate the successor beliefs.
 // It is the depth-one building block of the controller's Max-Avg recursion
-// tree and of the Property 1(b) check V_B⁻ ≤ L_p V_B⁻.
+// tree and of the Property 1(b) check V_B⁻ ≤ L_p V_B⁻. Each call uses its
+// own successor buffer, so leaf may call Backup again with the same Scratch.
 func Backup(p *POMDP, sc *Scratch, pi Belief, beta float64, leaf ValueFn) (BackupResult, error) {
-	return BackupInto(p, sc, pi, beta, leaf, nil)
+	return BackupInto(p, sc, NewSuccessorBuf(p), pi, beta, leaf, nil)
 }
 
-// BackupInto is Backup with a caller-supplied QValues buffer, grown when its
-// capacity is insufficient; the returned BackupResult aliases it. Callers
-// that back up in a loop (the HSVI bound refiner's exploration trials) reuse
-// one buffer across calls instead of allocating a fresh Q-vector each time.
-// Results are bit-identical to Backup.
-func BackupInto(p *POMDP, sc *Scratch, pi Belief, beta float64, leaf ValueFn, q []float64) (BackupResult, error) {
+// BackupInto is Backup with caller-owned memory: buf holds each action's
+// successor beliefs, enumerated by AppendSuccessors, and q the QValues, grown
+// when its capacity is insufficient; the returned BackupResult aliases q.
+// Callers that back up in a loop (the HSVI bound refiner's exploration
+// trials) reuse one buf and one q across calls and allocate nothing. The
+// results are bit-identical to Backup's.
+//
+// buf is reset per action and holds the beliefs leaf is evaluated at, so it
+// must not be shared with any call the leaf makes: a leaf that re-enters
+// BackupInto (a deeper Max-Avg level) needs a buffer of its own. That is why
+// the buffer is a parameter and not part of the Scratch, which such a leaf
+// may share.
+func BackupInto(p *POMDP, sc *Scratch, buf *SuccessorBuf, pi Belief, beta float64, leaf ValueFn, q []float64) (BackupResult, error) {
 	if len(pi) != p.NumStates() {
 		return BackupResult{}, fmt.Errorf("pomdp: belief length %d, want %d", len(pi), p.NumStates())
 	}
@@ -56,8 +64,11 @@ func BackupInto(p *POMDP, sc *Scratch, pi Belief, beta float64, leaf ValueFn, q 
 	}
 	for a := 0; a < p.NumActions(); a++ {
 		q := p.ExpectedReward(pi, a)
-		for _, succ := range p.Successors(sc, pi, a) {
-			q += beta * succ.Prob * leaf.Value(succ.Belief)
+		buf.Reset()
+		p.AppendSuccessors(sc, buf, pi, a)
+		probs := buf.Probs()
+		for k, b := range buf.Beliefs() {
+			q += beta * probs[k] * leaf.Value(b)
 		}
 		res.QValues[a] = q
 		if q > res.Value {

@@ -5,24 +5,8 @@ package pomdp_test
 import (
 	"testing"
 
-	"bpomdp/internal/core"
-	"bpomdp/internal/emn"
 	"bpomdp/internal/pomdp"
 )
-
-// preparedEMN returns the EMN recovery model prepared for control.
-func preparedEMN(t *testing.T) *core.Prepared {
-	t.Helper()
-	compiled, err := emn.Build(emn.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prep, err := core.Prepare(compiled.Recovery, core.PrepareOptions{OperatorResponseTime: emn.OperatorResponseTime})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return prep
-}
 
 // TestValidateDoesNotAllocate: every engine build re-validates its model,
 // so validating the prepared EMN model — its MDP's transition rows and its
@@ -70,5 +54,38 @@ func TestUpdateIntoDoesNotAllocate(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("four reused-buffer belief updates allocate %v times, want 0", n)
+	}
+}
+
+// TestBackupIntoDoesNotAllocate: a warm BackupInto — its successor buffer
+// and Q-slice reused from an earlier call, the leaf a bound set evaluated
+// on the stack — allocates nothing on EMN, at the initial belief and at
+// each of its successors.
+func TestBackupIntoDoesNotAllocate(t *testing.T) {
+	prep := preparedEMN(t)
+	m := prep.Model
+	initial, err := prep.InitialBelief()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := pomdp.NewScratch(m)
+	beliefs := []pomdp.Belief{initial}
+	for _, succ := range m.Successors(sc, initial, prep.Source.MonitorAction) {
+		beliefs = append(beliefs, succ.Belief)
+	}
+	buf := pomdp.NewSuccessorBuf(m)
+	var q []float64
+	backup := func() {
+		for _, pi := range beliefs {
+			res, err := pomdp.BackupInto(m, sc, buf, pi, 1, prep.Set, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q = res.QValues
+		}
+	}
+	backup()
+	if n := testing.AllocsPerRun(100, backup); n != 0 {
+		t.Errorf("%d warm backups allocate %v times, want 0", len(beliefs), n)
 	}
 }
