@@ -291,13 +291,15 @@ func NewRefiner(p *pomdp.POMDP, set *Set, upper *UpperBound, cfg RefineConfig) (
 	if err != nil {
 		return nil, err
 	}
+	buf := pomdp.NewSuccessorBuf(p)
+	buf.Reserve(2 * p.NumObservations()) // the most BackupInto holds
 	return &Refiner{
 		p:     p,
 		lower: lower,
 		upper: upper,
 		cfg:   cfg,
 		sc:    pomdp.NewScratch(p),
-		buf:   pomdp.NewSuccessorBuf(p),
+		buf:   buf,
 	}, nil
 }
 
@@ -308,7 +310,11 @@ func (r *Refiner) Set() *Set { return r.lower.Set() }
 // the lower bound through Peek so inspection cannot perturb least-used
 // eviction. A gap below −CrossTol is reported as ErrBoundCrossing.
 func (r *Refiner) GapAt(pi pomdp.Belief) (float64, error) {
-	up := r.upper.Value(pi)
+	return r.gap(pi, r.upper.Value(pi))
+}
+
+// gap is GapAt with the upper bound's value at pi, up, already known.
+func (r *Refiner) gap(pi pomdp.Belief, up float64) (float64, error) {
 	lo := r.Set().Peek(pi)
 	g := up - lo
 	if g < -r.cfg.CrossTol {
@@ -378,14 +384,13 @@ func (r *Refiner) trial(root pomdp.Belief, rep *RefineReport) error {
 		}
 		r.q = res.QValues
 		// Successor with the largest probability-weighted excess gap; stop
-		// when every successor is already within epsilon.
-		r.buf.Reset()
-		r.p.AppendSuccessors(r.sc, r.buf, cur, res.Action)
-		probs := r.buf.Probs()
+		// when every successor is already within epsilon. The backup left
+		// the greedy action's successors in buf with their upper values.
+		probs, ups := r.buf.Probs(), r.buf.Values()
 		var next pomdp.Belief
 		bestW := 0.0
 		for k, succ := range r.buf.Beliefs() {
-			g, err := r.GapAt(succ)
+			g, err := r.gap(succ, ups[k])
 			if err != nil {
 				return err
 			}

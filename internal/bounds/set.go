@@ -162,8 +162,20 @@ func (s *Set) scan(pi []float64, acc []float64) (float64, int) {
 		if x == 0 {
 			continue
 		}
+		// Four planes per pass: the same one multiply-add per plane, but a
+		// loop body that does not run at half speed when code layout puts
+		// a one-plane loop across a 64-byte boundary (set_value_batch read
+		// 1.4x slower for that alone).
 		col := s.cols[k*p:][:len(acc)]
-		for i := range acc {
+		i := 0
+		for ; i+4 <= len(acc); i += 4 {
+			a, c := acc[i:i+4:i+4], col[i:i+4:i+4]
+			a[0] += x * c[0]
+			a[1] += x * c[1]
+			a[2] += x * c[2]
+			a[3] += x * c[3]
+		}
+		for ; i < len(acc); i++ {
 			acc[i] += x * col[i]
 		}
 	}

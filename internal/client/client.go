@@ -11,6 +11,15 @@
 // client-generated clientKey and observation POSTs carry a stepIndex, both
 // of which the server deduplicates — so a retried request never corrupts an
 // episode.
+//
+// Each attempt goes straight to the http.Client's Transport: the client
+// follows the fleet's 307 and 308 redirects itself, as http.Client's default
+// policy would, and the per-attempt timeout comes from the RetryPolicy. So
+// the http.Client fields that act only inside http.Client.Do — Timeout, Jar
+// and CheckRedirect — are refused rather than silently ignored. The request
+// headers are built once per episode and shared, read-only, by every request
+// it sends, which the RoundTripper contract allows: a RoundTripper must not
+// modify the request, so one that adds a header clones the request first.
 package client
 
 import (
@@ -23,6 +32,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
+	"strconv"
 	"strings"
 	"time"
 
@@ -45,10 +56,10 @@ func WithRetryPolicy(p RetryPolicy) Option {
 }
 
 // Client talks to one recovery service. It is safe for concurrent use as
-// long as the underlying http.Client is.
+// long as the underlying Transport is.
 type Client struct {
 	base    string
-	http    *http.Client
+	rt      http.RoundTripper
 	policy  RetryPolicy
 	metrics *clientMetrics // nil unless WithMetrics was applied
 
@@ -58,17 +69,28 @@ type Client struct {
 }
 
 // New returns a client for the service at baseURL (e.g.
-// "http://127.0.0.1:7947"). httpClient nil means http.DefaultClient.
+// "http://127.0.0.1:7947"). It sends through httpClient's Transport alone
+// (http.DefaultTransport when either is nil) and refuses what that would
+// ignore: an httpClient that sets Timeout, Jar or CheckRedirect (the
+// RetryPolicy's PerTryTimeout bounds each attempt) and a base URL with user
+// info, which http.Client sent as basic auth. The Transport must not
+// modify requests, whose header maps are shared (see the package doc).
 func New(baseURL string, httpClient *http.Client, opts ...Option) (*Client, error) {
 	if baseURL == "" {
 		return nil, fmt.Errorf("client: empty base URL")
 	}
-	if httpClient == nil {
-		httpClient = http.DefaultClient
+	if u, err := url.Parse(baseURL); err != nil {
+		return nil, fmt.Errorf("client: base URL: %w", err)
+	} else if u.User != nil {
+		return nil, fmt.Errorf("client: base URL %s carries user info, which the client does not send", u.Redacted())
+	}
+	rt, err := transportOf(httpClient)
+	if err != nil {
+		return nil, err
 	}
 	c := &Client{
 		base:   strings.TrimRight(baseURL, "/"),
-		http:   httpClient,
+		rt:     rt,
 		policy: DefaultRetryPolicy(),
 	}
 	for _, opt := range opts {
@@ -77,11 +99,31 @@ func New(baseURL string, httpClient *http.Client, opts ...Option) (*Client, erro
 	return c, nil
 }
 
+// transportOf returns the RoundTripper a client built over hc sends
+// through, refusing the http.Client fields it would ignore.
+func transportOf(hc *http.Client) (http.RoundTripper, error) {
+	if hc == nil {
+		return http.DefaultTransport, nil
+	}
+	switch {
+	case hc.Timeout != 0:
+		return nil, fmt.Errorf("client: http.Client.Timeout is not supported; set RetryPolicy.PerTryTimeout")
+	case hc.Jar != nil:
+		return nil, fmt.Errorf("client: http.Client.Jar is not supported")
+	case hc.CheckRedirect != nil:
+		return nil, fmt.Errorf("client: http.Client.CheckRedirect is not supported; 307 and 308 redirects are followed up to %d hops", maxRedirects)
+	}
+	if hc.Transport == nil {
+		return http.DefaultTransport, nil
+	}
+	return hc.Transport, nil
+}
+
 // Healthy probes /healthz with a single attempt: no retries, metrics or
 // spans, but the per-attempt timeout applies and an error carries the
 // server's message.
 func (c *Client) Healthy() error {
-	return c.doOnce(http.MethodGet, "/healthz", nil, nil, nil)
+	return c.doOnce(http.MethodGet, "/healthz", keyless.plain, nil, nil)
 }
 
 // Model fetches the model summary.
@@ -121,7 +163,7 @@ func (c *Client) StartEpisodeKeyed(key string) (*Episode, error) {
 	if key == "" {
 		return nil, fmt.Errorf("client: empty episode key")
 	}
-	return &Episode{c: c, key: key, hdr: episodeKeyHeader(key), open: true, pending: true}, nil
+	return &Episode{c: c, key: key, hdr: episodeHeaders(key), open: true, pending: true}, nil
 }
 
 // Resume attaches to an episode already open on the server — typically one
@@ -129,21 +171,42 @@ func (c *Client) StartEpisodeKeyed(key string) (*Episode, error) {
 // client's observation step counter with the server's.
 func (c *Client) Resume(id uint64) (*Episode, error) {
 	var st server.StatusResponse
-	if err := c.do(http.MethodGet, fmt.Sprintf("/v1/episodes/%d", id), nil, nil, &st); err != nil {
+	e := &Episode{c: c}
+	e.bind(id)
+	if err := c.do(http.MethodGet, e.res, nil, nil, &st); err != nil {
 		return nil, err
 	}
-	return &Episode{c: c, id: id, steps: st.Steps, open: st.Open}, nil
+	e.steps, e.open = st.Steps, st.Open
+	return e, nil
 }
 
-// episodeKeyHeader builds the routing-key header sent with episode-scoped
-// requests so fleet members can redirect or adopt instead of 404ing. The key
-// doubles as the episode's distributed trace id, so the same header set
-// carries X-Bpomdp-Trace — a span-enabled server then traces the episode
+// jsonType is the Content-Type of every request body, shared read-only by
+// the header maps below.
+var jsonType = []string{"application/json"}
+
+// headers are the read-only header maps one caller's requests carry: plain
+// on a request without a body, json (plain plus Content-Type) on one with a
+// body. trace is the episode trace id they carry, "" when keyless.
+type headers struct {
+	plain, json http.Header
+	trace       string
+}
+
+// keyless is the header set of every call outside an episode: health,
+// model, resume, batch decide and fleet admin. do reads a nil set as it.
+var keyless = &headers{plain: http.Header{}, json: http.Header{"Content-Type": jsonType}}
+
+// episodeHeaders builds the header set of the episode keyed key. The
+// routing-key header lets fleet members redirect or adopt instead of 404ing.
+// The key doubles as the episode's distributed trace id, so the same set
+// carries X-Bpomdp-Trace: a span-enabled server then traces the episode
 // whether or not this client records its own spans.
-func episodeKeyHeader(key string) http.Header {
-	return http.Header{
-		server.HeaderEpisodeKey: []string{key},
-		server.HeaderTrace:      []string{key},
+func episodeHeaders(key string) *headers {
+	v := []string{key}
+	return &headers{
+		plain: http.Header{server.HeaderEpisodeKey: v, server.HeaderTrace: v},
+		json:  http.Header{server.HeaderEpisodeKey: v, server.HeaderTrace: v, "Content-Type": jsonType},
+		trace: key,
 	}
 }
 
@@ -162,12 +225,15 @@ func newClientKey() (string, error) {
 // FleetClient also fails over: when its owner stops answering, it re-binds
 // in place to whoever now owns its key and continues.
 type Episode struct {
-	c     *Client
-	id    uint64
-	key   string      // clientKey = fleet routing key; "" for keyless episodes
-	hdr   http.Header // episode-key header sent with every request, nil if keyless
-	steps int
-	open  bool
+	c   *Client
+	id  uint64
+	key string   // clientKey = fleet routing key; "" for keyless episodes
+	hdr *headers // built once, sent with every request; nil if keyless
+	// res and obsPath are the episode's resource and observations paths,
+	// built by bind; "" until then.
+	res, obsPath string
+	steps        int
+	open         bool
 	// pending marks an episode from StartEpisodeKeyed that its first
 	// exchange has not opened on the server yet; id is 0 until then.
 	pending bool
@@ -233,14 +299,18 @@ func (e *Episode) sendStart(req server.StartRequest) error {
 	if err := e.c.do(http.MethodPost, "/v1/episodes", e.hdr, &req, &out); err != nil {
 		return err
 	}
-	e.id, e.pending, e.next = out.EpisodeID, false, out.Decision
+	e.bind(out.EpisodeID)
+	e.pending, e.next = false, out.Decision
 	return nil
 }
 
-// path returns the episode's resource path with suffix appended; it reads
-// the id at call time, so a call retried after a failover uses the new one.
-func (e *Episode) path(suffix string) string {
-	return fmt.Sprintf("/v1/episodes/%d%s", e.id, suffix)
+// bind sets the episode's id and builds the paths of its requests from it.
+// Calls read the paths at call time, so a call retried after a failover's
+// re-bind uses the new ones.
+func (e *Episode) bind(id uint64) {
+	e.id = id
+	e.res = "/v1/episodes/" + strconv.FormatUint(id, 10)
+	e.obsPath = e.res + "/observations"
 }
 
 // Decide implements controller.Controller. After an observation it returns
@@ -250,16 +320,19 @@ func (e *Episode) path(suffix string) string {
 // current step, so a retried call — also one retried across a fleet handoff
 // — returns the identical decision.
 func (e *Episode) Decide() (controller.Decision, error) {
-	var out server.DecisionResponse
 	if err := e.start(); err != nil {
 		return controller.Decision{}, err
 	}
-	if e.next != nil {
-		out, e.next = *e.next, nil
-	} else if err := e.withFailover(func() error {
-		return e.c.do(http.MethodGet, e.path("/decision"), e.hdr, nil, &out)
-	}); err != nil {
-		return controller.Decision{}, err
+	out := e.next
+	if out != nil {
+		e.next = nil
+	} else {
+		out = new(server.DecisionResponse)
+		if err := e.withFailover(func() error {
+			return e.c.do(http.MethodGet, e.res+"/decision", e.hdr, nil, out)
+		}); err != nil {
+			return controller.Decision{}, err
+		}
 	}
 	if out.Terminate {
 		e.open = false
@@ -302,7 +375,7 @@ func (e *Episode) observe(req server.ObservationRequest) error {
 	req.StepIndex = &step
 	next := new(server.DecisionResponse)
 	if err := e.withFailover(func() error {
-		return e.c.do(http.MethodPost, e.path("/observations"), e.hdr, &req, next)
+		return e.c.do(http.MethodPost, e.obsPath, e.hdr, &req, next)
 	}); err != nil {
 		return err
 	}
@@ -319,7 +392,7 @@ func (e *Episode) Belief() pomdp.Belief {
 		return nil
 	}
 	if err := e.withFailover(func() error {
-		return e.c.do(http.MethodGet, e.path("/belief"), e.hdr, nil, &out)
+		return e.c.do(http.MethodGet, e.res+"/belief", e.hdr, nil, &out)
 	}); err != nil {
 		return nil
 	}
@@ -336,28 +409,32 @@ func (e *Episode) Abandon() error {
 		return err
 	}
 	return e.withFailover(func() error {
-		return e.c.do(http.MethodDelete, e.path(""), e.hdr, nil, nil)
+		return e.c.do(http.MethodDelete, e.res, e.hdr, nil, nil)
 	})
 }
 
 // do performs one JSON request/response exchange under the retry policy;
-// it is the client's only retry loop. hdr, when non-nil, supplies extra
-// request headers (e.g. the fleet episode key). A traced call (WithSpans
+// it is the client's only retry loop. h supplies the request headers: an
+// episode's key and trace id, or none when nil. A traced call (WithSpans
 // applied and an episode key on the request) emits a client.attempt span
 // per attempt, a client.backoff span per sleep and one client.call span
 // over the whole loop; a metered call (WithMetrics) updates the
 // recoverd_client_* series. Exhaustion — attempts or budget — returns a
 // *RetryExhaustedError wrapping the last failure.
-func (c *Client) do(method, path string, hdr http.Header, in, out any) error {
+func (c *Client) do(method, path string, h *headers, in, out any) error {
+	if h == nil {
+		h = keyless
+	}
 	var payload []byte
+	hdr := h.plain
 	if in != nil {
 		data, err := server.Marshal(in)
 		if err != nil {
 			return fmt.Errorf("client: encode %s %s: %w", method, path, err)
 		}
-		payload = data
+		payload, hdr = data, h.json
 	}
-	trace, op := c.traceID(hdr), ""
+	trace, op := c.traceID(h), ""
 	if trace != "" {
 		op = callOp(method, path)
 	}
@@ -426,29 +503,14 @@ func (c *Client) do(method, path string, hdr http.Header, in, out any) error {
 	return err
 }
 
-// doOnce performs a single attempt under the per-attempt timeout. Every path — success, HTTP error,
-// decode failure — drains and closes the response body so the underlying
+// doOnce performs a single attempt under the per-attempt timeout, sending
+// hdr as the request's headers. Every path — success, HTTP error, decode
+// failure — drains and closes the response body so the underlying
 // connection is reusable and never leaks.
 func (c *Client) doOnce(method, path string, hdr http.Header, payload []byte, out any) error {
 	ctx, cancel := context.WithTimeout(context.Background(), c.policy.PerTryTimeout)
 	defer cancel()
-	var body io.Reader
-	if payload != nil {
-		body = bytes.NewReader(payload)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
-	if err != nil {
-		return fmt.Errorf("client: %s %s: %w", method, path, err)
-	}
-	if payload != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	for k, vs := range hdr {
-		for _, v := range vs {
-			req.Header.Add(k, v)
-		}
-	}
-	resp, err := c.http.Do(req)
+	resp, err := c.send(ctx, method, c.base+path, hdr, payload)
 	if err != nil {
 		return fmt.Errorf("client: %s %s: %w", method, path, err)
 	}
@@ -478,6 +540,72 @@ func (c *Client) doOnce(method, path string, hdr http.Header, payload []byte, ou
 		}
 	}
 	return nil
+}
+
+// maxRedirects is how many redirects one attempt follows before it fails,
+// as under http.Client's default redirect policy.
+const maxRedirects = 10
+
+// send sends one attempt to target through the transport and follows the
+// fleet's redirects as http.Client's default policy does: a 307 or 308
+// with a Location is re-sent to it, resolved against the request's URL,
+// with the same method, body and headers (no Referer is added), and the
+// tenth redirect fails with http.Client's error. Every other response is
+// returned as it came. A transport error is a *url.Error naming the method
+// and URL, as http.Client reports it.
+func (c *Client) send(ctx context.Context, method, target string, hdr http.Header, payload []byte) (*http.Response, error) {
+	req, err := newRequest(ctx, method, target, hdr, payload)
+	if err != nil {
+		return nil, err
+	}
+	for redirects := 1; ; redirects++ {
+		resp, err := c.rt.RoundTrip(req)
+		if err != nil {
+			return nil, urlError(method, req.URL.String(), err)
+		}
+		if resp.Body == nil {
+			resp.Body = http.NoBody
+		}
+		if resp.StatusCode != http.StatusTemporaryRedirect && resp.StatusCode != http.StatusPermanentRedirect {
+			return resp, nil
+		}
+		loc := resp.Header.Get("Location")
+		if loc == "" {
+			return resp, nil
+		}
+		drainClose(resp.Body)
+		u, err := req.URL.Parse(loc)
+		if err != nil {
+			return nil, urlError(method, req.URL.String(), fmt.Errorf("failed to parse Location header %q: %v", loc, err))
+		}
+		if redirects == maxRedirects {
+			return nil, urlError(method, loc, fmt.Errorf("stopped after %d redirects", maxRedirects))
+		}
+		if req, err = newRequest(ctx, method, u.String(), hdr, payload); err != nil {
+			return nil, urlError(method, u.String(), err)
+		}
+	}
+}
+
+// urlError reports err as http.Client does: a *url.Error naming the method
+// ("Post") and the URL.
+func urlError(method, u string, err error) error {
+	return &url.Error{Op: method[:1] + strings.ToLower(method[1:]), URL: u, Err: err}
+}
+
+// newRequest builds a request carrying payload, when non-nil, as its body
+// and hdr, unchanged, as its headers.
+func newRequest(ctx context.Context, method, target string, hdr http.Header, payload []byte) (*http.Request, error) {
+	var body io.Reader
+	if payload != nil {
+		body = bytes.NewReader(payload)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, target, body)
+	if err != nil {
+		return nil, err
+	}
+	req.Header = hdr
+	return req, nil
 }
 
 // readBody decodes a response body into out; a batch round's scratch

@@ -18,8 +18,9 @@ import (
 // views:
 //
 //   - A member that disagrees (its view is newer or the client's is stale)
-//     answers 307 + X-Bpomdp-Owner, which the underlying http.Client follows
-//     transparently — requests always land somewhere correct.
+//     answers 307 + X-Bpomdp-Owner, which the client follows within the
+//     same attempt, re-sending the body — requests always land somewhere
+//     correct.
 //   - When a member stops answering entirely (connection refused, timeouts
 //     through the whole retry policy), the client marks it down in its local
 //     view, re-routes the episode key to the surviving owner, and re-binds
@@ -38,8 +39,10 @@ type FleetClient struct {
 
 // NewFleetClient builds a client over the fleet's static member list with
 // vnodes virtual nodes per member (0 means fleet.DefaultVirtualNodes; must
-// match the servers). httpClient nil means http.DefaultClient; opts apply to
-// every per-member client.
+// match the servers). As in New, only httpClient's Transport is used
+// (http.DefaultTransport when nil), an httpClient that sets Timeout, Jar or
+// CheckRedirect is refused, and the Transport must not modify requests,
+// whose header maps are shared; opts apply to every per-member client.
 func NewFleetClient(members []fleet.Member, vnodes int, httpClient *http.Client, opts ...Option) (*FleetClient, error) {
 	view, err := fleet.NewMembership(members, vnodes)
 	if err != nil {
@@ -208,7 +211,8 @@ func (e *Episode) failover() error {
 		err = &EpisodeLostError{Key: e.key, EpisodeID: e.id, FreshID: fresh.id, Steps: e.steps}
 	}
 	if err == nil {
-		e.c, e.owner, e.id = fresh.c, owner, fresh.id
+		e.c, e.owner = fresh.c, owner
+		e.bind(fresh.id)
 	}
 	if e.c.spans != nil {
 		rec := &obs.SpanRecord{

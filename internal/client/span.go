@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"bpomdp/internal/obs"
-	"bpomdp/internal/server"
 )
 
 // WithSpans attaches an episode span writer to the client: every traced call
@@ -58,11 +57,11 @@ func callOp(method, path string) string {
 
 // traceID extracts the episode trace id a call will carry on the wire.
 // Empty when the call is keyless (nothing to stitch by) or spans are off.
-func (c *Client) traceID(hdr http.Header) string {
+func (c *Client) traceID(h *headers) string {
 	if c.spans == nil {
 		return ""
 	}
-	return hdr.Get(server.HeaderTrace)
+	return h.trace
 }
 
 // span emits one span of a traced call, timed from t0 to now: a

@@ -140,3 +140,45 @@ func TestFSCHitAllocs(t *testing.T) {
 		t.Errorf("FSC-node beliefs fell back %d times", fsc.Fallbacks()-fallbacks)
 	}
 }
+
+// TestFSCDeciderFirstObserveAllocs: a new FSC decider's first observation,
+// the first Bayes update its fresh Scratch makes, allocates nothing: the
+// observation matrices' column views are built once per matrix and shared,
+// not once per Scratch. It allocated 6 times when each Scratch built its
+// own columns.
+func TestFSCDeciderFirstObserveAllocs(t *testing.T) {
+	prep, _, _ := emnTablePrep(t, 10)
+	fsc, err := prep.CompileFSC(core.FSCConfig{Depth: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	initial, err := prep.InitialBelief()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 50
+	deciders := make([]*controller.Bounded, runs+1) // AllocsPerRun warms up with one
+	for i := range deciders {
+		if deciders[i], err = prep.NewFSCDecider(fsc, core.ControllerConfig{Depth: 1}, 1e-6); err != nil {
+			t.Fatal(err)
+		}
+		if err := deciders[i].Reset(initial); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d, err := deciders[0].Decide()
+	if err != nil {
+		t.Fatal(err)
+	}
+	succ := prep.Model.Successors(pomdp.NewScratch(prep.Model), initial, d.Action)
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if err := deciders[next].Observe(d.Action, succ[0].Obs); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	if allocs != 0 {
+		t.Errorf("a new FSC decider's first Observe: %v allocs/op, want 0", allocs)
+	}
+}

@@ -3,6 +3,7 @@ package linalg
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // Entry is a single coordinate-format matrix entry, used while assembling a
@@ -19,6 +20,13 @@ type CSR struct {
 	rowPtr     []int
 	colIdx     []int
 	vals       []float64
+
+	// The column view Col reads: the transpose's compressed columns, built
+	// once, on first use, and then shared by every reader of the matrix.
+	colOnce sync.Once
+	colPtr  []int
+	rowIdx  []int
+	colVals []float64
 }
 
 // NewCSR assembles a CSR matrix of the given shape from coordinate entries.
@@ -145,6 +153,40 @@ func (m *CSR) Row(r int, fn func(col int, val float64)) {
 func (m *CSR) RowSlice(r int) (cols []int, vals []float64) {
 	lo, hi := m.rowPtr[r], m.rowPtr[r+1]
 	return m.colIdx[lo:hi], m.vals[lo:hi]
+}
+
+// Col returns column c's stored entries as parallel row-index and value
+// slices, sorted by row. The first call builds the column view of the whole
+// matrix, once; the slices alias it and must not be modified. Safe for
+// concurrent use, like every other read of a CSR.
+func (m *CSR) Col(c int) (rows []int, vals []float64) {
+	m.colOnce.Do(m.buildCols)
+	lo, hi := m.colPtr[c], m.colPtr[c+1]
+	return m.rowIdx[lo:hi:hi], m.colVals[lo:hi:hi]
+}
+
+// buildCols transposes the stored entries into compressed columns, in two
+// passes: count each column's entries, then place them row by row, so each
+// column's rows come out ascending.
+func (m *CSR) buildCols() {
+	m.colPtr = make([]int, m.cols+1)
+	for _, c := range m.colIdx {
+		m.colPtr[c+1]++
+	}
+	for c := 0; c < m.cols; c++ {
+		m.colPtr[c+1] += m.colPtr[c]
+	}
+	m.rowIdx = make([]int, len(m.colIdx))
+	m.colVals = make([]float64, len(m.vals))
+	next := make([]int, m.cols)
+	copy(next, m.colPtr)
+	for r := 0; r < m.rows; r++ {
+		for i := m.rowPtr[r]; i < m.rowPtr[r+1]; i++ {
+			k := next[m.colIdx[i]]
+			m.rowIdx[k], m.colVals[k] = r, m.vals[i]
+			next[m.colIdx[i]]++
+		}
+	}
 }
 
 // RowSum returns the sum of row r's entries, for validating that a

@@ -1,7 +1,9 @@
 package linalg
 
 import (
+	"math"
 	"math/rand/v2"
+	"sync"
 	"testing"
 )
 
@@ -171,6 +173,51 @@ func TestCSRMulVecMatchesDense(t *testing.T) {
 			}
 			if !almostEqual(got[r], want, 1e-9) {
 				t.Fatalf("trial %d row %d: MulVec = %v, dense = %v", trial, r, got[r], want)
+			}
+		}
+	}
+}
+
+// TestCSRColMatchesRows: every column view holds exactly the stored entries
+// of that column, rows ascending, with the row-major values bit for bit,
+// also when read from many goroutines at once.
+func TestCSRColMatchesRows(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 5))
+	for trial := 0; trial < 50; trial++ {
+		rows, cols := 1+rng.IntN(10), 1+rng.IntN(10)
+		entries := make([]Entry, 0, rows*cols)
+		for i := rng.IntN(rows * cols); i > 0; i-- {
+			entries = append(entries, Entry{Row: rng.IntN(rows), Col: rng.IntN(cols), Val: rng.NormFloat64()})
+		}
+		m, err := NewCSR(rows, cols, entries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				m.Col(0)
+			}()
+		}
+		wg.Wait()
+		want := make([][]Entry, cols)
+		for r := 0; r < rows; r++ {
+			cs, vs := m.RowSlice(r)
+			for i, c := range cs {
+				want[c] = append(want[c], Entry{Row: r, Col: c, Val: vs[i]})
+			}
+		}
+		for c := 0; c < cols; c++ {
+			rs, vs := m.Col(c)
+			if len(rs) != len(want[c]) || len(vs) != len(rs) {
+				t.Fatalf("trial %d column %d: %d rows, %d values, want %d", trial, c, len(rs), len(vs), len(want[c]))
+			}
+			for k, e := range want[c] {
+				if rs[k] != e.Row || math.Float64bits(vs[k]) != math.Float64bits(e.Val) {
+					t.Fatalf("trial %d column %d entry %d: (%d, %v), want (%d, %v)", trial, c, k, rs[k], vs[k], e.Row, e.Val)
+				}
 			}
 		}
 	}

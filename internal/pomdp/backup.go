@@ -35,15 +35,22 @@ func Backup(p *POMDP, sc *Scratch, pi Belief, beta float64, leaf ValueFn) (Backu
 	return BackupInto(p, sc, NewSuccessorBuf(p), pi, beta, leaf, nil)
 }
 
-// BackupInto is Backup with caller-owned memory: buf holds each action's
-// successor beliefs, enumerated by AppendSuccessors, and q the QValues, grown
+// BackupInto is Backup with caller-owned memory: buf holds the successor
+// beliefs, enumerated by AppendSuccessors, and q the QValues, grown
 // when its capacity is insufficient; the returned BackupResult aliases q.
 // Callers that back up in a loop (the HSVI bound refiner's exploration
 // trials) reuse one buf and one q across calls and allocate nothing. The
 // results are bit-identical to Backup's.
 //
-// buf is reset per action and holds the beliefs leaf is evaluated at, so it
-// must not be shared with any call the leaf makes: a leaf that re-enters
+// On return buf holds the maximizing action's successors, exactly as a
+// Reset and AppendSuccessors(pi, Action) would leave them, and Values holds
+// the leaf's value at each, so a caller that follows the greedy action (the
+// refiner's exploration) need not expand or evaluate it again. It is empty
+// when no action scored above −∞. Meanwhile buf holds at most two actions'
+// successors, so Reserve(2·NumObservations) keeps it from ever growing.
+//
+// buf holds the beliefs leaf is evaluated at, so it must not be shared
+// with any call the leaf makes: a leaf that re-enters
 // BackupInto (a deeper Max-Avg level) needs a buffer of its own. That is why
 // the buffer is a parameter and not part of the Scratch, which such a leaf
 // may share.
@@ -62,17 +69,24 @@ func BackupInto(p *POMDP, sc *Scratch, buf *SuccessorBuf, pi Belief, beta float6
 		Action:  -1,
 		QValues: q[:p.NumActions()],
 	}
+	// buf holds the best action's successors so far, then the current
+	// action's.
+	buf.Reset()
 	for a := 0; a < p.NumActions(); a++ {
 		q := p.ExpectedReward(pi, a)
-		buf.Reset()
+		lo := len(buf.probs)
 		p.AppendSuccessors(sc, buf, pi, a)
-		probs := buf.Probs()
-		for k, b := range buf.Beliefs() {
-			q += beta * probs[k] * leaf.Value(b)
+		for k := lo; k < len(buf.probs); k++ {
+			v := leaf.Value(buf.belief(k))
+			buf.vals = append(buf.vals, v)
+			q += beta * buf.probs[k] * v
 		}
 		res.QValues[a] = q
 		if q > res.Value {
 			res.Value, res.Action = q, a
+			buf.keep(lo, len(buf.probs))
+		} else {
+			buf.keep(0, lo)
 		}
 	}
 	return res, nil

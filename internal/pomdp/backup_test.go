@@ -102,9 +102,29 @@ func maxOfPlanes(planes []linalg.Vector) pomdp.ValueFn {
 	})
 }
 
+// checkKeptSuccessors checks that buf, after a BackupInto at pi that chose
+// action, holds that action's successors bit for bit as Successors
+// enumerates them, with leaf's value at each.
+func checkKeptSuccessors(t *testing.T, p *pomdp.POMDP, sc *pomdp.Scratch, buf *pomdp.SuccessorBuf, pi pomdp.Belief, action int, leaf pomdp.ValueFn) {
+	t.Helper()
+	beliefs, probs, vals := buf.Beliefs(), buf.Probs(), buf.Values()
+	want := p.Successors(sc, pi, action)
+	if len(beliefs) != len(want) || len(probs) != len(want) || len(vals) != len(want) {
+		t.Fatalf("buf keeps %d beliefs, %d probabilities, %d values; action %d has %d successors",
+			len(beliefs), len(probs), len(vals), action, len(want))
+	}
+	for k, w := range want {
+		if !pomdp.SameBits(beliefs[k], w.Belief) || math.Float64bits(probs[k]) != math.Float64bits(w.Prob) ||
+			math.Float64bits(vals[k]) != math.Float64bits(leaf.Value(w.Belief)) {
+			t.Fatalf("kept successor %d of action %d differs from Successors", k, action)
+		}
+	}
+}
+
 // TestBackupIntoMatchesBackup pins BackupInto, with one buffer and one
 // Q-slice reused across every call, and Backup to refBackup on EMN and on
-// random models: the same Value, Action and every Q-value, bit for bit. It
+// random models: the same Value, Action and every Q-value, bit for bit,
+// with the maximizing action's successors and leaf values left in buf. It
 // also backs up through a leaf that re-enters Backup on the same Scratch
 // (a depth-2 Max-Avg tree), which a successor buffer shared through the
 // Scratch would corrupt.
@@ -157,6 +177,7 @@ func TestBackupIntoMatchesBackup(t *testing.T) {
 				if !sameBackup(got, want) {
 					t.Fatalf("%s β=%v: BackupInto %+v, reference %+v", m.name, beta, got, want)
 				}
+				checkKeptSuccessors(t, p, sc, buf, pi, got.Action, leaf)
 				if got, err := pomdp.Backup(p, sc, pi, beta, leaf); err != nil || !sameBackup(got, want) {
 					t.Fatalf("%s β=%v: Backup %+v (error %v), reference %+v", m.name, beta, got, err, want)
 				}

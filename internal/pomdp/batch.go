@@ -1,6 +1,9 @@
 package pomdp
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // BatchValueFn is a ValueFn that can additionally evaluate many beliefs in
 // one pass. Implementations must make ValueBatch agree bit-for-bit with
@@ -32,6 +35,7 @@ type SuccessorBuf struct {
 	gamma []float64 // |O| scratch; zeroed after use
 	arena []float64 // normalized posterior beliefs, back to back
 	probs []float64 // observation probability per appended successor
+	vals  []float64 // leaf value per kept successor, filled by BackupInto
 	pis   []Belief  // lazily rebuilt views into arena
 }
 
@@ -49,6 +53,34 @@ func NewSuccessorBuf(p *POMDP) *SuccessorBuf {
 func (b *SuccessorBuf) Reset() {
 	b.arena = b.arena[:0]
 	b.probs = b.probs[:0]
+	b.vals = b.vals[:0]
+}
+
+// Values returns the leaf values BackupInto evaluated the kept successors
+// at, aligned with Probs and Beliefs. It is empty after a Reset and stale
+// after an AppendSuccessors that no BackupInto made.
+func (b *SuccessorBuf) Values() []float64 { return b.vals }
+
+// Reserve makes room for m successors and their leaf values, so that
+// accumulating up to m of them after a Reset allocates nothing.
+func (b *SuccessorBuf) Reserve(m int) {
+	b.arena = slices.Grow(b.arena[:0], m*b.n)
+	b.probs = slices.Grow(b.probs[:0], m)
+	b.vals = slices.Grow(b.vals[:0], m)
+}
+
+// belief returns a view of the k-th accumulated successor.
+func (b *SuccessorBuf) belief(k int) Belief { return Belief(b.arena[k*b.n : (k+1)*b.n]) }
+
+// keep moves successors lo to hi (exclusive) to the front and drops the
+// rest; copying leaves every bit as it was.
+func (b *SuccessorBuf) keep(lo, hi int) {
+	if lo > 0 {
+		copy(b.arena, b.arena[lo*b.n:hi*b.n])
+		copy(b.probs, b.probs[lo:hi])
+		copy(b.vals, b.vals[lo:hi])
+	}
+	b.arena, b.probs, b.vals = b.arena[:(hi-lo)*b.n], b.probs[:hi-lo], b.vals[:hi-lo]
 }
 
 // Probs returns the observation probabilities γ(o) of the accumulated
@@ -66,7 +98,7 @@ func (b *SuccessorBuf) Beliefs() []Belief {
 	}
 	b.pis = b.pis[:m]
 	for i := range b.pis {
-		b.pis[i] = Belief(b.arena[i*b.n : (i+1)*b.n])
+		b.pis[i] = b.belief(i)
 	}
 	return b.pis
 }

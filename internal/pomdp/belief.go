@@ -156,11 +156,11 @@ func (p *POMDP) UpdateInto(sc *Scratch, dst Belief, pi Belief, a, o int) (Belief
 		return nil, fmt.Errorf("pomdp: destination belief length %d, want %d", len(dst), n)
 	}
 	p.Predict(sc.pred, pi, a)
-	col := sc.obsColumns(p, a)[o]
+	states, q := p.Obs[a].Col(o)
 	linalg.Vector(dst).Fill(0)
 	var norm float64
-	for k, s := range col.states {
-		v := sc.pred[s] * col.vals[k]
+	for k, s := range states {
+		v := sc.pred[s] * q[k]
 		dst[s] = v
 		norm += v
 	}

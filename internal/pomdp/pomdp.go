@@ -114,26 +114,9 @@ func (p *POMDP) Validate() error {
 // decision loop of the controller performs no per-step allocations beyond
 // the successor beliefs it must return. A Scratch may be reused across calls
 // but not concurrently.
-//
-// The Scratch also memoizes, per action, the observation matrix in
-// column-major form (one sparse column per observation), which turns the
-// Bayes update's per-state q(o|s,a) lookups — a binary search each — into a
-// single walk over the observation's nonzero column. Columns are built
-// lazily on first use and invalidated automatically when the Scratch is used
-// with a different model (matrix identity is checked per call).
 type Scratch struct {
 	pred  linalg.Vector // Σ_s' p(s|s',a) π(s'): forward-pushed belief
 	gamma linalg.Vector // per-observation probability
-
-	cols    [][]obsColumn // [action][observation] sparse columns of Obs[a]
-	colsSrc []*linalg.CSR // the matrix each cached column set was built from
-}
-
-// obsColumn is one observation's sparse column of an observation matrix:
-// the states s with q(o|s,a) > 0 (ascending) and the matching probabilities.
-type obsColumn struct {
-	states []int
-	vals   []float64
 }
 
 // NewScratch returns a Scratch sized for model p.
@@ -142,50 +125,4 @@ func NewScratch(p *POMDP) *Scratch {
 		pred:  linalg.NewVector(p.NumStates()),
 		gamma: linalg.NewVector(p.NumObservations()),
 	}
-}
-
-// obsColumns returns the memoized column-major view of p.Obs[a], building
-// (or rebuilding, if the Scratch last saw a different model) it on demand.
-func (sc *Scratch) obsColumns(p *POMDP, a int) []obsColumn {
-	if len(sc.cols) != p.NumActions() {
-		sc.cols = make([][]obsColumn, p.NumActions())
-		sc.colsSrc = make([]*linalg.CSR, p.NumActions())
-	}
-	if sc.colsSrc[a] != p.Obs[a] {
-		sc.cols[a] = buildObsColumns(p.Obs[a])
-		sc.colsSrc[a] = p.Obs[a]
-	}
-	return sc.cols[a]
-}
-
-// buildObsColumns transposes a CSR observation matrix into per-observation
-// sparse columns, in two passes over the stored entries.
-func buildObsColumns(m *linalg.CSR) []obsColumn {
-	no := m.Cols()
-	counts := make([]int, no)
-	nnz := 0
-	for s := 0; s < m.Rows(); s++ {
-		cols, _ := m.RowSlice(s)
-		for _, o := range cols {
-			counts[o]++
-		}
-		nnz += len(cols)
-	}
-	states := make([]int, nnz)
-	vals := make([]float64, nnz)
-	out := make([]obsColumn, no)
-	offset := 0
-	for o := 0; o < no; o++ {
-		out[o] = obsColumn{states: states[offset : offset : offset+counts[o]], vals: vals[offset : offset : offset+counts[o]]}
-		offset += counts[o]
-	}
-	for s := 0; s < m.Rows(); s++ {
-		cols, rowVals := m.RowSlice(s)
-		for i, o := range cols {
-			c := &out[o]
-			c.states = append(c.states, s)
-			c.vals = append(c.vals, rowVals[i])
-		}
-	}
-	return out
 }

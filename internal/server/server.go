@@ -1344,10 +1344,14 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 		writeError(w, http.StatusInternalServerError, fmt.Errorf("encode response: %w", err))
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonType
 	w.WriteHeader(status)
 	_, _ = w.Write(b) // the status is out; a failed write has no one to tell
 }
+
+// jsonType is every JSON response's Content-Type, shared read-only by all
+// of them: Header().Set would allocate a fresh slice per response.
+var jsonType = []string{"application/json"}
 
 func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, ErrorResponse{Error: err.Error()})
