@@ -333,8 +333,8 @@ func TestValueBatchGrowsOutput(t *testing.T) {
 }
 
 // refSet is the row-major reference for Set's mutations: one row per plane,
-// with the same dominance pruning (the base plane spared), least-used
-// eviction and usefulness-LP compaction.
+// with the same dominance pruning (the base plane spared) and least-used
+// eviction.
 type refSet struct {
 	planes []linalg.Vector
 	uses   []uint64
@@ -380,30 +380,11 @@ func (r *refSet) add(b linalg.Vector) bool {
 	return true
 }
 
-func (r *refSet) compact(t *testing.T) int {
-	t.Helper()
-	removed := 0
-	for i := 1; i < len(r.planes); {
-		others := append(append([]linalg.Vector(nil), r.planes[:i]...), r.planes[i+1:]...)
-		useful, err := linalg.PlaneUseful(r.planes[i], others, 1e-9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if useful {
-			i++
-			continue
-		}
-		r.remove(i)
-		removed++
-	}
-	return removed
-}
-
 // TestSlabLayoutSurvivesMutation drives a Set and the row-major refSet
 // through one random sequence of Adds (with their pruning and eviction),
-// counted queries, LP compactions and JSON round trips, and requires the
-// same planes bit for bit, the same usage counters and a consistent column
-// buffer after every step.
+// counted queries and JSON round trips, and requires the same planes bit
+// for bit, the same usage counters and a consistent column buffer after
+// every step.
 func TestSlabLayoutSurvivesMutation(t *testing.T) {
 	for seed := uint64(0); seed < 20; seed++ {
 		stream := rng.New(seed)
@@ -441,14 +422,6 @@ func TestSlabLayoutSurvivesMutation(t *testing.T) {
 					if got := s.Value(pi); math.Float64bits(got) != math.Float64bits(want) {
 						t.Fatalf("seed %d step %d: Value %v, reference %v", seed, step, got, want)
 					}
-				}
-			case op < 9:
-				got, err := s.CompactLP()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want := ref.compact(t); got != want {
-					t.Fatalf("seed %d step %d: CompactLP removed %d, reference %d", seed, step, got, want)
 				}
 			default:
 				data, err := json.Marshal(s)

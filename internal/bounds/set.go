@@ -111,7 +111,7 @@ func NewSet(n int, base ...linalg.Vector) (*Set, error) {
 func (s *Set) Mutex() *sync.RWMutex { return &s.lock }
 
 // Generation counts the mutations of the plane slab so far: every plane
-// appended or removed (by Add, pruning, eviction or CompactLP) and every
+// appended or removed (by Add, its pruning or its eviction) and every
 // UnmarshalJSON advances it, and nothing else does, so V_B⁻ — and every
 // decision made over the set — is a pure function of the belief while it
 // stays put. Read it where the planes are read: under Mutex when
@@ -391,36 +391,6 @@ func (s *Set) evictLeastUsed() {
 	}
 	s.removeAt(victim)
 	atomic.AddUint64(&s.evictions, 1)
-}
-
-// CompactLP removes every hyperplane that is nowhere strictly above the
-// maximum of the others — the exact version of Section 4.1's "not better in
-// at least some regions of the probability simplex can be discarded" test,
-// implemented with the usefulness LP. The base plane (index 0) is always
-// kept so the Property 1(b) guarantee anchored to it survives. V_B⁻ is
-// unchanged at every belief. It returns the number of planes removed.
-func (s *Set) CompactLP() (int, error) {
-	planes := make([]linalg.Vector, s.Size())
-	for i := range planes {
-		planes[i] = s.Plane(i)
-	}
-	removed := 0
-	for i := 1; i < len(planes); {
-		others := make([]linalg.Vector, 0, len(planes)-1)
-		others = append(append(others, planes[:i]...), planes[i+1:]...)
-		useful, err := linalg.PlaneUseful(planes[i], others, 1e-9)
-		if err != nil {
-			return removed, fmt.Errorf("bounds: compact: %w", err)
-		}
-		if useful {
-			i++
-			continue
-		}
-		s.removeAt(i)
-		planes = append(planes[:i], planes[i+1:]...)
-		removed++
-	}
-	return removed, nil
 }
 
 // The set is usable directly as a (batched) leaf evaluator.

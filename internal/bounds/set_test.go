@@ -221,9 +221,9 @@ func TestSetEvictionsCounter(t *testing.T) {
 }
 
 // TestSetGeneration: every mutation of the plane slab — a kept Add, an Add
-// that prunes, a capacity eviction, a CompactLP removal and UnmarshalJSON —
-// advances Generation, and a discarded (dominated) Add, evaluation and
-// SetCapacity leave it alone. Decision tables key their entries on it.
+// that prunes, a capacity eviction and UnmarshalJSON — advances Generation,
+// and a discarded (dominated) Add, evaluation and SetCapacity leave it
+// alone. Decision tables key their entries on it.
 func TestSetGeneration(t *testing.T) {
 	s, err := NewSet(2, linalg.Vector{1, 0})
 	if err != nil {
@@ -265,20 +265,6 @@ func TestSetGeneration(t *testing.T) {
 	if s.Evictions() != 1 || s.Size() != 2 {
 		t.Fatalf("evictions %d, size %d; want 1 eviction, size 2", s.Evictions(), s.Size())
 	}
-	s.SetCapacity(0)
-	// (0, 2) lifts max{(1,0), (0,2)} above (0.6, 0.6) everywhere without
-	// dominating it pointwise, so only CompactLP can remove it.
-	step("kept Add", true, add(linalg.Vector{0, 2}, true))
-	step("CompactLP removal", true, func() {
-		if removed, err := s.CompactLP(); err != nil || removed == 0 {
-			t.Fatalf("CompactLP removed %d (err %v), want a removal", removed, err)
-		}
-	})
-	step("CompactLP keeping every plane", false, func() {
-		if removed, err := s.CompactLP(); err != nil || removed != 0 {
-			t.Fatalf("CompactLP removed %d (err %v), want none", removed, err)
-		}
-	})
 	data, err := s.MarshalJSON()
 	if err != nil {
 		t.Fatal(err)

@@ -1,8 +1,8 @@
 // Package mdp implements finite Markov decision processes and their
 // solution: value iteration for discounted and undiscounted (negative-model)
-// optimality criteria, policy evaluation by linear solve, greedy policy
-// extraction, and the derived Markov chains (uniform random action, fixed
-// action) that the paper's POMDP bounds are built from.
+// optimality criteria, greedy policy extraction, and the derived Markov
+// chains (uniform random action, fixed action) that the paper's POMDP bounds
+// are built from.
 //
 // An MDP is the tuple (S, A, p(·|s,a), r(s,a)) of Section 2 of the paper.
 // States and actions are dense integer indices; names are carried alongside
@@ -167,30 +167,6 @@ func (m *MDP) ActionChain(a int) (*linalg.CSR, linalg.Vector, error) {
 		return nil, nil, fmt.Errorf("mdp: action %d out of range [0,%d)", a, m.NumActions())
 	}
 	return m.Trans[a], m.Reward[a].Clone(), nil
-}
-
-// PolicyChain returns the Markov chain induced by a stationary deterministic
-// policy (policy[s] is the action chosen in state s).
-func (m *MDP) PolicyChain(policy []int) (*linalg.CSR, linalg.Vector, error) {
-	n := m.NumStates()
-	if len(policy) != n {
-		return nil, nil, fmt.Errorf("mdp: policy length %d, want %d", len(policy), n)
-	}
-	b := linalg.NewBuilder(n, n)
-	r := linalg.NewVector(n)
-	for s := 0; s < n; s++ {
-		a := policy[s]
-		if a < 0 || a >= m.NumActions() {
-			return nil, nil, fmt.Errorf("mdp: policy[%d]=%d out of range [0,%d)", s, a, m.NumActions())
-		}
-		m.Trans[a].Row(s, func(c int, v float64) { b.Add(s, c, v) })
-		r[s] = m.Reward[a][s]
-	}
-	p, err := b.Build()
-	if err != nil {
-		return nil, nil, fmt.Errorf("mdp: policy chain: %w", err)
-	}
-	return p, r, nil
 }
 
 // CanReach reports, for every state, whether some sequence of actions can

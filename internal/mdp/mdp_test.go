@@ -185,23 +185,6 @@ func TestMinValueIterationConvergesDiscounted(t *testing.T) {
 	}
 }
 
-func TestEvaluatePolicy(t *testing.T) {
-	m := twoState(t)
-	v, err := EvaluatePolicy(m, []int{0, 0}, SolveOptions{}) // always fix
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(v[0], -1, 1e-8) {
-		t.Errorf("policy value = %v, want -1", v[0])
-	}
-	if _, err := EvaluatePolicy(m, []int{0}, SolveOptions{}); err == nil {
-		t.Error("short policy accepted")
-	}
-	if _, err := EvaluatePolicy(m, []int{0, 9}, SolveOptions{}); err == nil {
-		t.Error("out-of-range action accepted")
-	}
-}
-
 func TestUniformChain(t *testing.T) {
 	m := twoState(t)
 	p, r, err := m.UniformChain()
@@ -235,13 +218,6 @@ func TestActionAndPolicyChains(t *testing.T) {
 		t.Error("out-of-range action accepted")
 	}
 
-	pc, rc, err := m.PolicyChain([]int{0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pc.At(0, 1) != 1 || rc[0] != -1 {
-		t.Errorf("policy chain: p=%v r=%v", pc.At(0, 1), rc[0])
-	}
 }
 
 func TestCanReach(t *testing.T) {
@@ -265,22 +241,6 @@ func TestCanReach(t *testing.T) {
 	// Out-of-range targets are ignored.
 	if got := m.CanReach([]int{-1, 99}); got[0] || got[1] || got[2] || got[3] {
 		t.Errorf("bogus targets reached: %v", got)
-	}
-}
-
-func TestQValues(t *testing.T) {
-	m := twoState(t)
-	v := linalg.Vector{-1, 0}
-	q, err := QValues(m, v, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Q(bad, fix) = -1 + 0 = -1; Q(bad, wait) = -2 + (-1) = -3.
-	if !almostEqual(q[0][0], -1, 1e-12) || !almostEqual(q[1][0], -3, 1e-12) {
-		t.Errorf("Q = [%v %v]", q[0][0], q[1][0])
-	}
-	if _, err := QValues(m, linalg.Vector{0}, 1); err == nil {
-		t.Error("short value vector accepted")
 	}
 }
 

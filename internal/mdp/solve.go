@@ -123,36 +123,3 @@ func extremeValueIteration(m *MDP, opts SolveOptions, minimize bool) (Result, er
 	return res, fmt.Errorf("mdp: residual %g > tol %g after %d sweeps: %w",
 		res.Residual, o.Tol, o.MaxIter, linalg.ErrNoConvergence)
 }
-
-// EvaluatePolicy computes the expected total (β-discounted) reward of a
-// stationary deterministic policy by solving the induced Markov chain's
-// fixed-point equation.
-func EvaluatePolicy(m *MDP, policy []int, opts SolveOptions) (linalg.Vector, error) {
-	o := opts.withDefaults()
-	p, r, err := m.PolicyChain(policy)
-	if err != nil {
-		return nil, err
-	}
-	v, _, err := linalg.SolveFixedPoint(p, o.Beta, r, linalg.FixedPointOptions{
-		Tol: o.Tol, MaxIter: o.MaxIter, DivergeAbove: o.DivergeAbove,
-	})
-	return v, err
-}
-
-// QValues computes the one-step backup Q(s,a) = r(s,a) + β Σ p(s'|s,a) v(s')
-// for every action, reusing the provided value function. The result is
-// indexed [a][s].
-func QValues(m *MDP, v linalg.Vector, beta float64) ([]linalg.Vector, error) {
-	if len(v) != m.NumStates() {
-		return nil, fmt.Errorf("mdp: value length %d, want %d", len(v), m.NumStates())
-	}
-	out := make([]linalg.Vector, m.NumActions())
-	for a := range out {
-		q := linalg.NewVector(m.NumStates())
-		m.Trans[a].MulVec(q, v)
-		q.Scale(beta)
-		q.AddScaled(1, m.Reward[a])
-		out[a] = q
-	}
-	return out, nil
-}

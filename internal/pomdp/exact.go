@@ -2,6 +2,7 @@ package pomdp
 
 import (
 	"fmt"
+	"math"
 
 	"bpomdp/internal/linalg"
 )
@@ -30,27 +31,6 @@ var ErrTooManyVectors = fmt.Errorf("pomdp: exact solver exceeded the vector budg
 // verification of bounds and tree expansions on small models, exactly the
 // role exact solvers play in the paper's related work.
 func ExactFiniteHorizon(p *POMDP, beta float64, horizon, maxVectors int) ([]linalg.Vector, error) {
-	return ExactSolve(p, ExactOptions{Beta: beta, Horizon: horizon, MaxVectors: maxVectors})
-}
-
-// ExactOptions configures ExactSolve.
-type ExactOptions struct {
-	// Beta is the discount factor in (0, 1].
-	Beta float64
-	// Horizon is the number of DP stages (k ≥ 0).
-	Horizon int
-	// MaxVectors guards against blow-up (0 means 100000).
-	MaxVectors int
-	// LPPrune enables exact LP-based usefulness filtering between stages
-	// (in addition to pointwise-dominance pruning). Each LP costs O(set²)
-	// pivots but the set sizes stay minimal, which is what makes horizons
-	// beyond ~5 tractable on small models.
-	LPPrune bool
-}
-
-// ExactSolve is ExactFiniteHorizon with configurable pruning.
-func ExactSolve(p *POMDP, opts ExactOptions) ([]linalg.Vector, error) {
-	beta, horizon, maxVectors := opts.Beta, opts.Horizon, opts.MaxVectors
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -89,13 +69,6 @@ func ExactSolve(p *POMDP, opts ExactOptions) ([]linalg.Vector, error) {
 					}
 				}
 				partial = pruneDominated(grown)
-				if opts.LPPrune && len(partial) > 16 {
-					filtered, err := linalg.FilterUselessPlanes(partial, 1e-9)
-					if err != nil {
-						return nil, fmt.Errorf("pomdp: cross-sum LP prune: %w", err)
-					}
-					partial = filtered
-				}
 				if len(partial) > maxVectors {
 					return nil, fmt.Errorf("pomdp: horizon %d action %d: %d vectors: %w",
 						t+1, a, len(partial), ErrTooManyVectors)
@@ -104,13 +77,6 @@ func ExactSolve(p *POMDP, opts ExactOptions) ([]linalg.Vector, error) {
 			next = append(next, partial...)
 		}
 		gamma = pruneDominated(next)
-		if opts.LPPrune {
-			filtered, err := linalg.FilterUselessPlanes(gamma, 1e-9)
-			if err != nil {
-				return nil, fmt.Errorf("pomdp: horizon %d LP prune: %w", t+1, err)
-			}
-			gamma = filtered
-		}
 		if len(gamma) > maxVectors {
 			return nil, fmt.Errorf("pomdp: horizon %d: %d vectors: %w", t+1, len(gamma), ErrTooManyVectors)
 		}
@@ -168,19 +134,12 @@ func pointwiseGE(a, b linalg.Vector, tol float64) bool {
 
 // ValueOfVectorSet evaluates max_α π·α over a vector set, -Inf for empty.
 func ValueOfVectorSet(vs []linalg.Vector, pi Belief) float64 {
-	best := 0.0
-	set := false
+	best := math.Inf(-1)
 	x := linalg.Vector(pi)
 	for _, v := range vs {
-		val := x.Dot(v)
-		if !set || val > best {
-			best, set = val, true
+		if val := x.Dot(v); val > best {
+			best = val
 		}
-	}
-	if !set {
-		return negativeInfinity
 	}
 	return best
 }
-
-const negativeInfinity = -1e308

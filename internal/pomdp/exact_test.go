@@ -2,6 +2,7 @@ package pomdp
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"bpomdp/internal/rng"
@@ -105,7 +106,7 @@ func TestExactFiniteHorizonValidation(t *testing.T) {
 }
 
 func TestValueOfVectorSetEmpty(t *testing.T) {
-	if v := ValueOfVectorSet(nil, UniformBelief(2)); v > -1e300 {
+	if v := ValueOfVectorSet(nil, UniformBelief(2)); !math.IsInf(v, -1) {
 		t.Errorf("empty set value = %v", v)
 	}
 }

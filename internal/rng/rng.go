@@ -183,8 +183,5 @@ func (s *Stream) CategoricalSparse(cols []int, weights []float64) (int, error) {
 	return last, nil
 }
 
-// Perm returns a random permutation of [0, n).
-func (s *Stream) Perm(n int) []int { return s.r.Perm(n) }
-
 // Shuffle permutes n elements using the provided swap function.
 func (s *Stream) Shuffle(n int, swap func(i, j int)) { s.r.Shuffle(n, swap) }

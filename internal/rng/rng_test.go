@@ -142,18 +142,6 @@ func TestCategoricalFrequencies(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	s := New(17)
-	p := s.Perm(10)
-	seen := make([]bool, 10)
-	for _, v := range p {
-		if v < 0 || v >= 10 || seen[v] {
-			t.Fatalf("not a permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 func TestShuffle(t *testing.T) {
 	s := New(19)
 	xs := []int{0, 1, 2, 3, 4, 5, 6, 7}

@@ -161,9 +161,10 @@ type CorruptCheckpoint struct {
 // Tombstones live in a separate namespace from episode snapshots:
 // SaveTombstone is called on termination before Delete (write-ahead, so a
 // crash between the two leaves the final decision recoverable),
-// DeleteTombstone when the tombstone's TTL expires, and LoadTombstones at
-// startup, on adoption, and on rare cache misses. Deleting an episode never
-// touches its tombstone and vice versa.
+// DeleteTombstone (with Delete of the same id, for a record saved late) when
+// the tombstone's TTL expires, and LoadTombstones at startup, on adoption,
+// and on rare cache misses. Deleting an episode never touches its tombstone
+// and vice versa.
 //
 // Implementations must tolerate concurrent Save/Delete calls for *different*
 // episodes; calls for the same episode are serialized by the server.

@@ -585,10 +585,11 @@ func (s *Server) janitor() {
 
 // Sweep evicts episodes idle longer than EpisodeTTL and tombstones older
 // than the effective tombstone TTL, returning how many episodes were
-// evicted. Tombstone eviction is store-backed: the durable record is deleted
-// with the cache entry, and when the cache has overflowed its cap the store
-// itself is scanned so evicted-from-memory tombstones still expire. The
-// janitor calls Sweep periodically; tests may call it directly.
+// evicted. Tombstone eviction is store-backed: the durable tombstone, and
+// any episode record under its id, is deleted with the cache entry, and when
+// the cache has overflowed its cap the store itself is scanned so
+// evicted-from-memory tombstones still expire. The janitor calls Sweep
+// periodically; tests may call it directly.
 func (s *Server) Sweep() int {
 	now := s.cfg.now()
 	var expired []*episode
@@ -623,9 +624,15 @@ func (s *Server) Sweep() int {
 			}
 		}
 	}
+	// An episode record stored under an expired tombstone's id is a late
+	// save that landed after retire deleted the record (observe saves after
+	// its critical section). Restore would resume it once the tombstone is
+	// gone, so it goes with the tombstone; ids are never reused.
 	for _, id := range expiredTombs {
 		s.m.tombstonesEvicted.Inc()
-		_ = s.storeWrite("", obs.SpanOpDelete, id, func(c Checkpointer) error { return c.DeleteTombstone(id) })
+		_ = s.storeWrite("", obs.SpanOpDelete, id, func(c Checkpointer) error {
+			return errors.Join(c.DeleteTombstone(id), c.Delete(id))
+		})
 	}
 	return len(expired)
 }

@@ -470,3 +470,73 @@ func TestRetiredLiveCopyLeavesNoRecord(t *testing.T) {
 		t.Errorf("%d episodes open after restart, want 0", n)
 	}
 }
+
+// TestLateSaveExpiresWithTombstone: observe saves its snapshot after the
+// episode's critical section, so a peer's tombstone can retire the live copy
+// and delete its record in that gap, and the late save then writes the
+// record back. When Sweep expires the tombstone it must delete that record
+// too; otherwise a restart on the same store resumes the terminated episode.
+func TestLateSaveExpiresWithTombstone(t *testing.T) {
+	prep := testPrepared(t)
+	store := openStore(t, t.TempDir())
+	var mu sync.Mutex
+	now := time.Now()
+	cfg := Config{Model: prep.Model, NewController: boundedFactory(prep), Checkpointer: store,
+		TombstoneTTL: time.Minute, ClientRetryBudget: 30 * time.Second,
+		now: func() time.Time {
+			mu.Lock()
+			defer mu.Unlock()
+			return now
+		}}
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv)
+	defer hs.Close()
+	status, body := rawCall(t, http.MethodPost, hs.URL+"/v1/episodes", `{"clientKey":"k-late"}`)
+	if status != http.StatusCreated {
+		t.Fatalf("start status %d (%s)", status, body)
+	}
+	var started StartResponse
+	if err := json.Unmarshal(body, &started); err != nil {
+		t.Fatal(err)
+	}
+	ep, _ := srv.cached(started.EpisodeID)
+	if ep == nil {
+		t.Fatal("started episode is not live")
+	}
+	late, err := ep.snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	final := DecisionResponse{Action: 3, ActionName: "terminate", Terminate: true, Value: -1.5}
+	if err := srv.retire(TombstoneState{EpisodeID: started.EpisodeID, ClientKey: "k-late",
+		Steps: 0, Final: final, TerminatedAtUnixNano: now.UnixNano()}, false); err != nil {
+		t.Fatal(err)
+	}
+	// The in-flight observation's save lands after the retire.
+	if err := srv.save("k-late", late); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	now = now.Add(2 * time.Minute)
+	mu.Unlock()
+	srv.Sweep()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if states, _, err := store.LoadAll(); err != nil || len(states) != 0 {
+		t.Errorf("store after the tombstone expired: %d episode records (err %v), want 0", len(states), err)
+	}
+
+	restarted, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restarted.Close()
+	if rep := restarted.Restored(); rep.Resumed != 0 {
+		t.Errorf("restart resumed %d episodes, want 0: the terminated episode came back", rep.Resumed)
+	}
+}
